@@ -325,23 +325,22 @@ def window_plan(
     return plan
 
 
+def floor_violations(budgets: np.ndarray, sinks: int) -> list[str]:
+    """The budget floor: every cache keeps at least sinks + 1 slots so it can
+    always take a new token. One message per (layer, group) below it."""
+    floor = sinks + 1
+    return [
+        f"budget {budgets[layer, group]} below floor {floor} at layer {layer} group {group}"
+        for layer, group in np.argwhere(budgets < floor)
+    ]
+
+
 def validate_plan(plan: AllocationPlan, config: ModelConfig) -> list[str]:
     """Check a plan against a config; returns all violations (empty = ok)."""
-    violations = []
     expected_shape = (config.num_layers, config.num_kv_heads)
     if plan.budgets.shape != expected_shape:
-        violations.append(
-            f"budget matrix shape {plan.budgets.shape} does not match {expected_shape}"
-        )
-        return violations
-    floor = plan.sinks + 1
-    for layer in range(config.num_layers):
-        for group in range(config.num_kv_heads):
-            b = int(plan.budgets[layer, group])
-            if b < floor:
-                violations.append(
-                    f"budget {b} below floor {floor} at layer {layer} group {group}"
-                )
+        return [f"budget matrix shape {plan.budgets.shape} does not match {expected_shape}"]
+    violations = floor_violations(plan.budgets, plan.sinks)
     expected_total = global_budget(config, plan.compression_ratio)
     if plan.total_tokens != expected_total:
         violations.append(

@@ -12,10 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import AllocationPlan
+from .allocation import AllocationPlan, floor_violations
 from .config import ModelConfig
 from .errors import AllocationError, ConfigError, InputError, ShapeError
 from .numerics import softmax
+
+
+def _raise_floor_violations(budgets: np.ndarray, sinks: int) -> None:
+    violations = floor_violations(budgets, sinks)
+    if violations:
+        raise AllocationError(violations[0], violations)
 
 
 @dataclass
@@ -38,10 +44,8 @@ class BudgetedCache:
     def __post_init__(self):
         if self.sinks < 0:
             raise AllocationError(f"sinks must be >= 0, got {self.sinks}")
-        if self.budget < self.sinks + 1:
-            raise AllocationError(
-                f"budget {self.budget} below floor {self.sinks + 1} (sinks + 1)"
-            )
+        # a standalone cache is checked as the only cache of a 1 x 1 plan
+        _raise_floor_violations(np.array([[self.budget]]), self.sinks)
         if self.keys is None:
             self.keys = np.empty((0, self.head_dim), dtype=np.float32)
             self.values = np.empty((0, self.head_dim), dtype=np.float32)
@@ -143,15 +147,7 @@ def build_cache_set(plan: AllocationPlan, config: ModelConfig) -> CacheSet:
         raise ConfigError(
             f"plan budget matrix {plan.budgets.shape} does not match config {expected}"
         )
-    floor = plan.sinks + 1
-    for layer in range(config.num_layers):
-        for group in range(config.num_kv_heads):
-            b = int(plan.budgets[layer, group])
-            if b < floor:
-                raise AllocationError(
-                    f"budget {b} below floor {floor} at layer {layer} group {group}",
-                    [f"budget {b} below floor {floor} at layer {layer} group {group}"],
-                )
+    _raise_floor_violations(plan.budgets, plan.sinks)
     caches = [
         [
             BudgetedCache(int(plan.budgets[layer, group]), plan.sinks, config.head_dim)

@@ -7,6 +7,7 @@ writes an artifact also writes a `<out>.manifest` recording checksums.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from .allocation import (
 )
 from .cache import build_cache_set, memory_report
 from .config import ModelConfig
-from .errors import AllocationError, BklvError
+from .errors import AllocationError, BklvError, InputError
 from .model import greedy_generate, init_model, model_checksum
 from .profiling import profile_model, rank_correlation
 from .search import (
@@ -46,7 +47,22 @@ def _fail(message: str, violations: list[str] | None = None) -> int:
 
 
 def _manifest(args, out_path: str, files: dict[str, str]) -> None:
-    io.write_manifest(out_path + ".manifest", sys.argv[1:] or [args.command], files)
+    io.write_manifest(out_path + ".manifest", args.argv, files)
+
+
+def _read_profile_for(model, path: str):
+    profile = io.read_profile(path)
+    if profile.model_id != model_checksum(model):
+        raise InputError(f"{path}: profile was made from a different model ({profile.model_id})")
+    return profile
+
+
+def _read_plan_for(model, path: str):
+    plan = io.read_plan(path)
+    violations = validate_plan(plan, model.config)
+    if violations:
+        raise AllocationError("plan does not match this model", violations)
+    return plan
 
 
 def _grid_values(text: str, name: str) -> list[float]:
@@ -84,22 +100,16 @@ def cmd_profile(args) -> int:
         with open(path, "rb") as fh:
             prompts.append(io.encode_bytes(fh.read()))
     profile = profile_model(model, prompts, keep_per_token=args.heatmap)
-    extra = None
-    if len(prompts) > 1:
-        singles = [profile_model(model, [p], keep_per_token=False) for p in prompts]
-        pairs = []
-        for i in range(len(singles)):
-            for j in range(i + 1, len(singles)):
-                rho = rank_correlation(singles[i], singles[j])
-                pairs.append(
-                    {
-                        "a": singles[i].prompt_ids[0],
-                        "b": singles[j].prompt_ids[0],
-                        "per_layer_spearman": rho.tolist(),
-                    }
-                )
-        extra = {"prompt_consistency": pairs}
-    io.write_profile(profile, args.out, extra)
+    sims = profile.prompt_head_similarity
+    pairs = [
+        {
+            "a": profile.prompt_ids[i],
+            "b": profile.prompt_ids[j],
+            "per_layer_spearman": rank_correlation(sims[i], sims[j]).tolist(),
+        }
+        for i, j in itertools.combinations(range(len(prompts)), 2)
+    ]
+    io.write_profile(profile, args.out, {"prompt_consistency": pairs} if pairs else None)
     _manifest(args, args.out, {"model": args.model, "profile": args.out})
     print(f"profile: {args.out}")
     print(f"model_id: {profile.model_id}")
@@ -111,9 +121,6 @@ def cmd_plan(args) -> int:
     cfg = profile.config
     params = PlanParams(t=args.t, r=args.r, layer_t=args.layer_t, layer_r=args.layer_r)
     plan = build_plan(profile, cfg, args.strategy, args.compression, params, args.sinks)
-    violations = validate_plan(plan, cfg)
-    if violations:
-        return _fail("plan validation failed", violations)
     io.write_plan(plan, cfg, args.out)
     _manifest(args, args.out, {"profile": args.profile, "plan": args.out})
     print(f"plan: {args.out}")
@@ -142,9 +149,9 @@ def _heatmap_text(report) -> str:
 
 def cmd_search(args) -> int:
     model = io.read_model_file(args.model)
-    profile = io.read_profile(args.profile)
+    profile = _read_profile_for(model, args.profile)
     corpus = io.load_corpus(args.corpus, model.config.vocab_size)
-    context_len = args.context_len or model.config.max_context
+    context_len = model.config.max_context if args.context_len is None else args.context_len
     if corpus.token_ids.size < context_len:
         return _fail(
             f"corpus has {corpus.token_ids.size} tokens; the search needs at least "
@@ -186,12 +193,9 @@ def cmd_search(args) -> int:
 
 def cmd_eval(args) -> int:
     model = io.read_model_file(args.model)
-    plan = io.read_plan(args.plan)
-    violations = validate_plan(plan, model.config)
-    if violations:
-        return _fail("plan does not match this model", violations)
+    plan = _read_plan_for(model, args.plan)
     corpus = io.load_corpus(args.corpus, model.config.vocab_size)
-    context_len = args.context_len or model.config.max_context
+    context_len = model.config.max_context if args.context_len is None else args.context_len
     loss = chunked_perplexity(model, corpus.token_ids, context_len, plan)
     caches = build_cache_set(plan, model.config)
     memory = memory_report(caches, args.bytes_per_element)
@@ -210,15 +214,13 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     model = io.read_model_file(args.model)
+    profile = _read_profile_for(model, args.profile) if args.profile else None
     corpus = io.load_corpus(args.corpus, model.config.vocab_size)
-    context_len = args.context_len or model.config.max_context
+    context_len = model.config.max_context if args.context_len is None else args.context_len
     report = layer_sweep(
         model, corpus.token_ids, context_len, args.window, args.compression, args.sinks
     )
-    correlation = None
-    if args.profile:
-        profile = io.read_profile(args.profile)
-        correlation = heuristic_vs_empirical(profile, report)
+    correlation = None if profile is None else heuristic_vs_empirical(profile, report)
     io.write_sweep_report(report, args.out, correlation)
     files = {"model": args.model, "report": args.out}
     if args.profile:
@@ -234,10 +236,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_generate(args) -> int:
     model = io.read_model_file(args.model)
-    plan = io.read_plan(args.plan)
-    violations = validate_plan(plan, model.config)
-    if violations:
-        return _fail("plan does not match this model", violations)
+    plan = _read_plan_for(model, args.plan)
     if args.text is not None:
         prompt = io.encode_bytes(args.text.encode("utf-8"))
     else:
@@ -342,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv  # recorded in manifests
     try:
         return args.func(args)
     except AllocationError as exc:

@@ -122,6 +122,23 @@ def _require(doc: dict, path: str, version: str) -> None:
         raise FormatError(f"{path}: format_version {got!r}, expected {version!r}")
 
 
+# Field readers raise ValueError; the document readers add the file name.
+
+def _finite(value, name: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite values")
+    return arr
+
+
+def _integers(value, name: str, ndim: int) -> np.ndarray:
+    """ndim-D JSON integers: floats such as 154.9 and booleans are rejected."""
+    arr = np.asarray(value, dtype=object)
+    if arr.ndim != ndim or not all(type(v) is int for v in arr.flat):
+        raise ValueError(f"{name} must be a {ndim}-D array of integers")
+    return arr.astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # weight file
 
@@ -164,17 +181,17 @@ def profile_from_dict(doc: dict, path: str = "<memory>") -> ImportanceProfile:
         return ImportanceProfile(
             model_id=doc["model_id"],
             prompt_ids=list(doc["prompt_ids"]),
-            head_similarity=np.asarray(doc["head_similarity"], dtype=np.float64),
-            kv_importance=np.asarray(doc["kv_importance"], dtype=np.float64),
-            layer_importance=np.asarray(doc["layer_importance"], dtype=np.float64),
+            head_similarity=_finite(doc["head_similarity"], "head_similarity"),
+            kv_importance=_finite(doc["kv_importance"], "kv_importance"),
+            layer_importance=_finite(doc["layer_importance"], "layer_importance"),
             config=ModelConfig(**doc["config"]),
             per_token_similarity=(
                 None
                 if per_token is None
-                else [np.asarray(m, dtype=np.float64) for m in per_token]
+                else [_finite(m, "per_token_similarity") for m in per_token]
             ),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed profile: {exc}") from exc
 
 
@@ -206,12 +223,12 @@ def plan_from_dict(doc: dict, path: str = "<memory>") -> AllocationPlan:
     try:
         return AllocationPlan(
             compression_ratio=float(doc["requested_compression"]),
-            sinks=int(doc["sinks"]),
-            budgets=np.asarray(doc["budgets"], dtype=np.int64),
+            sinks=int(_integers(doc["sinks"], "sinks", 0)),
+            budgets=_integers(doc["budgets"], "budgets", 2),
             strategy=doc["strategy"],
             params=PlanParams(**doc["params"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed plan: {exc}") from exc
 
 

@@ -12,7 +12,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .allocation import uniform_plan
 from .cache import build_cache_set
@@ -30,6 +29,8 @@ class ImportanceProfile:
 
     per_token_similarity, when kept, holds one (layers, tokens, q_heads)
     array of raw token cosines per prompt for heatmap rendering.
+    prompt_head_similarity holds each prompt's own (layers, q_heads)
+    similarities; it lives in memory only and is never serialized.
     """
 
     model_id: str
@@ -39,31 +40,37 @@ class ImportanceProfile:
     layer_importance: np.ndarray  # (layers,) in [0, 1]
     config: ModelConfig
     per_token_similarity: list[np.ndarray] | None = None
+    prompt_head_similarity: list[np.ndarray] | None = None
 
 
 def token_cosine_similarities(v_in: np.ndarray, attn_out: np.ndarray) -> np.ndarray:
-    """Row-wise cosine between like-indexed tokens, in [-1, 1].
+    """Cosine between like-indexed rows (the last axis), in [-1, 1].
 
-    A row whose norm is below 1e-12 on either side counts as unchanged
+    Inputs are (..., tokens, width); the result drops the last axis. A
+    row whose norm is below 1e-12 on either side counts as unchanged
     (similarity 1).
     """
     a = np.asarray(v_in, dtype=np.float64)
     b = np.asarray(attn_out, dtype=np.float64)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ShapeError(f"shapes must match and be 2-D, got {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
+    if a.ndim < 2 or a.shape != b.shape:
+        raise ShapeError(f"shapes must match and be at least 2-D, got {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
     # bit-identical rows are exactly unchanged: report 1 with no rounding
-    exact = np.all(a == b, axis=1) | (na < ZERO_NORM_EPS) | (nb < ZERO_NORM_EPS)
+    exact = np.all(a == b, axis=-1) | (na < ZERO_NORM_EPS) | (nb < ZERO_NORM_EPS)
     denom = np.where(exact, 1.0, na * nb)
-    sims = np.where(exact, 1.0, np.sum(a * b, axis=1) / denom)
+    sims = np.where(exact, 1.0, np.sum(a * b, axis=-1) / denom)
     return np.clip(sims, -1.0, 1.0)
+
+
+def _unit_mean(token_sims: np.ndarray) -> np.ndarray:
+    """Mean over the token (last) axis, mapped from [-1, 1] to [0, 1]."""
+    return (np.mean(token_sims, axis=-1) + 1.0) / 2.0
 
 
 def head_similarity(v_in: np.ndarray, attn_out: np.ndarray) -> float:
     """Mean token cosine mapped from [-1, 1] to [0, 1]."""
-    sims = token_cosine_similarities(v_in, attn_out)
-    return float((np.mean(sims) + 1.0) / 2.0)
+    return float(_unit_mean(token_cosine_similarities(v_in, attn_out)))
 
 
 def head_importance(similarity: float) -> float:
@@ -127,29 +134,13 @@ def profile_model(
     for arr in arrays:
         caches = build_cache_set(uniform_plan(cfg, 1.0, sinks=0), cfg)
         _, probes = forward_chunk(model, arr, caches, capture=True)
-        sims = np.empty((cfg.num_layers, cfg.num_q_heads), dtype=np.float64)
-        for li in range(cfg.num_layers):
-            for head in range(cfg.num_q_heads):
-                sims[li, head] = head_similarity(
-                    probes.head_input_v[li, head], probes.head_output[li, head]
-                )
-        per_prompt_head.append(sims)
-        per_prompt_layer.append(
-            np.array(
-                [
-                    layer_similarity(probes.layer_input[li], probes.layer_output[li])
-                    for li in range(cfg.num_layers)
-                ]
-            )
-        )
+        # (layers, q_heads, tokens): every head's token cosines in one pass
+        token_sims = token_cosine_similarities(probes.head_input_v, probes.head_output)
+        per_prompt_head.append(_unit_mean(token_sims))
+        layer_cos = token_cosine_similarities(probes.layer_input, probes.layer_output)
+        per_prompt_layer.append(_unit_mean(layer_cos))
         if keep_per_token:
-            tok = np.empty((cfg.num_layers, arr.size, cfg.num_q_heads), dtype=np.float64)
-            for li in range(cfg.num_layers):
-                for head in range(cfg.num_q_heads):
-                    tok[li, :, head] = token_cosine_similarities(
-                        probes.head_input_v[li, head], probes.head_output[li, head]
-                    )
-            per_token.append(tok)
+            per_token.append(token_sims.transpose(0, 2, 1))
 
     head_sims = np.mean(per_prompt_head, axis=0)
     layer_sims = np.mean(per_prompt_layer, axis=0)
@@ -161,36 +152,37 @@ def profile_model(
         layer_importance=1.0 - layer_sims,
         config=cfg,
         per_token_similarity=per_token,
+        prompt_head_similarity=per_prompt_head,
     )
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    s = np.sort(x)
+    return (np.searchsorted(s, x, "left") + np.searchsorted(s, x, "right") + 1) / 2
 
 
 def spearman(x, y) -> tuple[float, bool]:
     """Spearman rank correlation with average-rank ties.
 
-    Returns (coefficient, degenerate). Degenerate inputs (constant vector
-    or fewer than two points) report 0.0 with the flag set.
+    The Pearson correlation of the average ranks. Returns (coefficient,
+    degenerate). Degenerate inputs (a NaN anywhere, a constant vector, or
+    fewer than two points) report 0.0 with the flag set; infinities are
+    ranked like any other value.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ShapeError(f"expected equal 1-D vectors, got {x.shape} vs {y.shape}")
-    if x.size < 2 or np.all(x == x[0]) or np.all(y == y[0]):
+    if x.size < 2 or np.isnan([x, y]).any() or np.all(x == x[0]) or np.all(y == y[0]):
         return 0.0, True
-    rho = stats.spearmanr(x, y).statistic
-    if not np.isfinite(rho):
-        return 0.0, True
-    return float(rho), False
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0]), False
 
 
-def rank_correlation(a: ImportanceProfile, b: ImportanceProfile) -> np.ndarray:
-    """Per-layer Spearman correlation of two profiles' head similarities."""
-    if a.head_similarity.shape != b.head_similarity.shape:
-        raise ShapeError(
-            f"profile shapes differ: {a.head_similarity.shape} vs {b.head_similarity.shape}"
-        )
-    return np.array(
-        [
-            spearman(a.head_similarity[li], b.head_similarity[li])[0]
-            for li in range(a.head_similarity.shape[0])
-        ]
-    )
+def rank_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-layer Spearman correlation of two (layers, q_heads) head-similarity
+    matrices, such as two prompts' entries of prompt_head_similarity."""
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ShapeError(f"expected equal (layers, q_heads) matrices, got {a.shape} vs {b.shape}")
+    return np.array([spearman(row_a, row_b)[0] for row_a, row_b in zip(a, b)])

@@ -112,38 +112,34 @@ def parameter_search(
 ) -> SearchReport:
     """Evaluate the head-reallocation plan at every (t, r) grid point.
 
-    Infeasible points (plan construction fails the budget floor) are
-    recorded but excluded from the argmin. The best point is the first
-    grid entry achieving the minimum loss. Grid points are independent
-    jobs; results are reduced in grid order regardless of completion
-    order, so fan-out does not change the report.
+    Out-of-range parameters raise AllocationError before any point is
+    evaluated. Infeasible points (plan construction fails the budget
+    floor) are recorded but excluded from the argmin. The best point is
+    the first grid entry achieving the minimum loss. Grid points are
+    independent jobs; results are reduced in grid order regardless of
+    completion order, so fan-out does not change the report.
     """
     if not grid:
         raise InputError("parameter grid is empty")
     corpus_tokens = np.asarray(corpus_tokens, dtype=np.int64)
     cfg = model.config
+    params = [PlanParams(t=t, r=r, layer_t=layer_t, layer_r=layer_r) for t, r in grid]
+    for p in params:
+        p.validate()
 
-    def evaluate(point):
-        t, r = point
+    def evaluate(p):
         try:
-            plan = build_plan(
-                profile,
-                cfg,
-                "baklava",
-                compression,
-                PlanParams(t=t, r=r, layer_t=layer_t, layer_r=layer_r),
-                sinks,
-            )
+            plan = build_plan(profile, cfg, "baklava", compression, p, sinks)
         except AllocationError:
-            return GridPoint(t, r, math.nan, False)
+            return GridPoint(p.t, p.r, math.nan, False)
         loss = chunked_perplexity(model, corpus_tokens, context_len, plan)
-        return GridPoint(t, r, loss, True)
+        return GridPoint(p.t, p.r, loss, True)
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            points = list(pool.map(evaluate, grid))
+            points = list(pool.map(evaluate, params))
     else:
-        points = [evaluate(p) for p in grid]
+        points = [evaluate(p) for p in params]
 
     best = None
     best_loss = None
@@ -238,10 +234,7 @@ def heuristic_vs_empirical(
         )
     full, full_deg = spearman(imp, scores)
     trim = sweep.window // 2
-    if trim > 0 and imp.size - 2 * trim >= 2:
-        trimmed, trimmed_deg = spearman(imp[trim:-trim], scores[trim:-trim])
-    elif trim == 0:
-        trimmed, trimmed_deg = full, full_deg
-    else:
-        trimmed, trimmed_deg = 0.0, True
+    # fewer than two layers left after trimming is spearman's degenerate case
+    kept = slice(trim, imp.size - trim)
+    trimmed, trimmed_deg = spearman(imp[kept], scores[kept])
     return CorrelationReport(full, full_deg, trimmed, trimmed_deg, trim)

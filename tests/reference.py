@@ -179,3 +179,22 @@ def spearman_textbook(x, y) -> float:
     rank_y = [sorted(y).index(v) + 1 for v in y]
     d2 = sum((rx - ry) ** 2 for rx, ry in zip(rank_x, rank_y))
     return 1.0 - 6.0 * d2 / (n * (n * n - 1))
+
+
+def spearman_average_ranks(x, y) -> float:
+    """Pearson correlation of average ranks, from the definitions: a value's
+    rank is 1 + (number of smaller values) + (number of other equal values) / 2.
+    Valid with ties and infinities; the inputs must not be constant."""
+    x = list(x)
+    y = list(y)
+    n = len(x)
+
+    def ranks(v):
+        return [1 + sum(u < a for u in v) + (sum(u == a for u in v) - 1) / 2 for a in v]
+
+    rx, ry = ranks(x), ranks(y)
+    mx, my = sum(rx) / n, sum(ry) / n
+    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    var_x = sum((a - mx) ** 2 for a in rx)
+    var_y = sum((b - my) ** 2 for b in ry)
+    return cov / math.sqrt(var_x * var_y)

@@ -254,10 +254,12 @@ def test_criterion_9_consistency_experiment(toy):
 
         prof1 = profile_model(toy, [p1])
         prof2 = profile_model(toy, [p2])
-        rho = rank_correlation(prof1, prof2)
+        rho = rank_correlation(prof1.head_similarity, prof2.head_similarity)
         assert rho.shape == (TOY.num_layers,)
         assert np.all(rho >= -1.0) and np.all(rho <= 1.0)
 
-        rho_again = rank_correlation(profile_model(toy, [p1]), profile_model(toy, [p2]))
+        rho_again = rank_correlation(
+            profile_model(toy, [p1]).head_similarity, profile_model(toy, [p2]).head_similarity
+        )
         assert np.array_equal(rho, rho_again)
         print(f"  per-layer consistency: {np.round(rho, 4).tolist()}")

@@ -186,6 +186,10 @@ class TestCacheSet:
         with pytest.raises(AllocationError, match=r"layer 1 group 1"):
             build_cache_set(bad, SMALL)
 
+    def test_standalone_cache_below_floor_rejected(self):
+        with pytest.raises(AllocationError, match="below floor 3"):
+            _cache(budget=2, sinks=2)
+
     def test_total_capacity_is_sum_of_budgets(self):
         plan = uniform_plan(SMALL, 0.5)
         caches = build_cache_set(plan, SMALL)

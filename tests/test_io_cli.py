@@ -14,6 +14,7 @@ from bklv import (
     init_model,
     model_checksum,
     profile_model,
+    rank_correlation,
     uniform_plan,
 )
 from bklv import io
@@ -154,6 +155,49 @@ class TestRoundTrips:
             fh.write("{broken")
         with pytest.raises(FormatError):
             io.read_json(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("budgets", "fraction"),
+            ("budgets", "bool"),
+            ("budgets", "ragged"),
+            ("sinks", 4.7),
+            ("sinks", True),
+            ("sinks", [4]),
+        ],
+    )
+    def test_plan_non_integer_values_rejected(self, field, value):
+        doc = io.plan_to_dict(uniform_plan(SMALL, 0.5), SMALL)
+        if field == "budgets":
+            budgets = doc["budgets"]
+            if value == "fraction":
+                budgets[0][1] += 0.9  # would truncate back to the original budget
+            elif value == "bool":
+                budgets[0][1] = True
+            else:
+                budgets[1] = budgets[1][:1]
+        else:
+            doc["sinks"] = value
+        with pytest.raises(FormatError, match=field):
+            io.plan_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field", ["head_similarity", "kv_importance", "layer_importance", "per_token_similarity"]
+    )
+    def test_profile_non_finite_values_rejected(self, profile, field, tmp_path):
+        path = str(tmp_path / "p.json")
+        io.write_profile(profile, path)
+        doc = io.read_json(path)
+        if field == "per_token_similarity":
+            doc[field][0][0][0][0] = float("nan")
+        elif field == "layer_importance":
+            doc[field][0] = float("nan")
+        else:
+            doc[field][0][0] = float("nan")
+        io.write_json(path, doc)  # json writes NaN as a bare token, which json reads back
+        with pytest.raises(FormatError, match=field):
+            io.read_profile(path)
 
 
 def _write_text(path, n_bytes, seed=0):
@@ -410,6 +454,89 @@ class TestCli:
         manifest = io.read_manifest(cli_env["model"] + ".manifest")
         entry = manifest["files"]["model"]
         assert entry["sha256"] == io.sha256_file(cli_env["model"])
+
+    def test_manifest_records_the_argv_given_to_main(self, cli_env):
+        out = str(cli_env["dir"] / "argv.json")
+        argv = ["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", out]
+        assert main(argv) == 0
+        assert io.read_manifest(out + ".manifest")["command"] == argv
+
+    def test_profile_consistency_matches_single_prompt_profiles(self, cli_env, tmp_path):
+        second = _write_text(tmp_path / "second.txt", 40, seed=9)
+        out = str(cli_env["dir"] / "two.json")
+        argv = ["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"],
+                "--prompt", second, "--out", out]
+        assert main(argv) == 0
+        model = io.read_model_file(cli_env["model"])
+        singles = []
+        for path in (cli_env["prompt"], second):
+            with open(path, "rb") as fh:
+                singles.append(profile_model(model, [io.encode_bytes(fh.read())]))
+        [pair] = io.read_json(out)["prompt_consistency"]
+        assert (pair["a"], pair["b"]) == (singles[0].prompt_ids[0], singles[1].prompt_ids[0])
+        expected = rank_correlation(singles[0].head_similarity, singles[1].head_similarity)
+        assert pair["per_layer_spearman"] == expected.tolist()
+
+    @pytest.mark.parametrize("command", ["eval", "search", "sweep"])
+    def test_context_len_zero_rejected(self, cli_env, command, capsys):
+        d = cli_env["dir"]
+        prof = str(d / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        plan_path = str(d / "plan.json")
+        main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "0.5", "--out", plan_path])
+        out = str(d / "out.json")
+        common = ["--model", cli_env["model"], "--corpus", cli_env["corpus"], "--context-len", "0",
+                  "--out", out]
+        extra = {
+            "eval": ["--plan", plan_path],
+            "search": ["--profile", prof, "--compression", "0.5", "--t-grid", "0.7", "--r-grid", "0.3"],
+            "sweep": ["--window", "1", "--compression", "0.5"],
+        }[command]
+        capsys.readouterr()
+        assert main([command] + common + extra) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "context_len must be >= 2, got 0" in err["error"]
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("grid", [["--t-grid", "0.7,5"], ["--r-grid", "0.3,1"]])
+    def test_out_of_range_grid_value_rejected_before_search(self, cli_env, grid, capsys):
+        d = cli_env["dir"]
+        prof = str(d / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        out = str(d / "s.json")
+        capsys.readouterr()
+        rc = main(
+            ["search", "--model", cli_env["model"], "--profile", prof, "--corpus", cli_env["corpus"],
+             "--compression", "0.4", "--context-len", "48", "--out", out] + grid
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        name = grid[0][2]  # "t" or "r"
+        assert err["error"].startswith(f"{name} must be in [0, 1")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_profile_from_another_model_rejected(self, cli_env, tmp_path, command, capsys):
+        other = str(tmp_path / "seed8.bklv")
+        shape = ["--num-layers", "2", "--num-q-heads", "4", "--num-kv-heads", "2",
+                 "--head-dim", "8", "--d-ff", "64", "--max-context", "64"]
+        assert main(["init-model", "--out", other, "--seed", "8"] + shape) == 0
+        prof = str(cli_env["dir"] / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        out = str(tmp_path / "r.json")
+        extra = {
+            "search": ["--compression", "0.4", "--t-grid", "0.7", "--r-grid", "0.3"],
+            "sweep": ["--window", "1", "--compression", "0.5"],
+        }[command]
+        capsys.readouterr()
+        rc = main(
+            [command, "--model", other, "--profile", prof, "--corpus", cli_env["corpus"],
+             "--context-len", "48", "--out", out] + extra
+        )
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "different model" in err["error"]
+        assert not os.path.exists(out)
 
     def test_success_is_silent_on_stderr(self, cli_env, capsys):
         prof = str(cli_env["dir"] / "quiet.json")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +23,7 @@ from bklv import (
 )
 from bklv.profiling import spearman
 
-from .reference import spearman_textbook
+from .reference import spearman_average_ranks, spearman_textbook
 
 
 def _random_prompt(rng, n):
@@ -206,6 +210,31 @@ class TestProfileModel:
         assert np.array_equal(a.layer_importance, b.layer_importance)
         assert a.model_id == b.model_id
 
+    def test_vectorized_reduction_matches_per_head_loop(self, small_model, rng):
+        # the per-(layer, head) loops the one-pass reduction replaced, bit for bit
+        p = _random_prompt(rng, 45)
+        profile = profile_model(small_model, [p], keep_per_token=True)
+        cfg = small_model.config
+        caches = build_cache_set(uniform_plan(cfg, 1.0, 0), cfg)
+        _, probes = forward_chunk(small_model, p, caches, capture=True)
+        for li in range(cfg.num_layers):
+            for head in range(cfg.num_q_heads):
+                v_in, out = probes.head_input_v[li, head], probes.head_output[li, head]
+                assert profile.head_similarity[li, head] == head_similarity(v_in, out)
+                assert np.array_equal(
+                    profile.per_token_similarity[0][li, :, head],
+                    token_cosine_similarities(v_in, out),
+                )
+            layer_sim = layer_similarity(probes.layer_input[li], probes.layer_output[li])
+            assert profile.layer_importance[li] == 1.0 - layer_sim
+
+    def test_prompt_head_similarity_equals_single_prompt_profiles(self, small_model, rng):
+        prompts = [_random_prompt(rng, n) for n in (40, 57, 33)]
+        joint = profile_model(small_model, prompts)
+        assert len(joint.prompt_head_similarity) == len(prompts)
+        for p, sims in zip(prompts, joint.prompt_head_similarity):
+            assert np.array_equal(sims, profile_model(small_model, [p]).head_similarity)
+
     def test_per_token_capture(self, small_model, rng):
         p = _random_prompt(rng, 40)
         profile = profile_model(small_model, [p], keep_per_token=True)
@@ -218,7 +247,9 @@ class TestProfileModel:
 class TestRankCorrelation:
     def test_identical_profiles_all_ones(self, small_model, rng):
         p = profile_model(small_model, [_random_prompt(rng, 40)])
-        np.testing.assert_allclose(rank_correlation(p, p), 1.0, atol=1e-12)
+        np.testing.assert_allclose(
+            rank_correlation(p.head_similarity, p.head_similarity), 1.0, atol=1e-12
+        )
 
     def test_reversed_ranking_is_minus_one(self):
         rho, degenerate = spearman([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0])
@@ -241,8 +272,57 @@ class TestRankCorrelation:
         rho, degenerate = spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         assert degenerate and rho == 0.0
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0]),
+            ([1.0, 2.0, 3.0], [float("nan")] * 3),
+            ([1.0], [2.0]),
+        ],
+    )
+    def test_nan_or_single_point_is_degenerate(self, x, y):
+        assert spearman(x, y) == (0.0, True)
+
+    def test_ties_take_average_ranks(self):
+        # ranks (1.5, 1.5, 3, 4) against (1, 2, 3, 4)
+        rho, degenerate = spearman([5.0, 5.0, 7.0, 9.0], [1.0, 2.0, 3.0, 4.0])
+        assert not degenerate
+        assert abs(rho - spearman_average_ranks([5, 5, 7, 9], [1, 2, 3, 4])) < 1e-12
+        assert abs(rho - 4.5 / np.sqrt(4.5 * 5.0)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf]),
+                st.integers(-3, 3),
+            ),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_matches_tie_aware_reference(self, pairs):
+        x = [float(a) for a, _ in pairs]
+        y = [float(b) for _, b in pairs]
+        rho, degenerate = spearman(x, y)
+        if len(set(x)) == 1 or len(set(y)) == 1:
+            assert (rho, degenerate) == (0.0, True)
+        else:
+            assert not degenerate
+            assert abs(rho - spearman_average_ranks(x, y)) < 1e-12
+
     def test_shape_mismatch(self, small_model, toy_model, rng):
         a = profile_model(small_model, [_random_prompt(rng, 40)])
         b = profile_model(toy_model, [_random_prompt(rng, 40)])
         with pytest.raises(ShapeError):
-            rank_correlation(a, b)
+            rank_correlation(a.head_similarity, b.head_similarity)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["bklv"].__file__)))
+    code = "import sys, bklv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "[]"
