@@ -136,7 +136,8 @@ def uniform_plan(
     violations = validate_plan(plan, config)
     if violations:
         raise AllocationError(
-            f"compression {compression} cannot satisfy the budget floor", violations
+            f"compression {compression} with sinks {sinks} cannot satisfy the budget floor",
+            violations,
         )
     return plan
 
@@ -320,16 +321,19 @@ def window_plan(
     violations = validate_plan(plan, config)
     if violations:
         raise AllocationError(
-            f"window compression {compression} cannot satisfy the budget floor", violations
+            f"window compression {compression} with sinks {sinks} cannot satisfy the budget floor",
+            violations,
         )
     return plan
 
 
 def floor_violations(budgets: np.ndarray, sinks: int) -> list[str]:
-    """The budget floor: every cache keeps at least sinks + 1 slots so it can
-    always take a new token. One message per (layer, group) below it."""
+    """The budget floor: sinks >= 0, and every cache keeps at least sinks + 1
+    slots so it can always take a new token. One message per (layer, group)
+    below it."""
     floor = sinks + 1
-    return [
+    violations = [f"sinks must be >= 0, got {sinks}"] if sinks < 0 else []
+    return violations + [
         f"budget {budgets[layer, group]} below floor {floor} at layer {layer} group {group}"
         for layer, group in np.argwhere(budgets < floor)
     ]

@@ -42,8 +42,6 @@ class BudgetedCache:
     total_seen: int = 0
 
     def __post_init__(self):
-        if self.sinks < 0:
-            raise AllocationError(f"sinks must be >= 0, got {self.sinks}")
         # a standalone cache is checked as the only cache of a 1 x 1 plan
         _raise_floor_violations(np.array([[self.budget]]), self.sinks)
         if self.keys is None:
@@ -67,7 +65,8 @@ def append_and_evict(
     `positions` must continue the stream: arange(total_seen, total_seen + n).
     Repeated single-token eviction of the oldest non-sink is equivalent to
     keeping the sink prefix plus the most recent tail, which is what this
-    does in one step.
+    does in one step. The stores are replaced by new arrays, never written
+    in place.
     """
     k_new = np.asarray(k_new, dtype=np.float32)
     v_new = np.asarray(v_new, dtype=np.float32)
@@ -79,20 +78,28 @@ def append_and_evict(
     n = k_new.shape[0]
     if positions.shape != (n,):
         raise ShapeError(f"positions shape {positions.shape} != ({n},)")
-    expected = np.arange(cache.total_seen, cache.total_seen + n, dtype=np.int64)
-    if not np.array_equal(positions, expected):
+    start, end = cache.total_seen, cache.total_seen + n
+    if not (positions[0] == start if n == 1 else np.array_equal(positions, np.arange(start, end))):
         raise InputError(
-            f"positions must continue from total_seen={cache.total_seen}, got {positions.tolist()}"
+            f"positions must continue from total_seen={start}, got {positions.tolist()}"
         )
 
-    keys = np.concatenate([cache.keys, k_new])
-    values = np.concatenate([cache.values, v_new])
-    pos = np.concatenate([cache.positions, positions])
-    if len(pos) > cache.budget:
-        n_sink = int(np.searchsorted(pos, cache.sinks))  # sinks are positions 0..sinks-1
-        tail = cache.budget - n_sink
-        keep = np.concatenate([np.arange(n_sink), np.arange(len(pos) - tail, len(pos))])
-        keys, values, pos = keys[keep], values[keep], pos[keep]
+    if n == 1 and cache.retained == cache.budget:
+        # One row into a full store: the oldest non-sink row makes room. The
+        # budget floor leaves at least one non-sink row to drop.
+        drop = int(cache.positions.searchsorted(cache.sinks))
+        keys = np.concatenate([cache.keys[:drop], cache.keys[drop + 1 :], k_new])
+        values = np.concatenate([cache.values[:drop], cache.values[drop + 1 :], v_new])
+        pos = np.concatenate([cache.positions[:drop], cache.positions[drop + 1 :], positions])
+    else:
+        keys = np.concatenate([cache.keys, k_new])
+        values = np.concatenate([cache.values, v_new])
+        pos = np.concatenate([cache.positions, positions])
+        if len(pos) > cache.budget:
+            n_sink = int(np.searchsorted(pos, cache.sinks))  # sinks are positions 0..sinks-1
+            tail = cache.budget - n_sink
+            keep = np.concatenate([np.arange(n_sink), np.arange(len(pos) - tail, len(pos))])
+            keys, values, pos = keys[keep], values[keep], pos[keep]
     cache.keys, cache.values, cache.positions = keys, values, pos
     cache.total_seen += n
 
@@ -100,14 +107,16 @@ def append_and_evict(
 def attend_with_cache(cache: BudgetedCache, q: np.ndarray) -> np.ndarray:
     """Scaled dot-product attention of the newest queries over the store.
 
-    Row j of `q` is the query for absolute position total_seen - len(q) + j;
-    it attends over retained tokens with position <= its own. Returns one
-    output row per query.
+    `q` is (t_q, head_dim), or (heads, t_q, head_dim) for several query
+    heads that share the store; each head's result is bit-identical to a
+    call with that head alone. Row j of a head is the query for absolute
+    position total_seen - t_q + j; it attends over retained tokens with
+    position <= its own. Returns one output row per query, shaped like `q`.
     """
     q = np.asarray(q, dtype=np.float32)
-    if q.ndim != 2 or q.shape[1] != cache.head_dim:
+    if q.ndim not in (2, 3) or q.shape[-1] != cache.head_dim:
         raise ShapeError(f"q shape {q.shape} incompatible with head_dim {cache.head_dim}")
-    t_q = q.shape[0]
+    t_q = q.shape[-2]
     if t_q == 0 or cache.retained == 0:
         raise InputError("attention needs at least one query and one retained token")
 
@@ -192,6 +201,8 @@ def memory_report(cache_set: CacheSet, bytes_per_element: int = 2) -> MemoryRepo
     head_dim * bytes_per_element. Also reports the achieved compression
     ratio relative to full context in every cache.
     """
+    if bytes_per_element < 1:
+        raise InputError(f"bytes_per_element must be >= 1, got {bytes_per_element}")
     cfg = cache_set.config
     budgets = np.array(
         [[c.budget for c in row] for row in cache_set.caches], dtype=np.int64

@@ -148,6 +148,9 @@ def _heatmap_text(report) -> str:
 
 
 def cmd_search(args) -> int:
+    workers = os.environ.get(THREADS_ENV, "1")
+    if not workers.strip().isdecimal() or int(workers) < 1:
+        raise InputError(f"{THREADS_ENV} must be an integer >= 1, got {workers!r}")
     model = io.read_model_file(args.model)
     profile = _read_profile_for(model, args.profile)
     corpus = io.load_corpus(args.corpus, model.config.vocab_size)
@@ -160,7 +163,6 @@ def cmd_search(args) -> int:
     t_grid = _grid_values(args.t_grid, "t") if args.t_grid else list(DEFAULT_T_GRID)
     r_grid = _grid_values(args.r_grid, "r") if args.r_grid else list(DEFAULT_R_GRID)
     grid = [(t, r) for t in t_grid for r in r_grid]
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
     report = parameter_search(
         model,
         corpus.token_ids,
@@ -171,7 +173,7 @@ def cmd_search(args) -> int:
         sinks=args.sinks,
         layer_t=args.layer_t,
         layer_r=args.layer_r,
-        max_workers=workers,
+        max_workers=int(workers),
     )
     io.write_search_report(report, args.out)
     _manifest(
@@ -196,9 +198,8 @@ def cmd_eval(args) -> int:
     plan = _read_plan_for(model, args.plan)
     corpus = io.load_corpus(args.corpus, model.config.vocab_size)
     context_len = model.config.max_context if args.context_len is None else args.context_len
+    memory = memory_report(build_cache_set(plan, model.config), args.bytes_per_element)
     loss = chunked_perplexity(model, corpus.token_ids, context_len, plan)
-    caches = build_cache_set(plan, model.config)
-    memory = memory_report(caches, args.bytes_per_element)
     doc = io.eval_report_to_dict(loss, memory, plan, model.config)
     print(f"perplexity: {math.exp(loss):.6f}")
     print(f"loss: {loss:.6f}")
@@ -243,9 +244,9 @@ def cmd_generate(args) -> int:
         with open(args.prompt, "rb") as fh:
             prompt = io.encode_bytes(fh.read())
     caches = build_cache_set(plan, model.config)
+    memory = memory_report(caches, args.bytes_per_element)
     out_ids = greedy_generate(model, prompt, args.steps, caches)
     text = io.decode_ids(out_ids).decode("utf-8", errors="replace")
-    memory = memory_report(caches, args.bytes_per_element)
     print(text)
     print(f"generated_tokens: {len(out_ids)}")
     print(f"total_bytes: {memory.total_bytes}")

@@ -93,20 +93,13 @@ def init_model(config: ModelConfig) -> Model:
         return rng.normal(0.0, WEIGHT_STD, size=shape).astype(np.float32)
 
     embedding = draw((config.vocab_size, config.d_model))
-    layers = []
-    for _ in range(config.num_layers):
-        layers.append(
-            LayerWeights(
-                attn_q=draw((config.d_model, config.num_q_heads * config.head_dim)),
-                attn_k=draw((config.d_model, config.num_kv_heads * config.head_dim)),
-                attn_v=draw((config.d_model, config.num_kv_heads * config.head_dim)),
-                attn_out=draw((config.num_q_heads * config.head_dim, config.d_model)),
-                mlp_in=draw((config.d_model, config.d_ff)),
-                mlp_out=draw((config.d_ff, config.d_model)),
-                norm1=np.ones(config.d_model, dtype=np.float32),
-                norm2=np.ones(config.d_model, dtype=np.float32),
-            )
-        )
+    layers = [
+        LayerWeights(**{
+            name: np.ones(shape, dtype=np.float32) if name.startswith("norm") else draw(shape)
+            for name, shape in _layer_shapes(config)
+        })
+        for _ in range(config.num_layers)
+    ]
     final_norm = np.ones(config.d_model, dtype=np.float32)
     return Model(config, embedding, layers, final_norm)
 
@@ -173,10 +166,14 @@ def forward_chunk(
 
     K/V projections of the new tokens are appended to the caches (evicting
     as the budgets require) and every query attends over exactly the
-    retained tokens. Tokens are processed in segments sized so that no
-    eviction can happen inside a segment; once some cache is full the
-    remainder goes one token at a time, which reproduces the exact
-    interleaved append/attend semantics of generation.
+    retained tokens. The chunk runs layer by layer: norms, projections,
+    rotary, the MLP and the logits are computed for all tokens at once,
+    and only the cache append and attention are stepped. The caches fill
+    in lockstep, so the steps are one segment of as many tokens as every
+    cache can take without evicting, then single tokens; each cache sees
+    the appends and retained sets of token-by-token generation. Logits
+    agree with generation up to float32 rounding, since batched rows do
+    not round exactly like single rows.
 
     Returns (logits, probes): logits is (len(tokens), vocab_size); probes
     is a ProbeCapture for the new tokens when capture is set, else None.
@@ -196,81 +193,51 @@ def forward_chunk(
             f"cache layer count {len(caches.caches)} != num_layers {cfg.num_layers}"
         )
     start = caches.total_seen
-    if start + tokens.size > cfg.max_context:
+    n = tokens.size
+    if start + n > cfg.max_context:
         raise InputError(
-            f"context length exceeded: {start} + {tokens.size} > {cfg.max_context}"
+            f"context length exceeded: {start} + {n} > {cfg.max_context}"
         )
 
-    logits_parts = []
-    probe_parts = []
-    offset = 0
-    while offset < tokens.size:
-        n = min(tokens.size - offset, caches.min_free())
-        if n < 1:
-            n = 1  # some cache is full: single-token step with eviction
-        seg = tokens[offset : offset + n]
-        seg_logits, seg_probes = _forward_segment(model, seg, caches, start + offset, capture)
-        logits_parts.append(seg_logits)
-        if capture:
-            probe_parts.append(seg_probes)
-        offset += n
-
-    logits = np.concatenate(logits_parts, axis=0)
-    if not capture:
-        return logits, None
-    probes = ProbeCapture(
-        head_input_v=np.concatenate([p[0] for p in probe_parts], axis=2),
-        head_output=np.concatenate([p[1] for p in probe_parts], axis=2),
-        layer_input=np.concatenate([p[2] for p in probe_parts], axis=1),
-        layer_output=np.concatenate([p[3] for p in probe_parts], axis=1),
-    )
-    return logits, probes
-
-
-def _forward_segment(model, seg_tokens, caches, start_pos, capture):
-    cfg = model.config
-    n = seg_tokens.size
-    g = cfg.group_size
-    positions = np.arange(start_pos, start_pos + n, dtype=np.int64)
-    x = model.embedding[seg_tokens].astype(np.float32, copy=True)
+    first = max(1, min(n, caches.min_free()))  # a full cache steps one token at a time
+    segments = [(0, first), *((i, i + 1) for i in range(first, n))]
+    positions = np.arange(start, start + n, dtype=np.int64)
+    kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
+    x = model.embedding[tokens].astype(np.float32, copy=True)
 
     if capture:
-        head_v = np.empty((cfg.num_layers, cfg.num_q_heads, n, cfg.head_dim), np.float32)
-        head_out = np.empty_like(head_v)
-        layer_in = np.empty((cfg.num_layers, n, cfg.d_model), np.float32)
-        layer_out = np.empty_like(layer_in)
+        shapes = [(cfg.num_q_heads, n, d)] * 2 + [(n, cfg.d_model)] * 2
+        probes = ProbeCapture(*(np.empty((cfg.num_layers, *s), np.float32) for s in shapes))
 
     for li, layer in enumerate(model.layers):
         if capture:
-            layer_in[li] = x
+            probes.layer_input[li] = x
         h = rms_norm(x, layer.norm1)
-        q = (h @ layer.attn_q).reshape(n, cfg.num_q_heads, cfg.head_dim)
-        k = (h @ layer.attn_k).reshape(n, cfg.num_kv_heads, cfg.head_dim)
-        v = (h @ layer.attn_v).reshape(n, cfg.num_kv_heads, cfg.head_dim)
-        q = rope_rotate(q, positions, cfg.rope_theta)
-        k = rope_rotate(k, positions, cfg.rope_theta)
+        q = (h @ layer.attn_q).reshape(n, cfg.num_q_heads, d)
+        k = (h @ layer.attn_k).reshape(n, kv, d)
+        v = (h @ layer.attn_v).reshape(n, kv, d)
+        qk = rope_rotate(np.concatenate([q, k], axis=1), positions, cfg.rope_theta)
+        # (kv, g, n, d) views: the query heads of a group share its cache
+        q_groups = qk[:, : cfg.num_q_heads].reshape(n, kv, g, d).transpose(1, 2, 0, 3)
+        k = qk[:, cfg.num_q_heads :]
 
-        for grp in range(cfg.num_kv_heads):
-            append_and_evict(caches.caches[li][grp], k[:, grp], v[:, grp], positions)
-
-        heads = np.empty((n, cfg.num_q_heads, cfg.head_dim), dtype=np.float32)
-        for head in range(cfg.num_q_heads):
-            grp = head // g
-            heads[:, head] = attend_with_cache(caches.caches[li][grp], q[:, head])
-            if capture:
-                head_v[li, head] = v[:, grp]
-                head_out[li, head] = heads[:, head]
-        x = x + heads.reshape(n, cfg.num_q_heads * cfg.head_dim) @ layer.attn_out
+        heads = probes.head_output[li] if capture else np.empty((cfg.num_q_heads, n, d), np.float32)
+        head_groups = heads.reshape(kv, g, n, d)
+        for grp, cache in enumerate(caches.caches[li]):
+            for a, b in segments:
+                append_and_evict(cache, k[a:b, grp], v[a:b, grp], positions[a:b])
+                head_groups[grp, :, a:b] = attend_with_cache(cache, q_groups[grp, :, a:b])
+        if capture:
+            probes.head_input_v[li] = np.repeat(v.transpose(1, 0, 2), g, axis=0)
+        x = x + heads.transpose(1, 0, 2).reshape(n, cfg.num_q_heads * d) @ layer.attn_out
 
         h2 = rms_norm(x, layer.norm2)
         x = x + _silu(h2 @ layer.mlp_in) @ layer.mlp_out
         if capture:
-            layer_out[li] = x
+            probes.layer_output[li] = x
 
     logits = rms_norm(x, model.final_norm) @ model.embedding.T
-    if capture:
-        return logits, (head_v, head_out, layer_in, layer_out)
-    return logits, None
+    return logits, probes if capture else None
 
 
 def greedy_generate(model: Model, prompt, steps: int, caches: CacheSet) -> list[int]:

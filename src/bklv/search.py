@@ -115,9 +115,12 @@ def parameter_search(
     Out-of-range parameters raise AllocationError before any point is
     evaluated. Infeasible points (plan construction fails the budget
     floor) are recorded but excluded from the argmin. The best point is
-    the first grid entry achieving the minimum loss. Grid points are
-    independent jobs; results are reduced in grid order regardless of
-    completion order, so fan-out does not change the report.
+    the first grid entry achieving the minimum loss. Each distinct plan
+    (budget matrix and sinks) is evaluated once, the uniform plan
+    included, so grid points that build the same plan share one loss.
+    Distinct plans are independent jobs; results are reduced in grid
+    order regardless of completion order, so fan-out does not change the
+    report.
     """
     if not grid:
         raise InputError("parameter grid is empty")
@@ -127,29 +130,41 @@ def parameter_search(
     for p in params:
         p.validate()
 
-    def evaluate(p):
+    def build(p):
         try:
-            plan = build_plan(profile, cfg, "baklava", compression, p, sinks)
+            return build_plan(profile, cfg, "baklava", compression, p, sinks)
         except AllocationError:
-            return GridPoint(p.t, p.r, math.nan, False)
-        loss = chunked_perplexity(model, corpus_tokens, context_len, plan)
-        return GridPoint(p.t, p.r, loss, True)
+            return None
+
+    def key(plan):
+        return plan.budgets.tobytes(), plan.sinks
+
+    plans = [build(p) for p in params]
+    uniform = uniform_plan(cfg, compression, sinks)
+    distinct = {}
+    for plan in filter(None, [*plans, uniform]):
+        distinct.setdefault(key(plan), plan)
+
+    def evaluate(plan):
+        return chunked_perplexity(model, corpus_tokens, context_len, plan)
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            points = list(pool.map(evaluate, params))
+            losses = dict(zip(distinct, pool.map(evaluate, distinct.values())))
     else:
-        points = [evaluate(p) for p in params]
+        losses = {k: evaluate(plan) for k, plan in distinct.items()}
 
+    points = [
+        GridPoint(p.t, p.r, math.nan if plan is None else losses[key(plan)], plan is not None)
+        for p, plan in zip(params, plans)
+    ]
     best = None
     best_loss = None
     for point in points:
         if point.feasible and (best_loss is None or point.loss < best_loss):
             best, best_loss = (point.t, point.r), point.loss
 
-    uniform_loss = chunked_perplexity(
-        model, corpus_tokens, context_len, uniform_plan(cfg, compression, sinks)
-    )
+    uniform_loss = losses[key(uniform)]
     n_chunks = corpus_tokens.size // context_len
     return SearchReport(
         compression=compression,

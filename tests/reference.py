@@ -97,6 +97,58 @@ def reference_logits(model, tokens) -> np.ndarray:
     return _ref_rms(x, model.final_norm) @ model.embedding.T
 
 
+def reference_budgeted_logits(model, tokens, budgets, sinks: int):
+    """Token-by-token forward under budgeted sink+window caches.
+
+    Each token runs alone through every layer; its K/V join the layer's
+    full history, and each query head attends (brute_attention) over the
+    positions that sink_window_trace retains in its group's cache once the
+    token is appended. Returns (logits, probes): logits is (tokens, vocab)
+    and probes holds head_input_v, head_output, layer_input and
+    layer_output in ProbeCapture's shapes.
+    """
+    cfg = model.config
+    tokens = np.asarray(tokens, dtype=np.int64)
+    t = tokens.size
+    g = cfg.group_size
+    hist_k = np.zeros((cfg.num_layers, cfg.num_kv_heads, t, cfg.head_dim), np.float32)
+    hist_v = np.zeros_like(hist_k)
+    probes = {
+        "head_input_v": np.zeros((cfg.num_layers, cfg.num_q_heads, t, cfg.head_dim), np.float32),
+        "head_output": np.zeros((cfg.num_layers, cfg.num_q_heads, t, cfg.head_dim), np.float32),
+        "layer_input": np.zeros((cfg.num_layers, t, cfg.d_model), np.float32),
+        "layer_output": np.zeros((cfg.num_layers, t, cfg.d_model), np.float32),
+    }
+    logits = np.zeros((t, cfg.vocab_size), np.float32)
+    for pos in range(t):
+        x = model.embedding[tokens[pos : pos + 1]].astype(np.float32)
+        for li, layer in enumerate(model.layers):
+            probes["layer_input"][li, pos] = x[0]
+            h = _ref_rms(x, layer.norm1)
+            q = (h @ layer.attn_q).reshape(cfg.num_q_heads, cfg.head_dim)
+            k = (h @ layer.attn_k).reshape(cfg.num_kv_heads, cfg.head_dim)
+            v = (h @ layer.attn_v).reshape(cfg.num_kv_heads, cfg.head_dim)
+            for grp in range(cfg.num_kv_heads):
+                hist_k[li, grp, pos] = _ref_rope_row(k[grp], pos, cfg.rope_theta)
+                hist_v[li, grp, pos] = v[grp]
+            heads = np.zeros((cfg.num_q_heads, cfg.head_dim), np.float32)
+            for head in range(cfg.num_q_heads):
+                grp = head // g
+                kept = sink_window_trace(int(budgets[li][grp]), sinks, pos + 1)
+                query = _ref_rope_row(q[head], pos, cfg.rope_theta)
+                heads[head] = brute_attention(
+                    query[None], hist_k[li, grp, kept], hist_v[li, grp, kept], causal=False
+                )[0]
+                probes["head_input_v"][li, head, pos] = v[grp]
+                probes["head_output"][li, head, pos] = heads[head]
+            x = x + heads.reshape(1, -1) @ layer.attn_out
+            h2 = _ref_rms(x, layer.norm2)
+            x = x + _ref_silu(h2 @ layer.mlp_in) @ layer.mlp_out
+            probes["layer_output"][li, pos] = x[0]
+        logits[pos] = (_ref_rms(x, model.final_norm) @ model.embedding.T)[0]
+    return logits, probes
+
+
 def reference_generate(model, prompt, steps: int) -> list[int]:
     """Greedy generation by full recomputation each step (no cache)."""
     seq = list(np.asarray(prompt, dtype=np.int64))

@@ -17,7 +17,7 @@ from bklv import (
     scaled_dot_attention,
     uniform_plan,
 )
-from bklv.allocation import AllocationPlan, PlanParams
+from bklv.allocation import AllocationPlan, PlanParams, floor_violations, validate_plan
 
 from .conftest import SMALL
 from .reference import brute_attention, sink_window_trace
@@ -74,6 +74,19 @@ class TestAppendAndEvict:
                 np.zeros((1, HEAD_DIM), np.float32),
                 np.array([3]),
             )
+
+    def test_single_row_into_full_store_replaces_arrays(self, rng):
+        cache = _cache(budget=6, sinks=2)
+        _append_each(cache, 6, rng)
+        old = (cache.keys, cache.values, cache.positions)
+        snapshot = [a.copy() for a in old]
+        row = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
+        append_and_evict(cache, row, row + 1, np.array([6]))
+        assert cache.positions.tolist() == [0, 1, 3, 4, 5, 6]
+        assert np.array_equal(cache.keys[-1:], row)
+        for before, kept, new in zip(old, snapshot, (cache.keys, cache.values, cache.positions)):
+            assert np.array_equal(before, kept)
+            assert not np.shares_memory(before, new)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -144,6 +157,19 @@ class TestAttendWithCache:
         expected = brute_attention(q, k, v, causal=True)
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("t_q", [1, 3, 7])
+    def test_grouped_heads_bit_identical_to_per_head_calls(self, rng, heads, t_q):
+        cache = _cache(budget=9, sinks=2)
+        _append_each(cache, 14, rng)
+        # (t_q, heads, d) rows viewed as (heads, t_q, d), as forward_chunk passes them
+        rows = rng.normal(size=(t_q, heads, HEAD_DIM)).astype(np.float32)
+        q = rows.transpose(1, 0, 2)
+        got = attend_with_cache(cache, q)
+        assert got.shape == (heads, t_q, HEAD_DIM)
+        for h in range(heads):
+            assert np.array_equal(got[h], attend_with_cache(cache, q[h]))
+
     def test_randomized_eviction_equivalence(self):
         # Randomized sequences of appends; attention over the store must equal
         # dense attention restricted to the retained positions.
@@ -185,6 +211,16 @@ class TestCacheSet:
         bad.budgets[1, 1] = 4  # equal to sinks: below floor sinks + 1
         with pytest.raises(AllocationError, match=r"layer 1 group 1"):
             build_cache_set(bad, SMALL)
+
+    def test_negative_sinks_rejected_by_the_floor_rule(self):
+        plan = uniform_plan(SMALL, 1.0, sinks=4)
+        bad = AllocationPlan(plan.compression_ratio, -1, plan.budgets, "uniform", PlanParams())
+        assert floor_violations(bad.budgets, -1) == ["sinks must be >= 0, got -1"]
+        assert validate_plan(bad, SMALL) == ["sinks must be >= 0, got -1"]
+        with pytest.raises(AllocationError, match="sinks must be >= 0, got -1"):
+            build_cache_set(bad, SMALL)
+        with pytest.raises(AllocationError, match="sinks must be >= 0, got -1"):
+            _cache(budget=4, sinks=-1)
 
     def test_standalone_cache_below_floor_rejected(self):
         with pytest.raises(AllocationError, match="below floor 3"):
@@ -233,6 +269,12 @@ class TestMemoryReport:
         caches = build_cache_set(uniform_plan(SMALL, 1.0), SMALL)
         report = memory_report(caches, bytes_per_element=4)
         assert report.per_cache_bytes[0, 0] == 2 * SMALL.max_context * SMALL.head_dim * 4
+
+    @pytest.mark.parametrize("width", [0, -2])
+    def test_non_positive_element_width_rejected(self, width):
+        caches = build_cache_set(uniform_plan(SMALL, 1.0), SMALL)
+        with pytest.raises(InputError, match=f"bytes_per_element must be >= 1, got {width}"):
+            memory_report(caches, bytes_per_element=width)
 
     def test_half_compression_ratio(self):
         cfg = ModelConfig()

@@ -585,3 +585,53 @@ class TestCli:
         two = str(d / "st2.json")
         assert main(args + ["--out", two]) == 0
         assert open(one, "rb").read() == open(two, "rb").read()
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_threads_env_rejected(self, cli_env, monkeypatch, value, capsys):
+        d = cli_env["dir"]
+        prof = str(d / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        out = str(d / "s.json")
+        monkeypatch.setenv("BKLV_THREADS", value)
+        capsys.readouterr()
+        rc = main(["search", "--model", cli_env["model"], "--profile", prof,
+                   "--corpus", cli_env["corpus"], "--compression", "0.4",
+                   "--context-len", "48", "--t-grid", "0.7", "--r-grid", "0.3", "--out", out])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": f"BKLV_THREADS must be an integer >= 1, got {value!r}",
+                       "violations": []}
+        assert not os.path.exists(out)
+
+    def test_plan_negative_sinks_rejected(self, cli_env, capsys):
+        prof = str(cli_env["dir"] / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        out = str(cli_env["dir"] / "x.json")
+        for strategy in ("uniform", "baklava"):
+            capsys.readouterr()
+            rc = main(["plan", "--profile", prof, "--strategy", strategy, "--compression", "0.5",
+                       "--t", "0.7", "--r", "0.3", "--sinks", "-1", "--out", out])
+            assert rc == 1
+            err = json.loads(capsys.readouterr().err.strip())
+            assert "sinks must be >= 0, got -1" in err["violations"]
+            assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command, width", [("eval", "-2"), ("generate", "0")])
+    def test_non_positive_bytes_per_element_rejected(self, cli_env, command, width, capsys):
+        d = cli_env["dir"]
+        prof = str(d / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        plan_path = str(d / "plan.json")
+        main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "0.5", "--out", plan_path])
+        extra = {
+            "eval": ["--corpus", cli_env["corpus"], "--context-len", "48"],
+            "generate": ["--text", "abc", "--steps", "2"],
+        }[command]
+        capsys.readouterr()
+        rc = main([command, "--model", cli_env["model"], "--plan", plan_path,
+                   "--bytes-per-element", width] + extra)
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err.strip())
+        assert err["error"] == f"bytes_per_element must be >= 1, got {width}"
+        assert "total_bytes" not in captured.out

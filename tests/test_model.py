@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bklv import (
     ConfigError,
@@ -16,12 +18,14 @@ from bklv import (
     scaled_dot_attention,
     uniform_plan,
 )
+from bklv.allocation import AllocationPlan, PlanParams
 from bklv.model import deserialize_model, serialize_model
 
 from .conftest import SMALL
 from .reference import (
     brute_attention,
     naive_row_softmax,
+    reference_budgeted_logits,
     reference_generate,
     reference_logits,
 )
@@ -200,6 +204,59 @@ class TestForwardChunk:
         toks = [256, 1, 2, 3, 42, 99, 200, 17]
         logits, _ = forward_chunk(model, toks, _fresh_caches(model))
         np.testing.assert_allclose(logits, reference_logits(model, toks), rtol=1e-5, atol=1e-6)
+
+
+@st.composite
+def _budgeted_runs(draw):
+    """Random budgets and sinks, a token sequence, and its split into calls."""
+    cfg = SMALL
+    sinks = draw(st.integers(0, 4))
+    budgets = [
+        [draw(st.integers(sinks + 1, 24)) for _ in range(cfg.num_kv_heads)]
+        for _ in range(cfg.num_layers)
+    ]
+    n = draw(st.integers(2, 40))
+    tokens = draw(st.lists(st.integers(0, cfg.vocab_size - 1), min_size=n, max_size=n))
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=4))
+    return budgets, sinks, tokens, sorted(cuts)
+
+
+def _run_calls(model, budgets, sinks, tokens, cuts):
+    plan = AllocationPlan(0.0, sinks, np.array(budgets, dtype=np.int64), "custom", PlanParams())
+    caches = build_cache_set(plan, model.config)
+    bounds = [0, *cuts, len(tokens)]
+    outs = [
+        forward_chunk(model, tokens[a:b], caches, capture=True)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    logits = np.concatenate([lg for lg, _ in outs])
+    probes = {
+        "head_input_v": np.concatenate([p.head_input_v for _, p in outs], axis=2),
+        "head_output": np.concatenate([p.head_output for _, p in outs], axis=2),
+        "layer_input": np.concatenate([p.layer_input for _, p in outs], axis=1),
+        "layer_output": np.concatenate([p.layer_output for _, p in outs], axis=1),
+    }
+    return logits, probes
+
+
+class TestBudgetedStepping:
+    """forward_chunk under eviction against the token-by-token oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_budgeted_runs())
+    # the second call starts with the caches partly full, the third with them full
+    @example(([[10, 12], [11, 10]], 2, list(range(100, 140)), [5, 12]))
+    # every call after the first starts full; budgets at the sink floor
+    @example(([[3, 5], [3, 4]], 2, list(range(30)), [6, 7, 20]))
+    def test_matches_stepping_oracle(self, small_model, run):
+        budgets, sinks, tokens, cuts = run
+        logits, probes = _run_calls(small_model, budgets, sinks, tokens, cuts)
+        expected_logits, expected_probes = reference_budgeted_logits(
+            small_model, tokens, budgets, sinks
+        )
+        np.testing.assert_allclose(logits, expected_logits, rtol=0, atol=1e-5)
+        for name, expected in expected_probes.items():
+            np.testing.assert_allclose(probes[name], expected, rtol=0, atol=1e-5, err_msg=name)
 
 
 class TestGreedyGenerate:

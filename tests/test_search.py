@@ -18,6 +18,7 @@ from bklv import (
     profile_model,
     uniform_plan,
 )
+from bklv import search as search_module
 from bklv.search import SweepReport
 
 from .conftest import SMALL
@@ -171,6 +172,27 @@ class TestParameterSearch:
         )
         assert [p.loss for p in seq.grid] == [p.loss for p in par.grid]
         assert seq.best == par.best
+
+    def test_each_distinct_plan_is_evaluated_once(self, small_model, small_profile, rng, monkeypatch):
+        corpus = _corpus(rng, 96)
+        grid = [(t, r) for t in (0.0, 0.5, 0.7, 0.9) for r in (0.0, 0.3, 0.6)]
+        plans = [build_plan(small_profile, SMALL, "baklava", 0.3, PlanParams(t=t, r=r)) for t, r in grid]
+        plans.append(uniform_plan(SMALL, 0.3))
+        distinct = {p.budgets.tobytes() for p in plans}
+        assert len(distinct) < len(grid)  # the grid repeats plans: (0, r) and (t, 0) are uniform
+
+        calls = []
+
+        def counting(model, corpus_tokens, context_len, plan):
+            calls.append(plan.budgets.tobytes())
+            return chunked_perplexity(model, corpus_tokens, context_len, plan)
+
+        monkeypatch.setattr(search_module, "chunked_perplexity", counting)
+        report = parameter_search(small_model, corpus, 48, 0.3, grid, small_profile)
+        assert sorted(calls) == sorted(distinct)
+        for point, plan in zip(report.grid, plans):
+            assert point.loss == chunked_perplexity(small_model, corpus, 48, plan)
+        assert report.uniform_loss == report.grid[0].loss  # (0, 0) is the uniform plan
 
     def test_empty_grid(self, small_model, small_profile, rng):
         with pytest.raises(InputError):
