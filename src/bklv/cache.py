@@ -78,29 +78,24 @@ def append_and_evict(
     n = k_new.shape[0]
     if positions.shape != (n,):
         raise ShapeError(f"positions shape {positions.shape} != ({n},)")
-    start, end = cache.total_seen, cache.total_seen + n
-    if not (positions[0] == start if n == 1 else np.array_equal(positions, np.arange(start, end))):
+    if positions.tolist() != list(range(cache.total_seen, cache.total_seen + n)):
         raise InputError(
-            f"positions must continue from total_seen={start}, got {positions.tolist()}"
+            f"positions must continue from total_seen={cache.total_seen}, got {positions.tolist()}"
         )
 
-    if n == 1 and cache.retained == cache.budget:
-        # One row into a full store: the oldest non-sink row makes room. The
-        # budget floor leaves at least one non-sink row to drop.
-        drop = int(cache.positions.searchsorted(cache.sinks))
-        keys = np.concatenate([cache.keys[:drop], cache.keys[drop + 1 :], k_new])
-        values = np.concatenate([cache.values[:drop], cache.values[drop + 1 :], v_new])
-        pos = np.concatenate([cache.positions[:drop], cache.positions[drop + 1 :], positions])
-    else:
-        keys = np.concatenate([cache.keys, k_new])
-        values = np.concatenate([cache.values, v_new])
-        pos = np.concatenate([cache.positions, positions])
-        if len(pos) > cache.budget:
-            n_sink = int(np.searchsorted(pos, cache.sinks))  # sinks are positions 0..sinks-1
-            tail = cache.budget - n_sink
-            keep = np.concatenate([np.arange(n_sink), np.arange(len(pos) - tail, len(pos))])
-            keys, values, pos = keys[keep], values[keep], pos[keep]
-    cache.keys, cache.values, cache.positions = keys, values, pos
+    # Of the old rows followed by the new ones, keep the first n_sink (sinks
+    # are positions 0..sinks-1) and everything from `cut` on: the tail that
+    # fits the budget, or all rows when nothing has to go.
+    r = cache.retained
+    n_sink = int(cache.positions.searchsorted(cache.sinks) + positions.searchsorted(cache.sinks))
+    cut = max(n_sink, r + n - cache.budget + n_sink)
+    new_head, new_cut = max(0, n_sink - r), max(0, cut - r)  # the same bounds within the new rows
+
+    def keep(old, new):
+        return np.concatenate([old[:n_sink], new[:new_head], old[cut:], new[new_cut:]])
+
+    cache.keys, cache.values = keep(cache.keys, k_new), keep(cache.values, v_new)
+    cache.positions = keep(cache.positions, positions)
     cache.total_seen += n
 
 

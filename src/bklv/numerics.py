@@ -9,9 +9,9 @@ def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     Entries masked with -inf receive weight 0; every row must keep at
     least one finite entry.
     """
-    shifted = scores - scores.max(axis=axis, keepdims=True)
+    shifted = scores - np.max(scores, axis=axis, keepdims=True)
     weights = np.exp(shifted)
-    return weights / weights.sum(axis=axis, keepdims=True)
+    return weights / np.sum(weights, axis=axis, keepdims=True)
 
 
 def log_softmax_f64(logits: np.ndarray) -> np.ndarray:

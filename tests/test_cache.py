@@ -99,16 +99,20 @@ class TestAppendAndEvict:
             budget = sinks + 1
         cache = _cache(budget=budget, sinks=sinks)
         rng = np.random.default_rng(0)
+        rows = rng.normal(size=(sum(chunks), HEAD_DIM)).astype(np.float32)
         pos = 0
         for n in chunks:
-            k = rng.normal(size=(n, HEAD_DIM)).astype(np.float32)
-            append_and_evict(cache, k, k, np.arange(pos, pos + n))
+            k = rows[pos : pos + n]
+            append_and_evict(cache, k, k + 1, np.arange(pos, pos + n))
             pos += n
             assert cache.retained <= budget
             kept = cache.positions.tolist()
             assert kept == sorted(kept)
             expected_sinks = list(range(min(sinks, pos)))
             assert kept[: len(expected_sinks)] == expected_sinks
+            assert kept == sink_window_trace(budget, sinks, pos)
+            assert np.array_equal(cache.keys, rows[kept])
+            assert np.array_equal(cache.values, rows[kept] + 1)
         assert cache.total_seen == pos
         assert cache.positions.tolist() == sink_window_trace(budget, sinks, pos)
 
