@@ -19,6 +19,7 @@ from .allocation import (
 from .cache import (
     BudgetedCache,
     CacheSet,
+    LayerStore,
     MemoryReport,
     append_and_evict,
     attend_with_cache,
@@ -42,7 +43,6 @@ from .model import (
     greedy_generate,
     init_model,
     model_checksum,
-    scaled_dot_attention,
 )
 from .profiling import (
     ImportanceProfile,

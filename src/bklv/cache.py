@@ -5,6 +5,12 @@ budget, the oldest token that is not an attention sink is evicted; the
 first `sinks` absolute positions are never evicted. Attention over a
 store uses exactly the retained tokens, causally masked by absolute
 position.
+
+The caches of one layer share one preallocated LayerStore, padded to the
+layer's largest budget, and a BudgetedCache is a view of one group's
+rows. Appends and evictions write the store in place, keeping each
+group's rows in position order, and one attention call over a layer's
+store serves all its KV groups and query heads.
 """
 
 import math
@@ -18,40 +24,89 @@ from .errors import AllocationError, ConfigError, InputError, ShapeError
 from .numerics import softmax
 
 
+EMPTY = np.iinfo(np.int64).max  # the position of an unused slot: no query sees it
+
+
 def _raise_floor_violations(budgets: np.ndarray, sinks: int) -> None:
     violations = floor_violations(budgets, sinks)
     if violations:
         raise AllocationError(violations[0], violations)
 
 
-@dataclass
+class LayerStore:
+    """The preallocated rows of one layer's KV groups.
+
+    keys and values are (groups, width, head_dim) float32 and positions
+    (groups, width) int64, with width the layer's largest budget. Group g
+    holds its lengths[g] retained rows first, in position order; its other
+    slots are zero rows at position EMPTY. seen[g] counts the tokens ever
+    appended to group g.
+    """
+
+    def __init__(self, groups: int, width: int, head_dim: int):
+        self.keys = np.zeros((groups, width, head_dim), dtype=np.float32)
+        self.values = np.zeros_like(self.keys)
+        self.positions = np.full((groups, width), EMPTY, dtype=np.int64)
+        self.lengths = [0] * groups
+        self.seen = [0] * groups
+
+    @property
+    def retained(self) -> int:
+        """The live width: the most rows any group holds."""
+        return max(self.lengths)
+
+    def clear(self) -> None:
+        self.keys.fill(0)
+        self.values.fill(0)
+        self.positions.fill(EMPTY)
+        self.lengths[:] = [0] * len(self.lengths)
+        self.seen[:] = [0] * len(self.seen)
+
+
+@dataclass(eq=False)
 class BudgetedCache:
-    """One key/value store with a hard token budget.
+    """One KV group's rows of a layer store, with a hard token budget.
 
     `positions` are absolute token positions, strictly increasing. The
     retained prefix with positions < sinks is permanent; the rest is a
-    sliding window over the most recent tokens.
+    sliding window over the most recent tokens. `keys`, `values` and
+    `positions` are views of the store's retained rows; a cache built on
+    its own gets a one-group store.
     """
 
     budget: int
     sinks: int
     head_dim: int
-    keys: np.ndarray = field(default=None)  # (retained, head_dim) float32
-    values: np.ndarray = field(default=None)  # (retained, head_dim) float32
-    positions: np.ndarray = field(default=None)  # (retained,) int64
-    total_seen: int = 0
+    store: LayerStore = field(default=None, repr=False)
+    group: int = 0
 
     def __post_init__(self):
-        # a standalone cache is checked as the only cache of a 1 x 1 plan
-        _raise_floor_violations(np.array([[self.budget]]), self.sinks)
-        if self.keys is None:
-            self.keys = np.empty((0, self.head_dim), dtype=np.float32)
-            self.values = np.empty((0, self.head_dim), dtype=np.float32)
-            self.positions = np.empty((0,), dtype=np.int64)
+        if self.store is None:
+            # a standalone cache is checked as the only cache of a 1 x 1 plan
+            _raise_floor_violations(np.array([[self.budget]]), self.sinks)
+            self.store = LayerStore(1, self.budget, self.head_dim)
+        s, g = self.store, self.group
+        self.rows = (s.keys[g], s.values[g], s.positions[g])  # full width
 
     @property
     def retained(self) -> int:
-        return len(self.positions)
+        return self.store.lengths[self.group]
+
+    @property
+    def total_seen(self) -> int:
+        return self.store.seen[self.group]
+
+    @property
+    def keys(self) -> np.ndarray:  # (retained, head_dim) float32
+        return self.rows[0][: self.retained]
+
+    @property
+    def values(self) -> np.ndarray:  # (retained, head_dim) float32
+        return self.rows[1][: self.retained]
+
+    @property
+    def positions(self) -> np.ndarray:  # (retained,) int64
+        return self.rows[2][: self.retained]
 
 
 def append_and_evict(
@@ -65,8 +120,9 @@ def append_and_evict(
     `positions` must continue the stream: arange(total_seen, total_seen + n).
     Repeated single-token eviction of the oldest non-sink is equivalent to
     keeping the sink prefix plus the most recent tail, which is what this
-    does in one step. The stores are replaced by new arrays, never written
-    in place.
+    does in one step, in place in the layer store: the kept old rows shift
+    left over the evicted ones and the kept new rows follow them, so the
+    rows stay in position order.
     """
     k_new = np.asarray(k_new, dtype=np.float32)
     v_new = np.asarray(v_new, dtype=np.float32)
@@ -78,51 +134,68 @@ def append_and_evict(
     n = k_new.shape[0]
     if positions.shape != (n,):
         raise ShapeError(f"positions shape {positions.shape} != ({n},)")
-    if positions.tolist() != list(range(cache.total_seen, cache.total_seen + n)):
+    seen = cache.total_seen
+    if positions.tolist() != list(range(seen, seen + n)):
         raise InputError(
-            f"positions must continue from total_seen={cache.total_seen}, got {positions.tolist()}"
+            f"positions must continue from total_seen={seen}, got {positions.tolist()}"
         )
 
-    # Of the old rows followed by the new ones, keep the first n_sink (sinks
-    # are positions 0..sinks-1) and everything from `cut` on: the tail that
-    # fits the budget, or all rows when nothing has to go.
-    r = cache.retained
-    n_sink = int(cache.positions.searchsorted(cache.sinks) + positions.searchsorted(cache.sinks))
-    cut = max(n_sink, r + n - cache.budget + n_sink)
-    new_head, new_cut = max(0, n_sink - r), max(0, cut - r)  # the same bounds within the new rows
+    # Of the old rows followed by the new ones, the first n_sink are sinks
+    # (positions 0..sinks-1, never evicted) and rows n_sink..cut-1 are the
+    # `evict` oldest others. Old rows from `cut` on shift left over them;
+    # new rows are sinks up to `head` and kept from `tail` on.
+    store, g, r = cache.store, cache.group, cache.retained
+    n_sink = min(cache.sinks, seen + n)
+    evict = max(0, r + n - cache.budget)
+    cut = n_sink + evict
+    head, tail = max(0, n_sink - r), max(0, cut - r)
+    end = r + n - evict
+    for rows, new in zip(cache.rows, (k_new, v_new, positions)):
+        if evict and cut < r:
+            rows[n_sink : r - evict] = rows[cut:r]
+        if head:
+            rows[r : r + head] = new[:head]
+        rows[end - n + tail : end] = new[tail:]
+    store.lengths[g] = end
+    store.seen[g] = seen + n
 
-    def keep(old, new):
-        return np.concatenate([old[:n_sink], new[:new_head], old[cut:], new[new_cut:]])
 
-    cache.keys, cache.values = keep(cache.keys, k_new), keep(cache.values, v_new)
-    cache.positions = keep(cache.positions, positions)
-    cache.total_seen += n
+def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.ndarray:
+    """Scaled dot-product attention of the newest queries over retained tokens.
 
-
-def attend_with_cache(cache: BudgetedCache, q: np.ndarray) -> np.ndarray:
-    """Scaled dot-product attention of the newest queries over the store.
-
-    `q` is (t_q, head_dim), or (heads, t_q, head_dim) for several query
-    heads that share the store; each head's result is bit-identical to a
-    call with that head alone. Row j of a head is the query for absolute
-    position total_seen - t_q + j; it attends over retained tokens with
-    position <= its own. Returns one output row per query, shaped like `q`.
+    `cache` is one BudgetedCache or a whole LayerStore, and `q` is
+    (groups, heads, t_q, head_dim): every query head of every group in
+    one call. One group may also pass (heads, t_q, head_dim) or
+    (t_q, head_dim). Row j of a group's queries is for absolute position
+    total_seen - t_q + j of that group; it attends over the group's
+    retained tokens with position <= its own. Only the live width (the
+    most rows any group holds) is read; unused slots are masked by their
+    EMPTY position. Returns one output row per query, shaped like `q`.
     """
+    store = cache if isinstance(cache, LayerStore) else cache.store
+    g = slice(None) if cache is store else slice(cache.group, cache.group + 1)
+    keys, values, positions = store.keys[g], store.values[g], store.positions[g]
+    lengths, seen = store.lengths[g], store.seen[g]
     q = np.asarray(q, dtype=np.float32)
-    if q.ndim not in (2, 3) or q.shape[-1] != cache.head_dim:
-        raise ShapeError(f"q shape {q.shape} incompatible with head_dim {cache.head_dim}")
+    groups, _, d = keys.shape
+    if q.ndim not in (2, 3, 4) or q.shape[-1] != d or (q.shape[0] if q.ndim == 4 else 1) != groups:
+        raise ShapeError(f"q shape {q.shape} incompatible with {groups} groups of head_dim {d}")
     t_q = q.shape[-2]
-    if t_q == 0 or cache.retained == 0:
+    width = max(lengths)
+    if t_q == 0 or min(lengths) == 0:
         raise InputError("attention needs at least one query and one retained token")
 
-    scores = (q @ cache.keys.T) / np.float32(math.sqrt(cache.head_dim))
-    if t_q > 1:
-        q_pos = np.arange(cache.total_seen - t_q, cache.total_seen, dtype=np.int64)
-        masked = cache.positions[None, :] > q_pos[:, None]
-        if np.any(np.all(masked, axis=1)):
+    q4 = q.reshape((1,) * (4 - q.ndim) + q.shape)
+    scores = q4 @ keys[:, None, :width].swapaxes(-1, -2)  # (groups, heads, t_q, width)
+    scores /= np.float32(math.sqrt(d))
+    if t_q > 1 or min(lengths) < width:
+        q_pos = np.add.outer(seen, np.arange(-t_q, 0))  # (groups, t_q)
+        hidden = positions[:, None, None, :width] > q_pos[:, None, :, None]
+        if t_q > 1 and np.any(np.all(hidden, axis=-1)):
             raise InputError("a query row has no retained token at or before its position")
-        scores = np.where(masked, np.float32(-np.inf), scores)
-    return softmax(scores, axis=-1) @ cache.values
+        np.copyto(scores, np.float32(-np.inf), where=hidden)
+    softmax(scores, out=scores)
+    return (scores @ values[:, None, :width]).reshape(q.shape)
 
 
 @dataclass
@@ -131,6 +204,11 @@ class CacheSet:
 
     caches: list[list[BudgetedCache]]
     config: ModelConfig
+
+    @property
+    def stores(self) -> list[LayerStore]:
+        """Each layer's store, which its caches share."""
+        return [row[0].store for row in self.caches]
 
     @property
     def total_seen(self) -> int:
@@ -145,30 +223,26 @@ class CacheSet:
 
 
 def build_cache_set(plan: AllocationPlan, config: ModelConfig) -> CacheSet:
-    """Empty caches sized from a plan's budget matrix."""
+    """Empty caches sized from a plan's budget matrix, one store per layer."""
     expected = (config.num_layers, config.num_kv_heads)
     if plan.budgets.shape != expected:
         raise ConfigError(
             f"plan budget matrix {plan.budgets.shape} does not match config {expected}"
         )
     _raise_floor_violations(plan.budgets, plan.sinks)
-    caches = [
-        [
-            BudgetedCache(int(plan.budgets[layer, group]), plan.sinks, config.head_dim)
-            for group in range(config.num_kv_heads)
-        ]
-        for layer in range(config.num_layers)
-    ]
+    caches = []
+    for budgets in plan.budgets.tolist():
+        store = LayerStore(len(budgets), max(budgets), config.head_dim)
+        caches.append(
+            [BudgetedCache(b, plan.sinks, config.head_dim, store, g) for g, b in enumerate(budgets)]
+        )
     return CacheSet(caches, config)
 
 
 def reset(cache_set: CacheSet) -> None:
-    """Empty every store; budgets and sink counts are preserved."""
-    for cache in cache_set.all_caches():
-        cache.keys = np.empty((0, cache.head_dim), dtype=np.float32)
-        cache.values = np.empty((0, cache.head_dim), dtype=np.float32)
-        cache.positions = np.empty((0,), dtype=np.int64)
-        cache.total_seen = 0
+    """Empty every store in place; budgets and sink counts are preserved."""
+    for store in cache_set.stores:
+        store.clear()
 
 
 @dataclass
@@ -194,7 +268,9 @@ class MemoryReport:
 def memory_report(cache_set: CacheSet, bytes_per_element: int = 2) -> MemoryReport:
     """Bytes per cache and in total: 2 (keys and values) * budget tokens *
     head_dim * bytes_per_element. Also reports the achieved compression
-    ratio relative to full context in every cache.
+    ratio relative to full context in every cache. This counts budgeted
+    tokens, not the float32 layer stores, which are padded to each layer's
+    largest budget.
     """
     if bytes_per_element < 1:
         raise InputError(f"bytes_per_element must be >= 1, got {bytes_per_element}")

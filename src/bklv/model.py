@@ -19,15 +19,13 @@ Q and K before caching; evicted stores keep original absolute positions
 """
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cache import CacheSet, append_and_evict, attend_with_cache
 from .config import ModelConfig
-from .errors import ConfigError, FormatError, InputError, ShapeError
-from .numerics import softmax
+from .errors import ConfigError, FormatError, InputError
 
 RMS_EPS = 1e-5
 WEIGHT_STD = 0.02
@@ -137,32 +135,6 @@ def rope_rotate(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarra
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """softmax(Q K^T / sqrt(d)) V with causal masking when len(q) > 1.
-
-    Queries are taken to be the last len(q) positions of the key sequence:
-    query i attends to keys 0 .. (len(k) - len(q) + i).
-    """
-    q = np.asarray(q, dtype=np.float32)
-    k = np.asarray(k, dtype=np.float32)
-    v = np.asarray(v, dtype=np.float32)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("q, k, v must be 2-D")
-    if q.shape[1] != k.shape[1] or k.shape != v.shape:
-        raise ShapeError(f"incompatible shapes q={q.shape} k={k.shape} v={v.shape}")
-    t_q, t_k = q.shape[0], k.shape[0]
-    if t_q > 1 and t_k < t_q:
-        raise ShapeError(f"causal attention needs len(k) >= len(q), got {t_k} < {t_q}")
-    scores = (q @ k.T) / np.float32(math.sqrt(q.shape[1]))
-    if t_q > 1:
-        key_pos = np.arange(t_k)
-        query_pos = np.arange(t_k - t_q, t_k)
-        scores = np.where(
-            key_pos[None, :] > query_pos[:, None], np.float32(-np.inf), scores
-        )
-    return softmax(scores, axis=-1) @ v
-
-
 def forward_chunk(
     model: Model,
     tokens,
@@ -178,7 +150,8 @@ def forward_chunk(
     and only the cache append and attention are stepped. The caches fill
     in lockstep, so the steps are one segment of as many tokens as every
     cache can take without evicting, then single tokens; each cache sees
-    the appends and retained sets of token-by-token generation. Logits
+    the appends and retained sets of token-by-token generation, and one
+    attention call over the layer's store serves every KV group. Logits
     agree with generation up to float32 rounding, since batched rows do
     not round exactly like single rows.
 
@@ -210,6 +183,7 @@ def forward_chunk(
     segments = [(0, first), *((i, i + 1) for i in range(first, n))]
     positions = np.arange(start, start + n, dtype=np.int64)
     kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
+    stores = caches.stores
     x = model.embedding[tokens].astype(np.float32, copy=True)
 
     if capture:
@@ -230,10 +204,10 @@ def forward_chunk(
 
         heads = probes.head_output[li] if capture else np.empty((cfg.num_q_heads, n, d), np.float32)
         head_groups = heads.reshape(kv, g, n, d)
-        for grp, cache in enumerate(caches.caches[li]):
-            for a, b in segments:
+        for a, b in segments:
+            for grp, cache in enumerate(caches.caches[li]):
                 append_and_evict(cache, k[a:b, grp], v[a:b, grp], positions[a:b])
-                head_groups[grp, :, a:b] = attend_with_cache(cache, q_groups[grp, :, a:b])
+            head_groups[:, :, a:b] = attend_with_cache(stores[li], q_groups[:, :, a:b])
         if capture:
             probes.head_input_v[li] = np.repeat(v.transpose(1, 0, 2), g, axis=0)
         x = x + heads.transpose(1, 0, 2).reshape(n, cfg.num_q_heads * d) @ layer.attn_out

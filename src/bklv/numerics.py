@@ -3,15 +3,17 @@
 import numpy as np
 
 
-def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along `axis`.
+def softmax(scores: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax along `axis`, into `out` if given (it
+    may be `scores` itself).
 
     Entries masked with -inf receive weight 0; every row must keep at
     least one finite entry.
     """
-    shifted = scores - np.max(scores, axis=axis, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / np.sum(weights, axis=axis, keepdims=True)
+    weights = np.subtract(scores, np.max(scores, axis=axis, keepdims=True), out=out)
+    np.exp(weights, out=weights)
+    weights /= np.sum(weights, axis=axis, keepdims=True)
+    return weights
 
 
 def log_softmax_f64(logits: np.ndarray) -> np.ndarray:

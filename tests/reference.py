@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+from bklv.errors import ShapeError
+from bklv.numerics import softmax
+
 RMS_EPS = 1e-5
 
 
@@ -35,6 +38,33 @@ def brute_attention(q, k, v, causal: bool) -> np.ndarray:
         p = e / e.sum()
         out[i] = sum(p[j] * v[j] for j in range(limit))
     return out
+
+
+def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """softmax(Q K^T / sqrt(d)) V with causal masking when len(q) > 1.
+
+    Queries are taken to be the last len(q) positions of the key sequence:
+    query i attends to keys 0 .. (len(k) - len(q) + i). Dense float32
+    attention over explicit K/V, with no cache.
+    """
+    q = np.asarray(q, dtype=np.float32)
+    k = np.asarray(k, dtype=np.float32)
+    v = np.asarray(v, dtype=np.float32)
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ShapeError("q, k, v must be 2-D")
+    if q.shape[1] != k.shape[1] or k.shape != v.shape:
+        raise ShapeError(f"incompatible shapes q={q.shape} k={k.shape} v={v.shape}")
+    t_q, t_k = q.shape[0], k.shape[0]
+    if t_q > 1 and t_k < t_q:
+        raise ShapeError(f"causal attention needs len(k) >= len(q), got {t_k} < {t_q}")
+    scores = (q @ k.T) / np.float32(math.sqrt(q.shape[1]))
+    if t_q > 1:
+        key_pos = np.arange(t_k)
+        query_pos = np.arange(t_k - t_q, t_k)
+        scores = np.where(
+            key_pos[None, :] > query_pos[:, None], np.float32(-np.inf), scores
+        )
+    return softmax(scores, axis=-1) @ v
 
 
 def _ref_rms(x, gain):

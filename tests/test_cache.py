@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bklv import (
@@ -8,19 +8,21 @@ from bklv import (
     BudgetedCache,
     ConfigError,
     InputError,
+    LayerStore,
     ModelConfig,
+    ShapeError,
     append_and_evict,
     attend_with_cache,
     build_cache_set,
     memory_report,
     reset,
-    scaled_dot_attention,
     uniform_plan,
 )
 from bklv.allocation import AllocationPlan, PlanParams, floor_violations, validate_plan
+from bklv.cache import EMPTY
 
 from .conftest import SMALL
-from .reference import brute_attention, sink_window_trace
+from .reference import brute_attention, scaled_dot_attention, sink_window_trace
 
 HEAD_DIM = 8
 
@@ -75,18 +77,39 @@ class TestAppendAndEvict:
                 np.array([3]),
             )
 
-    def test_single_row_into_full_store_replaces_arrays(self, rng):
-        cache = _cache(budget=6, sinks=2)
-        _append_each(cache, 6, rng)
-        old = (cache.keys, cache.values, cache.positions)
-        snapshot = [a.copy() for a in old]
-        row = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
-        append_and_evict(cache, row, row + 1, np.array([6]))
+    def test_full_store_append_and_reset_write_the_layer_store_in_place(self, rng):
+        # group 0 of layer 0 has budget 6 in a store padded to width 9
+        plan = AllocationPlan(0.5, 2, np.array([[6, 9], [7, 7]]), "uniform", PlanParams())
+        caches = build_cache_set(plan, SMALL)
+        store, cache = caches.stores[0], caches.caches[0][0]
+        arrays = (store.keys, store.values, store.positions)
+        rows = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
+
+        def append(pos):
+            append_and_evict(cache, rows[pos : pos + 1], rows[pos : pos + 1] + 1, np.array([pos]))
+
+        def check(n):
+            kept = sink_window_trace(6, 2, n)
+            assert cache.positions.tolist() == kept
+            assert np.array_equal(cache.keys, rows[kept])
+            assert np.array_equal(cache.values, rows[kept] + 1)
+            for view, full in zip((cache.keys, cache.values, cache.positions), arrays):
+                assert view.base is full
+
+        for pos in range(6):
+            append(pos)
+        held = cache.keys
+        append(6)  # into the full store: position 2 is evicted
+        check(7)
         assert cache.positions.tolist() == [0, 1, 3, 4, 5, 6]
-        assert np.array_equal(cache.keys[-1:], row)
-        for before, kept, new in zip(old, snapshot, (cache.keys, cache.values, cache.positions)):
-            assert np.array_equal(before, kept)
-            assert not np.shares_memory(before, new)
+        assert np.array_equal(held, cache.keys)  # a view taken before sees the write
+        reset(caches)
+        assert cache.retained == 0 and cache.total_seen == 0
+        assert all(a is b for a, b in zip((store.keys, store.values, store.positions), arrays))
+        assert store.positions[0].tolist() == [EMPTY] * 9
+        for pos in range(3):
+            append(pos)
+        check(3)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -194,6 +217,74 @@ class TestAttendWithCache:
             kept = cache.positions.tolist()
             expected = brute_attention(q, k[kept], v[kept], causal=False)
             np.testing.assert_allclose(attend_with_cache(cache, q), expected, atol=1e-6)
+
+
+class TestLayerStoreAttention:
+    """One call over a layer store against brute force and per-group calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        extra=st.lists(st.integers(1, 10), min_size=2, max_size=4, unique=True),
+        sinks=st.integers(0, 4),
+        first=st.integers(1, 14),
+        steps=st.integers(0, 10),
+        heads=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    # the first append overflows group 0, so its earliest query rows see nothing
+    @example(extra=[2, 5], sinks=0, first=8, steps=3, heads=2, seed=0)
+    # no eviction in the first append; the groups are padded to width 6
+    @example(extra=[1, 4, 2], sinks=2, first=3, steps=6, heads=1, seed=1)
+    def test_matches_brute_force_and_standalone_caches(
+        self, extra, sinks, first, steps, heads, seed
+    ):
+        budgets = [e + sinks for e in extra]  # unequal, at or above the floor
+        groups, total = len(budgets), first + steps
+        store = LayerStore(groups, max(budgets), HEAD_DIM)
+        views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
+        alone = [_cache(b, sinks) for b in budgets]
+        rng = np.random.default_rng(seed)
+        k = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
+        v = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
+        for a, b in [(0, first), *((i, i + 1) for i in range(first, total))]:
+            for g in range(groups):
+                for cache in (views[g], alone[g]):
+                    append_and_evict(cache, k[g, a:b], v[g, a:b], np.arange(a, b))
+            q = rng.normal(size=(groups, heads, b - a, HEAD_DIM)).astype(np.float32)
+            # row j of the call is the query for position a + j
+            visible = [
+                [[p for p in sink_window_trace(budget, sinks, b) if p <= a + j]
+                 for j in range(b - a)]
+                for budget in budgets
+            ]
+            if any(not rows for group in visible for rows in group):
+                with pytest.raises(InputError, match="no retained token"):
+                    attend_with_cache(store, q)
+                continue
+            got = attend_with_cache(store, q)
+            assert got.shape == q.shape
+            for g in range(groups):
+                assert views[g].positions.tolist() == sink_window_trace(budgets[g], sinks, b)
+                for h in range(heads):
+                    for j, kept in enumerate(visible[g]):
+                        row = q[g, h, j : j + 1]
+                        expected = brute_attention(row, k[g, kept], v[g, kept], causal=False)
+                        np.testing.assert_allclose(got[g, h, j : j + 1], expected, atol=1e-6)
+                for cache in (views[g], alone[g]):
+                    np.testing.assert_allclose(got[g], attend_with_cache(cache, q[g]), atol=1e-6)
+
+    def test_query_groups_must_match_the_store(self, rng):
+        store = LayerStore(2, 4, HEAD_DIM)
+        cache = BudgetedCache(4, 0, HEAD_DIM, store, 1)
+        row = np.ones((1, HEAD_DIM), np.float32)
+        append_and_evict(cache, row, row, np.array([0]))
+        q = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
+        for bad in (q, q[None, None], np.stack([q[None]] * 3)):
+            with pytest.raises(ShapeError):
+                attend_with_cache(store, bad)
+        with pytest.raises(InputError, match="one retained token"):
+            attend_with_cache(store, np.stack([q[None]] * 2))  # group 0 is empty
+        assert np.array_equal(attend_with_cache(cache, q), row)
 
 
 class TestCacheSet:

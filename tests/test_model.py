@@ -15,7 +15,6 @@ from bklv import (
     init_model,
     model_checksum,
     reset,
-    scaled_dot_attention,
     uniform_plan,
 )
 from bklv.allocation import AllocationPlan, PlanParams
@@ -28,6 +27,7 @@ from .reference import (
     reference_budgeted_logits,
     reference_generate,
     reference_logits,
+    scaled_dot_attention,
 )
 
 
