@@ -10,7 +10,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 
 from . import io
@@ -34,8 +33,6 @@ from .search import (
     layer_sweep,
     parameter_search,
 )
-
-THREADS_ENV = "BKLV_THREADS"
 
 
 def _fail(message: str, violations: list[str] | None = None) -> int:
@@ -148,18 +145,10 @@ def _heatmap_text(report) -> str:
 
 
 def cmd_search(args) -> int:
-    workers = os.environ.get(THREADS_ENV, "1")
-    if not workers.strip().isdecimal() or int(workers) < 1:
-        raise InputError(f"{THREADS_ENV} must be an integer >= 1, got {workers!r}")
     model = io.read_model_file(args.model)
     profile = _read_profile_for(model, args.profile)
     corpus = io.load_corpus(args.corpus, model.config.vocab_size)
     context_len = model.config.max_context if args.context_len is None else args.context_len
-    if corpus.token_ids.size < context_len:
-        return _fail(
-            f"corpus has {corpus.token_ids.size} tokens; the search needs at least "
-            f"as many tokens as the evaluated context length ({context_len})"
-        )
     t_grid = _grid_values(args.t_grid, "t") if args.t_grid else list(DEFAULT_T_GRID)
     r_grid = _grid_values(args.r_grid, "r") if args.r_grid else list(DEFAULT_R_GRID)
     grid = [(t, r) for t in t_grid for r in r_grid]
@@ -173,7 +162,6 @@ def cmd_search(args) -> int:
         sinks=args.sinks,
         layer_t=args.layer_t,
         layer_r=args.layer_r,
-        max_workers=int(workers),
     )
     io.write_search_report(report, args.out)
     _manifest(

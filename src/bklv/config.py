@@ -32,10 +32,6 @@ class ModelConfig:
         """Query heads per KV group."""
         return self.num_q_heads // self.num_kv_heads
 
-    @property
-    def num_caches(self) -> int:
-        return self.num_layers * self.num_kv_heads
-
     def validate(self) -> None:
         for f in fields(self):
             if f.name in ("rope_theta", "seed"):

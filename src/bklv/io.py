@@ -34,9 +34,8 @@ MANIFEST_VERSION = "bklv-manifest-v1"
 # ---------------------------------------------------------------------------
 # byte-level tokenizer: ids 0..255 are raw bytes, 256 is BOS
 
-def encode_bytes(data: bytes, add_bos: bool = True) -> list[int]:
-    ids = list(data)
-    return [BOS_ID] + ids if add_bos else ids
+def encode_bytes(data: bytes) -> list[int]:
+    return [BOS_ID, *data]
 
 
 def decode_ids(ids) -> bytes:
@@ -374,7 +373,7 @@ def read_eval_report(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # run manifest
 
-def write_manifest(path: str, command: list[str], files: dict[str, str], extra: dict | None = None) -> None:
+def write_manifest(path: str, command: list[str], files: dict[str, str]) -> None:
     """Record what a command produced: every referenced file's checksum at
     write time plus a timestamp."""
     doc = {
@@ -386,8 +385,6 @@ def write_manifest(path: str, command: list[str], files: dict[str, str], extra: 
             for role, fpath in files.items()
         },
     }
-    if extra:
-        doc.update(extra)
     write_json(path, doc)
 
 

@@ -91,20 +91,13 @@ def init_model(config: ModelConfig) -> Model:
         return rng.normal(0.0, WEIGHT_STD, size=shape).astype(np.float32)
 
     embedding = draw((config.vocab_size, config.d_model))
-    layers = []
-    for _ in range(config.num_layers):
-        layers.append(
-            LayerWeights(
-                attn_q=draw((config.d_model, config.num_q_heads * config.head_dim)),
-                attn_k=draw((config.d_model, config.num_kv_heads * config.head_dim)),
-                attn_v=draw((config.d_model, config.num_kv_heads * config.head_dim)),
-                attn_out=draw((config.num_q_heads * config.head_dim, config.d_model)),
-                mlp_in=draw((config.d_model, config.d_ff)),
-                mlp_out=draw((config.d_ff, config.d_model)),
-                norm1=np.ones(config.d_model, dtype=np.float32),
-                norm2=np.ones(config.d_model, dtype=np.float32),
-            )
-        )
+    layers = [
+        LayerWeights(**{
+            name: np.ones(shape, dtype=np.float32) if name.startswith("norm") else draw(shape)
+            for name, shape in _layer_shapes(config)
+        })
+        for _ in range(config.num_layers)
+    ]
     final_norm = np.ones(config.d_model, dtype=np.float32)
     return Model(config, embedding, layers, final_norm)
 

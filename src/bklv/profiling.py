@@ -102,7 +102,6 @@ def _prompt_id(tokens: np.ndarray) -> str:
 def profile_model(
     model: Model,
     prompts: list,
-    min_prompt_len: int = MIN_PROMPT_LEN,
     keep_per_token: bool = False,
 ) -> ImportanceProfile:
     """Run each prompt through full-budget caches with probes on and reduce.
@@ -110,7 +109,7 @@ def profile_model(
     Per-head similarities are the unweighted mean over prompts; KV-group
     importances are group means of the reduced similarities, complemented;
     layer importances complement the mean layer similarity. Prompts must
-    be at least `min_prompt_len` tokens and fit in max_context.
+    be at least MIN_PROMPT_LEN tokens and fit in max_context.
     """
     if not prompts:
         raise InputError("prompt list is empty")
@@ -118,9 +117,9 @@ def profile_model(
     arrays = []
     for p in prompts:
         arr = np.asarray(p, dtype=np.int64)
-        if arr.size < min_prompt_len:
+        if arr.size < MIN_PROMPT_LEN:
             raise InputError(
-                f"profiling prompt of {arr.size} tokens is below the minimum {min_prompt_len}"
+                f"profiling prompt of {arr.size} tokens is below the minimum {MIN_PROMPT_LEN}"
             )
         if arr.size > cfg.max_context:
             raise InputError(

@@ -7,7 +7,6 @@ means more degradation from compressing that window of layers.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +65,7 @@ def chunked_perplexity(
     if corpus_tokens.size < context_len:
         raise InputError(
             f"corpus has {corpus_tokens.size} tokens; need at least one full "
-            f"context of {context_len}"
+            f"context (context length {context_len})"
         )
     caches = build_cache_set(plan, cfg)
     losses = []
@@ -108,7 +107,6 @@ def parameter_search(
     sinks: int = DEFAULT_SINKS,
     layer_t: float = 0.0,
     layer_r: float = 0.0,
-    max_workers: int = 1,
 ) -> SearchReport:
     """Evaluate the head-reallocation plan at every (t, r) grid point.
 
@@ -118,9 +116,6 @@ def parameter_search(
     the first grid entry achieving the minimum loss. Each distinct plan
     (budget matrix and sinks) is evaluated once, the uniform plan
     included, so grid points that build the same plan share one loss.
-    Distinct plans are independent jobs; results are reduced in grid
-    order regardless of completion order, so fan-out does not change the
-    report.
     """
     if not grid:
         raise InputError("parameter grid is empty")
@@ -145,14 +140,10 @@ def parameter_search(
     for plan in filter(None, [*plans, uniform]):
         distinct.setdefault(key(plan), plan)
 
-    def evaluate(plan):
-        return chunked_perplexity(model, corpus_tokens, context_len, plan)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            losses = dict(zip(distinct, pool.map(evaluate, distinct.values())))
-    else:
-        losses = {k: evaluate(plan) for k, plan in distinct.items()}
+    losses = {
+        k: chunked_perplexity(model, corpus_tokens, context_len, plan)
+        for k, plan in distinct.items()
+    }
 
     points = [
         GridPoint(p.t, p.r, math.nan if plan is None else losses[key(plan)], plan is not None)

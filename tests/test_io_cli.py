@@ -498,6 +498,30 @@ class TestCli:
         assert "context_len must be >= 2, got 0" in err["error"]
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["search", "eval", "sweep"])
+    def test_corpus_shorter_than_context_rejected(self, cli_env, command, capsys):
+        d = cli_env["dir"]
+        prof = str(d / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        plan_path = str(d / "plan.json")
+        main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "0.5", "--out", plan_path])
+        short = _write_text(d / "short.txt", 20, seed=4)
+        out = str(d / "out.json")
+        extra = {
+            "search": ["--profile", prof, "--compression", "0.5", "--t-grid", "0.7", "--r-grid", "0.3"],
+            "eval": ["--plan", plan_path],
+            "sweep": ["--window", "1", "--compression", "0.5"],
+        }[command]
+        capsys.readouterr()
+        rc = main([command, "--model", cli_env["model"], "--corpus", short, "--context-len", "48",
+                   "--out", out] + extra)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"].startswith("corpus has")
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".manifest")
+
     @pytest.mark.parametrize("grid", [["--t-grid", "0.7,5"], ["--r-grid", "0.3,1"]])
     def test_out_of_range_grid_value_rejected_before_search(self, cli_env, grid, capsys):
         d = cli_env["dir"]
@@ -571,37 +595,6 @@ class TestCli:
         expected_ids = reference_generate(model, io.encode_bytes(b"abc"), 10)
         expected = io.decode_ids(expected_ids).decode("utf-8", errors="replace")
         assert printed == expected
-
-    def test_threads_env_does_not_change_report(self, cli_env, monkeypatch):
-        d = cli_env["dir"]
-        prof = str(d / "prof.json")
-        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
-        args = ["search", "--model", cli_env["model"], "--profile", prof,
-                "--corpus", cli_env["corpus"], "--compression", "0.4",
-                "--context-len", "48", "--t-grid", "0,0.7", "--r-grid", "0.3,0.6"]
-        one = str(d / "st1.json")
-        assert main(args + ["--out", one]) == 0
-        monkeypatch.setenv("BKLV_THREADS", "3")
-        two = str(d / "st2.json")
-        assert main(args + ["--out", two]) == 0
-        assert open(one, "rb").read() == open(two, "rb").read()
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_threads_env_rejected(self, cli_env, monkeypatch, value, capsys):
-        d = cli_env["dir"]
-        prof = str(d / "prof.json")
-        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
-        out = str(d / "s.json")
-        monkeypatch.setenv("BKLV_THREADS", value)
-        capsys.readouterr()
-        rc = main(["search", "--model", cli_env["model"], "--profile", prof,
-                   "--corpus", cli_env["corpus"], "--compression", "0.4",
-                   "--context-len", "48", "--t-grid", "0.7", "--r-grid", "0.3", "--out", out])
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": f"BKLV_THREADS must be an integer >= 1, got {value!r}",
-                       "violations": []}
-        assert not os.path.exists(out)
 
     def test_plan_negative_sinks_rejected(self, cli_env, capsys):
         prof = str(cli_env["dir"] / "prof.json")

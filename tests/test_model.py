@@ -73,6 +73,13 @@ class TestInitModel:
         assert model.embedding[0, 0] == expected
         assert model.embedding[0, 0] == np.float32(2.4603067e-05)  # frozen
 
+    def test_seed_7_checksum_is_frozen(self):
+        # What `bklv init-model --seed 7` prints; any change to the draw order,
+        # the shapes or the norm gains changes it.
+        assert model_checksum(init_model(ModelConfig(seed=7))) == (
+            "cdd9f1a37289df13929abc55fa98464b26ed3adf44f6c397948f7b0e23d779df"
+        )
+
     def test_norm_gains_are_ones(self):
         model = init_model(ModelConfig(seed=7))
         assert np.all(model.layers[0].norm1 == 1.0)

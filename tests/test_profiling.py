@@ -318,9 +318,10 @@ class TestRankCorrelation:
             rank_correlation(a.head_similarity, b.head_similarity)
 
 
-def test_import_does_not_load_scipy():
+@pytest.mark.parametrize("top", ["scipy", "concurrent"])
+def test_import_does_not_load(top):
     src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["bklv"].__file__)))
-    code = "import sys, bklv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, bklv; print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120

@@ -163,16 +163,6 @@ class TestParameterSearch:
             assert p.feasible
             assert math.isfinite(p.loss) and p.loss > 0
 
-    def test_threaded_matches_sequential(self, small_model, small_profile, rng):
-        corpus = _corpus(rng, 96)
-        grid = [(t, r) for t in (0.5, 0.9) for r in (0.3, 0.6)]
-        seq = parameter_search(small_model, corpus, 48, 0.3, grid, small_profile)
-        par = parameter_search(
-            small_model, corpus, 48, 0.3, grid, small_profile, max_workers=4
-        )
-        assert [p.loss for p in seq.grid] == [p.loss for p in par.grid]
-        assert seq.best == par.best
-
     def test_each_distinct_plan_is_evaluated_once(self, small_model, small_profile, rng, monkeypatch):
         corpus = _corpus(rng, 96)
         grid = [(t, r) for t in (0.0, 0.5, 0.7, 0.9) for r in (0.0, 0.3, 0.6)]
