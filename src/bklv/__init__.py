@@ -60,6 +60,7 @@ from .search import (
     SweepReport,
     chunk_nll,
     chunked_perplexity,
+    evaluate_plans,
     heuristic_vs_empirical,
     layer_sweep,
     parameter_search,

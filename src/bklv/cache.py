@@ -214,29 +214,32 @@ class CacheSet:
     def total_seen(self) -> int:
         return self.caches[0][0].total_seen
 
-    def min_free(self) -> int:
-        return min(c.budget - c.retained for row in self.caches for c in row)
-
     def all_caches(self):
         for row in self.caches:
             yield from row
 
 
-def build_cache_set(plan: AllocationPlan, config: ModelConfig) -> CacheSet:
-    """Empty caches sized from a plan's budget matrix, one store per layer."""
+def check_plan_fits(plan: AllocationPlan, config: ModelConfig) -> None:
+    """Raise unless the plan's budget matrix fits the config and meets the floor."""
     expected = (config.num_layers, config.num_kv_heads)
     if plan.budgets.shape != expected:
         raise ConfigError(
             f"plan budget matrix {plan.budgets.shape} does not match config {expected}"
         )
     _raise_floor_violations(plan.budgets, plan.sinks)
-    caches = []
-    for budgets in plan.budgets.tolist():
-        store = LayerStore(len(budgets), max(budgets), config.head_dim)
-        caches.append(
-            [BudgetedCache(b, plan.sinks, config.head_dim, store, g) for g, b in enumerate(budgets)]
-        )
-    return CacheSet(caches, config)
+
+
+def layer_caches(budgets: list[int], sinks: int, head_dim: int) -> list[BudgetedCache]:
+    """Empty caches of one layer, one per KV group, sharing one store."""
+    store = LayerStore(len(budgets), max(budgets), head_dim)
+    return [BudgetedCache(b, sinks, head_dim, store, g) for g, b in enumerate(budgets)]
+
+
+def build_cache_set(plan: AllocationPlan, config: ModelConfig) -> CacheSet:
+    """Empty caches sized from a plan's budget matrix, one store per layer."""
+    check_plan_fits(plan, config)
+    rows = plan.budgets.tolist()
+    return CacheSet([layer_caches(row, plan.sinks, config.head_dim) for row in rows], config)
 
 
 def reset(cache_set: CacheSet) -> None:

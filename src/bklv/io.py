@@ -19,7 +19,7 @@ from .config import ModelConfig
 from .errors import FormatError, InputError
 from .model import Model, deserialize_model, serialize_model
 from .profiling import ImportanceProfile
-from .search import CorrelationReport, GridPoint, SearchReport, SweepReport
+from .search import CorrelationReport, SearchReport, SweepReport
 
 BOS_ID = 256
 
@@ -266,41 +266,8 @@ def search_report_to_dict(report: SearchReport) -> dict:
     }
 
 
-def search_report_from_dict(doc: dict, path: str = "<memory>") -> SearchReport:
-    _require(doc, path, SEARCH_VERSION)
-    try:
-        grid = [
-            GridPoint(
-                t=float(p["t"]),
-                r=float(p["r"]),
-                loss=float("nan") if p["loss"] is None else float(p["loss"]),
-                feasible=bool(p["feasible"]),
-            )
-            for p in doc["grid"]
-        ]
-        best = doc["best"]
-        return SearchReport(
-            compression=float(doc["compression"]),
-            grid=grid,
-            best=None if best is None else (float(best["t"]), float(best["r"])),
-            best_loss=doc["best_loss"],
-            uniform_loss=float(doc["uniform_loss"]),
-            chunks_evaluated=int(doc["chunks_evaluated"]),
-            tokens_per_chunk=int(doc["tokens_per_chunk"]),
-            sinks=int(doc["sinks"]),
-            layer_t=float(doc["layer_t"]),
-            layer_r=float(doc["layer_r"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed search report: {exc}") from exc
-
-
 def write_search_report(report: SearchReport, path: str) -> None:
     write_json(path, search_report_to_dict(report))
-
-
-def read_search_report(path: str) -> SearchReport:
-    return search_report_from_dict(read_json(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -320,29 +287,10 @@ def sweep_report_to_dict(report: SweepReport, correlation: CorrelationReport | N
     return doc
 
 
-def sweep_report_from_dict(doc: dict, path: str = "<memory>") -> tuple[SweepReport, CorrelationReport | None]:
-    _require(doc, path, SWEEP_VERSION)
-    try:
-        report = SweepReport(
-            window=int(doc["window"]),
-            compression=float(doc["compression"]),
-            scores=[float(s) for s in doc["scores"]],
-            bounds=[tuple(b) for b in doc["bounds"]],
-        )
-        corr = doc["correlation"]
-        return report, None if corr is None else CorrelationReport(**corr)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed sweep report: {exc}") from exc
-
-
 def write_sweep_report(
     report: SweepReport, path: str, correlation: CorrelationReport | None = None
 ) -> None:
     write_json(path, sweep_report_to_dict(report, correlation))
-
-
-def read_sweep_report(path: str) -> tuple[SweepReport, CorrelationReport | None]:
-    return sweep_report_from_dict(read_json(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +312,6 @@ def eval_report_to_dict(
     }
 
 
-def read_eval_report(path: str) -> dict:
-    doc = read_json(path)
-    _require(doc, path, EVAL_VERSION)
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # run manifest
 
@@ -386,9 +328,3 @@ def write_manifest(path: str, command: list[str], files: dict[str, str]) -> None
         },
     }
     write_json(path, doc)
-
-
-def read_manifest(path: str) -> dict:
-    doc = read_json(path)
-    _require(doc, path, MANIFEST_VERSION)
-    return doc

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import CacheSet, append_and_evict, attend_with_cache
+from .cache import BudgetedCache, CacheSet, append_and_evict, attend_with_cache
 from .config import ModelConfig
 from .errors import ConfigError, FormatError, InputError
 
@@ -128,6 +128,74 @@ def rope_rotate(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarra
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
+def check_tokens(tokens, vocab_size: int) -> np.ndarray:
+    """Token ids as a non-empty 1-D int64 array, each in [0, vocab_size)."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim != 1 or tokens.size == 0:
+        raise InputError("tokens must be a non-empty 1-D sequence")
+    if tokens.min() < 0 or tokens.max() >= vocab_size:
+        raise InputError(f"token id out of range [0, {vocab_size}): {int(tokens.max())}")
+    return tokens
+
+
+def output_logits(model: Model, x: np.ndarray) -> np.ndarray:
+    return rms_norm(x, model.final_norm) @ model.embedding.T
+
+
+def forward_layer(
+    model: Model,
+    li: int,
+    x: np.ndarray,
+    positions: np.ndarray,
+    caches: list[BudgetedCache],
+    probes: ProbeCapture | None = None,
+) -> np.ndarray:
+    """Run hidden states x (tokens, d_model) through layer li; returns the new ones.
+
+    `caches` are the layer's KV groups, sharing one store. Only the cache
+    append and attention are stepped: one segment of as many tokens as
+    every cache of this layer can take without evicting, then single
+    tokens, so each cache sees the appends and retained sets of
+    token-by-token generation. The result depends on x and these caches
+    only. Fills layer li of `probes` if given.
+    """
+    cfg = model.config
+    layer = model.layers[li]
+    n = x.shape[0]
+    kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
+    # a full cache steps one token at a time
+    first = max(1, min(n, min(c.budget - c.retained for c in caches)))
+    segments = [(0, first), *((i, i + 1) for i in range(first, n))]
+
+    if probes is not None:
+        probes.layer_input[li] = x
+    h = rms_norm(x, layer.norm1)
+    q = (h @ layer.attn_q).reshape(n, cfg.num_q_heads, d)
+    k = (h @ layer.attn_k).reshape(n, kv, d)
+    v = (h @ layer.attn_v).reshape(n, kv, d)
+    qk = rope_rotate(np.concatenate([q, k], axis=1), positions, cfg.rope_theta)
+    # (kv, g, n, d) views: the query heads of a group share its cache
+    q_groups = qk[:, : cfg.num_q_heads].reshape(n, kv, g, d).transpose(1, 2, 0, 3)
+    k = qk[:, cfg.num_q_heads :]
+
+    heads = probes.head_output[li] if probes is not None else np.empty((cfg.num_q_heads, n, d), np.float32)
+    head_groups = heads.reshape(kv, g, n, d)
+    store = caches[0].store
+    for a, b in segments:
+        for grp, cache in enumerate(caches):
+            append_and_evict(cache, k[a:b, grp], v[a:b, grp], positions[a:b])
+        head_groups[:, :, a:b] = attend_with_cache(store, q_groups[:, :, a:b])
+    if probes is not None:
+        probes.head_input_v[li] = np.repeat(v.transpose(1, 0, 2), g, axis=0)
+    x = x + heads.transpose(1, 0, 2).reshape(n, cfg.num_q_heads * d) @ layer.attn_out
+
+    h2 = rms_norm(x, layer.norm2)
+    x = x + _silu(h2 @ layer.mlp_in) @ layer.mlp_out
+    if probes is not None:
+        probes.layer_output[li] = x
+    return x
+
+
 def forward_chunk(
     model: Model,
     tokens,
@@ -138,27 +206,16 @@ def forward_chunk(
 
     K/V projections of the new tokens are appended to the caches (evicting
     as the budgets require) and every query attends over exactly the
-    retained tokens. The chunk runs layer by layer: norms, projections,
-    rotary, the MLP and the logits are computed for all tokens at once,
-    and only the cache append and attention are stepped. The caches fill
-    in lockstep, so the steps are one segment of as many tokens as every
-    cache can take without evicting, then single tokens; each cache sees
-    the appends and retained sets of token-by-token generation, and one
-    attention call over the layer's store serves every KV group. Logits
-    agree with generation up to float32 rounding, since batched rows do
-    not round exactly like single rows.
+    retained tokens. The chunk runs layer by layer (forward_layer), and
+    each layer decides its own stepping from its own caches. Logits agree
+    with token-by-token generation up to float32 rounding, since batched
+    rows do not round exactly like single rows.
 
     Returns (logits, probes): logits is (len(tokens), vocab_size); probes
     is a ProbeCapture for the new tokens when capture is set, else None.
     """
     cfg = model.config
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise InputError("tokens must be a non-empty 1-D sequence")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-        raise InputError(
-            f"token id out of range [0, {cfg.vocab_size}): {int(tokens.max())}"
-        )
+    tokens = check_tokens(tokens, cfg.vocab_size)
     if caches.config != cfg:
         raise ConfigError("cache set was built for a different model configuration")
     if len(caches.caches) != cfg.num_layers:
@@ -172,46 +229,15 @@ def forward_chunk(
             f"context length exceeded: {start} + {n} > {cfg.max_context}"
         )
 
-    first = max(1, min(n, caches.min_free()))  # a full cache steps one token at a time
-    segments = [(0, first), *((i, i + 1) for i in range(first, n))]
-    positions = np.arange(start, start + n, dtype=np.int64)
-    kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
-    stores = caches.stores
-    x = model.embedding[tokens].astype(np.float32, copy=True)
-
+    probes = None
     if capture:
-        shapes = [(cfg.num_q_heads, n, d)] * 2 + [(n, cfg.d_model)] * 2
+        shapes = [(cfg.num_q_heads, n, cfg.head_dim)] * 2 + [(n, cfg.d_model)] * 2
         probes = ProbeCapture(*(np.empty((cfg.num_layers, *s), np.float32) for s in shapes))
-
-    for li, layer in enumerate(model.layers):
-        if capture:
-            probes.layer_input[li] = x
-        h = rms_norm(x, layer.norm1)
-        q = (h @ layer.attn_q).reshape(n, cfg.num_q_heads, d)
-        k = (h @ layer.attn_k).reshape(n, kv, d)
-        v = (h @ layer.attn_v).reshape(n, kv, d)
-        qk = rope_rotate(np.concatenate([q, k], axis=1), positions, cfg.rope_theta)
-        # (kv, g, n, d) views: the query heads of a group share its cache
-        q_groups = qk[:, : cfg.num_q_heads].reshape(n, kv, g, d).transpose(1, 2, 0, 3)
-        k = qk[:, cfg.num_q_heads :]
-
-        heads = probes.head_output[li] if capture else np.empty((cfg.num_q_heads, n, d), np.float32)
-        head_groups = heads.reshape(kv, g, n, d)
-        for a, b in segments:
-            for grp, cache in enumerate(caches.caches[li]):
-                append_and_evict(cache, k[a:b, grp], v[a:b, grp], positions[a:b])
-            head_groups[:, :, a:b] = attend_with_cache(stores[li], q_groups[:, :, a:b])
-        if capture:
-            probes.head_input_v[li] = np.repeat(v.transpose(1, 0, 2), g, axis=0)
-        x = x + heads.transpose(1, 0, 2).reshape(n, cfg.num_q_heads * d) @ layer.attn_out
-
-        h2 = rms_norm(x, layer.norm2)
-        x = x + _silu(h2 @ layer.mlp_in) @ layer.mlp_out
-        if capture:
-            probes.layer_output[li] = x
-
-    logits = rms_norm(x, model.final_norm) @ model.embedding.T
-    return logits, probes if capture else None
+    positions = np.arange(start, start + n, dtype=np.int64)
+    x = model.embedding[tokens].astype(np.float32, copy=True)
+    for li, row in enumerate(caches.caches):
+        x = forward_layer(model, li, x, positions, row, probes)
+    return output_logits(model, x), probes
 
 
 def greedy_generate(model: Model, prompt, steps: int, caches: CacheSet) -> list[int]:

@@ -19,15 +19,21 @@ from .allocation import (
     uniform_plan,
     window_plan,
 )
-from .cache import CacheSet, build_cache_set, reset
+from .cache import CacheSet, check_plan_fits, layer_caches
 from .errors import AllocationError, InputError, ShapeError
-from .model import Model, forward_chunk
+from .model import Model, check_tokens, forward_chunk, forward_layer, output_logits
 from .numerics import log_softmax_f64
 from .profiling import ImportanceProfile, spearman
 
 DEFAULT_T_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
 DEFAULT_R_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_WINDOW = 5
+
+
+def _mean_nll(logits: np.ndarray, tokens: np.ndarray) -> float:
+    log_probs = log_softmax_f64(logits[:-1])
+    picked = log_probs[np.arange(tokens.size - 1), tokens[1:]]
+    return float(-np.mean(picked))
 
 
 def chunk_nll(model: Model, tokens, caches: CacheSet) -> float:
@@ -37,22 +43,24 @@ def chunk_nll(model: Model, tokens, caches: CacheSet) -> float:
     if tokens.size < 2:
         raise InputError(f"need at least 2 tokens for a loss, got {tokens.size}")
     logits, _ = forward_chunk(model, tokens, caches)
-    log_probs = log_softmax_f64(logits[:-1])
-    picked = log_probs[np.arange(tokens.size - 1), tokens[1:]]
-    return float(-np.mean(picked))
+    return _mean_nll(logits, tokens)
 
 
-def chunked_perplexity(
+def evaluate_plans(
     model: Model,
     corpus_tokens,
     context_len: int,
-    plan: AllocationPlan,
-) -> float:
-    """Mean chunk loss over consecutive non-overlapping chunks.
+    plans: list[AllocationPlan],
+) -> list[float]:
+    """Each plan's mean chunk loss over consecutive non-overlapping chunks.
 
     The corpus splits into chunks of `context_len` tokens (a trailing
-    partial chunk is dropped); the caches are rebuilt from the plan and
-    reset before each chunk. Returns the mean NLL; exp() for perplexity.
+    partial chunk is dropped), each run from empty caches. A layer's
+    output depends only on its input and its own budget row, so per chunk
+    the plans' rows form a trie, walked depth-first: each distinct prefix
+    runs its last layer once and each leaf is scored once. Rows are keyed
+    by sinks and min(budget, context_len), since a cache that never fills
+    evicts nothing. A plan's loss equals its one-plan evaluation bit for bit.
     """
     corpus_tokens = np.asarray(corpus_tokens, dtype=np.int64)
     cfg = model.config
@@ -67,12 +75,38 @@ def chunked_perplexity(
             f"corpus has {corpus_tokens.size} tokens; need at least one full "
             f"context (context length {context_len})"
         )
-    caches = build_cache_set(plan, cfg)
-    losses = []
-    for start in range(0, corpus_tokens.size - context_len + 1, context_len):
-        reset(caches)
-        losses.append(chunk_nll(model, corpus_tokens[start : start + context_len], caches))
-    return float(np.mean(losses))
+    for plan in plans:
+        check_plan_fits(plan, cfg)
+    n_chunks = corpus_tokens.size // context_len
+    chunks = check_tokens(corpus_tokens[: n_chunks * context_len], cfg.vocab_size)
+    rows = [
+        [(plan.sinks, tuple(min(b, context_len) for b in row)) for row in plan.budgets.tolist()]
+        for plan in plans
+    ]
+    positions = np.arange(context_len, dtype=np.int64)
+    losses = [[] for _ in plans]
+
+    def walk(depth, x, members, tokens):
+        if depth == cfg.num_layers:
+            nll = _mean_nll(output_logits(model, x), tokens)
+            for i in members:
+                losses[i].append(nll)
+            return
+        children = {}
+        for i in members:
+            children.setdefault(rows[i][depth], []).append(i)
+        for (sinks, budgets), group in children.items():
+            caches = layer_caches(budgets, sinks, cfg.head_dim)
+            walk(depth + 1, forward_layer(model, depth, x, positions, caches), group, tokens)
+
+    for tokens in chunks.reshape(n_chunks, context_len):
+        walk(0, model.embedding[tokens].astype(np.float32, copy=True), range(len(plans)), tokens)
+    return [float(np.mean(plan_losses)) for plan_losses in losses]
+
+
+def chunked_perplexity(model: Model, corpus_tokens, context_len: int, plan: AllocationPlan) -> float:
+    """Mean chunk loss of one plan (evaluate_plans); exp() for perplexity."""
+    return evaluate_plans(model, corpus_tokens, context_len, [plan])[0]
 
 
 @dataclass
@@ -113,9 +147,9 @@ def parameter_search(
     Out-of-range parameters raise AllocationError before any point is
     evaluated. Infeasible points (plan construction fails the budget
     floor) are recorded but excluded from the argmin. The best point is
-    the first grid entry achieving the minimum loss. Each distinct plan
-    (budget matrix and sinks) is evaluated once, the uniform plan
-    included, so grid points that build the same plan share one loss.
+    the first grid entry achieving the minimum loss. The feasible plans
+    and the uniform plan are scored in one evaluate_plans call, so plans
+    share their common layer prefixes and equal plans share one loss.
     """
     if not grid:
         raise InputError("parameter grid is empty")
@@ -131,22 +165,13 @@ def parameter_search(
         except AllocationError:
             return None
 
-    def key(plan):
-        return plan.budgets.tobytes(), plan.sinks
-
     plans = [build(p) for p in params]
     uniform = uniform_plan(cfg, compression, sinks)
-    distinct = {}
-    for plan in filter(None, [*plans, uniform]):
-        distinct.setdefault(key(plan), plan)
-
-    losses = {
-        k: chunked_perplexity(model, corpus_tokens, context_len, plan)
-        for k, plan in distinct.items()
-    }
-
+    feasible = [plan for plan in plans if plan is not None]
+    uniform_loss, *losses = evaluate_plans(model, corpus_tokens, context_len, [uniform, *feasible])
+    losses = iter(losses)
     points = [
-        GridPoint(p.t, p.r, math.nan if plan is None else losses[key(plan)], plan is not None)
+        GridPoint(p.t, p.r, math.nan if plan is None else next(losses), plan is not None)
         for p, plan in zip(params, plans)
     ]
     best = None
@@ -155,7 +180,6 @@ def parameter_search(
         if point.feasible and (best_loss is None or point.loss < best_loss):
             best, best_loss = (point.t, point.r), point.loss
 
-    uniform_loss = losses[key(uniform)]
     n_chunks = corpus_tokens.size // context_len
     return SearchReport(
         compression=compression,
@@ -192,6 +216,7 @@ def layer_sweep(
     For center L the window is [max(0, L - window//2),
     min(last_layer, L + window//2)]; only those layers are compressed,
     all others keep full budgets. The score is the chunked perplexity.
+    All centers are scored in one evaluate_plans call.
     """
     cfg = model.config
     if window % 2 != 1 or not 1 <= window <= cfg.num_layers:
@@ -199,15 +224,13 @@ def layer_sweep(
             f"window must be odd and within [1, {cfg.num_layers}], got {window}"
         )
     half = window // 2
-    scores = []
-    bounds = []
-    for center in range(cfg.num_layers):
-        lo = max(0, center - half)
-        hi = min(cfg.num_layers - 1, center + half)
-        plan = window_plan(cfg, lo, hi, compression, sinks)
-        loss = chunked_perplexity(model, corpus_tokens, context_len, plan)
-        scores.append(float(math.exp(loss)))
-        bounds.append((lo, hi))
+    bounds = [
+        (max(0, center - half), min(cfg.num_layers - 1, center + half))
+        for center in range(cfg.num_layers)
+    ]
+    plans = [window_plan(cfg, lo, hi, compression, sinks) for lo, hi in bounds]
+    losses = evaluate_plans(model, corpus_tokens, context_len, plans)
+    scores = [float(math.exp(loss)) for loss in losses]
     return SweepReport(window=window, compression=compression, scores=scores, bounds=bounds)
 
 

@@ -5,6 +5,7 @@ rule transcriptions, cache-free forwards) so the production code is
 checked against a separately written path, not against itself.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -76,18 +77,22 @@ def _ref_rms(x, gain):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _ref_rope_factors(position: int, theta: float, head_dim: int):
+    """float32 cos and sin of each pair's angle at one position, memoized:
+    the oracles rotate every row of every step again."""
+    angles = [float(position) * theta ** (-2.0 * j / head_dim) for j in range(head_dim // 2)]
+    return (
+        np.array([math.cos(a) for a in angles], dtype=np.float32),
+        np.array([math.sin(a) for a in angles], dtype=np.float32),
+    )
+
+
 def _ref_rope_row(vec, position, theta):
-    head_dim = vec.shape[-1]
-    half = head_dim // 2
-    out = np.empty_like(vec)
-    for j in range(half):
-        angle = float(position) * theta ** (-2.0 * j / head_dim)
-        c = np.float32(math.cos(angle))
-        s = np.float32(math.sin(angle))
-        x1, x2 = vec[j], vec[half + j]
-        out[j] = x1 * c - x2 * s
-        out[half + j] = x1 * s + x2 * c
-    return out
+    half = vec.shape[-1] // 2
+    c, s = _ref_rope_factors(int(position), float(theta), vec.shape[-1])
+    x1, x2 = vec[:half], vec[half:]
+    return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c])
 
 
 def _ref_silu(x):
@@ -191,10 +196,15 @@ def reference_generate(model, prompt, steps: int) -> list[int]:
     return out
 
 
-def reference_nll(model, tokens) -> float:
-    """Teacher-forced mean NLL from the cache-free forward, float64."""
+def reference_nll(model, tokens, budgets=None, sinks: int = 0) -> float:
+    """Teacher-forced mean NLL, float64, from the cache-free forward, or
+    from the token-by-token budgeted forward when budgets are given."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    logits = reference_logits(model, tokens).astype(np.float64)
+    if budgets is None:
+        logits = reference_logits(model, tokens)
+    else:
+        logits, _ = reference_budgeted_logits(model, tokens, budgets, sinks)
+    logits = logits.astype(np.float64)
     total = 0.0
     for i in range(1, tokens.size):
         row = logits[i - 1]

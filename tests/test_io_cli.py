@@ -24,6 +24,11 @@ from bklv.search import CorrelationReport, GridPoint, SearchReport, SweepReport
 from .conftest import SMALL
 
 
+def _load(path):
+    with open(path, "rb") as fh:
+        return json.loads(fh.read())
+
+
 class TestTokenizer:
     def test_encode_prefixes_bos(self):
         assert io.encode_bytes(b"ab") == [256, 97, 98]
@@ -128,20 +133,16 @@ class TestRoundTrips:
         )
         path = str(tmp_path / "search.json")
         io.write_search_report(report, path)
-        again = io.read_search_report(path)
-        assert again.best == report.best
-        assert again.grid[0].loss == 3.25
-        assert not again.grid[1].feasible and math.isnan(again.grid[1].loss)
-        assert again.uniform_loss == report.uniform_loss
+        doc = _load(path)
+        assert doc == io.search_report_to_dict(report)
+        assert doc["grid"][1] == {"t": 0.9, "r": 0.9, "loss": None, "feasible": False}
 
     def test_sweep_report(self, tmp_path):
         report = SweepReport(window=3, compression=0.4, scores=[1.5, 2.5], bounds=[(0, 1), (0, 1)])
         corr = CorrelationReport(0.5, False, 0.0, True, 1)
         path = str(tmp_path / "sweep.json")
         io.write_sweep_report(report, path, corr)
-        again, corr_again = io.read_sweep_report(path)
-        assert again == report
-        assert corr_again == corr
+        assert _load(path) == io.sweep_report_to_dict(report, corr)
 
     def test_bad_format_version(self, tmp_path):
         path = str(tmp_path / "bad.json")
@@ -342,8 +343,8 @@ class TestCli:
             ]
         )
         assert rc == 0
-        report = io.read_search_report(search_out)
-        assert len(report.grid) == 4
+        report = _load(search_out)
+        assert len(report["grid"]) == 4
 
         # anchor grid point equals a separate uniform eval, bit-for-bit
         plan_path = str(d / "uplan.json")
@@ -353,10 +354,11 @@ class TestCli:
             ["eval", "--model", cli_env["model"], "--plan", plan_path,
              "--corpus", cli_env["corpus"], "--context-len", "48", "--out", eval_out]
         ) == 0
-        doc = io.read_eval_report(eval_out)
-        anchor = [p for p in report.grid if p.t == 0.0 and p.r == 0.0][0]
-        assert doc["loss"] == anchor.loss
-        assert anchor.loss == report.uniform_loss
+        doc = _load(eval_out)
+        assert doc["format_version"] == io.EVAL_VERSION
+        anchor = [p for p in report["grid"] if p["t"] == 0.0 and p["r"] == 0.0][0]
+        assert doc["loss"] == anchor["loss"]
+        assert anchor["loss"] == report["uniform_loss"]
 
     def test_search_corpus_too_short(self, cli_env, tmp_path, capsys):
         prof = str(cli_env["dir"] / "prof.json")
@@ -405,9 +407,9 @@ class TestCli:
             ["sweep", "--model", cli_env["model"], "--corpus", cli_env["corpus"],
              "--window", "1", "--compression", "0.5", "--context-len", "48", "--out", no_prof]
         ) == 0
-        report, corr = io.read_sweep_report(no_prof)
-        assert len(report.scores) == 2
-        assert corr is None
+        report = _load(no_prof)
+        assert len(report["scores"]) == 2
+        assert report["correlation"] is None
 
         with_prof = str(d / "sweep2.json")
         assert main(
@@ -415,16 +417,14 @@ class TestCli:
              "--window", "1", "--compression", "0.5", "--context-len", "48",
              "--profile", prof, "--out", with_prof]
         ) == 0
-        _, corr2 = io.read_sweep_report(with_prof)
-        assert corr2 is not None
+        assert _load(with_prof)["correlation"] is not None
 
     def test_sweep_flat_at_full_compression(self, cli_env):
         d = cli_env["dir"]
         out = str(d / "sweepflat.json")
         main(["sweep", "--model", cli_env["model"], "--corpus", cli_env["corpus"],
               "--window", "1", "--compression", "1.0", "--context-len", "48", "--out", out])
-        report, _ = io.read_sweep_report(out)
-        assert len(set(report.scores)) == 1
+        assert len(set(_load(out)["scores"])) == 1
 
     def test_generate_zero_steps(self, cli_env, capsys):
         d = cli_env["dir"]
@@ -451,7 +451,8 @@ class TestCli:
         assert outs[0] == outs[1]
 
     def test_manifest_checksums_match(self, cli_env):
-        manifest = io.read_manifest(cli_env["model"] + ".manifest")
+        manifest = _load(cli_env["model"] + ".manifest")
+        assert manifest["format_version"] == io.MANIFEST_VERSION
         entry = manifest["files"]["model"]
         assert entry["sha256"] == io.sha256_file(cli_env["model"])
 
@@ -459,7 +460,7 @@ class TestCli:
         out = str(cli_env["dir"] / "argv.json")
         argv = ["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", out]
         assert main(argv) == 0
-        assert io.read_manifest(out + ".manifest")["command"] == argv
+        assert _load(out + ".manifest")["command"] == argv
 
     def test_profile_consistency_matches_single_prompt_profiles(self, cli_env, tmp_path):
         second = _write_text(tmp_path / "second.txt", 40, seed=9)

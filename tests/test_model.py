@@ -9,6 +9,7 @@ from bklv import (
     InputError,
     ModelConfig,
     ShapeError,
+    append_and_evict,
     build_cache_set,
     forward_chunk,
     greedy_generate,
@@ -17,6 +18,7 @@ from bklv import (
     reset,
     uniform_plan,
 )
+from bklv import model as model_module
 from bklv.allocation import AllocationPlan, PlanParams
 from bklv.model import deserialize_model, serialize_model
 
@@ -264,6 +266,22 @@ class TestBudgetedStepping:
         np.testing.assert_allclose(logits, expected_logits, rtol=0, atol=1e-5)
         for name, expected in expected_probes.items():
             np.testing.assert_allclose(probes[name], expected, rtol=0, atol=1e-5, err_msg=name)
+
+    def test_each_layer_batches_up_to_its_own_free_space(self, small_model, monkeypatch):
+        appends = []
+
+        def recording(cache, k_new, v_new, positions):
+            appends.append((cache, len(k_new)))
+            append_and_evict(cache, k_new, v_new, positions)
+
+        monkeypatch.setattr(model_module, "append_and_evict", recording)
+        # layer 0's smallest budget (4) is below layer 1's (10)
+        plan = AllocationPlan(0.0, 1, np.array([[4, 6], [10, 12]]), "custom", PlanParams())
+        caches = build_cache_set(plan, SMALL)
+        forward_chunk(small_model, list(range(16)), caches)
+        for row, first in zip(caches.caches, (4, 10)):
+            for cache in row:
+                assert [n for c, n in appends if c is cache] == [first] + [1] * (16 - first)
 
 
 class TestGreedyGenerate:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bklv import (
     InputError,
@@ -12,6 +14,7 @@ from bklv import (
     build_plan,
     chunk_nll,
     chunked_perplexity,
+    evaluate_plans,
     heuristic_vs_empirical,
     layer_sweep,
     parameter_search,
@@ -19,6 +22,8 @@ from bklv import (
     uniform_plan,
 )
 from bklv import search as search_module
+from bklv.allocation import AllocationPlan
+from bklv.model import forward_layer
 from bklv.search import SweepReport
 
 from .conftest import SMALL
@@ -119,6 +124,68 @@ class TestChunkedPerplexity:
             chunked_perplexity(small_model, _corpus(rng, 200), 100, uniform_plan(SMALL, 1.0))
 
 
+@st.composite
+def _plan_sets(draw):
+    """A corpus, a context length and 2-5 plans drawn so that layer 0 rows
+    repeat (shared prefixes), budgets often reach past the context length,
+    and per-layer minimum budgets differ."""
+    context_len = draw(st.integers(4, 12))
+    size = draw(st.integers(context_len, 2 * context_len + 3))
+    corpus = draw(st.lists(st.integers(0, SMALL.vocab_size - 1), min_size=size, max_size=size))
+    budget = st.integers(4, 16)  # >= the floor for sinks <= 3
+    row = st.lists(budget, min_size=SMALL.num_kv_heads, max_size=SMALL.num_kv_heads)
+    first_rows = draw(st.lists(row, min_size=1, max_size=2))
+    sink_counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    plans = []
+    for _ in range(draw(st.integers(2, 5))):
+        rows = [draw(st.sampled_from(first_rows))]
+        rows += [draw(row) for _ in range(SMALL.num_layers - 1)]
+        plans.append(_plan(draw(st.sampled_from(sink_counts)), rows))
+    order = draw(st.permutations(range(len(plans))))
+    return np.array(corpus), context_len, plans, order
+
+
+def _plan(sinks, budgets):
+    return AllocationPlan(0.0, sinks, np.array(budgets, dtype=np.int64), "custom", PlanParams())
+
+
+def _reference_loss(model, corpus, context_len, plan):
+    """Mean over chunks of the token-by-token budgeted oracle's NLL."""
+    starts = range(0, corpus.size - context_len + 1, context_len)
+    return float(np.mean([
+        reference_nll(model, corpus[a : a + context_len], plan.budgets, plan.sinks) for a in starts
+    ]))
+
+
+class TestEvaluatePlans:
+    @settings(max_examples=20, deadline=None)
+    @given(_plan_sets())
+    # plans 0 and 1 differ only in sinks; 2 and 3 only in budgets above context_len
+    @example((
+        np.arange(100, 124),
+        12,
+        [_plan(0, [[4, 5], [6, 20]]), _plan(3, [[4, 5], [6, 20]]),
+         _plan(3, [[4, 5], [12, 9]]), _plan(3, [[4, 5], [30, 9]])],
+        [3, 2, 1, 0],
+    ))
+    def test_matches_stepping_oracle_and_one_plan_evaluation(self, small_model, case):
+        corpus, context_len, plans, order = case
+        losses = evaluate_plans(small_model, corpus, context_len, plans)
+        for plan, loss in zip(plans, losses):
+            assert abs(loss - _reference_loss(small_model, corpus, context_len, plan)) < 1e-5
+            assert loss == chunked_perplexity(small_model, corpus, context_len, plan)  # bit-for-bit
+        permuted = evaluate_plans(small_model, corpus, context_len, [plans[i] for i in order])
+        assert permuted == [losses[i] for i in order]
+
+    def test_no_plans(self, small_model, rng):
+        assert evaluate_plans(small_model, _corpus(rng, 16), 16, []) == []
+
+    def test_token_out_of_range(self, small_model):
+        corpus = np.full(16, SMALL.vocab_size)
+        with pytest.raises(InputError, match="out of range"):
+            evaluate_plans(small_model, corpus, 16, [uniform_plan(SMALL, 1.0)])
+
+
 class TestParameterSearch:
     def test_singleton_grid_is_best(self, small_model, small_profile, rng):
         corpus = _corpus(rng, 96)
@@ -164,24 +231,47 @@ class TestParameterSearch:
             assert math.isfinite(p.loss) and p.loss > 0
 
     def test_each_distinct_plan_is_evaluated_once(self, small_model, small_profile, rng, monkeypatch):
+        # At these thresholds (0.63, r) reallocates only layer 0 and
+        # (0.65, r) only layer 1, so plans share layer prefixes; t = 0 or
+        # r = 0 builds the uniform plan. (0.64, 0.3) builds the plan of
+        # (0.63, 0.3), and its budgets above context_len are raised below.
         corpus = _corpus(rng, 96)
-        grid = [(t, r) for t in (0.0, 0.5, 0.7, 0.9) for r in (0.0, 0.3, 0.6)]
-        plans = [build_plan(small_profile, SMALL, "baklava", 0.3, PlanParams(t=t, r=r)) for t, r in grid]
-        plans.append(uniform_plan(SMALL, 0.3))
-        distinct = {p.budgets.tobytes() for p in plans}
-        assert len(distinct) < len(grid)  # the grid repeats plans: (0, r) and (t, 0) are uniform
+        context_len, compression, twin_point = 48, 0.75, (0.64, 0.3)
+        grid = [(t, r) for t in (0.0, 0.63, 0.65) for r in (0.0, 0.3, 0.6)] + [twin_point]
+
+        def building(profile, cfg, strategy, compression, params, sinks):
+            plan = build_plan(profile, cfg, strategy, compression, params, sinks)
+            if (params.t, params.r) == twin_point:
+                budgets = np.where(plan.budgets > context_len, cfg.max_context, plan.budgets)
+                plan = replace(plan, budgets=budgets)
+            return plan
+
+        monkeypatch.setattr(search_module, "build_plan", building)
+        plans = [building(small_profile, SMALL, "baklava", compression, PlanParams(t=t, r=r), 4) for t, r in grid]
+        twin, canonical_twin = plans[-1], plans[grid.index((0.63, 0.3))]
+        assert twin.budgets.max() > context_len and not np.array_equal(twin.budgets, canonical_twin.budgets)
+
+        def prefixes(plan):
+            rows = np.minimum(plan.budgets, context_len).tolist()
+            return {(plan.sinks, *map(tuple, rows[: depth + 1])) for depth in range(SMALL.num_layers)}
+
+        nodes = set().union(*map(prefixes, [*plans, uniform_plan(SMALL, compression)]))
+        assert prefixes(twin) == prefixes(canonical_twin)
+        assert len(nodes) == 8  # layer 0: uniform and two (0.63, r) rows; layer 1: five plans
 
         calls = []
 
-        def counting(model, corpus_tokens, context_len, plan):
-            calls.append(plan.budgets.tobytes())
-            return chunked_perplexity(model, corpus_tokens, context_len, plan)
+        def counting(model, li, x, positions, caches):
+            calls.append(li)
+            return forward_layer(model, li, x, positions, caches)
 
-        monkeypatch.setattr(search_module, "chunked_perplexity", counting)
-        report = parameter_search(small_model, corpus, 48, 0.3, grid, small_profile)
-        assert sorted(calls) == sorted(distinct)
+        monkeypatch.setattr(search_module, "forward_layer", counting)
+        report = parameter_search(small_model, corpus, context_len, compression, grid, small_profile)
+        assert len(calls) == report.chunks_evaluated * len(nodes)
+        monkeypatch.undo()
         for point, plan in zip(report.grid, plans):
-            assert point.loss == chunked_perplexity(small_model, corpus, 48, plan)
+            assert point.loss == chunked_perplexity(small_model, corpus, context_len, plan)  # bit-for-bit
+        assert report.grid[-1].loss == report.grid[grid.index((0.63, 0.3))].loss
         assert report.uniform_loss == report.grid[0].loss  # (0, 0) is the uniform plan
 
     def test_empty_grid(self, small_model, small_profile, rng):
