@@ -51,8 +51,18 @@ def apportion_largest_remainder(shares: list[float], total: int) -> list[int]:
     return out
 
 
+def _check_compression(compression: float) -> None:
+    """The compression range rule of every plan builder: (0, 1], so not NaN."""
+    if not 0.0 < compression <= 1.0:
+        raise AllocationError(f"compression must be in (0, 1], got {compression}")
+
+
 def global_budget(config: ModelConfig, compression: float) -> int:
-    """Total retained tokens across all caches at a compression ratio."""
+    """Total retained tokens across all caches at a compression ratio.
+
+    Every strategy's budgets start here, so here the range is checked.
+    """
+    _check_compression(compression)
     return round_half_up(
         compression * config.num_layers * config.num_kv_heads * config.max_context
     )
@@ -125,8 +135,6 @@ def uniform_plan(
     layer), so a reallocation pass with no-op parameters reproduces this
     plan bit for bit.
     """
-    if not 0.0 < compression <= 1.0:
-        raise AllocationError(f"compression must be in (0, 1], got {compression}")
     rows = [
         _split_layer_total(config, layer_total)
         for layer_total in _uniform_layer_totals(config, compression)
@@ -301,8 +309,7 @@ def window_plan(
     """
     if not 0 <= layer_lo <= layer_hi < config.num_layers:
         raise AllocationError(f"bad layer window [{layer_lo}, {layer_hi}]")
-    if not 0.0 < compression <= 1.0:
-        raise AllocationError(f"compression must be in (0, 1], got {compression}")
+    _check_compression(compression)
     budgets = np.full(
         (config.num_layers, config.num_kv_heads), config.max_context, dtype=np.int64
     )

@@ -25,6 +25,7 @@ from .numerics import softmax
 
 
 EMPTY = np.iinfo(np.int64).max  # the position of an unused slot: no query sees it
+SCORE_CAP = 1 << 17  # elements in one attention score buffer: 512 KiB of float32
 
 
 def _raise_floor_violations(budgets: np.ndarray, sinks: int) -> None:
@@ -170,7 +171,10 @@ def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.nd
     total_seen - t_q + j of that group; it attends over the group's
     retained tokens with position <= its own. Only the live width (the
     most rows any group holds) is read; unused slots are masked by their
-    EMPTY position. Returns one output row per query, shaped like `q`.
+    EMPTY position. Groups run in tiles whose score buffer holds at most
+    SCORE_CAP elements (one group at least); each group's result is the
+    same whatever the tiling. Returns one output row per query, shaped
+    like `q`.
     """
     store = cache if isinstance(cache, LayerStore) else cache.store
     g = slice(None) if cache is store else slice(cache.group, cache.group + 1)
@@ -186,16 +190,24 @@ def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.nd
         raise InputError("attention needs at least one query and one retained token")
 
     q4 = q.reshape((1,) * (4 - q.ndim) + q.shape)
-    scores = q4 @ keys[:, None, :width].swapaxes(-1, -2)  # (groups, heads, t_q, width)
-    scores /= np.float32(math.sqrt(d))
-    if t_q > 1 or min(lengths) < width:
+    masked = t_q > 1 or min(lengths) < width
+    if masked:
         q_pos = np.add.outer(seen, np.arange(-t_q, 0))  # (groups, t_q)
-        hidden = positions[:, None, None, :width] > q_pos[:, None, :, None]
-        if t_q > 1 and np.any(np.all(hidden, axis=-1)):
-            raise InputError("a query row has no retained token at or before its position")
-        np.copyto(scores, np.float32(-np.inf), where=hidden)
-    softmax(scores, out=scores)
-    return (scores @ values[:, None, :width]).reshape(q.shape)
+    step = max(1, SCORE_CAP // (q4.shape[1] * t_q * width))
+    tiles = []
+    for lo in range(0, groups, step):
+        hi = lo + step
+        scores = q4[lo:hi] @ keys[lo:hi, None, :width].swapaxes(-1, -2)  # (tile, heads, t_q, width)
+        scores /= np.float32(math.sqrt(d))
+        if masked:
+            hidden = positions[lo:hi, None, None, :width] > q_pos[lo:hi, None, :, None]
+            if t_q > 1 and np.any(np.all(hidden, axis=-1)):
+                raise InputError("a query row has no retained token at or before its position")
+            np.copyto(scores, np.float32(-np.inf), where=hidden)
+        softmax(scores, out=scores)
+        tiles.append(scores @ values[lo:hi, None, :width])
+    # a single tile is returned as is, without a copy
+    return (tiles[0] if len(tiles) == 1 else np.concatenate(tiles)).reshape(q.shape)
 
 
 @dataclass

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cache import BudgetedCache, CacheSet, append_and_evict, attend_with_cache
 from .config import ModelConfig
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, FormatError, InputError, ShapeError
 
 RMS_EPS = 1e-5
 WEIGHT_STD = 0.02
@@ -58,12 +58,11 @@ class Model:
 class ProbeCapture:
     """Per-head and per-layer tensors captured for the processed tokens.
 
-    head_input_v duplicates the shared group V across the query heads of
-    one KV group so each (layer, head) pair carries a like-shaped input
-    and output.
+    head_input_v holds each KV group's V once; query head h reads group
+    h // group_size.
     """
 
-    head_input_v: np.ndarray  # (layers, q_heads, tokens, head_dim)
+    head_input_v: np.ndarray  # (layers, kv_groups, tokens, head_dim)
     head_output: np.ndarray  # (layers, q_heads, tokens, head_dim)
     layer_input: np.ndarray  # (layers, tokens, d_model)
     layer_output: np.ndarray  # (layers, tokens, d_model)
@@ -112,20 +111,44 @@ def _silu(x: np.ndarray) -> np.ndarray:
         return x / (1.0 + np.exp(-x))
 
 
-def rope_rotate(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
-    """Rotate per-head vectors by their absolute positions.
+_ROPE_TABLES: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    x: (tokens, heads, head_dim). Angles are computed in float64 and the
-    rotation applied in float32.
-    """
-    head_dim = x.shape[-1]
+
+def _rope_rows(
+    theta: float, head_dim: int, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """float32 cos and sin rows (tokens, head_dim // 2) of non-negative
+    positions, read from tables memoized per (theta, head_dim) and grown
+    by doubling when a position is past their end."""
+    key = (theta, head_dim)
+    if key in _ROPE_TABLES:
+        cos_table, sin_table = _ROPE_TABLES[key]
+        try:
+            return cos_table[positions], sin_table[positions]
+        except IndexError:
+            size = max(int(positions.max()) + 1, 2 * len(cos_table))
+    else:
+        size = int(positions.max(initial=0)) + 1
     half = head_dim // 2
     inv_freq = theta ** (-2.0 * np.arange(half, dtype=np.float64) / head_dim)
-    angles = positions.astype(np.float64)[:, None] * inv_freq[None, :]
-    cos = np.cos(angles).astype(np.float32)[:, None, :]
-    sin = np.sin(angles).astype(np.float32)[:, None, :]
+    angles = np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]
+    _ROPE_TABLES[key] = np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+    return _rope_rows(theta, head_dim, positions)
+
+
+def rope_rotate(
+    x: np.ndarray, positions: np.ndarray, theta: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rotate per-head vectors by their absolute positions, into `out` if given.
+
+    x: (tokens, heads, head_dim); positions are non-negative. Angles are
+    computed in float64 and the rotation applied in float32.
+    """
+    half = x.shape[-1] // 2
+    cos, sin = _rope_rows(theta, x.shape[-1], positions)
+    cos, sin = cos[:, None, :], sin[:, None, :]
     x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1, out=out)
 
 
 def check_tokens(tokens, vocab_size: int) -> np.ndarray:
@@ -150,50 +173,64 @@ def forward_layer(
     caches: list[BudgetedCache],
     probes: ProbeCapture | None = None,
 ) -> np.ndarray:
-    """Run hidden states x (tokens, d_model) through layer li; returns the new ones.
+    """Run hidden states x (batch, tokens, d_model) through layer li; returns the new ones.
 
-    `caches` are the layer's KV groups, sharing one store. Only the cache
-    append and attention are stepped: one segment of as many tokens as
-    every cache of this layer can take without evicting, then single
-    tokens, so each cache sees the appends and retained sets of
-    token-by-token generation. The result depends on x and these caches
-    only. Fills layer li of `probes` if given.
+    Every sequence of the batch is at the same `positions`. `caches` are
+    the layer's batch * kv_groups caches, batch-major, sharing one store.
+    Only the cache append and attention are stepped: one segment of as
+    many tokens as every cache of this layer can take without evicting,
+    then single tokens, so each cache sees the appends and retained sets
+    of token-by-token generation. Each segment makes one append per cache
+    and one attention call for the whole batch; the dense ops run one
+    sequence at a time, so their temporaries stay the size of one
+    sequence. Each sequence's result depends on its own x and caches
+    only. Fills layer li of `probes` if given (a batch of one).
     """
     cfg = model.config
     layer = model.layers[li]
-    n = x.shape[0]
-    kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
+    batch, n, _ = x.shape
+    hq, kv, g, d = cfg.num_q_heads, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
+    if len(caches) != batch * kv:
+        raise ShapeError(f"{len(caches)} caches for a batch of {batch} with {kv} KV groups")
     # a full cache steps one token at a time
     first = max(1, min(n, min(c.budget - c.retained for c in caches)))
     segments = [(0, first), *((i, i + 1) for i in range(first, n))]
 
     if probes is not None:
-        probes.layer_input[li] = x
-    h = rms_norm(x, layer.norm1)
-    q = (h @ layer.attn_q).reshape(n, cfg.num_q_heads, d)
-    k = (h @ layer.attn_k).reshape(n, kv, d)
-    v = (h @ layer.attn_v).reshape(n, kv, d)
-    qk = rope_rotate(np.concatenate([q, k], axis=1), positions, cfg.rope_theta)
-    # (kv, g, n, d) views: the query heads of a group share its cache
-    q_groups = qk[:, : cfg.num_q_heads].reshape(n, kv, g, d).transpose(1, 2, 0, 3)
-    k = qk[:, cfg.num_q_heads :]
+        probes.layer_input[li] = x[0]
+    qk = np.empty((batch, n, hq + kv, d), np.float32)
+    vs = []
+    for b in range(batch):
+        h = rms_norm(x[b], layer.norm1)
+        q = (h @ layer.attn_q).reshape(n, hq, d)
+        k = (h @ layer.attn_k).reshape(n, kv, d)
+        vs.append((h @ layer.attn_v).reshape(n, kv, d))
+        rope_rotate(np.concatenate([q, k], axis=1), positions, cfg.rope_theta, out=qk[b])
+    # (batch * kv, g, n, d): the query heads of a group share its cache
+    q_groups = qk[:, :, :hq].reshape(batch, n, kv, g, d).transpose(0, 2, 3, 1, 4)
+    q_groups = q_groups.reshape(batch * kv, g, n, d)
+    k = qk[:, :, hq:]
+    slots = [(b, grp) for b in range(batch) for grp in range(kv)]
 
-    heads = probes.head_output[li] if probes is not None else np.empty((cfg.num_q_heads, n, d), np.float32)
-    head_groups = heads.reshape(kv, g, n, d)
+    heads = probes.head_output[li, None] if probes is not None else np.empty((batch, hq, n, d), np.float32)
+    head_groups = heads.reshape(batch * kv, g, n, d)
     store = caches[0].store
-    for a, b in segments:
-        for grp, cache in enumerate(caches):
-            append_and_evict(cache, k[a:b, grp], v[a:b, grp], positions[a:b])
-        head_groups[:, :, a:b] = attend_with_cache(store, q_groups[:, :, a:b])
+    for a, e in segments:
+        pos = positions[a:e]
+        for cache, (b, grp) in zip(caches, slots):
+            append_and_evict(cache, k[b, a:e, grp], vs[b][a:e, grp], pos)
+        head_groups[:, :, a:e] = attend_with_cache(store, q_groups[:, :, a:e])
     if probes is not None:
-        probes.head_input_v[li] = np.repeat(v.transpose(1, 0, 2), g, axis=0)
-    x = x + heads.transpose(1, 0, 2).reshape(n, cfg.num_q_heads * d) @ layer.attn_out
+        probes.head_input_v[li] = vs[0].transpose(1, 0, 2)
 
-    h2 = rms_norm(x, layer.norm2)
-    x = x + _silu(h2 @ layer.mlp_in) @ layer.mlp_out
+    out = np.empty(x.shape, np.float32)
+    for b in range(batch):
+        xb = x[b] + heads[b].transpose(1, 0, 2).reshape(n, hq * d) @ layer.attn_out
+        h2 = rms_norm(xb, layer.norm2)
+        np.add(xb, _silu(h2 @ layer.mlp_in) @ layer.mlp_out, out=out[b])
     if probes is not None:
-        probes.layer_output[li] = x
-    return x
+        probes.layer_output[li] = out[0]
+    return out
 
 
 def forward_chunk(
@@ -231,13 +268,14 @@ def forward_chunk(
 
     probes = None
     if capture:
-        shapes = [(cfg.num_q_heads, n, cfg.head_dim)] * 2 + [(n, cfg.d_model)] * 2
+        shapes = [(cfg.num_kv_heads, n, cfg.head_dim), (cfg.num_q_heads, n, cfg.head_dim)]
+        shapes += [(n, cfg.d_model)] * 2
         probes = ProbeCapture(*(np.empty((cfg.num_layers, *s), np.float32) for s in shapes))
     positions = np.arange(start, start + n, dtype=np.int64)
-    x = model.embedding[tokens].astype(np.float32, copy=True)
+    x = model.embedding[tokens[None]].astype(np.float32, copy=True)
     for li, row in enumerate(caches.caches):
         x = forward_layer(model, li, x, positions, row, probes)
-    return output_logits(model, x), probes
+    return output_logits(model, x[0]), probes
 
 
 def greedy_generate(model: Model, prompt, steps: int, caches: CacheSet) -> list[int]:

@@ -46,14 +46,15 @@ class ImportanceProfile:
 def token_cosine_similarities(v_in: np.ndarray, attn_out: np.ndarray) -> np.ndarray:
     """Cosine between like-indexed rows (the last axis), in [-1, 1].
 
-    Inputs are (..., tokens, width); the result drops the last axis. A
-    row whose norm is below 1e-12 on either side counts as unchanged
-    (similarity 1).
+    Inputs are (..., tokens, width) and broadcast against each other; the
+    result drops the last axis. A row whose norm is below 1e-12 on either
+    side counts as unchanged (similarity 1).
     """
     a = np.asarray(v_in, dtype=np.float64)
     b = np.asarray(attn_out, dtype=np.float64)
-    if a.ndim < 2 or a.shape != b.shape:
-        raise ShapeError(f"shapes must match and be at least 2-D, got {a.shape} vs {b.shape}")
+    pairs = zip(a.shape[::-1], b.shape[::-1])
+    if min(a.ndim, b.ndim) < 2 or any(m != n and 1 not in (m, n) for m, n in pairs):
+        raise ShapeError(f"shapes must broadcast and be at least 2-D, got {a.shape} vs {b.shape}")
     na = np.linalg.norm(a, axis=-1)
     nb = np.linalg.norm(b, axis=-1)
     # bit-identical rows are exactly unchanged: report 1 with no rounding
@@ -133,8 +134,12 @@ def profile_model(
     for arr in arrays:
         caches = build_cache_set(uniform_plan(cfg, 1.0, sinks=0), cfg)
         _, probes = forward_chunk(model, arr, caches, capture=True)
-        # (layers, q_heads, tokens): every head's token cosines in one pass
-        token_sims = token_cosine_similarities(probes.head_input_v, probes.head_output)
+        # (layers, q_heads, tokens): every head's token cosines in one pass,
+        # each group's V broadcast over its query heads
+        layers, q_heads, t, d = probes.head_output.shape
+        out = probes.head_output.reshape(layers, cfg.num_kv_heads, cfg.group_size, t, d)
+        token_sims = token_cosine_similarities(probes.head_input_v[:, :, None], out)
+        token_sims = token_sims.reshape(layers, q_heads, t)
         per_prompt_head.append(_unit_mean(token_sims))
         layer_cos = token_cosine_similarities(probes.layer_input, probes.layer_output)
         per_prompt_layer.append(_unit_mean(layer_cos))

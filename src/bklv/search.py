@@ -28,6 +28,8 @@ from .profiling import ImportanceProfile, spearman
 DEFAULT_T_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
 DEFAULT_R_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_WINDOW = 5
+# chunks on one evaluation batch: bounds the hidden states and caches a trie walk holds
+CHUNK_BATCH = 8
 
 
 def _mean_nll(logits: np.ndarray, tokens: np.ndarray) -> float:
@@ -55,10 +57,12 @@ def evaluate_plans(
     """Each plan's mean chunk loss over consecutive non-overlapping chunks.
 
     The corpus splits into chunks of `context_len` tokens (a trailing
-    partial chunk is dropped), each run from empty caches. A layer's
-    output depends only on its input and its own budget row, so per chunk
-    the plans' rows form a trie, walked depth-first: each distinct prefix
-    runs its last layer once and each leaf is scored once. Rows are keyed
+    partial chunk is dropped), each run from empty caches. Every chunk
+    follows the same stepping schedule, so up to CHUNK_BATCH chunks run
+    together on forward_layer's batch axis. A layer's output depends only
+    on its input and its own budget row, so the plans' rows form a trie,
+    walked depth-first once per batch: each distinct prefix runs its last
+    layer once for the batch and each leaf is scored once. Rows are keyed
     by sinks and min(budget, context_len), since a cache that never fills
     evicts nothing. A plan's loss equals its one-plan evaluation bit for bit.
     """
@@ -84,23 +88,28 @@ def evaluate_plans(
         for plan in plans
     ]
     positions = np.arange(context_len, dtype=np.int64)
-    losses = [[] for _ in plans]
+    losses = [[] for _ in plans]  # per plan, one loss per chunk in corpus order
 
-    def walk(depth, x, members, tokens):
+    def walk(depth, x, members, batch):
         if depth == cfg.num_layers:
-            nll = _mean_nll(output_logits(model, x), tokens)
+            nlls = [_mean_nll(output_logits(model, xb), tokens) for xb, tokens in zip(x, batch)]
             for i in members:
-                losses[i].append(nll)
+                losses[i].extend(nlls)
             return
         children = {}
         for i in members:
             children.setdefault(rows[i][depth], []).append(i)
         for (sinks, budgets), group in children.items():
-            caches = layer_caches(budgets, sinks, cfg.head_dim)
-            walk(depth + 1, forward_layer(model, depth, x, positions, caches), group, tokens)
+            # the caches go unnamed, so they are freed before the walk descends
+            x_next = forward_layer(
+                model, depth, x, positions, layer_caches(list(budgets) * len(batch), sinks, cfg.head_dim)
+            )
+            walk(depth + 1, x_next, group, batch)
 
-    for tokens in chunks.reshape(n_chunks, context_len):
-        walk(0, model.embedding[tokens].astype(np.float32, copy=True), range(len(plans)), tokens)
+    chunks = chunks.reshape(n_chunks, context_len)
+    for lo in range(0, n_chunks, CHUNK_BATCH):
+        batch = chunks[lo : lo + CHUNK_BATCH]
+        walk(0, model.embedding[batch].astype(np.float32, copy=True), range(len(plans)), batch)
     return [float(np.mean(plan_losses)) for plan_losses in losses]
 
 

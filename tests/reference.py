@@ -149,7 +149,7 @@ def reference_budgeted_logits(model, tokens, budgets, sinks: int):
     hist_k = np.zeros((cfg.num_layers, cfg.num_kv_heads, t, cfg.head_dim), np.float32)
     hist_v = np.zeros_like(hist_k)
     probes = {
-        "head_input_v": np.zeros((cfg.num_layers, cfg.num_q_heads, t, cfg.head_dim), np.float32),
+        "head_input_v": np.zeros((cfg.num_layers, cfg.num_kv_heads, t, cfg.head_dim), np.float32),
         "head_output": np.zeros((cfg.num_layers, cfg.num_q_heads, t, cfg.head_dim), np.float32),
         "layer_input": np.zeros((cfg.num_layers, t, cfg.d_model), np.float32),
         "layer_output": np.zeros((cfg.num_layers, t, cfg.d_model), np.float32),
@@ -166,6 +166,7 @@ def reference_budgeted_logits(model, tokens, budgets, sinks: int):
             for grp in range(cfg.num_kv_heads):
                 hist_k[li, grp, pos] = _ref_rope_row(k[grp], pos, cfg.rope_theta)
                 hist_v[li, grp, pos] = v[grp]
+                probes["head_input_v"][li, grp, pos] = v[grp]
             heads = np.zeros((cfg.num_q_heads, cfg.head_dim), np.float32)
             for head in range(cfg.num_q_heads):
                 grp = head // g
@@ -174,7 +175,6 @@ def reference_budgeted_logits(model, tokens, budgets, sinks: int):
                 heads[head] = brute_attention(
                     query[None], hist_k[li, grp, kept], hist_v[li, grp, kept], causal=False
                 )[0]
-                probes["head_input_v"][li, head, pos] = v[grp]
                 probes["head_output"][li, head, pos] = heads[head]
             x = x + heads.reshape(1, -1) @ layer.attn_out
             h2 = _ref_rms(x, layer.norm2)

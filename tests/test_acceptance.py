@@ -141,7 +141,8 @@ def test_criterion_4_heuristic_range_and_identity(toy):
         _, probes = forward_chunk(toy, [256], caches, capture=True)
         for li in range(TOY.num_layers):
             for head in range(TOY.num_q_heads):
-                sim = head_similarity(probes.head_input_v[li, head], probes.head_output[li, head])
+                v_in = probes.head_input_v[li, head // TOY.group_size]
+                sim = head_similarity(v_in, probes.head_output[li, head])
                 assert head_importance(sim) == 0.0
 
         again = profile_model(toy, prompts)

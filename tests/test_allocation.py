@@ -74,10 +74,18 @@ class TestUniformPlan:
             uniform_plan(TOY, 0.001, sinks=4)
 
     def test_compression_out_of_range(self):
-        with pytest.raises(AllocationError):
-            uniform_plan(TOY, 0.0)
-        with pytest.raises(AllocationError):
-            uniform_plan(TOY, 1.5)
+        # one rule for every strategy and the sweep's window plans
+        profile = _profile(TOY, np.full((4, 4), 0.5), np.full(4, 0.5))
+        builders = [
+            *(lambda c, s=s: build_plan(profile, TOY, s, c, PlanParams(t=0.6, r=0.3))
+              for s in ("uniform", "layerwise", "baklava")),
+            lambda c: uniform_plan(TOY, c),
+            lambda c: window_plan(TOY, 1, 2, c),
+        ]
+        for build in builders:
+            for compression in (0.0, -0.2, 1.5, float("nan"), float("inf")):
+                with pytest.raises(AllocationError, match=r"compression must be in \(0, 1\]"):
+                    build(compression)
 
     def test_inexact_compression_conserves_total(self):
         plan = uniform_plan(TOY, 0.3)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from bklv import (
     uniform_plan,
 )
 from bklv.allocation import AllocationPlan, PlanParams, floor_violations, validate_plan
+from bklv import cache as cache_module
 from bklv.cache import EMPTY
 
 from .conftest import SMALL
@@ -285,6 +288,53 @@ class TestLayerStoreAttention:
         with pytest.raises(InputError, match="one retained token"):
             attend_with_cache(store, np.stack([q[None]] * 2))  # group 0 is empty
         assert np.array_equal(attend_with_cache(cache, q), row)
+
+
+class TestScoreTiling:
+    """attend_with_cache under a small score cap against the one-tile call."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        budgets=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        sinks=st.integers(0, 3),
+        first=st.integers(1, 14),
+        steps=st.integers(0, 5),
+        heads=st.integers(1, 3),
+        cap=st.sampled_from([1, 7, 100, 1000]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_tiled_equals_untiled_and_brute_force(
+        self, budgets, sinks, first, steps, heads, cap, seed
+    ):
+        budgets = [b + sinks for b in budgets]
+        groups, total = len(budgets), first + steps
+        store = LayerStore(groups, max(budgets), HEAD_DIM)
+        views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
+        rng = np.random.default_rng(seed)
+        k = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
+        v = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
+        for a, b in [(0, first), *((i, i + 1) for i in range(first, total))]:
+            for g in range(groups):
+                append_and_evict(views[g], k[g, a:b], v[g, a:b], np.arange(a, b))
+            q = rng.normal(size=(groups, heads, b - a, HEAD_DIM)).astype(np.float32)
+            visible = [
+                [[p for p in sink_window_trace(budget, sinks, b) if p <= a + j]
+                 for j in range(b - a)]
+                for budget in budgets
+            ]
+            if any(not rows for group in visible for rows in group):
+                with mock.patch.object(cache_module, "SCORE_CAP", cap):
+                    with pytest.raises(InputError, match="no retained token"):
+                        attend_with_cache(store, q)
+                continue
+            untiled = attend_with_cache(store, q)
+            with mock.patch.object(cache_module, "SCORE_CAP", cap):
+                tiled = attend_with_cache(store, q)
+            assert np.array_equal(tiled, untiled)
+            for g in range(groups):
+                for j, kept in enumerate(visible[g]):
+                    expected = brute_attention(q[g, :, j], k[g, kept], v[g, kept], causal=False)
+                    np.testing.assert_allclose(tiled[g, :, j], expected, atol=1e-6)
 
 
 class TestCacheSet:

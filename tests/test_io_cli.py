@@ -540,6 +540,44 @@ class TestCli:
         assert err["error"].startswith(f"{name} must be in [0, 1")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["plan", "search"])
+    def test_nan_compression_rejected(self, cli_env, command, capsys):
+        d = cli_env["dir"]
+        prof = str(d / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        out = str(d / "nan.json")
+        argv = {
+            "plan": ["plan", "--profile", prof, "--strategy", "baklava", "--t", "0.7", "--r", "0.3"],
+            "search": ["search", "--model", cli_env["model"], "--profile", prof,
+                       "--corpus", cli_env["corpus"], "--context-len", "48"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--compression", "nan", "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "compression must be in (0, 1], got nan"
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".manifest")
+
+    def test_eval_plan_with_nan_compression_rejected(self, cli_env, capsys):
+        d = cli_env["dir"]
+        prof, plan, out = (str(d / name) for name in ("prof.json", "plan.json", "eval.json"))
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "0.5", "--out", plan])
+        with open(plan) as fh:
+            doc = json.load(fh)
+        doc["requested_compression"] = float("nan")
+        with open(plan, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        rc = main(["eval", "--model", cli_env["model"], "--plan", plan, "--corpus", cli_env["corpus"],
+                   "--context-len", "48", "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "compression must be in (0, 1], got nan"
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command", ["search", "sweep"])
     def test_profile_from_another_model_rejected(self, cli_env, tmp_path, command, capsys):
         other = str(tmp_path / "seed8.bklv")

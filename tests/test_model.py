@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,9 +20,11 @@ from bklv import (
     reset,
     uniform_plan,
 )
+from bklv import cache as cache_module
 from bklv import model as model_module
 from bklv.allocation import AllocationPlan, PlanParams
-from bklv.model import deserialize_model, serialize_model
+from bklv.cache import layer_caches
+from bklv.model import deserialize_model, forward_layer, rope_rotate, serialize_model
 
 from .conftest import SMALL
 from .reference import (
@@ -170,8 +174,8 @@ class TestForwardChunk:
         _, probes = forward_chunk(
             small_model, list(range(n)), _fresh_caches(small_model), capture=True
         )
-        assert probes.head_input_v.shape == (cfg.num_layers, cfg.num_q_heads, n, cfg.head_dim)
-        assert probes.head_output.shape == probes.head_input_v.shape
+        assert probes.head_input_v.shape == (cfg.num_layers, cfg.num_kv_heads, n, cfg.head_dim)
+        assert probes.head_output.shape == (cfg.num_layers, cfg.num_q_heads, n, cfg.head_dim)
         assert probes.layer_input.shape == (cfg.num_layers, n, cfg.d_model)
         assert probes.layer_output.shape == probes.layer_input.shape
 
@@ -282,6 +286,80 @@ class TestBudgetedStepping:
         for row, first in zip(caches.caches, (4, 10)):
             for cache in row:
                 assert [n for c, n in appends if c is cache] == [first] + [1] * (16 - first)
+
+
+@st.composite
+def _layer_batches(draw):
+    """One layer of SMALL: unequal budgets, random sinks, a batch of
+    hidden-state sequences, a shared prefix already in the caches (none,
+    or enough to fill some), and a score cap that forces tiling or not."""
+    sinks = draw(st.integers(0, 4))
+    budgets = [draw(st.integers(sinks + 1, 20)) for _ in range(SMALL.num_kv_heads)]
+    batch = draw(st.integers(1, 4))
+    prefix = draw(st.integers(0, 24))
+    n = draw(st.integers(1, 24))
+    cap = draw(st.sampled_from([cache_module.SCORE_CAP, 1, 50]))
+    li = draw(st.integers(0, SMALL.num_layers - 1))
+    return budgets, sinks, batch, prefix, n, cap, li, draw(st.integers(0, 2**16))
+
+
+class TestBatchedLayer:
+    """forward_layer over a batch against one call per sequence, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_layer_batches())
+    # the prefix fills group 0 and leaves group 1 partly free
+    @example(([3, 9], 2, 3, 5, 12, cache_module.SCORE_CAP, 1, 0))
+    # one group per score tile; the first segment has 9 rows
+    @example(([9, 10], 0, 4, 0, 16, 1, 0, 1))
+    def test_batch_equals_one_sequence_calls(self, small_model, case):
+        budgets, sinks, batch, prefix, n, cap, li, seed = case
+        cfg = SMALL
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, prefix + n, cfg.d_model)).astype(np.float32)
+        positions = np.arange(prefix + n)
+        together = layer_caches(budgets * batch, sinks, cfg.head_dim)
+        alone = [layer_caches(budgets, sinks, cfg.head_dim) for _ in range(batch)]
+        bounds = [0, prefix, prefix + n] if prefix else [0, n]
+        with mock.patch.object(cache_module, "SCORE_CAP", cap):
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                got = forward_layer(small_model, li, x[:, a:b], positions[a:b], together)
+                assert got.shape == (batch, b - a, cfg.d_model)
+                for seq in range(batch):
+                    one = forward_layer(
+                        small_model, li, x[seq : seq + 1, a:b], positions[a:b], alone[seq]
+                    )
+                    assert np.array_equal(got[seq], one[0])
+        for seq, caches in enumerate(alone):
+            for grp, cache in enumerate(caches):
+                mine = together[seq * cfg.num_kv_heads + grp]
+                assert (mine.retained, mine.total_seen) == (cache.retained, cache.total_seen)
+                for name in ("keys", "values", "positions"):
+                    assert np.array_equal(getattr(mine, name), getattr(cache, name)), name
+
+    def test_cache_count_must_match_the_batch(self, small_model):
+        caches = layer_caches([8] * SMALL.num_kv_heads, 1, SMALL.head_dim)
+        x = np.zeros((2, 3, SMALL.d_model), np.float32)
+        with pytest.raises(ShapeError):
+            forward_layer(small_model, 0, x, np.arange(3), caches)
+
+
+class TestRope:
+    def test_memoized_tables_match_the_direct_formula(self, rng):
+        model_module._ROPE_TABLES.clear()
+        for theta, head_dim in ((10000.0, 16), (500.0, 8)):
+            half = head_dim // 2
+            inv_freq = theta ** (-2.0 * np.arange(half, dtype=np.float64) / head_dim)
+            # the tables grow: a row, a short range, random positions, a long range
+            steps = (np.array([7]), np.arange(60, 64), rng.integers(0, 2048, 50), np.arange(4096))
+            for positions in steps:
+                x = rng.normal(size=(positions.size, 3, head_dim)).astype(np.float32)
+                angles = positions.astype(np.float64)[:, None] * inv_freq[None, :]
+                cos = np.cos(angles).astype(np.float32)[:, None, :]
+                sin = np.sin(angles).astype(np.float32)[:, None, :]
+                x1, x2 = x[..., :half], x[..., half:]
+                expected = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+                assert np.array_equal(rope_rotate(x, positions, theta), expected)
 
 
 class TestGreedyGenerate:

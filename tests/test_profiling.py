@@ -156,7 +156,8 @@ class TestProfileModel:
         cfg = small_model.config
         for li in range(cfg.num_layers):
             for head in range(cfg.num_q_heads):
-                sim = head_similarity(probes.head_input_v[li, head], probes.head_output[li, head])
+                v_in = probes.head_input_v[li, head // cfg.group_size]
+                sim = head_similarity(v_in, probes.head_output[li, head])
                 assert sim == 1.0
                 assert head_importance(sim) == 0.0
 
@@ -178,7 +179,7 @@ class TestProfileModel:
             for grp in range(cfg.num_kv_heads):
                 sims = []
                 for head in range(grp * cfg.group_size, (grp + 1) * cfg.group_size):
-                    a = probes.head_input_v[li, head].astype(np.float64)
+                    a = probes.head_input_v[li, grp].astype(np.float64)
                     b = probes.head_output[li, head].astype(np.float64)
                     cos = [
                         a[i] @ b[i] / (np.linalg.norm(a[i]) * np.linalg.norm(b[i]))
@@ -219,7 +220,8 @@ class TestProfileModel:
         _, probes = forward_chunk(small_model, p, caches, capture=True)
         for li in range(cfg.num_layers):
             for head in range(cfg.num_q_heads):
-                v_in, out = probes.head_input_v[li, head], probes.head_output[li, head]
+                v_in = probes.head_input_v[li, head // cfg.group_size]
+                out = probes.head_output[li, head]
                 assert profile.head_similarity[li, head] == head_similarity(v_in, out)
                 assert np.array_equal(
                     profile.per_token_similarity[0][li, :, head],

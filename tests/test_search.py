@@ -177,6 +177,30 @@ class TestEvaluatePlans:
         permuted = evaluate_plans(small_model, corpus, context_len, [plans[i] for i in order])
         assert permuted == [losses[i] for i in order]
 
+    def test_chunk_batches_match_one_chunk_evaluations(self, small_model, rng, monkeypatch):
+        # five chunks run as batches of 2, 2 and 1; each chunk's loss is its
+        # one-chunk evaluation bit for bit, and the plan loss their mean
+        context_len = 12
+        corpus = _corpus(rng, 5 * context_len + 3)
+        plans = [_plan(2, [[4, 7], [9, 5]]), _plan(0, [[12, 3], [6, 20]])]
+        sizes = []
+
+        def counting(model, li, x, positions, caches):
+            sizes.append(len(x))
+            return forward_layer(model, li, x, positions, caches)
+
+        monkeypatch.setattr(search_module, "CHUNK_BATCH", 2)
+        monkeypatch.setattr(search_module, "forward_layer", counting)
+        losses = evaluate_plans(small_model, corpus, context_len, plans)
+        assert sizes == [2] * 8 + [1] * 4  # 2 batches of 2 chunks, then 1, each over 4 prefixes
+        monkeypatch.undo()
+        for plan, loss in zip(plans, losses):
+            chunk_losses = [
+                evaluate_plans(small_model, corpus[i : i + context_len], context_len, [plan])[0]
+                for i in range(0, 5 * context_len, context_len)
+            ]
+            assert loss == float(np.mean(chunk_losses))
+
     def test_no_plans(self, small_model, rng):
         assert evaluate_plans(small_model, _corpus(rng, 16), 16, []) == []
 
@@ -262,12 +286,13 @@ class TestParameterSearch:
         calls = []
 
         def counting(model, li, x, positions, caches):
-            calls.append(li)
+            calls.append(len(x))
             return forward_layer(model, li, x, positions, caches)
 
         monkeypatch.setattr(search_module, "forward_layer", counting)
         report = parameter_search(small_model, corpus, context_len, compression, grid, small_profile)
-        assert len(calls) == report.chunks_evaluated * len(nodes)
+        # one call per canonical prefix, with every chunk on its batch axis
+        assert calls == [report.chunks_evaluated] * len(nodes)
         monkeypatch.undo()
         for point, plan in zip(report.grid, plans):
             assert point.loss == chunked_perplexity(small_model, corpus, context_len, plan)  # bit-for-bit
