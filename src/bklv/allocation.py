@@ -352,7 +352,10 @@ def validate_plan(plan: AllocationPlan, config: ModelConfig) -> list[str]:
     if plan.budgets.shape != expected_shape:
         return [f"budget matrix shape {plan.budgets.shape} does not match {expected_shape}"]
     violations = floor_violations(plan.budgets, plan.sinks)
-    expected_total = global_budget(config, plan.compression_ratio)
+    try:
+        expected_total = global_budget(config, plan.compression_ratio)
+    except AllocationError as exc:  # the compression range rule
+        return violations + [str(exc)]
     if plan.total_tokens != expected_total:
         violations.append(
             f"budget total {plan.total_tokens} does not conserve the global "

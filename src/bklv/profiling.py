@@ -52,9 +52,12 @@ def token_cosine_similarities(v_in: np.ndarray, attn_out: np.ndarray) -> np.ndar
     """
     a = np.asarray(v_in, dtype=np.float64)
     b = np.asarray(attn_out, dtype=np.float64)
-    pairs = zip(a.shape[::-1], b.shape[::-1])
-    if min(a.ndim, b.ndim) < 2 or any(m != n and 1 not in (m, n) for m, n in pairs):
-        raise ShapeError(f"shapes must broadcast and be at least 2-D, got {a.shape} vs {b.shape}")
+    if min(a.ndim, b.ndim) < 2:
+        raise ShapeError(f"inputs must be at least 2-D, got {a.shape} vs {b.shape}")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError as exc:
+        raise ShapeError(f"shapes {a.shape} and {b.shape} do not broadcast") from exc
     na = np.linalg.norm(a, axis=-1)
     nb = np.linalg.norm(b, axis=-1)
     # bit-identical rows are exactly unchanged: report 1 with no rounding

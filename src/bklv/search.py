@@ -28,8 +28,10 @@ from .profiling import ImportanceProfile, spearman
 DEFAULT_T_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
 DEFAULT_R_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_WINDOW = 5
-# chunks on one evaluation batch: bounds the hidden states and caches a trie walk holds
-CHUNK_BATCH = 8
+# elements of one batched hidden state (chunks x context_len x d_model), 1 MiB
+# of float32: 8 chunks of the README's 256 tokens. A trie walk holds one such
+# state per branching node on its path, plus the layer it is running.
+HIDDEN_CAP = 1 << 18
 
 
 def _mean_nll(logits: np.ndarray, tokens: np.ndarray) -> float:
@@ -58,13 +60,14 @@ def evaluate_plans(
 
     The corpus splits into chunks of `context_len` tokens (a trailing
     partial chunk is dropped), each run from empty caches. Every chunk
-    follows the same stepping schedule, so up to CHUNK_BATCH chunks run
-    together on forward_layer's batch axis. A layer's output depends only
-    on its input and its own budget row, so the plans' rows form a trie,
-    walked depth-first once per batch: each distinct prefix runs its last
-    layer once for the batch and each leaf is scored once. Rows are keyed
-    by sinks and min(budget, context_len), since a cache that never fills
-    evicts nothing. A plan's loss equals its one-plan evaluation bit for bit.
+    follows the same stepping schedule, so chunks run together on
+    forward_layer's batch axis, as many as fit HIDDEN_CAP (one at least).
+    A layer's output depends only on its input and its own budget row, so
+    the plans' rows form a trie, walked depth-first once per batch: each
+    distinct prefix runs its last layer once for the batch and each leaf
+    is scored once. Rows are keyed by sinks and min(budget, context_len),
+    since a cache that never fills evicts nothing. A plan's loss equals
+    its one-plan evaluation bit for bit.
     """
     corpus_tokens = np.asarray(corpus_tokens, dtype=np.int64)
     cfg = model.config
@@ -90,25 +93,33 @@ def evaluate_plans(
     positions = np.arange(context_len, dtype=np.int64)
     losses = [[] for _ in plans]  # per plan, one loss per chunk in corpus order
 
-    def walk(depth, x, members, batch):
-        if depth == cfg.num_layers:
-            nlls = [_mean_nll(output_logits(model, xb), tokens) for xb, tokens in zip(x, batch)]
-            for i in members:
-                losses[i].extend(nlls)
-            return
-        children = {}
-        for i in members:
-            children.setdefault(rows[i][depth], []).append(i)
-        for (sinks, budgets), group in children.items():
-            # the caches go unnamed, so they are freed before the walk descends
-            x_next = forward_layer(
-                model, depth, x, positions, layer_caches(list(budgets) * len(batch), sinks, cfg.head_dim)
-            )
-            walk(depth + 1, x_next, group, batch)
+    def step(depth, x, key):
+        sinks, budgets = key
+        caches = layer_caches(list(budgets) * len(x), sinks, cfg.head_dim)
+        return forward_layer(model, depth, x, positions, caches)
 
+    def walk(depth, x, members, batch):
+        while depth < cfg.num_layers:
+            children = {}
+            for i in members:
+                children.setdefault(rows[i][depth], []).append(i)
+            *branches, (key, members) = children.items()
+            for branch, group in branches:
+                walk(depth + 1, step(depth, x, branch), group, batch)
+            # the last child replaces x, so a chain of single children holds
+            # one hidden state per branching node, not one per layer
+            x = step(depth, x, key)
+            depth += 1
+        nlls = [_mean_nll(output_logits(model, xb), tokens) for xb, tokens in zip(x, batch)]
+        for i in members:
+            losses[i].extend(nlls)
+
+    if not plans:
+        return []
     chunks = chunks.reshape(n_chunks, context_len)
-    for lo in range(0, n_chunks, CHUNK_BATCH):
-        batch = chunks[lo : lo + CHUNK_BATCH]
+    size = max(1, HIDDEN_CAP // (context_len * cfg.d_model))
+    for lo in range(0, n_chunks, size):
+        batch = chunks[lo : lo + size]
         walk(0, model.embedding[batch].astype(np.float32, copy=True), range(len(plans)), batch)
     return [float(np.mean(plan_losses)) for plan_losses in losses]
 

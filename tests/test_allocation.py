@@ -290,6 +290,16 @@ class TestValidatePlan:
         violations = validate_plan(plan, SMALL)
         assert any("conserve" in v for v in violations)
 
+    @pytest.mark.parametrize("compression", [0.0, 1.5, float("nan")])
+    def test_compression_out_of_range_is_a_violation(self, compression):
+        # returned with the floor violations already found, not raised
+        plan = uniform_plan(SMALL, 0.5)
+        plan.budgets[1, 0] = 2
+        plan.compression_ratio = compression
+        violations = validate_plan(plan, SMALL)
+        assert "layer 1 group 0" in violations[0]
+        assert violations[-1] == f"compression must be in (0, 1], got {compression}"
+
     def test_shape_violation(self):
         plan = uniform_plan(SMALL, 0.5)
         violations = validate_plan(plan, TOY)

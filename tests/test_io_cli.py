@@ -575,7 +575,9 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert json.loads(err[0])["error"] == "compression must be in (0, 1], got nan"
+        doc = json.loads(err[0])
+        assert doc["error"] == "plan does not match this model"
+        assert doc["violations"] == ["compression must be in (0, 1], got nan"]
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command", ["search", "sweep"])

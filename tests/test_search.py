@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from bklv import (
     chunked_perplexity,
     evaluate_plans,
     heuristic_vs_empirical,
+    init_model,
     layer_sweep,
     parameter_search,
     profile_model,
@@ -189,7 +191,8 @@ class TestEvaluatePlans:
             sizes.append(len(x))
             return forward_layer(model, li, x, positions, caches)
 
-        monkeypatch.setattr(search_module, "CHUNK_BATCH", 2)
+        # room for two chunks' hidden states, not three
+        monkeypatch.setattr(search_module, "HIDDEN_CAP", 3 * context_len * SMALL.d_model - 1)
         monkeypatch.setattr(search_module, "forward_layer", counting)
         losses = evaluate_plans(small_model, corpus, context_len, plans)
         assert sizes == [2] * 8 + [1] * 4  # 2 batches of 2 chunks, then 1, each over 4 prefixes
@@ -200,6 +203,21 @@ class TestEvaluatePlans:
                 for i in range(0, 5 * context_len, context_len)
             ]
             assert loss == float(np.mean(chunk_losses))
+
+    def test_a_chain_of_layers_frees_each_hidden_state(self, rng, monkeypatch):
+        # one plan is a chain of single children: when a layer runs, no
+        # earlier layer's input is still alive
+        model = init_model(replace(SMALL, num_layers=4))
+        inputs, alive = [], []
+
+        def tracking(model, li, x, positions, caches):
+            alive.append(sum(ref() is not None for ref in inputs))
+            inputs.append(weakref.ref(x))
+            return forward_layer(model, li, x, positions, caches)
+
+        monkeypatch.setattr(search_module, "forward_layer", tracking)
+        evaluate_plans(model, _corpus(rng, 48), 24, [uniform_plan(model.config, 0.5)])
+        assert alive == [0, 0, 0, 0]
 
     def test_no_plans(self, small_model, rng):
         assert evaluate_plans(small_model, _corpus(rng, 16), 16, []) == []
