@@ -8,9 +8,10 @@ position.
 
 The caches of one layer share one preallocated LayerStore, padded to the
 layer's largest budget, and a BudgetedCache is a view of one group's
-rows. Appends and evictions write the store in place, keeping each
-group's rows in position order, and one attention call over a layer's
-store serves all its KV groups and query heads.
+slots. Position p lives in slot p if p < sinks, else in ring slot
+sinks + (p - sinks) % (budget - sinks), so an eviction is one overwrite.
+Keys are stored transposed; one attention call over a layer's store
+serves all its KV groups and query heads.
 """
 
 import math
@@ -37,16 +38,16 @@ def _raise_floor_violations(budgets: np.ndarray, sinks: int) -> None:
 class LayerStore:
     """The preallocated rows of one layer's KV groups.
 
-    keys and values are (groups, width, head_dim) float32 and positions
-    (groups, width) int64, with width the layer's largest budget. Group g
-    holds its lengths[g] retained rows first, in position order; its other
-    slots are zero rows at position EMPTY. seen[g] counts the tokens ever
-    appended to group g.
+    keys are (groups, head_dim, width) float32, transposed, values
+    (groups, width, head_dim) float32 and positions (groups, width) int64,
+    with width the layer's largest budget. Group g fills slots
+    0..lengths[g]-1 (see BudgetedCache); its other slots are zero at
+    position EMPTY. seen[g] counts the tokens ever appended to group g.
     """
 
     def __init__(self, groups: int, width: int, head_dim: int):
-        self.keys = np.zeros((groups, width, head_dim), dtype=np.float32)
-        self.values = np.zeros_like(self.keys)
+        self.keys = np.zeros((groups, head_dim, width), dtype=np.float32)
+        self.values = np.zeros((groups, width, head_dim), dtype=np.float32)
         self.positions = np.full((groups, width), EMPTY, dtype=np.int64)
         self.lengths = [0] * groups
         self.seen = [0] * groups
@@ -66,13 +67,13 @@ class LayerStore:
 
 @dataclass(eq=False)
 class BudgetedCache:
-    """One KV group's rows of a layer store, with a hard token budget.
+    """One KV group's slots of a layer store, with a hard token budget.
 
-    `positions` are absolute token positions, strictly increasing. The
-    retained prefix with positions < sinks is permanent; the rest is a
-    sliding window over the most recent tokens. `keys`, `values` and
-    `positions` are views of the store's retained rows; a cache built on
-    its own gets a one-group store.
+    Sink positions p < sinks are permanent, in slots 0..sinks-1; the rest
+    is a sliding window over the most recent tokens, p in ring slot
+    sinks + (p - sinks) % (budget - sinks). `keys`, `values` and
+    `positions` are (retained, ...) views of the filled slots, in slot
+    order; a cache built on its own gets a one-group store.
     """
 
     budget: int
@@ -87,7 +88,7 @@ class BudgetedCache:
             _raise_floor_violations(np.array([[self.budget]]), self.sinks)
             self.store = LayerStore(1, self.budget, self.head_dim)
         s, g = self.store, self.group
-        self.rows = (s.keys[g], s.values[g], s.positions[g])  # full width
+        self.slots = (s.keys[g], s.values[g], s.positions[g])  # full width, keys transposed
 
     @property
     def retained(self) -> int:
@@ -99,15 +100,15 @@ class BudgetedCache:
 
     @property
     def keys(self) -> np.ndarray:  # (retained, head_dim) float32
-        return self.rows[0][: self.retained]
+        return self.slots[0][:, : self.retained].T
 
     @property
     def values(self) -> np.ndarray:  # (retained, head_dim) float32
-        return self.rows[1][: self.retained]
+        return self.slots[1][: self.retained]
 
     @property
     def positions(self) -> np.ndarray:  # (retained,) int64
-        return self.rows[2][: self.retained]
+        return self.slots[2][: self.retained]
 
 
 def append_and_evict(
@@ -120,10 +121,10 @@ def append_and_evict(
 
     `positions` must continue the stream: arange(total_seen, total_seen + n).
     Repeated single-token eviction of the oldest non-sink is equivalent to
-    keeping the sink prefix plus the most recent tail, which is what this
-    does in one step, in place in the layer store: the kept old rows shift
-    left over the evicted ones and the kept new rows follow them, so the
-    rows stay in position order.
+    keeping the sink prefix plus the most recent tail. Every position has a
+    fixed slot (see BudgetedCache), so this writes only the new rows that
+    are kept, in place over the rows they evict: the new sinks, then the
+    last budget - sinks others in at most two runs of ring slots.
     """
     k_new = np.asarray(k_new, dtype=np.float32)
     v_new = np.asarray(v_new, dtype=np.float32)
@@ -141,24 +142,22 @@ def append_and_evict(
             f"positions must continue from total_seen={seen}, got {positions.tolist()}"
         )
 
-    # Of the old rows followed by the new ones, the first n_sink are sinks
-    # (positions 0..sinks-1, never evicted) and rows n_sink..cut-1 are the
-    # `evict` oldest others. Old rows from `cut` on shift left over them;
-    # new rows are sinks up to `head` and kept from `tail` on.
-    store, g, r = cache.store, cache.group, cache.retained
-    n_sink = min(cache.sinks, seen + n)
-    evict = max(0, r + n - cache.budget)
-    cut = n_sink + evict
-    head, tail = max(0, n_sink - r), max(0, cut - r)
-    end = r + n - evict
-    for rows, new in zip(cache.rows, (k_new, v_new, positions)):
-        if evict and cut < r:
-            rows[n_sink : r - evict] = rows[cut:r]
-        if head:
-            rows[r : r + head] = new[:head]
-        rows[end - n + tail : end] = new[tail:]
-    store.lengths[g] = end
-    store.seen[g] = seen + n
+    # Kept: new sinks seen..min(sinks, total)-1 in their own slots, then new
+    # others first..total-1 from ring slot `ring`, wrapping to `sinks` at `wrap`.
+    store, g, sinks, budget = cache.store, cache.group, cache.sinks, cache.budget
+    total = seen + n
+    first = max(sinks, seen, total - (budget - sinks))
+    ring = sinks + (first - sinks) % (budget - sinks)
+    wrap = min(total, first + budget - ring)
+    keys, values, slot_positions = cache.slots
+    for a, e, slot in ((seen, min(sinks, total), seen), (first, wrap, ring), (wrap, total, sinks)):
+        if a < e:
+            rows, dest = slice(a - seen, e - seen), slice(slot, slot + e - a)
+            keys[:, dest] = k_new[rows].T
+            values[dest] = v_new[rows]
+            slot_positions[dest] = positions[rows]
+    store.lengths[g] = min(total, budget)
+    store.seen[g] = total
 
 
 def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.ndarray:
@@ -178,10 +177,10 @@ def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.nd
     """
     store = cache if isinstance(cache, LayerStore) else cache.store
     g = slice(None) if cache is store else slice(cache.group, cache.group + 1)
-    keys, values, positions = store.keys[g], store.values[g], store.positions[g]
+    keys_t, values, positions = store.keys[g], store.values[g], store.positions[g]
     lengths, seen = store.lengths[g], store.seen[g]
     q = np.asarray(q, dtype=np.float32)
-    groups, _, d = keys.shape
+    groups, d, _ = keys_t.shape
     if q.ndim not in (2, 3, 4) or q.shape[-1] != d or (q.shape[0] if q.ndim == 4 else 1) != groups:
         raise ShapeError(f"q shape {q.shape} incompatible with {groups} groups of head_dim {d}")
     t_q = q.shape[-2]
@@ -189,23 +188,24 @@ def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.nd
     if t_q == 0 or min(lengths) == 0:
         raise InputError("attention needs at least one query and one retained token")
 
-    q4 = q.reshape((1,) * (4 - q.ndim) + q.shape)
+    rows = q.reshape(groups, -1, d)  # a group's query heads folded into rows
+    heads = rows.shape[1] // t_q
     masked = t_q > 1 or min(lengths) < width
     if masked:
         q_pos = np.add.outer(seen, np.arange(-t_q, 0))  # (groups, t_q)
-    step = max(1, SCORE_CAP // (q4.shape[1] * t_q * width))
+    step = max(1, SCORE_CAP // (heads * t_q * width))
     tiles = []
     for lo in range(0, groups, step):
         hi = lo + step
-        scores = q4[lo:hi] @ keys[lo:hi, None, :width].swapaxes(-1, -2)  # (tile, heads, t_q, width)
+        scores = rows[lo:hi] @ keys_t[lo:hi, :, :width]  # (tile, heads * t_q, width)
         scores /= np.float32(math.sqrt(d))
         if masked:
             hidden = positions[lo:hi, None, None, :width] > q_pos[lo:hi, None, :, None]
             if t_q > 1 and np.any(np.all(hidden, axis=-1)):
                 raise InputError("a query row has no retained token at or before its position")
-            np.copyto(scores, np.float32(-np.inf), where=hidden)
+            np.copyto(scores.reshape(-1, heads, t_q, width), np.float32(-np.inf), where=hidden)
         softmax(scores, out=scores)
-        tiles.append(scores @ values[lo:hi, None, :width])
+        tiles.append(scores @ values[lo:hi, :width])
     # a single tile is returned as is, without a copy
     return (tiles[0] if len(tiles) == 1 else np.concatenate(tiles)).reshape(q.shape)
 

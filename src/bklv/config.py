@@ -1,5 +1,6 @@
 """Architecture description for the toy GQA decoder."""
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -52,5 +53,5 @@ class ModelConfig:
             raise ConfigError(f"head_dim must be even for rotary positions, got {self.head_dim}")
         if self.max_context < 8:
             raise ConfigError(f"max_context must be >= 8, got {self.max_context}")
-        if self.rope_theta <= 0:
-            raise ConfigError(f"rope_theta must be positive, got {self.rope_theta}")
+        if not 0 < self.rope_theta < math.inf:
+            raise ConfigError(f"rope_theta must be finite and positive, got {self.rope_theta}")

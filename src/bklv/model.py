@@ -19,6 +19,7 @@ Q and K before caching; evicted stores keep original absolute positions
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,8 +157,9 @@ def check_tokens(tokens, vocab_size: int) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 1 or tokens.size == 0:
         raise InputError("tokens must be a non-empty 1-D sequence")
-    if tokens.min() < 0 or tokens.max() >= vocab_size:
-        raise InputError(f"token id out of range [0, {vocab_size}): {int(tokens.max())}")
+    low, high = int(tokens.min()), int(tokens.max())
+    if low < 0 or high >= vocab_size:
+        raise InputError(f"token id out of range [0, {vocab_size}): {low if low < 0 else high}")
     return tokens
 
 
@@ -388,21 +390,22 @@ def deserialize_model(data: bytes) -> Model:
         raise FormatError(f"header describes an invalid config: {exc}") from exc
 
     body = data[newline + 1 :]
-    shapes = [(cfg.vocab_size, cfg.d_model)]
-    for _ in range(cfg.num_layers):
-        shapes.extend(shape for _, shape in _layer_shapes(cfg))
-    shapes.append((cfg.d_model,))
-    expected = sum(int(np.prod(s)) for s in shapes) * 4
+    # sized in Python ints before any per-layer list is built, so a huge
+    # header neither overflows nor allocates
+    layer_shapes = [shape for _, shape in _layer_shapes(cfg)]
+    layer_size = sum(math.prod(shape) for shape in layer_shapes)
+    expected = 4 * ((cfg.vocab_size + 1) * cfg.d_model + cfg.num_layers * layer_size)
     if len(body) != expected:
         raise FormatError(f"weight payload is {len(body)} bytes, expected {expected}")
 
     flat = np.frombuffer(body, dtype="<f4")
     if not np.all(np.isfinite(flat)):
         raise FormatError("weight payload contains non-finite values")
+    shapes = [(cfg.vocab_size, cfg.d_model), *layer_shapes * cfg.num_layers, (cfg.d_model,)]
     tensors = []
     offset = 0
     for shape in shapes:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         tensors.append(flat[offset : offset + size].reshape(shape).copy())
         offset += size
 

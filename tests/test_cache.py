@@ -34,24 +34,42 @@ def _cache(budget, sinks=0, head_dim=HEAD_DIM):
     return BudgetedCache(budget=budget, sinks=sinks, head_dim=head_dim)
 
 
-def _append_each(cache, n, rng, start=0):
-    for pos in range(start, start + n):
-        row = rng.normal(size=(1, cache.head_dim)).astype(np.float32)
-        append_and_evict(cache, row, row + 1, np.array([pos]))
+def _append_each(cache, n, rng):
+    """Append positions 0..n-1 one at a time; row p has key rows[p] and value rows[p] + 1."""
+    rows = rng.normal(size=(n, cache.head_dim)).astype(np.float32)
+    for pos in range(n):
+        append_and_evict(cache, rows[pos : pos + 1], rows[pos : pos + 1] + 1, np.array([pos]))
+    return rows
+
+
+def _slot(pos, budget, sinks):
+    """The slot of a position: its own below sinks, else its ring slot."""
+    return pos if pos < sinks else sinks + (pos - sinks) % (budget - sinks)
+
+
+def _assert_holds(cache, kept, keys, values):
+    """The cache holds exactly the positions `kept`, each in its own slot
+    (so the sinks fill slots 0..sinks-1) with its own key and value row."""
+    held = cache.positions.tolist()
+    assert sorted(held) == kept
+    assert [_slot(p, cache.budget, cache.sinks) for p in held] == list(range(len(held)))
+    assert held[: cache.sinks] == list(range(min(cache.sinks, cache.total_seen)))
+    assert np.array_equal(cache.keys, keys[held])
+    assert np.array_equal(cache.values, values[held])
 
 
 class TestAppendAndEvict:
     def test_sink_window_trace(self, rng):
         cache = _cache(budget=8, sinks=2)
-        _append_each(cache, 10, rng)
-        assert cache.positions.tolist() == [0, 1, 4, 5, 6, 7, 8, 9]
-        assert cache.positions.tolist() == sink_window_trace(8, 2, 10)
+        rows = _append_each(cache, 10, rng)
+        assert cache.positions.tolist() == [0, 1, 8, 9, 4, 5, 6, 7]
+        _assert_holds(cache, sink_window_trace(8, 2, 10), rows, rows + 1)
 
     def test_pure_window_trace(self, rng):
         cache = _cache(budget=4, sinks=0)
-        _append_each(cache, 10, rng)
-        assert cache.positions.tolist() == [6, 7, 8, 9]
-        assert cache.positions.tolist() == sink_window_trace(4, 0, 10)
+        rows = _append_each(cache, 10, rng)
+        assert cache.positions.tolist() == [8, 9, 6, 7]
+        _assert_holds(cache, sink_window_trace(4, 0, 10), rows, rows + 1)
 
     def test_no_eviction_when_under_budget(self, rng):
         cache = _cache(budget=16, sinks=2)
@@ -92,19 +110,16 @@ class TestAppendAndEvict:
             append_and_evict(cache, rows[pos : pos + 1], rows[pos : pos + 1] + 1, np.array([pos]))
 
         def check(n):
-            kept = sink_window_trace(6, 2, n)
-            assert cache.positions.tolist() == kept
-            assert np.array_equal(cache.keys, rows[kept])
-            assert np.array_equal(cache.values, rows[kept] + 1)
+            _assert_holds(cache, sink_window_trace(6, 2, n), rows, rows + 1)
             for view, full in zip((cache.keys, cache.values, cache.positions), arrays):
                 assert view.base is full
 
         for pos in range(6):
             append(pos)
         held = cache.keys
-        append(6)  # into the full store: position 2 is evicted
+        append(6)  # into the full store: position 6 overwrites position 2 in slot 2
         check(7)
-        assert cache.positions.tolist() == [0, 1, 3, 4, 5, 6]
+        assert cache.positions.tolist() == [0, 1, 6, 3, 4, 5]
         assert np.array_equal(held, cache.keys)  # a view taken before sees the write
         reset(caches)
         assert cache.retained == 0 and cache.total_seen == 0
@@ -132,15 +147,40 @@ class TestAppendAndEvict:
             append_and_evict(cache, k, k + 1, np.arange(pos, pos + n))
             pos += n
             assert cache.retained <= budget
-            kept = cache.positions.tolist()
-            assert kept == sorted(kept)
-            expected_sinks = list(range(min(sinks, pos)))
-            assert kept[: len(expected_sinks)] == expected_sinks
-            assert kept == sink_window_trace(budget, sinks, pos)
-            assert np.array_equal(cache.keys, rows[kept])
-            assert np.array_equal(cache.values, rows[kept] + 1)
-        assert cache.total_seen == pos
-        assert cache.positions.tolist() == sink_window_trace(budget, sinks, pos)
+            assert cache.total_seen == pos
+            _assert_holds(cache, sink_window_trace(budget, sinks, pos), rows, rows + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        budgets=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        sinks=st.integers(0, 4),
+        group=st.integers(0, 2),
+        extra=st.integers(0, 20),
+    )
+    def test_an_append_into_a_full_cache_writes_only_the_ring_slot(
+        self, budgets, sinks, group, extra
+    ):
+        budgets = [b + sinks for b in budgets]
+        group %= len(budgets)
+        store = LayerStore(len(budgets), max(budgets), HEAD_DIM)
+        views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
+        rng = np.random.default_rng(extra)
+        for cache in views:
+            _append_each(cache, cache.budget + extra, rng)
+        cache, pos = views[group], views[group].total_seen
+        before = [a.copy() for a in (store.keys, store.values, store.positions)]
+        row = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
+        append_and_evict(cache, row, row + 1, np.array([pos]))
+        slot = _slot(pos, cache.budget, sinks)
+        assert cache.positions[slot] == pos
+        assert np.array_equal(cache.keys[slot], row[0])
+        assert np.array_equal(cache.values[slot], row[0] + 1)
+        # every other slot of every group is untouched in all three arrays (keys transposed)
+        written = ((group, slice(None), slot), (group, slot), (group, slot))
+        for old, new, index in zip(before, (store.keys, store.values, store.positions), written):
+            untouched = np.ones(new.shape, bool)
+            untouched[index] = False
+            assert np.array_equal(new[untouched], old[untouched])
 
 
 class TestAttendWithCache:
@@ -267,7 +307,7 @@ class TestLayerStoreAttention:
             got = attend_with_cache(store, q)
             assert got.shape == q.shape
             for g in range(groups):
-                assert views[g].positions.tolist() == sink_window_trace(budgets[g], sinks, b)
+                _assert_holds(views[g], sink_window_trace(budgets[g], sinks, b), k[g], v[g])
                 for h in range(heads):
                     for j, kept in enumerate(visible[g]):
                         row = q[g, h, j : j + 1]

@@ -262,6 +262,17 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert "num_q_heads" in err["error"]
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", "0"])
+    def test_init_model_non_finite_rope_theta(self, tmp_path, capsys, theta):
+        out = tmp_path / "x.bklv"
+        assert main(["init-model", "--out", str(out), f"--rope-theta={theta}"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "rope_theta must be finite and positive" in json.loads(lines[0])["error"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupt_model_header(self, cli_env, tmp_path, capsys):
         data = open(cli_env["model"], "rb").read()
         bad = str(tmp_path / "bad.bklv")

@@ -1,3 +1,5 @@
+import math
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bklv import (
+    BklvError,
     ConfigError,
     FormatError,
     InputError,
@@ -24,7 +27,13 @@ from bklv import cache as cache_module
 from bklv import model as model_module
 from bklv.allocation import AllocationPlan, PlanParams
 from bklv.cache import layer_caches
-from bklv.model import deserialize_model, forward_layer, rope_rotate, serialize_model
+from bklv.model import (
+    check_tokens,
+    deserialize_model,
+    forward_layer,
+    rope_rotate,
+    serialize_model,
+)
 
 from .conftest import SMALL
 from .reference import (
@@ -188,6 +197,11 @@ class TestForwardChunk:
     def test_token_out_of_range(self, small_model):
         with pytest.raises(InputError, match="token id out of range"):
             forward_chunk(small_model, [0, 300], _fresh_caches(small_model))
+
+    @pytest.mark.parametrize("tokens, bad", [([-3, 5, 7], -3), ([0, 300, 5], 300), ([-1, 300], -1)])
+    def test_token_error_names_an_id_out_of_range(self, tokens, bad):
+        with pytest.raises(InputError, match=rf"token id out of range \[0, 257\): {bad}$"):
+            check_tokens(tokens, 257)
 
     def test_cache_layer_mismatch(self, small_model, toy_model):
         with pytest.raises(ConfigError):
@@ -382,6 +396,13 @@ class TestGreedyGenerate:
         assert a == b
 
 
+_HEADER_FIELDS = tuple(f.name for f in fields(ModelConfig))
+_HEADER_VALUES = [
+    "0", "-1", "1", "2", "3", "8", "32", "64", "257", "10000.0", "1_0", "2.5",
+    "99999999999999999999", "9" * 5000, "nan", "inf", "-inf", "1e999", "x", "", "\u00e9", "1\n2",
+]
+
+
 class TestWeightFile:
     def test_roundtrip_bytes_identical(self, small_model):
         data = serialize_model(small_model)
@@ -414,3 +435,54 @@ class TestWeightFile:
         data = serialize_model(small_model)
         with pytest.raises(FormatError, match="bytes"):
             deserialize_model(data[:-8])
+
+    @pytest.mark.parametrize("theta", [b"nan", b"inf", b"-inf", b"0.0"])
+    def test_non_finite_or_non_positive_rope_theta_rejected(self, small_model, theta):
+        data = serialize_model(small_model)
+        assert b" rope_theta=10000.0 " in data.split(b"\n", 1)[0]
+        broken = data.replace(b"rope_theta=10000.0", b"rope_theta=" + theta, 1)
+        with pytest.raises(FormatError, match="rope_theta must be finite and positive"):
+            deserialize_model(broken)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        version=st.sampled_from(["bklv1", "bklv1", "bklv1", "bklv2", ""]),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(_HEADER_FIELDS + ("extra", "")),
+                st.none() | st.sampled_from(_HEADER_VALUES),
+            ),
+            max_size=3,
+        ),
+        cut=st.integers(-64, 64),
+        poke=st.none() | st.tuples(st.integers(0, 2**20), st.integers(0, 255)),
+    )
+    @example(version="bklv1", edits=[("rope_theta", "nan")], cut=0, poke=None)
+    # a payload size that only a huge model could match is rejected without building it
+    @example(version="bklv1", edits=[("num_layers", "99999999999999999999")], cut=0, poke=None)
+    def test_fuzzed_file_gives_a_valid_model_or_a_package_error(
+        self, small_model, version, edits, cut, poke
+    ):
+        # edits set (or, with None, drop) header fields; cut truncates or
+        # zero-extends the payload; poke overwrites one payload byte
+        header, body = serialize_model(small_model).split(b"\n", 1)
+        items = dict(item.split("=", 1) for item in header.decode("ascii").split()[1:])
+        for name, value in edits:
+            if value is None:
+                items.pop(name, None)
+            else:
+                items[name] = value
+        body = bytearray(body[: len(body) + cut] if cut < 0 else body + bytes(cut))
+        if poke is not None:
+            body[poke[0] % len(body)] = poke[1]
+        head = " ".join([version] + [f"{k}={v}" for k, v in items.items()])
+        try:
+            model = deserialize_model(head.encode("utf-8") + b"\n" + bytes(body))
+        except BklvError:
+            return
+        cfg = model.config
+        cfg.validate()
+        assert math.isfinite(cfg.rope_theta) and cfg.rope_theta > 0
+        payload = serialize_model(model).split(b"\n", 1)[1]
+        assert len(payload) == len(body)
+        assert np.all(np.isfinite(np.frombuffer(payload, dtype="<f4")))
