@@ -12,6 +12,7 @@ from .allocation import (
     build_plan,
     layer_budget_scaling,
     reallocate_caches,
+    require_valid,
     uniform_plan,
     validate_plan,
     window_plan,
@@ -20,7 +21,6 @@ from .cache import (
     BudgetedCache,
     CacheSet,
     LayerStore,
-    MemoryReport,
     append_and_evict,
     attend_with_cache,
     build_cache_set,

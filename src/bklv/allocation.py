@@ -14,7 +14,8 @@ reallocation routine works in importance units.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -83,14 +84,13 @@ class PlanParams:
     layer_r: float = 0.0
 
     def validate(self) -> None:
-        for name in ("t", "layer_t"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise AllocationError(f"{name} must be in [0, 1], got {v}")
-        for name in ("r", "layer_r"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise AllocationError(f"{name} must be in [0, 1), got {v}")
+        """Each field is a real number (not bool or str) in its range:
+        thresholds in [0, 1], reduction fractions in [0, 1)."""
+        for name, v in asdict(self).items():
+            closed = name in ("t", "layer_t")
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            if not real or not (0.0 <= v <= 1.0 if closed else 0.0 <= v < 1.0):
+                raise AllocationError(f"{name} must be in [0, 1{']' if closed else ')'}, got {v!r}")
 
 
 @dataclass
@@ -128,26 +128,15 @@ def _split_layer_total(config: ModelConfig, layer_total: int) -> list[int]:
 def uniform_plan(
     config: ModelConfig, compression: float, sinks: int = DEFAULT_SINKS
 ) -> AllocationPlan:
-    """Equal budget for every cache at the requested compression ratio.
+    """Equal budget for every cache at the requested compression ratio:
+    build_plan's "uniform" strategy, which needs no profile.
 
     Rounding goes through the same two-stage apportionment as the other
     strategies (equal layer totals, then an equal split within each
     layer), so a reallocation pass with no-op parameters reproduces this
     plan bit for bit.
     """
-    rows = [
-        _split_layer_total(config, layer_total)
-        for layer_total in _uniform_layer_totals(config, compression)
-    ]
-    budgets = np.array(rows, dtype=np.int64)
-    plan = AllocationPlan(compression, sinks, budgets, "uniform", PlanParams())
-    violations = validate_plan(plan, config)
-    if violations:
-        raise AllocationError(
-            f"compression {compression} with sinks {sinks} cannot satisfy the budget floor",
-            violations,
-        )
-    return plan
+    return build_plan(None, config, "uniform", compression, sinks=sinks)
 
 
 def reallocate_caches(
@@ -252,27 +241,25 @@ def build_plan(
     params = params or PlanParams()
     params.validate()
     if strategy == "uniform":
-        plan = uniform_plan(config, compression, sinks)
-        return AllocationPlan(compression, sinks, plan.budgets, "uniform", params)
-
-    if profile is None:
+        layer_totals = _uniform_layer_totals(config, compression)
+    elif profile is None:
         raise AllocationError(f"strategy {strategy!r} requires an importance profile")
-    if profile.kv_importance.shape != (config.num_layers, config.num_kv_heads):
+    elif profile.kv_importance.shape != (config.num_layers, config.num_kv_heads):
         raise ShapeError(
             f"profile kv_importance shape {profile.kv_importance.shape} does not match "
             f"config ({config.num_layers}, {config.num_kv_heads})"
         )
-    if len(profile.layer_importance) != config.num_layers:
+    elif len(profile.layer_importance) != config.num_layers:
         raise ShapeError("profile layer_importance length does not match config")
-
-    layer_totals = layer_budget_scaling(
-        list(profile.layer_importance),
-        compression,
-        1.0 - params.layer_t,
-        params.layer_r,
-        config,
-        sinks,
-    )
+    else:
+        layer_totals = layer_budget_scaling(
+            list(profile.layer_importance),
+            compression,
+            1.0 - params.layer_t,
+            params.layer_r,
+            config,
+            sinks,
+        )
     floor = sinks + 1
     rows = []
     for layer, layer_total in enumerate(layer_totals):
@@ -287,11 +274,7 @@ def build_plan(
             )
         rows.append(row)
     budgets = np.array(rows, dtype=np.int64)
-    plan = AllocationPlan(compression, sinks, budgets, strategy, params)
-    violations = validate_plan(plan, config)
-    if violations:
-        raise AllocationError("plan violates budget constraints", violations)
-    return plan
+    return require_valid(AllocationPlan(compression, sinks, budgets, strategy, params), config)
 
 
 def window_plan(
@@ -321,17 +304,9 @@ def window_plan(
     budgets[layer_lo : layer_hi + 1, :] = np.array(flat, dtype=np.int64).reshape(
         layer_hi - layer_lo + 1, config.num_kv_heads
     )
-    achieved = int(budgets.sum()) / (
-        config.num_layers * config.num_kv_heads * config.max_context
-    )
-    plan = AllocationPlan(achieved, sinks, budgets, "window", PlanParams())
-    violations = validate_plan(plan, config)
-    if violations:
-        raise AllocationError(
-            f"window compression {compression} with sinks {sinks} cannot satisfy the budget floor",
-            violations,
-        )
-    return plan
+    plan = AllocationPlan(math.nan, sinks, budgets, "window", PlanParams())
+    plan.compression_ratio = plan.achieved_compression(config)
+    return require_valid(plan, config)
 
 
 def floor_violations(budgets: np.ndarray, sinks: int) -> list[str]:
@@ -362,3 +337,12 @@ def validate_plan(plan: AllocationPlan, config: ModelConfig) -> list[str]:
             f"total {expected_total}"
         )
     return violations
+
+
+def require_valid(plan: AllocationPlan, config: ModelConfig) -> AllocationPlan:
+    """The plan, if validate_plan finds nothing; else AllocationError with
+    every violation."""
+    violations = validate_plan(plan, config)
+    if violations:
+        raise AllocationError("plan does not match this model", violations)
+    return plan

@@ -111,15 +111,10 @@ class BudgetedCache:
         return self.slots[2][: self.retained]
 
 
-def append_and_evict(
-    cache: BudgetedCache,
-    k_new: np.ndarray,
-    v_new: np.ndarray,
-    positions: np.ndarray,
-) -> None:
+def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray) -> None:
     """Append new tokens, then evict oldest non-sink tokens down to budget.
 
-    `positions` must continue the stream: arange(total_seen, total_seen + n).
+    The new rows are the stream positions total_seen..total_seen + n - 1.
     Repeated single-token eviction of the oldest non-sink is equivalent to
     keeping the sink prefix plus the most recent tail. Every position has a
     fixed slot (see BudgetedCache), so this writes only the new rows that
@@ -128,24 +123,16 @@ def append_and_evict(
     """
     k_new = np.asarray(k_new, dtype=np.float32)
     v_new = np.asarray(v_new, dtype=np.float32)
-    positions = np.asarray(positions, dtype=np.int64)
     if k_new.ndim != 2 or v_new.ndim != 2 or k_new.shape != v_new.shape:
         raise ShapeError(f"k_new {k_new.shape} and v_new {v_new.shape} must be equal 2-D shapes")
     if k_new.shape[1] != cache.head_dim:
         raise ShapeError(f"row width {k_new.shape[1]} != head_dim {cache.head_dim}")
-    n = k_new.shape[0]
-    if positions.shape != (n,):
-        raise ShapeError(f"positions shape {positions.shape} != ({n},)")
-    seen = cache.total_seen
-    if positions.tolist() != list(range(seen, seen + n)):
-        raise InputError(
-            f"positions must continue from total_seen={seen}, got {positions.tolist()}"
-        )
 
     # Kept: new sinks seen..min(sinks, total)-1 in their own slots, then new
     # others first..total-1 from ring slot `ring`, wrapping to `sinks` at `wrap`.
     store, g, sinks, budget = cache.store, cache.group, cache.sinks, cache.budget
-    total = seen + n
+    seen = cache.total_seen
+    total = seen + len(k_new)
     first = max(sinks, seen, total - (budget - sinks))
     ring = sinks + (first - sinks) % (budget - sinks)
     wrap = min(total, first + budget - ring)
@@ -155,7 +142,7 @@ def append_and_evict(
             rows, dest = slice(a - seen, e - seen), slice(slot, slot + e - a)
             keys[:, dest] = k_new[rows].T
             values[dest] = v_new[rows]
-            slot_positions[dest] = positions[rows]
+            slot_positions[dest] = np.arange(a, e)
     store.lengths[g] = min(total, budget)
     store.seen[g] = total
 
@@ -224,7 +211,16 @@ class CacheSet:
 
     @property
     def total_seen(self) -> int:
-        return self.caches[0][0].total_seen
+        """The stream position of every cache; InputError if one differs."""
+        seen = self.caches[0][0].total_seen
+        for layer, row in enumerate(self.caches):
+            for group, cache in enumerate(row):
+                if cache.total_seen != seen:
+                    raise InputError(
+                        f"cache at layer {layer} group {group} is at stream position "
+                        f"{cache.total_seen}, not {seen}"
+                    )
+        return seen
 
     def all_caches(self):
         for row in self.caches:
@@ -260,46 +256,21 @@ def reset(cache_set: CacheSet) -> None:
         store.clear()
 
 
-@dataclass
-class MemoryReport:
-    """Byte-level accounting of a cache set at a given storage width."""
-
-    bytes_per_element: int
-    per_cache_bytes: np.ndarray  # (num_layers, num_kv_heads) int64
-    total_bytes: int
-    total_budget_tokens: int
-    achieved_compression: float
-
-    def as_dict(self) -> dict:
-        return {
-            "bytes_per_element": self.bytes_per_element,
-            "per_cache_bytes": self.per_cache_bytes.tolist(),
-            "total_bytes": self.total_bytes,
-            "total_budget_tokens": self.total_budget_tokens,
-            "achieved_compression": self.achieved_compression,
-        }
-
-
-def memory_report(cache_set: CacheSet, bytes_per_element: int = 2) -> MemoryReport:
+def memory_report(plan: AllocationPlan, config: ModelConfig, bytes_per_element: int = 2) -> dict:
     """Bytes per cache and in total: 2 (keys and values) * budget tokens *
-    head_dim * bytes_per_element. Also reports the achieved compression
+    head_dim * bytes_per_element, with the plan's achieved compression
     ratio relative to full context in every cache. This counts budgeted
     tokens, not the float32 layer stores, which are padded to each layer's
     largest budget.
     """
+    check_plan_fits(plan, config)
     if bytes_per_element < 1:
         raise InputError(f"bytes_per_element must be >= 1, got {bytes_per_element}")
-    cfg = cache_set.config
-    budgets = np.array(
-        [[c.budget for c in row] for row in cache_set.caches], dtype=np.int64
-    )
-    per_cache = 2 * budgets * cfg.head_dim * bytes_per_element
-    total_tokens = int(budgets.sum())
-    ratio = total_tokens / (cfg.num_layers * cfg.num_kv_heads * cfg.max_context)
-    return MemoryReport(
-        bytes_per_element=bytes_per_element,
-        per_cache_bytes=per_cache,
-        total_bytes=int(per_cache.sum()),
-        total_budget_tokens=total_tokens,
-        achieved_compression=ratio,
-    )
+    per_cache = 2 * plan.budgets * config.head_dim * bytes_per_element
+    return {
+        "bytes_per_element": bytes_per_element,
+        "per_cache_bytes": per_cache.tolist(),
+        "total_bytes": int(per_cache.sum()),
+        "total_budget_tokens": plan.total_tokens,
+        "achieved_compression": plan.achieved_compression(config),
+    }

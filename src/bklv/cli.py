@@ -13,12 +13,7 @@ import math
 import sys
 
 from . import io
-from .allocation import (
-    DEFAULT_SINKS,
-    PlanParams,
-    build_plan,
-    validate_plan,
-)
+from .allocation import DEFAULT_SINKS, PlanParams, build_plan, require_valid
 from .cache import build_cache_set, memory_report
 from .config import ModelConfig
 from .errors import AllocationError, BklvError, InputError
@@ -52,14 +47,6 @@ def _read_profile_for(model, path: str):
     if profile.model_id != model_checksum(model):
         raise InputError(f"{path}: profile was made from a different model ({profile.model_id})")
     return profile
-
-
-def _read_plan_for(model, path: str):
-    plan = io.read_plan(path)
-    violations = validate_plan(plan, model.config)
-    if violations:
-        raise AllocationError("plan does not match this model", violations)
-    return plan
 
 
 def _grid_values(text: str, name: str) -> list[float]:
@@ -183,16 +170,16 @@ def cmd_search(args) -> int:
 
 def cmd_eval(args) -> int:
     model = io.read_model_file(args.model)
-    plan = _read_plan_for(model, args.plan)
+    plan = require_valid(io.read_plan(args.plan), model.config)
     corpus = io.load_corpus(args.corpus, model.config.vocab_size)
     context_len = model.config.max_context if args.context_len is None else args.context_len
-    memory = memory_report(build_cache_set(plan, model.config), args.bytes_per_element)
+    memory = memory_report(plan, model.config, args.bytes_per_element)
     loss = chunked_perplexity(model, corpus.token_ids, context_len, plan)
     doc = io.eval_report_to_dict(loss, memory, plan, model.config)
     print(f"perplexity: {math.exp(loss):.6f}")
     print(f"loss: {loss:.6f}")
-    print(f"total_bytes: {memory.total_bytes}")
-    print(f"achieved_compression: {memory.achieved_compression:.6f}")
+    print(f"total_bytes: {memory['total_bytes']}")
+    print(f"achieved_compression: {memory['achieved_compression']:.6f}")
     if args.out:
         io.write_json(args.out, doc)
         _manifest(
@@ -225,25 +212,32 @@ def cmd_sweep(args) -> int:
 
 def cmd_generate(args) -> int:
     model = io.read_model_file(args.model)
-    plan = _read_plan_for(model, args.plan)
+    plan = require_valid(io.read_plan(args.plan), model.config)
     if args.text is not None:
         prompt = io.encode_bytes(args.text.encode("utf-8"))
     else:
         with open(args.prompt, "rb") as fh:
             prompt = io.encode_bytes(fh.read())
-    caches = build_cache_set(plan, model.config)
-    memory = memory_report(caches, args.bytes_per_element)
-    out_ids = greedy_generate(model, prompt, args.steps, caches)
+    memory = memory_report(plan, model.config, args.bytes_per_element)
+    out_ids = greedy_generate(model, prompt, args.steps, build_cache_set(plan, model.config))
     text = io.decode_ids(out_ids).decode("utf-8", errors="replace")
     print(text)
     print(f"generated_tokens: {len(out_ids)}")
-    print(f"total_bytes: {memory.total_bytes}")
-    print(f"achieved_compression: {memory.achieved_compression:.6f}")
+    print(f"total_bytes: {memory['total_bytes']}")
+    print(f"achieved_compression: {memory['achieved_compression']:.6f}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, in subcommands too, follow the JSON contract; exit 2."""
+
+    def error(self, message):
+        _fail(message)
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bklv",
         description="Budgeted KV-cache allocation lab for a toy decoder-only transformer.",
     )

@@ -1,9 +1,12 @@
 """Architecture description for the toy GQA decoder."""
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+
+MAX_SIZE = 2**31 - 1  # so a budget total of any real plan fits its int64 matrix
 
 
 @dataclass(frozen=True)
@@ -34,11 +37,21 @@ class ModelConfig:
         return self.num_q_heads // self.num_kv_heads
 
     def validate(self) -> None:
+        """The config rules, wherever a config comes from: integer fields are
+        integers (not bool, str or float), sizes in [1, MAX_SIZE], seed >= 0,
+        and rope_theta a finite positive real number."""
         for f in fields(self):
-            if f.name in ("rope_theta", "seed"):
-                continue
-            if getattr(self, f.name) < 1:
-                raise ConfigError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.name == "rope_theta":
+                real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+                if not real or not 0 < value < math.inf:
+                    raise ConfigError(f"rope_theta must be finite and positive, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            elif f.name == "seed" and value < 0:
+                raise ConfigError(f"seed must be >= 0, got {value}")
+            elif f.name != "seed" and not 1 <= value <= MAX_SIZE:
+                raise ConfigError(f"{f.name} must be in [1, {MAX_SIZE}], got {value}")
         if self.num_q_heads % self.num_kv_heads != 0:
             raise ConfigError(
                 f"num_q_heads not multiple of num_kv_heads "
@@ -53,5 +66,3 @@ class ModelConfig:
             raise ConfigError(f"head_dim must be even for rotary positions, got {self.head_dim}")
         if self.max_context < 8:
             raise ConfigError(f"max_context must be >= 8, got {self.max_context}")
-        if not 0 < self.rope_theta < math.inf:
-            raise ConfigError(f"rope_theta must be finite and positive, got {self.rope_theta}")

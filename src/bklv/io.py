@@ -7,14 +7,14 @@ byte-identical files. Each document carries a format_version field.
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .allocation import AllocationPlan, PlanParams
-from .cache import MemoryReport
+from .allocation import STRATEGIES, AllocationPlan, PlanParams
 from .config import ModelConfig
 from .errors import FormatError, InputError
 from .model import Model, deserialize_model, serialize_model
@@ -29,6 +29,7 @@ SEARCH_VERSION = "bklv-search-v1"
 SWEEP_VERSION = "bklv-sweep-v1"
 EVAL_VERSION = "bklv-eval-v1"
 MANIFEST_VERSION = "bklv-manifest-v1"
+PLAN_STRATEGIES = (*STRATEGIES, "window")  # build_plan's strategies and window_plan's
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +116,22 @@ def read_json(path: str) -> dict:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _require(doc: dict, path: str, version: str) -> None:
-    got = doc.get("format_version")
+def _require(doc, path: str, version: str) -> None:
+    got = doc.get("format_version") if isinstance(doc, dict) else None
     if got != version:
         raise FormatError(f"{path}: format_version {got!r}, expected {version!r}")
 
 
 # Field readers raise ValueError; the document readers add the file name.
 
-def _finite(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
+def _finite(value, name: str, shape: tuple) -> np.ndarray:
+    """Finite JSON numbers in an array of `shape` (None: any length);
+    booleans are rejected."""
+    arr = np.asarray(value, dtype=object)
+    fits = arr.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, arr.shape))
+    if not fits or not all(type(v) in (int, float) for v in arr.flat):
+        raise ValueError(f"{name} must be a {shape} array of numbers")
+    arr = arr.astype(np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite values")
     return arr
@@ -136,6 +143,14 @@ def _integers(value, name: str, ndim: int) -> np.ndarray:
     if arr.ndim != ndim or not all(type(v) is int for v in arr.flat):
         raise ValueError(f"{name} must be a {ndim}-D array of integers")
     return arr.astype(np.int64)
+
+
+def _fields(cls, value, name: str):
+    """A cls dataclass from a JSON object that gives each of its fields."""
+    obj = cls(**value)
+    if value.keys() != asdict(obj).keys():
+        raise ValueError(f"{name} must give every field of {cls.__name__}")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +191,25 @@ def profile_to_dict(profile: ImportanceProfile, extra: dict | None = None) -> di
 def profile_from_dict(doc: dict, path: str = "<memory>") -> ImportanceProfile:
     _require(doc, path, PROFILE_VERSION)
     try:
-        per_token = doc["per_token_similarity"]
+        config = _fields(ModelConfig, doc["config"], "config")
+        config.validate()
+        model_id, ids, per_token = doc["model_id"], doc["prompt_ids"], doc["per_token_similarity"]
+        strings = type(ids) is list and all(type(i) is str for i in ids)
+        if type(model_id) is not str or not strings:
+            raise ValueError("model_id must be a string and prompt_ids a list of strings")
+        layers, q, kv = config.num_layers, config.num_q_heads, config.num_kv_heads
         return ImportanceProfile(
-            model_id=doc["model_id"],
-            prompt_ids=list(doc["prompt_ids"]),
-            head_similarity=_finite(doc["head_similarity"], "head_similarity"),
-            kv_importance=_finite(doc["kv_importance"], "kv_importance"),
-            layer_importance=_finite(doc["layer_importance"], "layer_importance"),
-            config=ModelConfig(**doc["config"]),
-            per_token_similarity=(
-                None
-                if per_token is None
-                else [_finite(m, "per_token_similarity") for m in per_token]
-            ),
+            model_id=model_id,
+            prompt_ids=ids,
+            head_similarity=_finite(doc["head_similarity"], "head_similarity", (layers, q)),
+            kv_importance=_finite(doc["kv_importance"], "kv_importance", (layers, kv)),
+            layer_importance=_finite(doc["layer_importance"], "layer_importance", (layers,)),
+            config=config,
+            per_token_similarity=None if per_token is None else [
+                _finite(m, "per_token_similarity", (layers, None, q)) for m in per_token
+            ],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed profile: {exc}") from exc
 
 
@@ -220,12 +239,20 @@ def plan_to_dict(plan: AllocationPlan, config: ModelConfig) -> dict:
 def plan_from_dict(doc: dict, path: str = "<memory>") -> AllocationPlan:
     _require(doc, path, PLAN_VERSION)
     try:
+        strategy = doc["strategy"]
+        if strategy not in PLAN_STRATEGIES:
+            raise ValueError(f"strategy must be one of {PLAN_STRATEGIES}, got {strategy!r}")
+        params = _fields(PlanParams, doc["params"], "params")
+        params.validate()
+        compression = doc["requested_compression"]
+        if type(compression) not in (int, float):  # bool and str are not numbers
+            raise ValueError(f"requested_compression must be a number, got {compression!r}")
         return AllocationPlan(
-            compression_ratio=float(doc["requested_compression"]),
+            compression_ratio=float(compression),
             sinks=int(_integers(doc["sinks"], "sinks", 0)),
             budgets=_integers(doc["budgets"], "budgets", 2),
-            strategy=doc["strategy"],
-            params=PlanParams(**doc["params"]),
+            strategy=strategy,
+            params=params,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed plan: {exc}") from exc
@@ -297,10 +324,9 @@ def write_sweep_report(
 # eval report
 
 def eval_report_to_dict(
-    loss: float, memory: MemoryReport, plan: AllocationPlan, config: ModelConfig
+    loss: float, memory: dict, plan: AllocationPlan, config: ModelConfig
 ) -> dict:
-    import math
-
+    """`memory` is the plan's memory_report."""
     return {
         "format_version": EVAL_VERSION,
         "loss": loss,
@@ -308,7 +334,7 @@ def eval_report_to_dict(
         "strategy": plan.strategy,
         "requested_compression": plan.compression_ratio,
         "achieved_compression": plan.achieved_compression(config),
-        "memory": memory.as_dict(),
+        "memory": memory,
     }
 
 

@@ -20,7 +20,7 @@ Q and K before caching; evicted stores keep original absolute positions
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -171,14 +171,14 @@ def forward_layer(
     model: Model,
     li: int,
     x: np.ndarray,
-    positions: np.ndarray,
     caches: list[BudgetedCache],
     probes: ProbeCapture | None = None,
 ) -> np.ndarray:
     """Run hidden states x (batch, tokens, d_model) through layer li; returns the new ones.
 
-    Every sequence of the batch is at the same `positions`. `caches` are
-    the layer's batch * kv_groups caches, batch-major, sharing one store.
+    `caches` are the layer's batch * kv_groups caches, batch-major,
+    sharing one store, all at the same stream position: the new tokens
+    follow the first cache's total_seen (CacheSet.total_seen checks this).
     Only the cache append and attention are stepped: one segment of as
     many tokens as every cache of this layer can take without evicting,
     then single tokens, so each cache sees the appends and retained sets
@@ -196,6 +196,8 @@ def forward_layer(
         raise ShapeError(f"{len(caches)} caches for a batch of {batch} with {kv} KV groups")
     # a full cache steps one token at a time
     first = max(1, min(n, min(c.budget - c.retained for c in caches)))
+    start = caches[0].total_seen
+    positions = np.arange(start, start + n, dtype=np.int64)
     segments = [(0, first), *((i, i + 1) for i in range(first, n))]
 
     if probes is not None:
@@ -218,9 +220,8 @@ def forward_layer(
     head_groups = heads.reshape(batch * kv, g, n, d)
     store = caches[0].store
     for a, e in segments:
-        pos = positions[a:e]
         for cache, (b, grp) in zip(caches, slots):
-            append_and_evict(cache, k[b, a:e, grp], vs[b][a:e, grp], pos)
+            append_and_evict(cache, k[b, a:e, grp], vs[b][a:e, grp])
         head_groups[:, :, a:e] = attend_with_cache(store, q_groups[:, :, a:e])
     if probes is not None:
         probes.head_input_v[li] = vs[0].transpose(1, 0, 2)
@@ -273,10 +274,9 @@ def forward_chunk(
         shapes = [(cfg.num_kv_heads, n, cfg.head_dim), (cfg.num_q_heads, n, cfg.head_dim)]
         shapes += [(n, cfg.d_model)] * 2
         probes = ProbeCapture(*(np.empty((cfg.num_layers, *s), np.float32) for s in shapes))
-    positions = np.arange(start, start + n, dtype=np.int64)
     x = model.embedding[tokens[None]].astype(np.float32, copy=True)
     for li, row in enumerate(caches.caches):
-        x = forward_layer(model, li, x, positions, row, probes)
+        x = forward_layer(model, li, x, row, probes)
     return output_logits(model, x[0]), probes
 
 
@@ -289,8 +289,6 @@ def greedy_generate(model: Model, prompt, steps: int, caches: CacheSet) -> list[
     if steps < 0:
         raise InputError(f"steps must be >= 0, got {steps}")
     prompt = np.asarray(prompt, dtype=np.int64)
-    if prompt.size == 0:
-        raise InputError("prompt must be non-empty")
     if caches.total_seen + prompt.size + steps > model.config.max_context:
         raise InputError(
             f"prompt ({prompt.size}) + steps ({steps}) exceed max_context "
@@ -311,23 +309,8 @@ def greedy_generate(model: Model, prompt, steps: int, caches: CacheSet) -> list[
 # embedding, then per layer attn_q, attn_k, attn_v, attn_out, mlp_in,
 # mlp_out, norm1, norm2, then final_norm. Row-major within each tensor.
 
-_HEADER_INT_FIELDS = (
-    "num_layers",
-    "num_q_heads",
-    "num_kv_heads",
-    "head_dim",
-    "d_model",
-    "d_ff",
-    "vocab_size",
-    "max_context",
-    "seed",
-)
-
-
 def serialize_model(model: Model) -> bytes:
-    cfg = model.config
-    pairs = {f: getattr(cfg, f) for f in _HEADER_INT_FIELDS}
-    pairs["rope_theta"] = cfg.rope_theta
+    pairs = asdict(model.config)
     header = WEIGHT_FORMAT_VERSION + " " + " ".join(
         f"{k}={pairs[k]}" for k in sorted(pairs)
     ) + "\n"
@@ -358,28 +341,23 @@ def deserialize_model(data: bytes) -> Model:
         raise FormatError(
             f"format version: expected {WEIGHT_FORMAT_VERSION!r}, got {parts[0] if parts else ''!r}"
         )
-    fields: dict[str, str] = {}
+    given: dict[str, str] = {}
     for item in parts[1:]:
         if "=" not in item:
             raise FormatError(f"malformed header item {item!r}")
         key, value = item.split("=", 1)
-        fields[key] = value
+        given[key] = value
 
     kwargs = {}
-    for name in _HEADER_INT_FIELDS:
-        if name not in fields:
-            raise FormatError(f"header missing field {name!r}")
+    for f in fields(ModelConfig):  # each is an int, or rope_theta a float
+        if f.name not in given:
+            raise FormatError(f"header missing field {f.name!r}")
         try:
-            kwargs[name] = int(fields[name])
+            kwargs[f.name] = f.type(given[f.name])
         except ValueError as exc:
-            raise FormatError(f"header field {name!r} is not an integer") from exc
-    if "rope_theta" not in fields:
-        raise FormatError("header missing field 'rope_theta'")
-    try:
-        kwargs["rope_theta"] = float(fields["rope_theta"])
-    except ValueError as exc:
-        raise FormatError("header field 'rope_theta' is not a number") from exc
-    unknown = set(fields) - set(_HEADER_INT_FIELDS) - {"rope_theta"}
+            kind = "an integer" if f.type is int else "a number"
+            raise FormatError(f"header field {f.name!r} is not {kind}") from exc
+    unknown = set(given) - set(kwargs)
     if unknown:
         raise FormatError(f"unknown header fields {sorted(unknown)}")
 

@@ -90,13 +90,12 @@ def evaluate_plans(
         [(plan.sinks, tuple(min(b, context_len) for b in row)) for row in plan.budgets.tolist()]
         for plan in plans
     ]
-    positions = np.arange(context_len, dtype=np.int64)
     losses = [[] for _ in plans]  # per plan, one loss per chunk in corpus order
 
     def step(depth, x, key):
         sinks, budgets = key
         caches = layer_caches(list(budgets) * len(x), sinks, cfg.head_dim)
-        return forward_layer(model, depth, x, positions, caches)
+        return forward_layer(model, depth, x, caches)
 
     def walk(depth, x, members, batch):
         while depth < cfg.num_layers:

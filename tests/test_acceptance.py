@@ -91,7 +91,7 @@ def test_criterion_2_eviction_equivalence():
             pos = 0
             while pos < total:
                 n = min(int(rng.integers(1, 5)), total - pos)
-                append_and_evict(cache, k[pos : pos + n], v[pos : pos + n], np.arange(pos, pos + n))
+                append_and_evict(cache, k[pos : pos + n], v[pos : pos + n])
                 pos += n
             assert cache.retained <= budget
             q = rng.normal(size=(1, head_dim)).astype(np.float32)

@@ -12,6 +12,7 @@ from bklv import (
     build_plan,
     layer_budget_scaling,
     reallocate_caches,
+    require_valid,
     uniform_plan,
     validate_plan,
     window_plan,
@@ -265,6 +266,12 @@ class TestBuildPlan:
             )
             assert plan.total_tokens == global_budget(SMALL, 0.37)
 
+    @pytest.mark.parametrize("t", [True, "0.5", None])
+    def test_params_must_be_real_numbers(self, t):
+        PlanParams(t=np.float64(0.5), r=np.float32(0.25)).validate()
+        with pytest.raises(AllocationError, match=rf"^t must be in \[0, 1\], got {t!r}$"):
+            build_plan(None, SMALL, "uniform", 0.5, PlanParams(t=t))
+
     def test_unknown_strategy(self):
         with pytest.raises(AllocationError, match="strategy"):
             build_plan(None, SMALL, "pyramid", 0.5)
@@ -304,6 +311,25 @@ class TestValidatePlan:
         plan = uniform_plan(SMALL, 0.5)
         violations = validate_plan(plan, TOY)
         assert violations and "shape" in violations[0]
+
+    def test_require_valid_returns_the_plan_or_raises_every_violation(self):
+        plan = uniform_plan(SMALL, 0.5)
+        assert require_valid(plan, SMALL) is plan
+        plan.budgets[1, 0] = 2
+        with pytest.raises(AllocationError, match="^plan does not match this model$") as info:
+            require_valid(plan, SMALL)
+        assert info.value.violations == validate_plan(plan, SMALL)
+        assert len(info.value.violations) == 2  # the floor and the total
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: uniform_plan(TOY, 0.001), lambda: window_plan(TOY, 0, 3, 0.001)],
+        ids=["uniform", "window"],
+    )
+    def test_builders_raise_the_one_plan_check(self, build):
+        with pytest.raises(AllocationError, match="^plan does not match this model$") as info:
+            build()
+        assert any("below floor 5" in v for v in info.value.violations)
 
 
 class TestWindowPlan:

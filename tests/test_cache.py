@@ -16,6 +16,8 @@ from bklv import (
     append_and_evict,
     attend_with_cache,
     build_cache_set,
+    forward_chunk,
+    greedy_generate,
     memory_report,
     reset,
     uniform_plan,
@@ -38,7 +40,7 @@ def _append_each(cache, n, rng):
     """Append positions 0..n-1 one at a time; row p has key rows[p] and value rows[p] + 1."""
     rows = rng.normal(size=(n, cache.head_dim)).astype(np.float32)
     for pos in range(n):
-        append_and_evict(cache, rows[pos : pos + 1], rows[pos : pos + 1] + 1, np.array([pos]))
+        append_and_evict(cache, rows[pos : pos + 1], rows[pos : pos + 1] + 1)
     return rows
 
 
@@ -81,22 +83,12 @@ class TestAppendAndEvict:
         one = _cache(budget=6, sinks=2)
         k = rng.normal(size=(11, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(11, HEAD_DIM)).astype(np.float32)
-        append_and_evict(one, k, v, np.arange(11))
+        append_and_evict(one, k, v)
         step = _cache(budget=6, sinks=2)
         for i in range(11):
-            append_and_evict(step, k[i : i + 1], v[i : i + 1], np.array([i]))
+            append_and_evict(step, k[i : i + 1], v[i : i + 1])
         assert one.positions.tolist() == step.positions.tolist()
         assert np.array_equal(one.keys, step.keys)
-
-    def test_positions_must_continue(self, rng):
-        cache = _cache(budget=4)
-        with pytest.raises(InputError, match="continue"):
-            append_and_evict(
-                cache,
-                np.zeros((1, HEAD_DIM), np.float32),
-                np.zeros((1, HEAD_DIM), np.float32),
-                np.array([3]),
-            )
 
     def test_full_store_append_and_reset_write_the_layer_store_in_place(self, rng):
         # group 0 of layer 0 has budget 6 in a store padded to width 9
@@ -107,7 +99,7 @@ class TestAppendAndEvict:
         rows = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
 
         def append(pos):
-            append_and_evict(cache, rows[pos : pos + 1], rows[pos : pos + 1] + 1, np.array([pos]))
+            append_and_evict(cache, rows[pos : pos + 1], rows[pos : pos + 1] + 1)
 
         def check(n):
             _assert_holds(cache, sink_window_trace(6, 2, n), rows, rows + 1)
@@ -144,7 +136,7 @@ class TestAppendAndEvict:
         pos = 0
         for n in chunks:
             k = rows[pos : pos + n]
-            append_and_evict(cache, k, k + 1, np.arange(pos, pos + n))
+            append_and_evict(cache, k, k + 1)
             pos += n
             assert cache.retained <= budget
             assert cache.total_seen == pos
@@ -170,7 +162,7 @@ class TestAppendAndEvict:
         cache, pos = views[group], views[group].total_seen
         before = [a.copy() for a in (store.keys, store.values, store.positions)]
         row = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
-        append_and_evict(cache, row, row + 1, np.array([pos]))
+        append_and_evict(cache, row, row + 1)
         slot = _slot(pos, cache.budget, sinks)
         assert cache.positions[slot] == pos
         assert np.array_equal(cache.keys[slot], row[0])
@@ -188,7 +180,7 @@ class TestAttendWithCache:
         cache = _cache(budget=32, sinks=0)
         k = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
-        append_and_evict(cache, k, v, np.arange(10))
+        append_and_evict(cache, k, v)
         q = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
         got = attend_with_cache(cache, q)
         np.testing.assert_allclose(got, scaled_dot_attention(q, k, v), atol=1e-6)
@@ -198,7 +190,7 @@ class TestAttendWithCache:
         k = rng.normal(size=(12, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(12, HEAD_DIM)).astype(np.float32)
         for i in range(12):
-            append_and_evict(cache, k[i : i + 1], v[i : i + 1], np.array([i]))
+            append_and_evict(cache, k[i : i + 1], v[i : i + 1])
         q = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
         got = attend_with_cache(cache, q)
         kept = cache.positions.tolist()
@@ -209,7 +201,7 @@ class TestAttendWithCache:
         cache = _cache(budget=1, sinks=0)
         k = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
-        append_and_evict(cache, k, v, np.array([0]))
+        append_and_evict(cache, k, v)
         q = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
         assert np.array_equal(attend_with_cache(cache, q), v)
 
@@ -221,7 +213,7 @@ class TestAttendWithCache:
         cache = _cache(budget=32, sinks=0)
         k = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
-        append_and_evict(cache, k, v, np.arange(6))
+        append_and_evict(cache, k, v)
         q = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
         got = attend_with_cache(cache, q)
         expected = brute_attention(q, k, v, causal=True)
@@ -254,7 +246,7 @@ class TestAttendWithCache:
             pos = 0
             while pos < total:
                 n = min(int(rng.integers(1, 4)), total - pos)
-                append_and_evict(cache, k[pos : pos + n], v[pos : pos + n], np.arange(pos, pos + n))
+                append_and_evict(cache, k[pos : pos + n], v[pos : pos + n])
                 pos += n
             q = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
             kept = cache.positions.tolist()
@@ -292,7 +284,7 @@ class TestLayerStoreAttention:
         for a, b in [(0, first), *((i, i + 1) for i in range(first, total))]:
             for g in range(groups):
                 for cache in (views[g], alone[g]):
-                    append_and_evict(cache, k[g, a:b], v[g, a:b], np.arange(a, b))
+                    append_and_evict(cache, k[g, a:b], v[g, a:b])
             q = rng.normal(size=(groups, heads, b - a, HEAD_DIM)).astype(np.float32)
             # row j of the call is the query for position a + j
             visible = [
@@ -320,7 +312,7 @@ class TestLayerStoreAttention:
         store = LayerStore(2, 4, HEAD_DIM)
         cache = BudgetedCache(4, 0, HEAD_DIM, store, 1)
         row = np.ones((1, HEAD_DIM), np.float32)
-        append_and_evict(cache, row, row, np.array([0]))
+        append_and_evict(cache, row, row)
         q = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
         for bad in (q, q[None, None], np.stack([q[None]] * 3)):
             with pytest.raises(ShapeError):
@@ -355,7 +347,7 @@ class TestScoreTiling:
         v = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
         for a, b in [(0, first), *((i, i + 1) for i in range(first, total))]:
             for g in range(groups):
-                append_and_evict(views[g], k[g, a:b], v[g, a:b], np.arange(a, b))
+                append_and_evict(views[g], k[g, a:b], v[g, a:b])
             q = rng.normal(size=(groups, heads, b - a, HEAD_DIM)).astype(np.float32)
             visible = [
                 [[p for p in sink_window_trace(budget, sinks, b) if p <= a + j]
@@ -433,6 +425,19 @@ class TestCacheSet:
         _append_each(cache, 3, rng)
         assert cache.retained == 3
 
+    @pytest.mark.parametrize("layer, group", [(0, 1), (1, 0)])
+    def test_a_cache_at_another_stream_position_is_named(self, small_model, layer, group, rng):
+        caches = build_cache_set(uniform_plan(SMALL, 1.0), SMALL)
+        forward_chunk(small_model, [1, 2, 3], caches)
+        _append_each(caches.caches[layer][group], 1, rng)  # advanced directly, to position 4
+        message = f"cache at layer {layer} group {group} is at stream position 4, not 3"
+        with pytest.raises(InputError, match=message):
+            caches.total_seen
+        with pytest.raises(InputError, match=message):
+            forward_chunk(small_model, [4], caches)
+        with pytest.raises(InputError, match=message):
+            greedy_generate(small_model, [4], 2, caches)
+
     def test_reset_idempotent(self):
         caches = build_cache_set(uniform_plan(SMALL, 1.0), SMALL)
         reset(caches)
@@ -444,25 +449,21 @@ class TestMemoryReport:
     def test_toy_default_full_budget_total(self):
         # 2 (K and V) * 512 tokens * head_dim 16 * 2 bytes * 16 caches
         cfg = ModelConfig()
-        caches = build_cache_set(uniform_plan(cfg, 1.0), cfg)
-        report = memory_report(caches, bytes_per_element=2)
-        assert report.total_bytes == 2 * 512 * 16 * 2 * (4 * 4)
-        assert report.total_bytes == 524288
-        assert report.achieved_compression == 1.0
+        report = memory_report(uniform_plan(cfg, 1.0), cfg, bytes_per_element=2)
+        assert report["total_bytes"] == 2 * 512 * 16 * 2 * (4 * 4)
+        assert report["total_bytes"] == 524288
+        assert report["achieved_compression"] == 1.0
 
     def test_per_cache_bytes(self):
-        caches = build_cache_set(uniform_plan(SMALL, 1.0), SMALL)
-        report = memory_report(caches, bytes_per_element=4)
-        assert report.per_cache_bytes[0, 0] == 2 * SMALL.max_context * SMALL.head_dim * 4
+        report = memory_report(uniform_plan(SMALL, 1.0), SMALL, bytes_per_element=4)
+        assert report["per_cache_bytes"][0][0] == 2 * SMALL.max_context * SMALL.head_dim * 4
 
     @pytest.mark.parametrize("width", [0, -2])
     def test_non_positive_element_width_rejected(self, width):
-        caches = build_cache_set(uniform_plan(SMALL, 1.0), SMALL)
         with pytest.raises(InputError, match=f"bytes_per_element must be >= 1, got {width}"):
-            memory_report(caches, bytes_per_element=width)
+            memory_report(uniform_plan(SMALL, 1.0), SMALL, bytes_per_element=width)
 
     def test_half_compression_ratio(self):
         cfg = ModelConfig()
-        caches = build_cache_set(uniform_plan(cfg, 0.5), cfg)
-        report = memory_report(caches)
-        assert abs(report.achieved_compression - 0.5) < 1.0 / cfg.max_context
+        report = memory_report(uniform_plan(cfg, 0.5), cfg)
+        assert abs(report["achieved_compression"] - 0.5) < 1.0 / cfg.max_context

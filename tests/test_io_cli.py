@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -680,3 +681,86 @@ class TestCli:
         err = json.loads(captured.err.strip())
         assert err["error"] == f"bytes_per_element must be >= 1, got {width}"
         assert "total_bytes" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["init-model", "--out", "{dir}/x.bklv", "--rope-theta", "-inf"],
+             "argument --rope-theta: expected one argument"),
+            (["generate", "--model", "{model}", "--plan", "{dir}/p.json", "--text", "a", "--steps", "abc"],
+             "argument --steps: invalid int value: 'abc'"),
+            (["init-model", "--out", "{dir}/x.bklv", "--no-such-flag"],
+             "unrecognized arguments: --no-such-flag"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["bad-value", "bad-int", "unknown-flag", "no-subcommand"],
+    )
+    def test_usage_errors_follow_the_json_contract(self, cli_env, argv, message, capsys):
+        before = sorted(os.listdir(cli_env["dir"]))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(dir=cli_env["dir"], model=cli_env["model"]) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == json.dumps({"error": message, "violations": []}) + "\n"
+        assert sorted(os.listdir(cli_env["dir"])) == before
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: bklv plan [-h]")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_context", "512", "max_context must be an integer, got '512'"),
+            ("num_q_heads", 0, "num_q_heads must be in [1, 2147483647], got 0"),
+        ],
+        ids=["max_context-str", "num_q_heads-0"],
+    )
+    def test_plan_rejects_a_profile_with_a_bad_config(self, cli_env, field, value, message, capsys):
+        prof, out = str(cli_env["dir"] / "prof.json"), str(cli_env["dir"] / "plan.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        doc = io.read_json(prof)
+        doc["config"][field] = value
+        io.write_json(prof, doc)
+        capsys.readouterr()
+        rc = main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "0.3", "--out", out])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == f"{prof}: malformed profile: {message}"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("requested_compression", "0.3", "requested_compression must be a number, got '0.3'"),
+            ("strategy", 7, "strategy must be one of ('uniform', 'layerwise', 'baklava', 'window'), got 7"),
+            ("params", {"t": "abc", "r": 0.0, "layer_t": 0.0, "layer_r": 0.0},
+             "t must be in [0, 1], got 'abc'"),
+        ],
+        ids=["compression-str", "strategy-int", "params-t-str"],
+    )
+    def test_eval_rejects_a_retyped_plan_field(self, cli_env, field, value, message, capsys):
+        d = cli_env["dir"]
+        prof, plan, out = (str(d / name) for name in ("prof.json", "plan.json", "eval.json"))
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "0.5", "--out", plan])
+        doc = io.read_json(plan)
+        doc[field] = value
+        io.write_json(plan, doc)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            io.read_plan(plan)
+        capsys.readouterr()
+        rc = main(["eval", "--model", cli_env["model"], "--plan", plan, "--corpus", cli_env["corpus"],
+                   "--context-len", "48", "--out", out])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == f"{plan}: malformed plan: {message}"
+        assert not os.path.exists(out)

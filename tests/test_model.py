@@ -49,6 +49,7 @@ from .reference import (
 class TestConfig:
     def test_defaults_valid(self):
         ModelConfig().validate()
+        ModelConfig(num_layers=np.int64(4), rope_theta=np.float32(1e4)).validate()
 
     def test_q_heads_not_multiple(self):
         cfg = ModelConfig(num_q_heads=6, num_kv_heads=4, d_model=96, head_dim=16)
@@ -62,6 +63,20 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [("num_layers", 0), ("max_context", 4)])
     def test_count_floors(self, field, value):
         with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_layers", True, "num_layers must be an integer, got True"),
+            ("head_dim", 16.0, "head_dim must be an integer, got 16.0"),
+            ("max_context", 2**31, r"max_context must be in \[1, 2147483647\], got 2147483648"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("rope_theta", "1e4", "rope_theta must be finite and positive, got '1e4'"),
+        ],
+    )
+    def test_field_types_and_ranges(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             ModelConfig(**{field: value}).validate()
 
 
@@ -288,9 +303,9 @@ class TestBudgetedStepping:
     def test_each_layer_batches_up_to_its_own_free_space(self, small_model, monkeypatch):
         appends = []
 
-        def recording(cache, k_new, v_new, positions):
+        def recording(cache, k_new, v_new):
             appends.append((cache, len(k_new)))
-            append_and_evict(cache, k_new, v_new, positions)
+            append_and_evict(cache, k_new, v_new)
 
         monkeypatch.setattr(model_module, "append_and_evict", recording)
         # layer 0's smallest budget (4) is below layer 1's (10)
@@ -331,18 +346,15 @@ class TestBatchedLayer:
         cfg = SMALL
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(batch, prefix + n, cfg.d_model)).astype(np.float32)
-        positions = np.arange(prefix + n)
         together = layer_caches(budgets * batch, sinks, cfg.head_dim)
         alone = [layer_caches(budgets, sinks, cfg.head_dim) for _ in range(batch)]
         bounds = [0, prefix, prefix + n] if prefix else [0, n]
         with mock.patch.object(cache_module, "SCORE_CAP", cap):
             for a, b in zip(bounds[:-1], bounds[1:]):
-                got = forward_layer(small_model, li, x[:, a:b], positions[a:b], together)
+                got = forward_layer(small_model, li, x[:, a:b], together)
                 assert got.shape == (batch, b - a, cfg.d_model)
                 for seq in range(batch):
-                    one = forward_layer(
-                        small_model, li, x[seq : seq + 1, a:b], positions[a:b], alone[seq]
-                    )
+                    one = forward_layer(small_model, li, x[seq : seq + 1, a:b], alone[seq])
                     assert np.array_equal(got[seq], one[0])
         for seq, caches in enumerate(alone):
             for grp, cache in enumerate(caches):
@@ -355,7 +367,7 @@ class TestBatchedLayer:
         caches = layer_caches([8] * SMALL.num_kv_heads, 1, SMALL.head_dim)
         x = np.zeros((2, 3, SMALL.d_model), np.float32)
         with pytest.raises(ShapeError):
-            forward_layer(small_model, 0, x, np.arange(3), caches)
+            forward_layer(small_model, 0, x, caches)
 
 
 class TestRope:
@@ -383,6 +395,10 @@ class TestGreedyGenerate:
     def test_negative_steps(self, small_model):
         with pytest.raises(InputError):
             greedy_generate(small_model, [256], -1, _fresh_caches(small_model))
+
+    def test_empty_prompt_fails_the_token_rule(self, small_model):
+        with pytest.raises(InputError, match="tokens must be a non-empty 1-D sequence"):
+            greedy_generate(small_model, [], 3, _fresh_caches(small_model))
 
     def test_matches_cache_free_oracle(self, small_model):
         prompt = [256, 10, 20, 30]

@@ -187,9 +187,9 @@ class TestEvaluatePlans:
         plans = [_plan(2, [[4, 7], [9, 5]]), _plan(0, [[12, 3], [6, 20]])]
         sizes = []
 
-        def counting(model, li, x, positions, caches):
+        def counting(model, li, x, caches):
             sizes.append(len(x))
-            return forward_layer(model, li, x, positions, caches)
+            return forward_layer(model, li, x, caches)
 
         # room for two chunks' hidden states, not three
         monkeypatch.setattr(search_module, "HIDDEN_CAP", 3 * context_len * SMALL.d_model - 1)
@@ -210,10 +210,10 @@ class TestEvaluatePlans:
         model = init_model(replace(SMALL, num_layers=4))
         inputs, alive = [], []
 
-        def tracking(model, li, x, positions, caches):
+        def tracking(model, li, x, caches):
             alive.append(sum(ref() is not None for ref in inputs))
             inputs.append(weakref.ref(x))
-            return forward_layer(model, li, x, positions, caches)
+            return forward_layer(model, li, x, caches)
 
         monkeypatch.setattr(search_module, "forward_layer", tracking)
         evaluate_plans(model, _corpus(rng, 48), 24, [uniform_plan(model.config, 0.5)])
@@ -303,9 +303,9 @@ class TestParameterSearch:
 
         calls = []
 
-        def counting(model, li, x, positions, caches):
+        def counting(model, li, x, caches):
             calls.append(len(x))
-            return forward_layer(model, li, x, positions, caches)
+            return forward_layer(model, li, x, caches)
 
         monkeypatch.setattr(search_module, "forward_layer", counting)
         report = parameter_search(small_model, corpus, context_len, compression, grid, small_profile)
