@@ -55,9 +55,6 @@ from .profiling import (
     token_cosine_similarities,
 )
 from .search import (
-    CorrelationReport,
-    SearchReport,
-    SweepReport,
     chunk_nll,
     chunked_perplexity,
     evaluate_plans,

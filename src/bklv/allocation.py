@@ -92,6 +92,14 @@ class PlanParams:
             if not real or not (0.0 <= v <= 1.0 if closed else 0.0 <= v < 1.0):
                 raise AllocationError(f"{name} must be in [0, 1{']' if closed else ')'}, got {v!r}")
 
+    def check_used_by(self, strategy: str) -> None:
+        """Every field that `strategy` ignores is 0: uniform and window use
+        none, layerwise layer_t and layer_r, baklava all four."""
+        used = {"layerwise": ("layer_t", "layer_r"), "baklava": ("t", "r", "layer_t", "layer_r")}
+        ignored = [n for n, v in asdict(self).items() if v != 0 and n not in used.get(strategy, ())]
+        if ignored:
+            raise AllocationError(f"strategy {strategy!r} does not use {', '.join(ignored)}; set them to 0")
+
 
 @dataclass
 class AllocationPlan:
@@ -240,6 +248,7 @@ def build_plan(
         raise AllocationError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     params = params or PlanParams()
     params.validate()
+    params.check_used_by(strategy)
     if strategy == "uniform":
         layer_totals = _uniform_layer_totals(config, compression)
     elif profile is None:

@@ -237,6 +237,12 @@ def check_plan_fits(plan: AllocationPlan, config: ModelConfig) -> None:
     _raise_floor_violations(plan.budgets, plan.sinks)
 
 
+def clamp_budgets(budgets: list[int], sinks: int, tokens: int) -> tuple[int, ...]:
+    """Budgets cut to `tokens`, the most a cache will be given, but kept above
+    `sinks`: a cache that never fills evicts nothing, so it runs the same."""
+    return tuple(min(b, max(tokens, sinks + 1)) for b in budgets)
+
+
 def layer_caches(budgets: list[int], sinks: int, head_dim: int) -> list[BudgetedCache]:
     """Empty caches of one layer, one per KV group, sharing one store."""
     store = LayerStore(len(budgets), max(budgets), head_dim)
@@ -244,9 +250,10 @@ def layer_caches(budgets: list[int], sinks: int, head_dim: int) -> list[Budgeted
 
 
 def build_cache_set(plan: AllocationPlan, config: ModelConfig) -> CacheSet:
-    """Empty caches sized from a plan's budget matrix, one store per layer."""
+    """Empty caches sized from a plan's budget matrix, one store per layer,
+    each budget clamped to max_context (clamp_budgets)."""
     check_plan_fits(plan, config)
-    rows = plan.budgets.tolist()
+    rows = [clamp_budgets(row, plan.sinks, config.max_context) for row in plan.budgets.tolist()]
     return CacheSet([layer_caches(row, plan.sinks, config.head_dim) for row in rows], config)
 
 

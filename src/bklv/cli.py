@@ -112,10 +112,10 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _heatmap_text(report) -> str:
-    ts = sorted({p.t for p in report.grid})
-    rs = sorted({p.r for p in report.grid})
-    cells = {(p.t, p.r): p for p in report.grid}
+def _heatmap_text(report: dict) -> str:
+    ts = sorted({p["t"] for p in report["grid"]})
+    rs = sorted({p["r"] for p in report["grid"]})
+    cells = {(p["t"], p["r"]): p for p in report["grid"]}
     lines = ["r\\t   " + "  ".join(f"{t:7.3f}" for t in ts)]
     for r in rs:
         row = [f"{r:5.2f}"]
@@ -123,10 +123,10 @@ def _heatmap_text(report) -> str:
             p = cells.get((t, r))
             if p is None:
                 row.append("      .")
-            elif not p.feasible:
+            elif not p["feasible"]:
                 row.append("    inf")
             else:
-                row.append(f"{p.loss:7.4f}")
+                row.append(f"{p['loss']:7.4f}")
         lines.append("  ".join(row))
     return "\n".join(lines)
 
@@ -134,35 +134,24 @@ def _heatmap_text(report) -> str:
 def cmd_search(args) -> int:
     model = io.read_model_file(args.model)
     profile = _read_profile_for(model, args.profile)
-    corpus = io.load_corpus(args.corpus, model.config.vocab_size)
+    corpus = io.load_corpus(args.corpus)
     context_len = model.config.max_context if args.context_len is None else args.context_len
     t_grid = _grid_values(args.t_grid, "t") if args.t_grid else list(DEFAULT_T_GRID)
     r_grid = _grid_values(args.r_grid, "r") if args.r_grid else list(DEFAULT_R_GRID)
     grid = [(t, r) for t in t_grid for r in r_grid]
     report = parameter_search(
-        model,
-        corpus.token_ids,
-        context_len,
-        args.compression,
-        grid,
-        profile,
-        sinks=args.sinks,
-        layer_t=args.layer_t,
-        layer_r=args.layer_r,
+        model, corpus, context_len, args.compression, grid, profile,
+        sinks=args.sinks, layer_t=args.layer_t, layer_r=args.layer_r,
     )
-    io.write_search_report(report, args.out)
-    _manifest(
-        args,
-        args.out,
-        {"model": args.model, "profile": args.profile, "report": args.out},
-    )
-    if report.best is None:
+    io.write_json(args.out, {"format_version": io.SEARCH_VERSION, **report})
+    _manifest(args, args.out, {"model": args.model, "profile": args.profile, "report": args.out})
+    if report["best"] is None:
         return _fail("no feasible grid point", [f"grid size {len(grid)}"])
     print(f"report: {args.out}")
-    print(f"best_t: {report.best[0]}")
-    print(f"best_r: {report.best[1]}")
-    print(f"best_loss: {report.best_loss:.6f}")
-    print(f"uniform_loss: {report.uniform_loss:.6f}")
+    print(f"best_t: {report['best']['t']}")
+    print(f"best_r: {report['best']['r']}")
+    print(f"best_loss: {report['best_loss']:.6f}")
+    print(f"uniform_loss: {report['uniform_loss']:.6f}")
     if args.heatmap:
         print(_heatmap_text(report))
     return 0
@@ -171,10 +160,10 @@ def cmd_search(args) -> int:
 def cmd_eval(args) -> int:
     model = io.read_model_file(args.model)
     plan = require_valid(io.read_plan(args.plan), model.config)
-    corpus = io.load_corpus(args.corpus, model.config.vocab_size)
+    corpus = io.load_corpus(args.corpus)
     context_len = model.config.max_context if args.context_len is None else args.context_len
     memory = memory_report(plan, model.config, args.bytes_per_element)
-    loss = chunked_perplexity(model, corpus.token_ids, context_len, plan)
+    loss = chunked_perplexity(model, corpus, context_len, plan)
     doc = io.eval_report_to_dict(loss, memory, plan, model.config)
     print(f"perplexity: {math.exp(loss):.6f}")
     print(f"loss: {loss:.6f}")
@@ -191,22 +180,21 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     model = io.read_model_file(args.model)
     profile = _read_profile_for(model, args.profile) if args.profile else None
-    corpus = io.load_corpus(args.corpus, model.config.vocab_size)
+    corpus = io.load_corpus(args.corpus)
     context_len = model.config.max_context if args.context_len is None else args.context_len
-    report = layer_sweep(
-        model, corpus.token_ids, context_len, args.window, args.compression, args.sinks
-    )
-    correlation = None if profile is None else heuristic_vs_empirical(profile, report)
-    io.write_sweep_report(report, args.out, correlation)
+    report = layer_sweep(model, corpus, context_len, args.window, args.compression, args.sinks)
+    if profile is not None:
+        report["correlation"] = heuristic_vs_empirical(profile, report)
+    io.write_json(args.out, {"format_version": io.SWEEP_VERSION, **report})
     files = {"model": args.model, "report": args.out}
     if args.profile:
         files["profile"] = args.profile
     _manifest(args, args.out, files)
     print(f"report: {args.out}")
-    print(f"scores: {' '.join(f'{s:.4f}' for s in report.scores)}")
-    if correlation is not None:
-        print(f"correlation_full: {correlation.full:.4f}")
-        print(f"correlation_trimmed: {correlation.trimmed:.4f}")
+    print(f"scores: {' '.join(f'{s:.4f}' for s in report['scores'])}")
+    if profile is not None:
+        print(f"correlation_full: {report['correlation']['full']:.4f}")
+        print(f"correlation_trimmed: {report['correlation']['trimmed']:.4f}")
     return 0
 
 
@@ -335,6 +323,8 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(f"i/o error: {exc}")
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

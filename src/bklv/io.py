@@ -10,7 +10,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .config import ModelConfig
 from .errors import FormatError, InputError
 from .model import Model, deserialize_model, serialize_model
 from .profiling import ImportanceProfile
-from .search import CorrelationReport, SearchReport, SweepReport
 
 BOS_ID = 256
 
@@ -43,22 +42,13 @@ def decode_ids(ids) -> bytes:
     return bytes(int(i) for i in ids if int(i) < 256)
 
 
-@dataclass
-class Corpus:
-    sources: list[str]
-    token_ids: np.ndarray  # int64, BOS-prefixed per document
-    boundaries: list[int]  # start offset of each document
+def load_corpus(paths: list[str]) -> np.ndarray:
+    """Read plain files as raw bytes, one BOS-prefixed document per file,
+    into one int64 array of token ids.
 
-
-def load_corpus(paths: list[str], vocab_size: int = 257) -> Corpus:
-    """Read plain files as raw bytes, one document per file, BOS-prefixed.
-
-    Directories expand to their files in sorted name order.
+    Directories expand to the files directly in them, in sorted name
+    order. Nothing found raises InputError; an unreadable path, OSError.
     """
-    if vocab_size < BOS_ID + 1:
-        raise InputError(
-            f"byte-level corpus needs vocab_size >= {BOS_ID + 1}, got {vocab_size}"
-        )
     files: list[str] = []
     for path in paths:
         if os.path.isdir(path):
@@ -72,13 +62,10 @@ def load_corpus(paths: list[str], vocab_size: int = 257) -> Corpus:
     if not files:
         raise InputError("corpus is empty: no files found")
     ids: list[int] = []
-    boundaries: list[int] = []
     for fname in files:
         with open(fname, "rb") as fh:
-            data = fh.read()
-        boundaries.append(len(ids))
-        ids.extend(encode_bytes(data))
-    return Corpus(files, np.asarray(ids, dtype=np.int64), boundaries)
+            ids.extend(encode_bytes(fh.read()))
+    return np.asarray(ids, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +231,7 @@ def plan_from_dict(doc: dict, path: str = "<memory>") -> AllocationPlan:
             raise ValueError(f"strategy must be one of {PLAN_STRATEGIES}, got {strategy!r}")
         params = _fields(PlanParams, doc["params"], "params")
         params.validate()
+        params.check_used_by(strategy)
         compression = doc["requested_compression"]
         if type(compression) not in (int, float):  # bool and str are not numbers
             raise ValueError(f"requested_compression must be a number, got {compression!r}")
@@ -264,60 +252,6 @@ def write_plan(plan: AllocationPlan, config: ModelConfig, path: str) -> None:
 
 def read_plan(path: str) -> AllocationPlan:
     return plan_from_dict(read_json(path), path)
-
-
-# ---------------------------------------------------------------------------
-# search report
-
-def search_report_to_dict(report: SearchReport) -> dict:
-    return {
-        "format_version": SEARCH_VERSION,
-        "compression": report.compression,
-        "grid": [
-            {
-                "t": p.t,
-                "r": p.r,
-                "loss": None if not p.feasible else p.loss,
-                "feasible": p.feasible,
-            }
-            for p in report.grid
-        ],
-        "best": None if report.best is None else {"t": report.best[0], "r": report.best[1]},
-        "best_loss": report.best_loss,
-        "uniform_loss": report.uniform_loss,
-        "chunks_evaluated": report.chunks_evaluated,
-        "tokens_per_chunk": report.tokens_per_chunk,
-        "sinks": report.sinks,
-        "layer_t": report.layer_t,
-        "layer_r": report.layer_r,
-    }
-
-
-def write_search_report(report: SearchReport, path: str) -> None:
-    write_json(path, search_report_to_dict(report))
-
-
-# ---------------------------------------------------------------------------
-# sweep report
-
-def sweep_report_to_dict(report: SweepReport, correlation: CorrelationReport | None = None) -> dict:
-    doc = {
-        "format_version": SWEEP_VERSION,
-        "window": report.window,
-        "compression": report.compression,
-        "scores": report.scores,
-        "bounds": [list(b) for b in report.bounds],
-        "correlation": None,
-    }
-    if correlation is not None:
-        doc["correlation"] = asdict(correlation)
-    return doc
-
-
-def write_sweep_report(
-    report: SweepReport, path: str, correlation: CorrelationReport | None = None
-) -> None:
-    write_json(path, sweep_report_to_dict(report, correlation))
 
 
 # ---------------------------------------------------------------------------

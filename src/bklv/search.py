@@ -7,7 +7,6 @@ means more degradation from compressing that window of layers.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .allocation import (
     uniform_plan,
     window_plan,
 )
-from .cache import CacheSet, check_plan_fits, layer_caches
+from .cache import CacheSet, check_plan_fits, clamp_budgets, layer_caches
 from .errors import AllocationError, InputError, ShapeError
 from .model import Model, check_tokens, forward_chunk, forward_layer, output_logits
 from .numerics import log_softmax_f64
@@ -65,9 +64,9 @@ def evaluate_plans(
     A layer's output depends only on its input and its own budget row, so
     the plans' rows form a trie, walked depth-first once per batch: each
     distinct prefix runs its last layer once for the batch and each leaf
-    is scored once. Rows are keyed by sinks and min(budget, context_len),
-    since a cache that never fills evicts nothing. A plan's loss equals
-    its one-plan evaluation bit for bit.
+    is scored once. Rows are keyed by sinks and their budgets clamped to
+    context_len (clamp_budgets). A plan's loss equals its one-plan
+    evaluation bit for bit.
     """
     corpus_tokens = np.asarray(corpus_tokens, dtype=np.int64)
     cfg = model.config
@@ -87,7 +86,7 @@ def evaluate_plans(
     n_chunks = corpus_tokens.size // context_len
     chunks = check_tokens(corpus_tokens[: n_chunks * context_len], cfg.vocab_size)
     rows = [
-        [(plan.sinks, tuple(min(b, context_len) for b in row)) for row in plan.budgets.tolist()]
+        [(plan.sinks, clamp_budgets(row, plan.sinks, context_len)) for row in plan.budgets.tolist()]
         for plan in plans
     ]
     losses = [[] for _ in plans]  # per plan, one loss per chunk in corpus order
@@ -128,28 +127,6 @@ def chunked_perplexity(model: Model, corpus_tokens, context_len: int, plan: Allo
     return evaluate_plans(model, corpus_tokens, context_len, [plan])[0]
 
 
-@dataclass
-class GridPoint:
-    t: float
-    r: float
-    loss: float  # NaN when infeasible
-    feasible: bool
-
-
-@dataclass
-class SearchReport:
-    compression: float
-    grid: list[GridPoint]
-    best: tuple[float, float] | None  # (t, r) of the minimum feasible loss
-    best_loss: float | None
-    uniform_loss: float  # same corpus under the uniform plan, for comparison
-    chunks_evaluated: int
-    tokens_per_chunk: int
-    sinks: int = DEFAULT_SINKS
-    layer_t: float = 0.0
-    layer_r: float = 0.0
-
-
 def parameter_search(
     model: Model,
     corpus_tokens,
@@ -160,15 +137,18 @@ def parameter_search(
     sinks: int = DEFAULT_SINKS,
     layer_t: float = 0.0,
     layer_r: float = 0.0,
-) -> SearchReport:
+) -> dict:
     """Evaluate the head-reallocation plan at every (t, r) grid point.
 
-    Out-of-range parameters raise AllocationError before any point is
-    evaluated. Infeasible points (plan construction fails the budget
-    floor) are recorded but excluded from the argmin. The best point is
-    the first grid entry achieving the minimum loss. The feasible plans
-    and the uniform plan are scored in one evaluate_plans call, so plans
-    share their common layer prefixes and equal plans share one loss.
+    Returns the search report, every bklv-search-v1 key but
+    format_version. A "grid" entry is {"t", "r", "loss", "feasible"}; an
+    infeasible point (its plan fails the budget floor) has loss None and
+    no part in the argmin. "best" is the {"t", "r"} of the first entry
+    with the minimum loss, or None. Out-of-range parameters raise
+    AllocationError before any point is evaluated. The feasible plans
+    and the uniform plan ("uniform_loss") are scored in one
+    evaluate_plans call, so plans share their common layer prefixes and
+    equal plans share one loss.
     """
     if not grid:
         raise InputError("parameter grid is empty")
@@ -190,36 +170,25 @@ def parameter_search(
     uniform_loss, *losses = evaluate_plans(model, corpus_tokens, context_len, [uniform, *feasible])
     losses = iter(losses)
     points = [
-        GridPoint(p.t, p.r, math.nan if plan is None else next(losses), plan is not None)
+        {"t": p.t, "r": p.r, "loss": next(losses) if plan else None, "feasible": plan is not None}
         for p, plan in zip(params, plans)
     ]
     best = None
-    best_loss = None
     for point in points:
-        if point.feasible and (best_loss is None or point.loss < best_loss):
-            best, best_loss = (point.t, point.r), point.loss
-
-    n_chunks = corpus_tokens.size // context_len
-    return SearchReport(
-        compression=compression,
-        grid=points,
-        best=best,
-        best_loss=best_loss,
-        uniform_loss=uniform_loss,
-        chunks_evaluated=n_chunks,
-        tokens_per_chunk=context_len,
-        sinks=sinks,
-        layer_t=layer_t,
-        layer_r=layer_r,
-    )
-
-
-@dataclass
-class SweepReport:
-    window: int
-    compression: float
-    scores: list[float]  # perplexity per center layer; len == num_layers
-    bounds: list[tuple[int, int]] = field(default_factory=list)
+        if point["feasible"] and (best is None or point["loss"] < best["loss"]):
+            best = point
+    return {
+        "compression": compression,
+        "grid": points,
+        "best": None if best is None else {"t": best["t"], "r": best["r"]},
+        "best_loss": None if best is None else best["loss"],
+        "uniform_loss": uniform_loss,
+        "chunks_evaluated": corpus_tokens.size // context_len,
+        "tokens_per_chunk": context_len,
+        "sinks": sinks,
+        "layer_t": layer_t,
+        "layer_r": layer_r,
+    }
 
 
 def layer_sweep(
@@ -229,13 +198,15 @@ def layer_sweep(
     window: int,
     compression: float,
     sinks: int = DEFAULT_SINKS,
-) -> SweepReport:
+) -> dict:
     """Compress a sliding window of layers around each center and score it.
 
     For center L the window is [max(0, L - window//2),
     min(last_layer, L + window//2)]; only those layers are compressed,
     all others keep full budgets. The score is the chunked perplexity.
-    All centers are scored in one evaluate_plans call.
+    All centers are scored in one evaluate_plans call. Returns the sweep
+    report, every bklv-sweep-v1 key but format_version: "bounds" holds each
+    center's [lo, hi] and "correlation" is None (heuristic_vs_empirical).
     """
     cfg = model.config
     if window % 2 != 1 or not 1 <= window <= cfg.num_layers:
@@ -244,45 +215,46 @@ def layer_sweep(
         )
     half = window // 2
     bounds = [
-        (max(0, center - half), min(cfg.num_layers - 1, center + half))
+        [max(0, center - half), min(cfg.num_layers - 1, center + half)]
         for center in range(cfg.num_layers)
     ]
     plans = [window_plan(cfg, lo, hi, compression, sinks) for lo, hi in bounds]
     losses = evaluate_plans(model, corpus_tokens, context_len, plans)
-    scores = [float(math.exp(loss)) for loss in losses]
-    return SweepReport(window=window, compression=compression, scores=scores, bounds=bounds)
+    return {
+        "window": window,
+        "compression": compression,
+        "scores": [float(math.exp(loss)) for loss in losses],
+        "bounds": bounds,
+        "correlation": None,
+    }
 
 
-@dataclass
-class CorrelationReport:
-    """Alignment between the layer heuristic and the empirical sweep.
+def heuristic_vs_empirical(profile: ImportanceProfile, sweep: dict) -> dict:
+    """Alignment between the layer heuristic and a layer_sweep report.
 
     Sweep scores are perplexities, so a higher score already means more
     degradation; the correlation is positive when the heuristic ranks the
-    empirically fragile layers as important. The trimmed variant drops
+    empirically fragile layers as important. Returns the sweep report's
+    "correlation" object: "full" and "full_degenerate" over all layers,
+    and "trimmed" and "trimmed_degenerate" without the "trim" =
     window//2 layers at each end, where window overlap at the boundaries
     biases scores.
     """
-
-    full: float
-    full_degenerate: bool
-    trimmed: float
-    trimmed_degenerate: bool
-    trim: int
-
-
-def heuristic_vs_empirical(
-    profile: ImportanceProfile, sweep: SweepReport
-) -> CorrelationReport:
     imp = np.asarray(profile.layer_importance, dtype=np.float64)
-    scores = np.asarray(sweep.scores, dtype=np.float64)
+    scores = np.asarray(sweep["scores"], dtype=np.float64)
     if imp.shape != scores.shape:
         raise ShapeError(
             f"layer importance ({imp.shape}) and sweep scores ({scores.shape}) differ"
         )
     full, full_deg = spearman(imp, scores)
-    trim = sweep.window // 2
+    trim = sweep["window"] // 2
     # fewer than two layers left after trimming is spearman's degenerate case
     kept = slice(trim, imp.size - trim)
     trimmed, trimmed_deg = spearman(imp[kept], scores[kept])
-    return CorrelationReport(full, full_deg, trimmed, trimmed_deg, trim)
+    return {
+        "full": full,
+        "full_degenerate": full_deg,
+        "trimmed": trimmed,
+        "trimmed_degenerate": trimmed_deg,
+        "trim": trim,
+    }

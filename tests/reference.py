@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from bklv.errors import ShapeError
-from bklv.numerics import softmax
 
 RMS_EPS = 1e-5
 
@@ -45,8 +44,9 @@ def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndar
     """softmax(Q K^T / sqrt(d)) V with causal masking when len(q) > 1.
 
     Queries are taken to be the last len(q) positions of the key sequence:
-    query i attends to keys 0 .. (len(k) - len(q) + i). Dense float32
-    attention over explicit K/V, with no cache.
+    query i attends to keys 0 .. (len(k) - len(q) + i). Dense attention
+    over explicit K/V, with no cache: float32 scores, the float64
+    naive_row_softmax, and a float32 result.
     """
     q = np.asarray(q, dtype=np.float32)
     k = np.asarray(k, dtype=np.float32)
@@ -65,7 +65,7 @@ def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndar
         scores = np.where(
             key_pos[None, :] > query_pos[:, None], np.float32(-np.inf), scores
         )
-    return softmax(scores, axis=-1) @ v
+    return (naive_row_softmax(scores) @ v.astype(np.float64)).astype(np.float32)
 
 
 def _ref_rms(x, gain):

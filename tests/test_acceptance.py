@@ -173,9 +173,9 @@ def test_criterion_5_perplexity_anchors(toy):
         report = parameter_search(
             toy, corpus2, 128, 0.2, [(0.0, 0.0), (0.7, 0.5)], profile
         )
-        anchor = report.grid[0]
-        assert anchor.t == 0.0 and anchor.r == 0.0
-        assert anchor.loss == report.uniform_loss  # bit-for-bit
+        anchor = report["grid"][0]
+        assert anchor["t"] == 0.0 and anchor["r"] == 0.0
+        assert anchor["loss"] == report["uniform_loss"]  # bit-for-bit
 
 
 def test_criterion_6_search_argmin(toy):
@@ -185,7 +185,7 @@ def test_criterion_6_search_argmin(toy):
         corpus = rng.integers(0, 257, size=4 * 128)
         grid = [(t, r) for t in (0.5, 0.7, 0.9) for r in (0.2, 0.5, 0.8)]
         report = parameter_search(toy, corpus, 128, 0.15, grid, profile)
-        assert report.chunks_evaluated == 4
+        assert report["chunks_evaluated"] == 4
 
         best, best_loss = None, None
         for t, r in grid:
@@ -193,11 +193,11 @@ def test_criterion_6_search_argmin(toy):
             loss = chunked_perplexity(toy, corpus, 128, plan)
             if best_loss is None or loss < best_loss:  # first-in-grid tie-break
                 best, best_loss = (t, r), loss
-        assert report.best == best
-        assert report.best_loss == best_loss
-        for point in report.grid:
-            if point.feasible:
-                assert report.best_loss <= point.loss
+        assert report["best"] == {"t": best[0], "r": best[1]}
+        assert report["best_loss"] == best_loss
+        for point in report["grid"]:
+            if point["feasible"]:
+                assert report["best_loss"] <= point["loss"]
 
 
 def test_criterion_7_sweep_shape_and_flat_case(toy):
@@ -205,15 +205,15 @@ def test_criterion_7_sweep_shape_and_flat_case(toy):
         rng = np.random.default_rng(707)
         corpus = rng.integers(0, 257, size=128)
         report = layer_sweep(toy, corpus, 64, 3, 1.0)
-        assert len(report.scores) == TOY.num_layers
-        assert len(set(report.scores)) == 1  # identical plans at compression 1.0
+        assert len(report["scores"]) == TOY.num_layers
+        assert len(set(report["scores"])) == 1  # identical plans at compression 1.0
 
         half = 3 // 2
-        for center, (lo, hi) in enumerate(report.bounds):
+        for center, (lo, hi) in enumerate(report["bounds"]):
             assert lo == max(0, center - half)
             assert hi == min(TOY.num_layers - 1, center + half)
-        assert report.bounds[0] == (0, 1)
-        assert report.bounds[-1] == (TOY.num_layers - 2, TOY.num_layers - 1)
+        assert report["bounds"][0] == [0, 1]
+        assert report["bounds"][-1] == [TOY.num_layers - 2, TOY.num_layers - 1]
 
 
 def test_criterion_8_pipeline_ordering(toy):
@@ -227,18 +227,18 @@ def test_criterion_8_pipeline_ordering(toy):
         outcomes = {}
         for compression, context_len in ((0.3, 256), (0.5, 384)):
             report = parameter_search(toy, corpus, context_len, compression, grid, profile)
-            assert report.best is not None
+            best = report["best"]
+            assert best is not None
             best_plan = build_plan(
-                profile, TOY, "baklava", compression,
-                PlanParams(t=report.best[0], r=report.best[1]),
+                profile, TOY, "baklava", compression, PlanParams(t=best["t"], r=best["r"])
             )
             baklava_loss = chunked_perplexity(toy, corpus, context_len, best_plan)
-            assert baklava_loss == report.best_loss  # eval reproduces the search
-            outcomes[compression] = (baklava_loss, report.uniform_loss)
+            assert baklava_loss == report["best_loss"]  # eval reproduces the search
+            outcomes[compression] = (baklava_loss, report["uniform_loss"])
             print(
                 f"  compression {compression}: baklava ppl {math.exp(baklava_loss):.4f} "
-                f"(t={report.best[0]}, r={report.best[1]}) vs uniform ppl "
-                f"{math.exp(report.uniform_loss):.4f}"
+                f"(t={best['t']}, r={best['r']}) vs uniform ppl "
+                f"{math.exp(report['uniform_loss']):.4f}"
             )
 
         assert any(b <= u for b, u in outcomes.values())

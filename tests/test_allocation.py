@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,9 +79,13 @@ class TestUniformPlan:
     def test_compression_out_of_range(self):
         # one rule for every strategy and the sweep's window plans
         profile = _profile(TOY, np.full((4, 4), 0.5), np.full(4, 0.5))
+        params = {
+            "uniform": PlanParams(),
+            "layerwise": PlanParams(layer_t=0.6, layer_r=0.3),
+            "baklava": PlanParams(t=0.6, r=0.3),
+        }
         builders = [
-            *(lambda c, s=s: build_plan(profile, TOY, s, c, PlanParams(t=0.6, r=0.3))
-              for s in ("uniform", "layerwise", "baklava")),
+            *(lambda c, s=s: build_plan(profile, TOY, s, c, params[s]) for s in params),
             lambda c: uniform_plan(TOY, c),
             lambda c: window_plan(TOY, 1, 2, c),
         ]
@@ -213,9 +219,9 @@ class TestBuildPlan:
 
     def test_layerwise_equals_baklava_with_r_zero(self):
         profile = _profile(SMALL, [[0.2, 0.4], [0.3, 0.5]], [0.1, 0.9])
-        params = PlanParams(t=0.7, r=0.0, layer_t=0.95, layer_r=0.2)
-        a = build_plan(profile, SMALL, "layerwise", 0.5, params, sinks=4)
-        b = build_plan(profile, SMALL, "baklava", 0.5, params, sinks=4)
+        layer = PlanParams(layer_t=0.95, layer_r=0.2)
+        a = build_plan(profile, SMALL, "layerwise", 0.5, layer, sinks=4)
+        b = build_plan(profile, SMALL, "baklava", 0.5, replace(layer, t=0.7), sinks=4)
         assert np.array_equal(a.budgets, b.budgets)
         assert a.strategy == "layerwise" and b.strategy == "baklava"
 
@@ -255,15 +261,13 @@ class TestBuildPlan:
 
     def test_conservation_across_strategies(self):
         profile = _profile(SMALL, [[0.05, 0.60], [0.50, 0.10]], [0.9, 0.1])
-        for strategy in ("uniform", "layerwise", "baklava"):
-            plan = build_plan(
-                profile,
-                SMALL,
-                strategy,
-                0.37,
-                PlanParams(t=0.6, r=0.3, layer_t=0.6, layer_r=0.25),
-                sinks=4,
-            )
+        params = {
+            "uniform": PlanParams(),
+            "layerwise": PlanParams(layer_t=0.6, layer_r=0.25),
+            "baklava": PlanParams(t=0.6, r=0.3, layer_t=0.6, layer_r=0.25),
+        }
+        for strategy, strategy_params in params.items():
+            plan = build_plan(profile, SMALL, strategy, 0.37, strategy_params, sinks=4)
             assert plan.total_tokens == global_budget(SMALL, 0.37)
 
     @pytest.mark.parametrize("t", [True, "0.5", None])
@@ -271,6 +275,26 @@ class TestBuildPlan:
         PlanParams(t=np.float64(0.5), r=np.float32(0.25)).validate()
         with pytest.raises(AllocationError, match=rf"^t must be in \[0, 1\], got {t!r}$"):
             build_plan(None, SMALL, "uniform", 0.5, PlanParams(t=t))
+
+    @pytest.mark.parametrize(
+        "strategy, params, ignored",
+        [
+            ("uniform", PlanParams(t=0.9, r=0.8, layer_t=0.5, layer_r=0.5), "t, r, layer_t, layer_r"),
+            ("uniform", PlanParams(layer_r=0.5), "layer_r"),
+            ("layerwise", PlanParams(t=0.9, r=0.8), "t, r"),
+            ("layerwise", PlanParams(r=0.1, layer_t=0.5, layer_r=0.5), "r"),
+        ],
+    )
+    def test_params_the_strategy_ignores_are_rejected(self, strategy, params, ignored):
+        profile = _profile(SMALL, [[0.2, 0.4], [0.3, 0.5]], [0.1, 0.9])
+        with pytest.raises(AllocationError, match=f"^strategy '{strategy}' does not use {ignored};"):
+            build_plan(profile, SMALL, strategy, 0.5, params)
+        build_plan(profile, SMALL, "baklava", 0.5, params)  # baklava uses all four
+
+    def test_window_plans_use_no_params(self):
+        PlanParams().check_used_by("window")
+        with pytest.raises(AllocationError, match="^strategy 'window' does not use layer_t;"):
+            PlanParams(layer_t=0.5).check_used_by("window")
 
     def test_unknown_strategy(self):
         with pytest.raises(AllocationError, match="strategy"):

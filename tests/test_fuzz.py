@@ -1,5 +1,6 @@
 """Property tests of the plan and profile readers and of the CLI's error
-contract, over valid documents with one field replaced, deleted or retyped.
+contract, over valid documents with one field replaced, deleted or retyped,
+and of the corpus reader over trees of files and directories.
 
 A reader returns what its document says, every value of its documented
 type, or raises a BklvError. The CLI exits 0 with nothing on stderr, or
@@ -16,10 +17,20 @@ from io import StringIO
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bklv import BklvError, PlanParams, build_plan, init_model, io, profile_model
+from bklv import (
+    BklvError,
+    InputError,
+    PlanParams,
+    build_plan,
+    init_model,
+    io,
+    profile_model,
+    uniform_plan,
+)
 from bklv.cli import main
 
 from .conftest import SMALL
@@ -100,6 +111,7 @@ class TestPlanReader:
         for name, value in doc["params"].items():
             assert _same_number(getattr(plan.params, name), value)
         plan.params.validate()
+        plan.params.check_used_by(plan.strategy)
         assert type(doc["sinks"]) is int and plan.sinks == doc["sinks"]
         assert all(type(b) is int for row in doc["budgets"] for b in row)
         assert plan.budgets.tolist() == doc["budgets"]
@@ -192,6 +204,14 @@ def _run(argv: list[str], plan: dict, profile: dict) -> tuple[int, str]:
         return code, err.getvalue()
 
 
+def _one_json_error(err: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    doc = json.loads(lines[0])
+    assert set(doc) == {"error", "violations"}
+    assert isinstance(doc["error"], str) and isinstance(doc["violations"], list)
+
+
 class TestCliContract:
     @settings(max_examples=60, deadline=None)
     @given(_command_lines(), st.one_of(st.just(PLAN_DOC), _mutated(PLAN_DOC)),
@@ -204,8 +224,97 @@ class TestCliContract:
         if code == 0:
             assert err == ""
         else:
-            lines = err.splitlines()
-            assert len(lines) == 1, err
-            doc = json.loads(lines[0])
-            assert set(doc) == {"error", "violations"}
-            assert isinstance(doc["error"], str) and isinstance(doc["violations"], list)
+            _one_json_error(err)
+
+
+@st.composite
+def _corpus_trees(draw):
+    """(directories, files by path with their bytes, corpus arguments) under
+    one root: nested directories, empty files, and a path that is missing."""
+    dirs, files = {"."}, {}
+    for _ in range(draw(st.integers(0, 6))):
+        path = os.path.join(draw(st.sampled_from(sorted(dirs))), draw(st.sampled_from("abcd")))
+        if path not in dirs and path not in files:
+            if draw(st.booleans()):
+                dirs.add(path)
+            else:
+                files[path] = draw(st.binary(max_size=12))
+    args = draw(st.lists(st.sampled_from(sorted({*dirs, *files, "missing"})), min_size=1, max_size=3))
+    return dirs, files, args
+
+
+def _expected_corpus(dirs, files, args):
+    """Each argument's files, a directory's direct ones in name order, as
+    BOS-prefixed bytes; or the error type load_corpus raises."""
+    if "missing" in args:
+        return OSError
+    docs = []
+    for arg in args:
+        in_dir = [files[p] for p in sorted(files) if os.path.dirname(p) == arg]
+        docs += in_dir if arg in dirs else [files[arg]]
+    return [i for data in docs for i in io.encode_bytes(data)] if docs else InputError
+
+
+class TestCorpusReader:
+    @settings(max_examples=60, deadline=None)
+    @given(_corpus_trees())
+    @example(({".", "./a", "./a/b"}, {"./a/b/c": b"x", "./b": b""}, ["."]))
+    def test_returns_each_files_bytes_in_order_or_raises(self, tree):
+        dirs, files, args = tree
+        expected = _expected_corpus(dirs, files, args)
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            model, plan = os.path.join(tmp, "model.bklv"), os.path.join(tmp, "plan.json")
+            io.write_model_file(MODEL, model)
+            io.write_plan(uniform_plan(SMALL, 1.0), SMALL, plan)
+            os.mkdir(os.path.join(tmp, "tree"))
+            os.chdir(os.path.join(tmp, "tree"))
+            try:
+                for path in sorted(dirs):
+                    os.makedirs(path, exist_ok=True)
+                for path, data in files.items():
+                    Path(path).write_bytes(data)
+                if isinstance(expected, list):
+                    ids = io.load_corpus(args)
+                    assert ids.dtype == np.int64 and ids.tolist() == expected
+                else:
+                    with pytest.raises(expected):
+                        io.load_corpus(args)
+                corpus = [a for arg in args for a in ("--corpus", arg)]
+                err = StringIO()
+                with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+                    code = main(["eval", "--model", model, "--plan", plan, *corpus,
+                                 "--context-len", "8", "--out", os.path.join(tmp, "eval.json")])
+                wrote = os.path.exists(os.path.join(tmp, "eval.json"))
+            finally:
+                os.chdir(cwd)
+        if isinstance(expected, list) and len(expected) >= 8:
+            assert (code, err.getvalue(), wrote) == (0, "", True)
+        else:
+            assert (code, wrote) == (1, False)
+            _one_json_error(err.getvalue())
+
+    def test_unreadable_file(self, tmp_path, monkeypatch, capsys):
+        # the superuser reads mode-000 files, so the refusal is simulated
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.txt").write_bytes(b"a" * 20)
+        (corpus / "b.txt").write_bytes(b"b" * 20)
+
+        def refusing(path, *args, **kwargs):
+            if os.path.basename(path) == "b.txt":
+                raise PermissionError(13, "Permission denied", path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", refusing, raising=False)
+        with pytest.raises(PermissionError):
+            io.load_corpus([str(corpus)])
+        io.write_model_file(MODEL, str(tmp_path / "m.bklv"))
+        io.write_plan(uniform_plan(SMALL, 1.0), SMALL, str(tmp_path / "plan.json"))
+        out = tmp_path / "eval.json"
+        capsys.readouterr()
+        code = main(["eval", "--model", str(tmp_path / "m.bklv"), "--plan", str(tmp_path / "plan.json"),
+                     "--corpus", str(corpus), "--context-len", "8", "--out", str(out)])
+        assert code == 1
+        _one_json_error(capsys.readouterr().err)
+        assert not out.exists()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bklv import (
+    AllocationError,
     FormatError,
     InputError,
     ModelConfig,
@@ -20,7 +21,10 @@ from bklv import (
 )
 from bklv import io
 from bklv.cli import main
-from bklv.search import CorrelationReport, GridPoint, SearchReport, SweepReport
+from bklv import cli as cli_module
+from bklv import search
+from bklv.model import check_tokens
+from bklv.search import heuristic_vs_empirical, layer_sweep, parameter_search
 
 from .conftest import SMALL
 
@@ -46,25 +50,24 @@ class TestCorpus:
     def test_one_document_per_file(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"aaa")
         (tmp_path / "b.txt").write_bytes(b"bb")
-        corpus = io.load_corpus([str(tmp_path / "a.txt"), str(tmp_path / "b.txt")])
-        assert corpus.token_ids.tolist() == [256, 97, 97, 97, 256, 98, 98]
-        assert corpus.boundaries == [0, 4]
+        ids = io.load_corpus([str(tmp_path / "a.txt"), str(tmp_path / "b.txt")])
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [256, 97, 97, 97, 256, 98, 98]
 
     def test_directory_expands_sorted(self, tmp_path):
         (tmp_path / "z.txt").write_bytes(b"z")
         (tmp_path / "a.txt").write_bytes(b"a")
-        corpus = io.load_corpus([str(tmp_path)])
-        assert [os.path.basename(p) for p in corpus.sources] == ["a.txt", "z.txt"]
+        assert io.load_corpus([str(tmp_path)]).tolist() == [256, 97, 256, 122]
 
     def test_vocab_floor(self, tmp_path):
+        # the id-range rule is check_tokens', which every evaluation applies
         (tmp_path / "a.txt").write_bytes(b"a")
-        with pytest.raises(InputError):
-            io.load_corpus([str(tmp_path)], vocab_size=100)
+        with pytest.raises(InputError, match=r"token id out of range \[0, 100\): 256"):
+            check_tokens(io.load_corpus([str(tmp_path)]), 100)
 
     def test_ids_below_vocab(self, tmp_path):
         (tmp_path / "a.txt").write_bytes(bytes(range(256)))
-        corpus = io.load_corpus([str(tmp_path)])
-        assert corpus.token_ids.max() == 256
+        assert io.load_corpus([str(tmp_path)]).max() == 256
 
 
 @pytest.fixture(scope="module")
@@ -122,28 +125,39 @@ class TestRoundTrips:
         assert doc["requested_compression"] == 0.3
         assert abs(doc["achieved_compression"] - plan.achieved_compression(SMALL)) == 0
 
-    def test_search_report(self, tmp_path):
-        report = SearchReport(
-            compression=0.5,
-            grid=[GridPoint(0.5, 0.1, 3.25, True), GridPoint(0.9, 0.9, math.nan, False)],
-            best=(0.5, 0.1),
-            best_loss=3.25,
-            uniform_loss=3.5,
-            chunks_evaluated=4,
-            tokens_per_chunk=64,
-        )
-        path = str(tmp_path / "search.json")
-        io.write_search_report(report, path)
-        doc = _load(path)
-        assert doc == io.search_report_to_dict(report)
-        assert doc["grid"][1] == {"t": 0.9, "r": 0.9, "loss": None, "feasible": False}
+    def test_search_report(self, small_model, profile, rng, monkeypatch, tmp_path):
+        # the budget floor clamps every reallocation, so the infeasible point is forced
+        def build(profile, cfg, strategy, compression, params, sinks):
+            if params.t == 0.9:
+                raise AllocationError("below the floor")
+            return build_plan(profile, cfg, strategy, compression, params, sinks)
 
-    def test_sweep_report(self, tmp_path):
-        report = SweepReport(window=3, compression=0.4, scores=[1.5, 2.5], bounds=[(0, 1), (0, 1)])
-        corr = CorrelationReport(0.5, False, 0.0, True, 1)
+        monkeypatch.setattr(search, "build_plan", build)
+        grid = [(0.5, 0.1), (0.9, 0.9)]
+        report = parameter_search(small_model, rng.integers(0, 256, 100), 48, 0.5, grid, profile)
+        path = str(tmp_path / "search.json")
+        io.write_json(path, {"format_version": io.SEARCH_VERSION, **report})
+        doc = _load(path)
+        assert doc == {"format_version": "bklv-search-v1", **report}
+        assert doc["grid"][1] == {"t": 0.9, "r": 0.9, "loss": None, "feasible": False}
+        assert doc["grid"][0]["feasible"] and doc["best"] == {"t": 0.5, "r": 0.1}
+        assert doc["best_loss"] == doc["grid"][0]["loss"]
+        assert (doc["chunks_evaluated"], doc["tokens_per_chunk"], doc["sinks"]) == (2, 48, 4)
+        assert (doc["compression"], doc["layer_t"], doc["layer_r"]) == (0.5, 0.0, 0.0)
+        assert math.isfinite(doc["uniform_loss"])
+
+    def test_sweep_report(self, small_model, profile, rng, tmp_path):
+        report = layer_sweep(small_model, rng.integers(0, 256, 100), 48, 1, 0.4)
+        assert report["correlation"] is None
+        report["correlation"] = heuristic_vs_empirical(profile, report)
         path = str(tmp_path / "sweep.json")
-        io.write_sweep_report(report, path, corr)
-        assert _load(path) == io.sweep_report_to_dict(report, corr)
+        io.write_json(path, {"format_version": io.SWEEP_VERSION, **report})
+        doc = _load(path)
+        assert doc == {"format_version": "bklv-sweep-v1", **report}
+        assert (doc["window"], doc["compression"], doc["bounds"]) == (1, 0.4, [[0, 0], [1, 1]])
+        assert set(doc["correlation"]) == {
+            "full", "full_degenerate", "trimmed", "trimmed_degenerate", "trim"
+        }
 
     def test_bad_format_version(self, tmp_path):
         path = str(tmp_path / "bad.json")
@@ -273,6 +287,53 @@ class TestCli:
         assert "rope_theta must be finite and positive" in json.loads(lines[0])["error"]
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_init_model_out_of_memory(self, tmp_path, monkeypatch, capsys):
+        # a vocabulary inside the config bounds whose weights cannot be allocated;
+        # the allocation failure is simulated
+        def allocating(cfg):
+            raise MemoryError("Unable to allocate 2.00 TiB for an array")
+
+        monkeypatch.setattr(cli_module, "init_model", allocating)
+        out = tmp_path / "x.bklv"
+        assert main(["init-model", "--out", str(out), "--vocab-size", "2147483647"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "out of memory: Unable to allocate 2.00 TiB for an array", "violations": []
+        }
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "strategy, params",
+        [
+            ("uniform", ["--t", "0.9", "--r", "0.8", "--layer-t", "0.5", "--layer-r", "0.5"]),
+            ("layerwise", ["--t", "0.9", "--r", "0.8"]),
+        ],
+    )
+    def test_plan_params_the_strategy_ignores_rejected(self, cli_env, capsys, strategy, params):
+        prof = str(cli_env["dir"] / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        out = str(cli_env["dir"] / "x.json")
+        capsys.readouterr()
+        rc = main(["plan", "--profile", prof, "--strategy", strategy, "--compression", "0.5",
+                   *params, "--out", out])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith(f"strategy '{strategy}' does not use t, r")
+        assert not os.path.exists(out) and not os.path.exists(out + ".manifest")
+
+    @pytest.mark.parametrize(
+        "strategy, field", [("uniform", "t"), ("layerwise", "r"), ("window", "layer_r")]
+    )
+    def test_plan_file_with_params_the_strategy_ignores_rejected(self, strategy, field):
+        doc = io.plan_to_dict(uniform_plan(SMALL, 0.5), SMALL)
+        doc["strategy"] = strategy
+        doc["params"][field] = 0.5
+        message = f"malformed plan: strategy '{strategy}' does not use {field};"
+        with pytest.raises(FormatError, match=message):
+            io.plan_from_dict(doc)
 
     def test_corrupt_model_header(self, cli_env, tmp_path, capsys):
         data = open(cli_env["model"], "rb").read()
@@ -653,10 +714,10 @@ class TestCli:
         prof = str(cli_env["dir"] / "prof.json")
         main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
         out = str(cli_env["dir"] / "x.json")
-        for strategy in ("uniform", "baklava"):
+        for strategy, params in (("uniform", []), ("baklava", ["--t", "0.7", "--r", "0.3"])):
             capsys.readouterr()
             rc = main(["plan", "--profile", prof, "--strategy", strategy, "--compression", "0.5",
-                       "--t", "0.7", "--r", "0.3", "--sinks", "-1", "--out", out])
+                       *params, "--sinks", "-1", "--out", out])
             assert rc == 1
             err = json.loads(capsys.readouterr().err.strip())
             assert "sinks must be >= 0, got -1" in err["violations"]

@@ -19,6 +19,7 @@ from bklv import (
     forward_chunk,
     greedy_generate,
     init_model,
+    memory_report,
     model_checksum,
     reset,
     uniform_plan,
@@ -283,6 +284,21 @@ def _run_calls(model, budgets, sinks, tokens, cuts):
 
 class TestBudgetedStepping:
     """forward_chunk under eviction against the token-by-token oracle."""
+
+    def test_stores_are_no_wider_than_max_context(self, small_model, rng):
+        # reallocation at high compression can give a cache more than max_context (64)
+        budgets = [[100, 20], [64, 70]]
+        plan = AllocationPlan(0.0, 4, np.array(budgets, dtype=np.int64), "custom", PlanParams())
+        caches = build_cache_set(plan, SMALL)
+        assert [store.keys.shape[-1] for store in caches.stores] == [64, 64]
+        assert [c.budget for c in caches.all_caches()] == [64, 20, 64, 64]
+        tokens = rng.integers(0, 257, size=SMALL.max_context)
+        logits, _ = forward_chunk(small_model, tokens, caches)
+        expected, _ = reference_budgeted_logits(small_model, tokens, budgets, 4)
+        np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-5)
+        memory = memory_report(plan, SMALL)
+        assert memory["total_budget_tokens"] == 254
+        assert memory["per_cache_bytes"] == (2 * np.array(budgets) * SMALL.head_dim * 2).tolist()
 
     @settings(max_examples=25, deadline=None)
     @given(_budgeted_runs())

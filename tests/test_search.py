@@ -26,7 +26,6 @@ from bklv import (
 from bklv import search as search_module
 from bklv.allocation import AllocationPlan
 from bklv.model import forward_layer
-from bklv.search import SweepReport
 
 from .conftest import SMALL
 from .reference import reference_nll, spearman_textbook
@@ -106,6 +105,14 @@ class TestChunkedPerplexity:
         got = chunked_perplexity(small_model, tokens, 24, plan)
         expected = np.mean([reference_nll(small_model, tokens[:24]), reference_nll(small_model, tokens[24:])])
         assert abs(got - expected) < 1e-5
+
+    @pytest.mark.parametrize("context_len", [3, 4])
+    def test_chunks_no_longer_than_the_sinks(self, small_model, rng, context_len):
+        # every token of a chunk is a sink, so no cache evicts
+        tokens = _corpus(rng, 3 * context_len)
+        got = chunked_perplexity(small_model, tokens, context_len, uniform_plan(SMALL, 0.5, sinks=4))
+        chunks = tokens.reshape(3, context_len)
+        assert abs(got - np.mean([reference_nll(small_model, c) for c in chunks])) < 1e-5
 
     def test_chunk_order_independent(self, small_model, rng):
         tokens = _corpus(rng, 48)
@@ -234,17 +241,17 @@ class TestParameterSearch:
         report = parameter_search(
             small_model, corpus, 48, 0.3, [(0.6, 0.4)], small_profile
         )
-        assert report.best == (0.6, 0.4)
-        assert report.best_loss == report.grid[0].loss
+        assert report["best"] == {"t": 0.6, "r": 0.4}
+        assert report["best_loss"] == report["grid"][0]["loss"]
 
     def test_noop_anchor_equals_uniform_loss_exactly(self, small_model, small_profile, rng):
         corpus = _corpus(rng, 96)
         report = parameter_search(
             small_model, corpus, 48, 0.3, [(0.0, 0.0), (0.7, 0.5)], small_profile
         )
-        anchor = report.grid[0]
-        assert anchor.t == 0.0 and anchor.r == 0.0
-        assert anchor.loss == report.uniform_loss  # bit-for-bit
+        anchor = report["grid"][0]
+        assert anchor["t"] == 0.0 and anchor["r"] == 0.0
+        assert anchor["loss"] == report["uniform_loss"]  # bit-for-bit
 
     def test_argmin_matches_bruteforce_reevaluation(self, small_model, small_profile, rng):
         corpus = _corpus(rng, 96)
@@ -260,17 +267,17 @@ class TestParameterSearch:
             loss = chunked_perplexity(small_model, corpus, 48, plan)
             if best_loss is None or loss < best_loss:
                 best, best_loss = (t, r), loss
-        assert report.best == best
-        assert report.best_loss == best_loss
+        assert report["best"] == {"t": best[0], "r": best[1]}
+        assert report["best_loss"] == best_loss
 
     def test_losses_finite_and_positive(self, small_model, small_profile, rng):
         corpus = _corpus(rng, 96)
         report = parameter_search(
             small_model, corpus, 48, 0.3, [(0.5, 0.3), (0.9, 0.8)], small_profile
         )
-        for p in report.grid:
-            assert p.feasible
-            assert math.isfinite(p.loss) and p.loss > 0
+        for p in report["grid"]:
+            assert p["feasible"]
+            assert math.isfinite(p["loss"]) and p["loss"] > 0
 
     def test_each_distinct_plan_is_evaluated_once(self, small_model, small_profile, rng, monkeypatch):
         # At these thresholds (0.63, r) reallocates only layer 0 and
@@ -310,12 +317,12 @@ class TestParameterSearch:
         monkeypatch.setattr(search_module, "forward_layer", counting)
         report = parameter_search(small_model, corpus, context_len, compression, grid, small_profile)
         # one call per canonical prefix, with every chunk on its batch axis
-        assert calls == [report.chunks_evaluated] * len(nodes)
+        assert calls == [report["chunks_evaluated"]] * len(nodes)
         monkeypatch.undo()
-        for point, plan in zip(report.grid, plans):
-            assert point.loss == chunked_perplexity(small_model, corpus, context_len, plan)  # bit-for-bit
-        assert report.grid[-1].loss == report.grid[grid.index((0.63, 0.3))].loss
-        assert report.uniform_loss == report.grid[0].loss  # (0, 0) is the uniform plan
+        for point, plan in zip(report["grid"], plans):
+            assert point["loss"] == chunked_perplexity(small_model, corpus, context_len, plan)  # bit-for-bit
+        assert report["grid"][-1]["loss"] == report["grid"][grid.index((0.63, 0.3))]["loss"]
+        assert report["uniform_loss"] == report["grid"][0]["loss"]  # (0, 0) is the uniform plan
 
     def test_empty_grid(self, small_model, small_profile, rng):
         with pytest.raises(InputError):
@@ -326,19 +333,19 @@ class TestLayerSweep:
     def test_scores_length_and_bounds(self, small_model, rng):
         corpus = _corpus(rng, 48)
         report = layer_sweep(small_model, corpus, 24, 1, 0.5)
-        assert len(report.scores) == SMALL.num_layers
-        assert report.bounds == [(0, 0), (1, 1)]
+        assert len(report["scores"]) == SMALL.num_layers
+        assert report["bounds"] == [[0, 0], [1, 1]]
 
     def test_full_compression_flat(self, small_model, rng):
         corpus = _corpus(rng, 48)
         report = layer_sweep(small_model, corpus, 24, 1, 1.0)
-        assert len(set(report.scores)) == 1
+        assert len(set(report["scores"])) == 1
 
     def test_window_clamping(self, toy_model, rng):
         corpus = rng.integers(0, 257, size=32)
         report = layer_sweep(toy_model, corpus, 16, 3, 1.0)
-        assert report.bounds[0] == (0, 1)
-        assert report.bounds[-1] == (2, 3)
+        assert report["bounds"][0] == [0, 1]
+        assert report["bounds"][-1] == [2, 3]
 
     def test_invalid_window(self, small_model, rng):
         with pytest.raises(InputError):
@@ -353,15 +360,15 @@ class TestLayerSweep:
         model = init_model(cfg)
         corpus = _corpus(rng, 48)
         report = layer_sweep(model, corpus, 24, 1, 0.5)
-        assert len(report.scores) == 1
-        assert report.bounds == [(0, 0)]
+        assert len(report["scores"]) == 1
+        assert report["bounds"] == [[0, 0]]
 
 
 class TestHeuristicVsEmpirical:
     def test_constant_scores_degenerate(self, small_profile):
-        sweep = SweepReport(window=1, compression=1.0, scores=[2.0, 2.0], bounds=[(0, 0), (1, 1)])
+        sweep = {"window": 1, "scores": [2.0, 2.0]}
         report = heuristic_vs_empirical(small_profile, sweep)
-        assert report.full == 0.0 and report.full_degenerate
+        assert report["full"] == 0.0 and report["full_degenerate"]
 
     def test_anti_aligned_gives_minus_one(self, small_model):
         profile = profile_model(small_model, [list(range(40))])
@@ -370,23 +377,23 @@ class TestHeuristicVsEmpirical:
         order = np.argsort(imps)
         scores = np.empty(len(imps))
         scores[order] = np.linspace(5.0, 1.0, len(imps))
-        sweep = SweepReport(window=1, compression=0.5, scores=scores.tolist(), bounds=[])
+        sweep = {"window": 1, "scores": scores.tolist()}
         report = heuristic_vs_empirical(profile, sweep)
-        assert abs(report.full + 1.0) < 1e-12
-        assert abs(report.trimmed + 1.0) < 1e-12  # window 1: no trimming
+        assert abs(report["full"] + 1.0) < 1e-12
+        assert abs(report["trimmed"] + 1.0) < 1e-12  # window 1: no trimming
 
     def test_matches_textbook_spearman(self, toy_model, rng):
         profile = profile_model(toy_model, [rng.integers(0, 257, size=64).tolist()])
         scores = rng.normal(size=toy_model.config.num_layers).tolist()
-        sweep = SweepReport(window=1, compression=0.5, scores=scores, bounds=[])
+        sweep = {"window": 1, "scores": scores}
         report = heuristic_vs_empirical(profile, sweep)
-        assert abs(report.full - spearman_textbook(profile.layer_importance, scores)) < 1e-9
+        assert abs(report["full"] - spearman_textbook(profile.layer_importance, scores)) < 1e-9
 
     def test_trimmed_excludes_boundary_layers(self, toy_model, rng):
         profile = profile_model(toy_model, [rng.integers(0, 257, size=64).tolist()])
         scores = [10.0, 1.0, 2.0, 10.0]  # extreme ends
-        sweep = SweepReport(window=3, compression=0.5, scores=scores, bounds=[])
+        sweep = {"window": 3, "scores": scores}
         report = heuristic_vs_empirical(profile, sweep)
-        assert report.trim == 1
+        assert report["trim"] == 1
         imp = profile.layer_importance
-        assert abs(report.trimmed - spearman_textbook(imp[1:3], scores[1:3])) < 1e-9
+        assert abs(report["trimmed"] - spearman_textbook(imp[1:3], scores[1:3])) < 1e-9
