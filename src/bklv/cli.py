@@ -16,7 +16,7 @@ from . import io
 from .allocation import DEFAULT_SINKS, PlanParams, build_plan, require_valid
 from .cache import build_cache_set, memory_report
 from .config import ModelConfig
-from .errors import AllocationError, BklvError, InputError
+from .errors import BklvError, InputError
 from .model import greedy_generate, init_model, model_checksum
 from .profiling import profile_model, rank_correlation
 from .search import (
@@ -115,19 +115,10 @@ def cmd_plan(args) -> int:
 def _heatmap_text(report: dict) -> str:
     ts = sorted({p["t"] for p in report["grid"]})
     rs = sorted({p["r"] for p in report["grid"]})
-    cells = {(p["t"], p["r"]): p for p in report["grid"]}
+    loss = {(p["t"], p["r"]): p["loss"] for p in report["grid"]}
     lines = ["r\\t   " + "  ".join(f"{t:7.3f}" for t in ts)]
     for r in rs:
-        row = [f"{r:5.2f}"]
-        for t in ts:
-            p = cells.get((t, r))
-            if p is None:
-                row.append("      .")
-            elif not p["feasible"]:
-                row.append("    inf")
-            else:
-                row.append(f"{p['loss']:7.4f}")
-        lines.append("  ".join(row))
+        lines.append("  ".join([f"{r:5.2f}"] + [f"{loss[t, r]:7.4f}" for t in ts]))
     return "\n".join(lines)
 
 
@@ -145,8 +136,6 @@ def cmd_search(args) -> int:
     )
     io.write_json(args.out, {"format_version": io.SEARCH_VERSION, **report})
     _manifest(args, args.out, {"model": args.model, "profile": args.profile, "report": args.out})
-    if report["best"] is None:
-        return _fail("no feasible grid point", [f"grid size {len(grid)}"])
     print(f"report: {args.out}")
     print(f"best_t: {report['best']['t']}")
     print(f"best_r: {report['best']['r']}")
@@ -317,10 +306,8 @@ def main(argv=None) -> int:
     args.argv = argv  # recorded in manifests
     try:
         return args.func(args)
-    except AllocationError as exc:
-        return _fail(str(exc), exc.violations)
     except BklvError as exc:
-        return _fail(str(exc))
+        return _fail(str(exc), exc.violations)
     except OSError as exc:
         return _fail(f"i/o error: {exc}")
     except MemoryError as exc:

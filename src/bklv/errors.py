@@ -2,7 +2,12 @@
 
 
 class BklvError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: a message and the list of rule
+    violations behind it (empty for most errors)."""
+
+    def __init__(self, message: str, violations: list[str] | None = None):
+        super().__init__(message)
+        self.violations = list(violations or [])
 
 
 class ConfigError(BklvError, ValueError):
@@ -19,10 +24,6 @@ class InputError(BklvError, ValueError):
 
 class AllocationError(BklvError, ValueError):
     """Budget plan construction or validation failure."""
-
-    def __init__(self, message: str, violations: list[str] | None = None):
-        super().__init__(message)
-        self.violations = list(violations or [])
 
 
 class FormatError(BklvError, ValueError):

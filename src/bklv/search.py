@@ -19,7 +19,7 @@ from .allocation import (
     window_plan,
 )
 from .cache import CacheSet, check_plan_fits, clamp_budgets, layer_caches
-from .errors import AllocationError, InputError, ShapeError
+from .errors import InputError, ShapeError
 from .model import Model, check_tokens, forward_chunk, forward_layer, output_logits
 from .numerics import log_softmax_f64
 from .profiling import ImportanceProfile, spearman
@@ -141,14 +141,16 @@ def parameter_search(
     """Evaluate the head-reallocation plan at every (t, r) grid point.
 
     Returns the search report, every bklv-search-v1 key but
-    format_version. A "grid" entry is {"t", "r", "loss", "feasible"}; an
-    infeasible point (its plan fails the budget floor) has loss None and
-    no part in the argmin. "best" is the {"t", "r"} of the first entry
-    with the minimum loss, or None. Out-of-range parameters raise
-    AllocationError before any point is evaluated. The feasible plans
-    and the uniform plan ("uniform_loss") are scored in one
-    evaluate_plans call, so plans share their common layer prefixes and
-    equal plans share one loss.
+    format_version. A "grid" entry is {"t", "r", "loss", "feasible"},
+    and "feasible" is always True: both reallocation stages keep every
+    cut at the budget floor, so a grid plan breaks the floor only when
+    the uniform plan at the same compression does, and that plan is
+    built first and raises AllocationError with its violations. "best"
+    is the {"t", "r"} of the first entry with the minimum loss.
+    Out-of-range parameters raise AllocationError before any plan is
+    built. The grid plans and the uniform plan ("uniform_loss") are
+    scored in one evaluate_plans call, so plans share their common
+    layer prefixes and equal plans share one loss.
     """
     if not grid:
         raise InputError("parameter grid is empty")
@@ -157,31 +159,18 @@ def parameter_search(
     params = [PlanParams(t=t, r=r, layer_t=layer_t, layer_r=layer_r) for t, r in grid]
     for p in params:
         p.validate()
-
-    def build(p):
-        try:
-            return build_plan(profile, cfg, "baklava", compression, p, sinks)
-        except AllocationError:
-            return None
-
-    plans = [build(p) for p in params]
     uniform = uniform_plan(cfg, compression, sinks)
-    feasible = [plan for plan in plans if plan is not None]
-    uniform_loss, *losses = evaluate_plans(model, corpus_tokens, context_len, [uniform, *feasible])
-    losses = iter(losses)
+    plans = [build_plan(profile, cfg, "baklava", compression, p, sinks) for p in params]
+    uniform_loss, *losses = evaluate_plans(model, corpus_tokens, context_len, [uniform, *plans])
     points = [
-        {"t": p.t, "r": p.r, "loss": next(losses) if plan else None, "feasible": plan is not None}
-        for p, plan in zip(params, plans)
+        {"t": p.t, "r": p.r, "loss": loss, "feasible": True} for p, loss in zip(params, losses)
     ]
-    best = None
-    for point in points:
-        if point["feasible"] and (best is None or point["loss"] < best["loss"]):
-            best = point
+    best = min(points, key=lambda point: point["loss"])
     return {
         "compression": compression,
         "grid": points,
-        "best": None if best is None else {"t": best["t"], "r": best["r"]},
-        "best_loss": None if best is None else best["loss"],
+        "best": {"t": best["t"], "r": best["r"]},
+        "best_loss": best["loss"],
         "uniform_loss": uniform_loss,
         "chunks_evaluated": corpus_tokens.size // context_len,
         "tokens_per_chunk": context_len,

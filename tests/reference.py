@@ -5,6 +5,7 @@ rule transcriptions, cache-free forwards) so the production code is
 checked against a separately written path, not against itself.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -290,3 +291,49 @@ def spearman_average_ranks(x, y) -> float:
     var_x = sum((a - mx) ** 2 for a in rx)
     var_y = sum((b - my) ** 2 for b in ry)
     return cov / math.sqrt(var_x * var_y)
+
+
+README_WORDS = [b"the", b"cache", b"holds", b"keys", b"and", b"values", b"for", b"each",
+                b"head", b"token", b"budget", b"memory", b"long", b"context", b"model", b"layer"]
+
+
+def readme_text(n_bytes: int, seed: int) -> bytes:
+    """The README walkthrough's word salad: prompt_a.txt is (260, 1),
+    prompt_b.txt (200, 2) and corpus.txt (1100, 3)."""
+    rng = np.random.default_rng(seed)
+    out, size = [], 0
+    while size < n_bytes:
+        word = README_WORDS[int(rng.integers(0, len(README_WORDS)))]
+        out.append(word)
+        size += len(word) + 1
+    return b" ".join(out)
+
+
+def planted_model(model, local_groups, q_gain: float = 40.0, out_gain: float = 10.0):
+    """A copy of `model` with a known head structure in every layer.
+
+    Each query head of a KV group in `local_groups` gets W_q = q_gain x its
+    group's W_k. Rotary positions turn a query and a key at the same
+    position alike, so the head scores its own token far above the others
+    and its output stays close to its own V row: a low-importance head.
+    Every other group gets W_q = W_k = 0, so all its scores are equal and
+    it averages V over the causal prefix: a high-importance head. attn_out
+    is scaled by out_gain, so attention dominates the residual stream.
+    """
+    cfg = model.config
+    d, g = cfg.head_dim, cfg.group_size
+    layers = []
+    for layer in model.layers:
+        q, k = layer.attn_q.copy(), layer.attn_k.copy()
+        for group in range(cfg.num_kv_heads):
+            k_cols = slice(group * d, (group + 1) * d)
+            q_cols = slice(group * g * d, (group + 1) * g * d)
+            if group in local_groups:
+                q[:, q_cols] = q_gain * np.tile(k[:, k_cols], g)
+            else:
+                q[:, q_cols] = 0.0
+                k[:, k_cols] = 0.0
+        layers.append(
+            dataclasses.replace(layer, attn_q=q, attn_k=k, attn_out=layer.attn_out * out_gain)
+        )
+    return dataclasses.replace(model, layers=layers)

@@ -296,6 +296,45 @@ class TestBuildPlan:
         with pytest.raises(AllocationError, match="^strategy 'window' does not use layer_t;"):
             PlanParams(layer_t=0.5).check_used_by("window")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_baklava_breaks_the_floor_exactly_when_uniform_does(self, data):
+        # parameter_search builds the uniform plan first and relies on this:
+        # both reallocation stages keep every cut at the floor
+        num_kv_heads = data.draw(st.sampled_from([1, 2, 4]))
+        group_size = data.draw(st.integers(1, 2))
+        config = ModelConfig(
+            num_layers=data.draw(st.integers(1, 6)),
+            num_q_heads=num_kv_heads * group_size,
+            num_kv_heads=num_kv_heads,
+            head_dim=2,
+            d_model=num_kv_heads * group_size * 2,
+            max_context=data.draw(st.integers(8, 512)),
+        )
+        shape = (config.num_layers, config.num_kv_heads)
+        unit = st.floats(0.0, 1.0)
+        below_one = st.floats(0.0, 1.0, exclude_max=True)
+        kv = data.draw(st.lists(unit, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        layer = data.draw(st.lists(unit, min_size=shape[0], max_size=shape[0]))
+        profile = _profile(config, np.reshape(kv, shape), layer)
+        params = PlanParams(
+            t=data.draw(unit), r=data.draw(below_one),
+            layer_t=data.draw(unit), layer_r=data.draw(below_one),
+        )
+        compression = 10.0 ** data.draw(st.floats(-3.0, 0.0))
+        sinks = data.draw(st.integers(0, 5))
+
+        def fails(build, *args):
+            try:
+                build(*args)
+            except AllocationError:
+                return True
+            return False
+
+        assert fails(build_plan, profile, config, "baklava", compression, params, sinks) == fails(
+            uniform_plan, config, compression, sinks
+        )
+
     def test_unknown_strategy(self):
         with pytest.raises(AllocationError, match="strategy"):
             build_plan(None, SMALL, "pyramid", 0.5)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from bklv import (
-    AllocationError,
     FormatError,
     InputError,
     ModelConfig,
@@ -22,7 +21,6 @@ from bklv import (
 from bklv import io
 from bklv.cli import main
 from bklv import cli as cli_module
-from bklv import search
 from bklv.model import check_tokens
 from bklv.search import heuristic_vs_empirical, layer_sweep, parameter_search
 
@@ -125,23 +123,21 @@ class TestRoundTrips:
         assert doc["requested_compression"] == 0.3
         assert abs(doc["achieved_compression"] - plan.achieved_compression(SMALL)) == 0
 
-    def test_search_report(self, small_model, profile, rng, monkeypatch, tmp_path):
-        # the budget floor clamps every reallocation, so the infeasible point is forced
-        def build(profile, cfg, strategy, compression, params, sinks):
-            if params.t == 0.9:
-                raise AllocationError("below the floor")
-            return build_plan(profile, cfg, strategy, compression, params, sinks)
-
-        monkeypatch.setattr(search, "build_plan", build)
-        grid = [(0.5, 0.1), (0.9, 0.9)]
+    def test_search_report(self, small_model, profile, rng, tmp_path):
+        # (0.5, 0.1) selects every cache and keeps the uniform plan; (0.64, 0.9)
+        # moves tokens and scores lower, so the argmin is not the first point
+        grid = [(0.5, 0.1), (0.64, 0.9)]
         report = parameter_search(small_model, rng.integers(0, 256, 100), 48, 0.5, grid, profile)
         path = str(tmp_path / "search.json")
         io.write_json(path, {"format_version": io.SEARCH_VERSION, **report})
         doc = _load(path)
         assert doc == {"format_version": "bklv-search-v1", **report}
-        assert doc["grid"][1] == {"t": 0.9, "r": 0.9, "loss": None, "feasible": False}
-        assert doc["grid"][0]["feasible"] and doc["best"] == {"t": 0.5, "r": 0.1}
-        assert doc["best_loss"] == doc["grid"][0]["loss"]
+        assert [(p["t"], p["r"]) for p in doc["grid"]] == grid
+        assert all(p["feasible"] is True and math.isfinite(p["loss"]) for p in doc["grid"])
+        losses = [p["loss"] for p in doc["grid"]]
+        first_best = doc["grid"][losses.index(min(losses))]
+        assert doc["best"] == {"t": first_best["t"], "r": first_best["r"]}
+        assert doc["best_loss"] == first_best["loss"]
         assert (doc["chunks_evaluated"], doc["tokens_per_chunk"], doc["sinks"]) == (2, 48, 4)
         assert (doc["compression"], doc["layer_t"], doc["layer_r"]) == (0.5, 0.0, 0.0)
         assert math.isfinite(doc["uniform_loss"])
@@ -458,6 +454,60 @@ class TestCli:
             )
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("layer_params", [[], ["--layer-t", "0.5", "--layer-r", "0.5"]])
+    def test_search_compression_below_the_floor_fails_with_the_uniform_plans_violations(
+        self, cli_env, layer_params, capsys
+    ):
+        d = cli_env["dir"]
+        prof, out = str(d / "prof.json"), str(d / "s.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        capsys.readouterr()
+        assert main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "0.005",
+                     "--out", str(d / "u.json")]) == 1
+        uniform_err = capsys.readouterr().err
+        rc = main(
+            ["search", "--model", cli_env["model"], "--profile", prof, "--corpus", cli_env["corpus"],
+             "--compression", "0.005", "--context-len", "48", "--out", out] + layer_params
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == uniform_err
+        [line] = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "plan does not match this model"
+        assert doc["violations"] == [
+            f"budget {budget} below floor 5 at layer {layer} group {group}"
+            for layer, group, budget in [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+        ]
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".manifest")
+
+    def test_search_heatmap(self, cli_env, capsys):
+        d = cli_env["dir"]
+        prof, out = str(d / "prof.json"), str(d / "s.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        capsys.readouterr()
+        rc = main(
+            ["search", "--model", cli_env["model"], "--profile", prof, "--corpus", cli_env["corpus"],
+             "--compression", "0.4", "--context-len", "48", "--t-grid", "0.63,0.63,0.655",
+             "--r-grid", "0.3,0.6", "--heatmap", "--out", out]
+        )
+        assert rc == 0
+        report = _load(out)
+        assert len(report["grid"]) == 6  # the duplicate t keeps its points
+        loss = {(p["t"], p["r"]): p["loss"] for p in report["grid"]}
+        assert len({f"{v:7.4f}" for v in loss.values()}) == 4  # a misplaced cell shows
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:5] == [
+            f"report: {out}", f"best_t: {report['best']['t']}", f"best_r: {report['best']['r']}",
+            f"best_loss: {report['best_loss']:.6f}", f"uniform_loss: {report['uniform_loss']:.6f}",
+        ]
+        assert lines[5:] == [
+            "r\\t     0.630    0.655",
+            f" 0.30  {loss[0.63, 0.3]:7.4f}  {loss[0.655, 0.3]:7.4f}",
+            f" 0.60  {loss[0.63, 0.6]:7.4f}  {loss[0.655, 0.6]:7.4f}",
+        ]
 
     def test_eval_memory_matches_closed_form(self, cli_env, capsys):
         d = cli_env["dir"]

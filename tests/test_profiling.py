@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from bklv import (
     InputError,
+    PlanParams,
     ShapeError,
     build_cache_set,
+    build_plan,
     forward_chunk,
     group_kv_importance,
     head_importance,
@@ -21,9 +23,10 @@ from bklv import (
     token_cosine_similarities,
     uniform_plan,
 )
+from bklv import io
 from bklv.profiling import spearman
 
-from .reference import spearman_average_ranks, spearman_textbook
+from .reference import planted_model, readme_text, spearman_average_ranks, spearman_textbook
 
 
 def _random_prompt(rng, n):
@@ -244,6 +247,35 @@ class TestProfileModel:
         assert len(profile.per_token_similarity) == 1
         assert profile.per_token_similarity[0].shape == (cfg.num_layers, 40, cfg.num_q_heads)
         assert np.all(np.abs(profile.per_token_similarity[0]) <= 1.0)
+
+
+LOCAL, GLOBAL = slice(0, 2), slice(2, 4)
+
+
+@pytest.fixture(scope="module")
+def planted_profile(toy_model):
+    """The README prompts through the seed-7 model with KV groups 0-1
+    planted local and groups 2-3 planted global (reference.planted_model).
+    Measured: local importance 0.009-0.081, global 0.108-0.331. The seed-7
+    model itself ranks no layer that way."""
+    model = planted_model(toy_model, local_groups=(0, 1))
+    prompts = [io.encode_bytes(readme_text(260, 1)), io.encode_bytes(readme_text(200, 2))]
+    return profile_model(model, prompts)
+
+
+class TestPlantedStructure:
+    def test_local_groups_rank_below_global_ones_in_every_layer(self, planted_profile):
+        kv = planted_profile.kv_importance
+        assert np.all(kv[:, LOCAL].max(axis=1) < kv[:, GLOBAL].min(axis=1))
+
+    def test_baklava_moves_tokens_from_local_to_global_groups(self, planted_profile):
+        # t = 0.9 selects importance below 0.1: both local groups of every
+        # layer (margin 0.019 to the largest) and no global one (margin 0.008)
+        cfg = planted_profile.config
+        plan = build_plan(planted_profile, cfg, "baklava", 0.3, PlanParams(t=0.9, r=0.5))
+        moved = plan.budgets - uniform_plan(cfg, 0.3).budgets
+        assert np.all(moved[:, LOCAL] < 0) and np.all(moved[:, GLOBAL] > 0)
+        assert np.all(moved.sum(axis=1) == 0)
 
 
 class TestRankCorrelation:
