@@ -131,7 +131,7 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
     # Kept: new sinks seen..min(sinks, total)-1 in their own slots, then new
     # others first..total-1 from ring slot `ring`, wrapping to `sinks` at `wrap`.
     store, g, sinks, budget = cache.store, cache.group, cache.sinks, cache.budget
-    seen = cache.total_seen
+    seen = store.seen[g]
     total = seen + len(k_new)
     first = max(sinks, seen, total - (budget - sinks))
     ring = sinks + (first - sinks) % (budget - sinks)
@@ -139,9 +139,9 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
     keys, values, slot_positions = cache.slots
     for a, e, slot in ((seen, min(sinks, total), seen), (first, wrap, ring), (wrap, total, sinks)):
         if a < e:
-            rows, dest = slice(a - seen, e - seen), slice(slot, slot + e - a)
-            keys[:, dest] = k_new[rows].T
-            values[dest] = v_new[rows]
+            dest = slice(slot, slot + e - a)
+            keys[:, dest] = k_new[a - seen : e - seen].T
+            values[dest] = v_new[a - seen : e - seen]
             slot_positions[dest] = np.arange(a, e)
     store.lengths[g] = min(total, budget)
     store.seen[g] = total
@@ -163,9 +163,10 @@ def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.nd
     like `q`.
     """
     store = cache if isinstance(cache, LayerStore) else cache.store
-    g = slice(None) if cache is store else slice(cache.group, cache.group + 1)
-    keys_t, values, positions = store.keys[g], store.values[g], store.positions[g]
-    lengths, seen = store.lengths[g], store.seen[g]
+    parts = store.keys, store.values, store.positions, store.lengths, store.seen
+    if cache is not store:  # one group's slice of each
+        parts = [part[cache.group : cache.group + 1] for part in parts]
+    keys_t, values, positions, lengths, seen = parts
     q = np.asarray(q, dtype=np.float32)
     groups, d, _ = keys_t.shape
     if q.ndim not in (2, 3, 4) or q.shape[-1] != d or (q.shape[0] if q.ndim == 4 else 1) != groups:
@@ -181,11 +182,12 @@ def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.nd
     if masked:
         q_pos = np.add.outer(seen, np.arange(-t_q, 0))  # (groups, t_q)
     step = max(1, SCORE_CAP // (heads * t_q * width))
+    scale = np.float32(math.sqrt(d))
     tiles = []
     for lo in range(0, groups, step):
         hi = lo + step
         scores = rows[lo:hi] @ keys_t[lo:hi, :, :width]  # (tile, heads * t_q, width)
-        scores /= np.float32(math.sqrt(d))
+        scores /= scale
         if masked:
             hidden = positions[lo:hi, None, None, :width] > q_pos[lo:hi, None, :, None]
             if t_q > 1 and np.any(np.all(hidden, axis=-1)):

@@ -127,8 +127,8 @@ def cmd_search(args) -> int:
     profile = _read_profile_for(model, args.profile)
     corpus = io.load_corpus(args.corpus)
     context_len = model.config.max_context if args.context_len is None else args.context_len
-    t_grid = _grid_values(args.t_grid, "t") if args.t_grid else list(DEFAULT_T_GRID)
-    r_grid = _grid_values(args.r_grid, "r") if args.r_grid else list(DEFAULT_R_GRID)
+    t_grid = _grid_values(args.t_grid, "t") if args.t_grid is not None else list(DEFAULT_T_GRID)
+    r_grid = _grid_values(args.r_grid, "r") if args.r_grid is not None else list(DEFAULT_R_GRID)
     grid = [(t, r) for t in t_grid for r in r_grid]
     report = parameter_search(
         model, corpus, context_len, args.compression, grid, profile,

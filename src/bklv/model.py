@@ -103,7 +103,12 @@ def init_model(config: ModelConfig) -> Model:
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(RMS_EPS))
+    """x * gain / sqrt(mean(x**2) + RMS_EPS) over the last axis; the mean is
+    np.mean's own sum reduction and division by the count, done in place."""
+    scale = np.add.reduce(np.square(x), -1, keepdims=True)
+    scale /= np.float32(x.shape[-1])
+    scale += np.float32(RMS_EPS)
+    np.divide(1.0, np.sqrt(scale, out=scale), out=scale)
     return x * scale * gain
 
 
@@ -118,9 +123,9 @@ _ROPE_TABLES: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 def _rope_rows(
     theta: float, head_dim: int, positions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """float32 cos and sin rows (tokens, head_dim // 2) of non-negative
-    positions, read from tables memoized per (theta, head_dim) and grown
-    by doubling when a position is past their end."""
+    """float32 factor rows [cos, cos] and [-sin, sin], (tokens, 1, head_dim),
+    of non-negative positions, read from tables memoized per (theta,
+    head_dim) and grown by doubling when a position is past their end."""
     key = (theta, head_dim)
     if key in _ROPE_TABLES:
         cos_table, sin_table = _ROPE_TABLES[key]
@@ -133,7 +138,8 @@ def _rope_rows(
     half = head_dim // 2
     inv_freq = theta ** (-2.0 * np.arange(half, dtype=np.float64) / head_dim)
     angles = np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]
-    _ROPE_TABLES[key] = np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+    cos, sin = (f(angles).astype(np.float32)[:, None] for f in (np.cos, np.sin))
+    _ROPE_TABLES[key] = np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
     return _rope_rows(theta, head_dim, positions)
 
 
@@ -143,13 +149,16 @@ def rope_rotate(
     """Rotate per-head vectors by their absolute positions, into `out` if given.
 
     x: (tokens, heads, head_dim); positions are non-negative. Angles are
-    computed in float64 and the rotation applied in float32.
+    computed in float64 and the rotation applied in float32, as
+    x * [cos, cos] + [x2, x1] * [-sin, sin] for halves (x1, x2): bit for
+    bit (x1 cos - x2 sin, x1 sin + x2 cos), as negation is exact and + commutes.
     """
     half = x.shape[-1] // 2
     cos, sin = _rope_rows(theta, x.shape[-1], positions)
-    cos, sin = cos[:, None, :], sin[:, None, :]
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1, out=out)
+    swapped = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
+    out = np.multiply(x, cos, out=out)
+    out += swapped * sin
+    return out
 
 
 def check_tokens(tokens, vocab_size: int) -> np.ndarray:
@@ -182,10 +191,11 @@ def forward_layer(
     Only the cache append and attention are stepped: one segment of as
     many tokens as every cache of this layer can take without evicting,
     then single tokens, so each cache sees the appends and retained sets
-    of token-by-token generation. Each segment makes one append per cache
-    and one attention call for the whole batch; the dense ops run one
-    sequence at a time, so their temporaries stay the size of one
-    sequence. Each sequence's result depends on its own x and caches
+    of token-by-token generation. Each segment makes one append per cache,
+    of that cache's rows of the (batch * kv_groups, tokens, head_dim) new
+    keys and values, and one attention call for the whole batch; the dense
+    ops run one sequence at a time, so their temporaries stay the size of
+    one sequence. Each sequence's result depends on its own x and caches
     only. Fills layer li of `probes` if given (a batch of one).
     """
     cfg = model.config
@@ -198,33 +208,35 @@ def forward_layer(
     first = max(1, min(n, min(c.budget - c.retained for c in caches)))
     start = caches[0].total_seen
     positions = np.arange(start, start + n, dtype=np.int64)
-    segments = [(0, first), *((i, i + 1) for i in range(first, n))]
 
     if probes is not None:
         probes.layer_input[li] = x[0]
     qk = np.empty((batch, n, hq + kv, d), np.float32)
-    vs = []
+    v = np.empty((batch, n, kv * d), np.float32)
     for b in range(batch):
         h = rms_norm(x[b], layer.norm1)
         q = (h @ layer.attn_q).reshape(n, hq, d)
         k = (h @ layer.attn_k).reshape(n, kv, d)
-        vs.append((h @ layer.attn_v).reshape(n, kv, d))
+        np.matmul(h, layer.attn_v, out=v[b])
         rope_rotate(np.concatenate([q, k], axis=1), positions, cfg.rope_theta, out=qk[b])
     # (batch * kv, g, n, d): the query heads of a group share its cache
     q_groups = qk[:, :, :hq].reshape(batch, n, kv, g, d).transpose(0, 2, 3, 1, 4)
     q_groups = q_groups.reshape(batch * kv, g, n, d)
-    k = qk[:, :, hq:]
-    slots = [(b, grp) for b in range(batch) for grp in range(kv)]
+    # (batch * kv, n, d): row i holds the new keys or values of caches[i]
+    k_rows = qk[:, :, hq:].transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
+    v_rows = v.reshape(batch, n, kv, d).transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
 
     heads = probes.head_output[li, None] if probes is not None else np.empty((batch, hq, n, d), np.float32)
     head_groups = heads.reshape(batch * kv, g, n, d)
     store = caches[0].store
-    for a, e in segments:
-        for cache, (b, grp) in zip(caches, slots):
-            append_and_evict(cache, k[b, a:e, grp], vs[b][a:e, grp])
+    a = 0
+    for e in range(first, n + 1):  # segments 0..first, then one token each
+        for cache, k_new, v_new in zip(caches, k_rows[:, a:e], v_rows[:, a:e]):
+            append_and_evict(cache, k_new, v_new)
         head_groups[:, :, a:e] = attend_with_cache(store, q_groups[:, :, a:e])
+        a = e
     if probes is not None:
-        probes.head_input_v[li] = vs[0].transpose(1, 0, 2)
+        probes.head_input_v[li] = v_rows[:kv]
 
     out = np.empty(x.shape, np.float32)
     for b in range(batch):

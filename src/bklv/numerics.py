@@ -10,9 +10,10 @@ def softmax(scores: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -
     Entries masked with -inf receive weight 0; every row must keep at
     least one finite entry.
     """
-    weights = np.subtract(scores, np.max(scores, axis=axis, keepdims=True), out=out)
+    # the ufunc reductions np.max and np.sum call, without their wrappers
+    weights = np.subtract(scores, np.maximum.reduce(scores, axis, keepdims=True), out=out)
     np.exp(weights, out=weights)
-    weights /= np.sum(weights, axis=axis, keepdims=True)
+    weights /= np.add.reduce(weights, axis, keepdims=True)
     return weights
 
 

@@ -663,6 +663,24 @@ class TestCli:
         assert err["error"].startswith(f"{name} must be in [0, 1")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("grid", [["--t-grid", ""], ["--r-grid", ""]])
+    def test_empty_grid_flag_is_an_empty_grid_not_the_default(self, cli_env, grid, capsys):
+        d = cli_env["dir"]
+        prof = str(d / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        out = str(d / "s.json")
+        capsys.readouterr()
+        rc = main(
+            ["search", "--model", cli_env["model"], "--profile", prof, "--corpus", cli_env["corpus"],
+             "--compression", "0.4", "--context-len", "48", "--out", out] + grid
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "parameter grid is empty", "violations": []}
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".manifest")
+
     @pytest.mark.parametrize("command", ["plan", "search"])
     def test_nan_compression_rejected(self, cli_env, command, capsys):
         d = cli_env["dir"]

@@ -1,11 +1,12 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bklv import (
     BklvError,
@@ -35,6 +36,7 @@ from bklv.model import (
     rope_rotate,
     serialize_model,
 )
+from bklv.numerics import softmax
 
 from .conftest import SMALL
 from .reference import (
@@ -161,8 +163,6 @@ class TestScaledDotAttention:
         scores = rng.normal(size=(6, 9)).astype(np.float32) * 10
         probs = naive_row_softmax(scores)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
-        from bklv.numerics import softmax
-
         assert np.allclose(softmax(scores).sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -386,22 +386,92 @@ class TestBatchedLayer:
             forward_layer(small_model, 0, x, caches)
 
 
+def _pairwise_rope(x, positions, theta):
+    """The pairwise rotation (x1 cos - x2 sin, x1 sin + x2 cos) of halves
+    (x1, x2), with float64 angles and float32 factors."""
+    half = x.shape[-1] // 2
+    inv_freq = theta ** (-2.0 * np.arange(half, dtype=np.float64) / x.shape[-1])
+    angles = positions.astype(np.float64)[:, None] * inv_freq[None, :]
+    cos = np.cos(angles).astype(np.float32)[:, None, :]
+    sin = np.sin(angles).astype(np.float32)[:, None, :]
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+
 class TestRope:
     def test_memoized_tables_match_the_direct_formula(self, rng):
         model_module._ROPE_TABLES.clear()
         for theta, head_dim in ((10000.0, 16), (500.0, 8)):
-            half = head_dim // 2
-            inv_freq = theta ** (-2.0 * np.arange(half, dtype=np.float64) / head_dim)
             # the tables grow: a row, a short range, random positions, a long range
             steps = (np.array([7]), np.arange(60, 64), rng.integers(0, 2048, 50), np.arange(4096))
             for positions in steps:
                 x = rng.normal(size=(positions.size, 3, head_dim)).astype(np.float32)
-                angles = positions.astype(np.float64)[:, None] * inv_freq[None, :]
-                cos = np.cos(angles).astype(np.float32)[:, None, :]
-                sin = np.sin(angles).astype(np.float32)[:, None, :]
-                x1, x2 = x[..., :half], x[..., half:]
-                expected = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+                expected = _pairwise_rope(x, positions, theta)
                 assert np.array_equal(rope_rotate(x, positions, theta), expected)
+
+    def test_one_token_into_out_matches_the_pairwise_formula(self, rng):
+        # the decode call shape: one position, rotated into a view of a larger buffer
+        theta, head_dim = 10000.0, 16
+        buffer = np.zeros((2, 1, 5, head_dim), np.float32)
+        for position in (0, 3, 511, 5000):
+            x = (rng.normal(size=(1, 5, head_dim)) * 1e3).astype(np.float32)
+            positions = np.array([position])
+            out = buffer[1]
+            assert rope_rotate(x, positions, theta, out=out) is out
+            assert np.array_equal(buffer[1], _pairwise_rope(x, positions, theta))
+            assert not buffer[0].any()
+
+
+_ROWS = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9)
+_FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)  # up to 3.4e38
+
+
+@st.composite
+def _masked_scores(draw):
+    """float32 scores of 1 to 3 dims, with -inf entries in random places
+    but at least one finite entry in every row."""
+    scores = draw(hnp.arrays(np.float32, _ROWS, elements=_FLOAT32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    hidden = rng.random(scores.shape) < draw(st.sampled_from([0.0, 0.5, 0.95]))
+    keep = rng.integers(0, scores.shape[-1], size=(*scores.shape[:-1], 1))
+    np.put_along_axis(hidden, keep, False, axis=-1)
+    scores[hidden] = -np.inf
+    return scores
+
+
+@st.composite
+def _rows_and_gain(draw):
+    x = draw(hnp.arrays(np.float32, _ROWS, elements=_FLOAT32))
+    return x, draw(hnp.arrays(np.float32, x.shape[-1:], elements=st.floats(-4, 4, width=32)))
+
+
+class TestExactRewrites:
+    """rms_norm and softmax against the np.mean / np.max / np.sum formulas
+    they replaced, with tolerance 0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rows_and_gain())
+    @example((np.array([[3e19, -1.5, 2.0]], np.float32), np.ones(3, np.float32)))  # x**2 overflows
+    @example((np.array([1e-30, 7.0, -2e5, 4.5], np.float32), np.full(4, -0.5, np.float32)))
+    def test_rms_norm_is_the_mean_formula(self, case):
+        x, gain = case
+        with np.errstate(over="ignore"):
+            scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(1e-5))
+            np.testing.assert_array_equal(model_module.rms_norm(x, gain), x * scale * gain)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_masked_scores())
+    @example(np.array([[-np.inf, 2.5e38, -np.inf, -3e38]], np.float32))  # one row, huge spread
+    @example(np.array([[-np.inf, -1.0], [4.0, -np.inf]], np.float32))
+    def test_softmax_is_the_max_sum_formula(self, scores):
+        with np.errstate(over="ignore"):
+            expected = np.subtract(scores, np.max(scores, axis=-1, keepdims=True))
+            np.exp(expected, out=expected)
+            expected /= np.sum(expected, axis=-1, keepdims=True)
+            np.testing.assert_array_equal(softmax(scores), expected)
+            inplace = scores.copy()
+            assert softmax(inplace, out=inplace) is inplace
+        np.testing.assert_array_equal(inplace, expected)
 
 
 class TestGreedyGenerate:
@@ -420,6 +490,31 @@ class TestGreedyGenerate:
         prompt = [256, 10, 20, 30]
         got = greedy_generate(small_model, prompt, 12, _fresh_caches(small_model))
         assert got == reference_generate(small_model, prompt, 12)
+
+    def test_matches_stepping_oracle_under_eviction(self, small_model):
+        # At weight std 0.02 SMALL repeats its last prompt token whatever its
+        # caches hold; scaled by 20, its ids depend on the retained tokens.
+        scale = np.float32(20)
+        model = model_module.Model(SMALL, small_model.embedding, [
+            replace(layer, **{name: getattr(layer, name) * scale for name in (
+                "attn_q", "attn_k", "attn_v", "attn_out", "mlp_in", "mlp_out")})
+            for layer in small_model.layers
+        ], small_model.final_norm)
+        budgets, sinks, steps = [[6, 9], [7, 5]], 2, 40
+        plan = AllocationPlan(0.0, sinks, np.array(budgets), "custom", PlanParams())
+        prompt = [256, 10, 20, 30, 40, 50, 60, 70]
+        got = greedy_generate(model, prompt, steps, build_cache_set(plan, SMALL))
+        assert len(set(got)) > steps // 4
+        logits, _ = reference_budgeted_logits(model, prompt + got, budgets, sinks)
+        checked = 0
+        for i, token in enumerate(got):
+            row = logits[len(prompt) - 1 + i]
+            second, first = np.sort(row)[-2:]
+            if first - second < 1e-4:  # a near tie: float32 rounding may pick either
+                continue
+            assert token == int(np.argmax(row)), f"step {i}"
+            checked += 1
+        assert checked >= 0.8 * steps
 
     def test_deterministic(self, small_model):
         prompt = [256, 9, 8, 7]
