@@ -10,8 +10,12 @@ The caches of one layer share one preallocated LayerStore, padded to the
 layer's largest budget, and a BudgetedCache is a view of one group's
 slots. Position p lives in slot p if p < sinks, else in ring slot
 sinks + (p - sinks) % (budget - sinks), so an eviction is one overwrite.
-Keys are stored transposed; one attention call over a layer's store
-serves all its KV groups and query heads.
+Keys and values are the store's only arrays: which position a slot
+holds follows from the group's counts (LayerStore.positions), so an
+append writes keys and values only. Keys are stored transposed; one
+attention call over a layer's store serves all its KV groups and query
+heads, and a single query, which sees every retained token, hides only
+the unused slots.
 """
 
 import math
@@ -35,20 +39,33 @@ def _raise_floor_violations(budgets: np.ndarray, sinks: int) -> None:
         raise AllocationError(violations[0], violations)
 
 
-class LayerStore:
-    """The preallocated rows of one layer's KV groups.
+def _held(j, length, seen, budget, sinks):
+    """The position filled slot j of a group holds, from the group's counts:
+    j if j < sinks, else base + (j - base) % (budget - sinks), with
+    base = seen - length + sinks the oldest retained position past the sinks."""
+    base = seen - length + sinks
+    return np.where(j < sinks, j, base + (j - base) % (budget - sinks))
 
-    keys are (groups, head_dim, width) float32, transposed, values
-    (groups, width, head_dim) float32 and positions (groups, width) int64,
-    with width the layer's largest budget. Group g fills slots
-    0..lengths[g]-1 (see BudgetedCache); its other slots are zero at
-    position EMPTY. seen[g] counts the tokens ever appended to group g.
+
+class LayerStore:
+    """The preallocated rows of one layer's KV groups, group g with budget
+    budgets[g] and all with the same sink count.
+
+    keys are (groups, head_dim, width) float32, transposed, and values
+    (groups, width, head_dim) float32, with width the layer's largest
+    budget; they are the only arrays. Group g fills slots 0..lengths[g]-1
+    (see BudgetedCache); its other slots are zero and unused. seen[g]
+    counts the tokens ever appended to group g. Raises AllocationError
+    below the budget floor, as a plan would.
     """
 
-    def __init__(self, groups: int, width: int, head_dim: int):
+    def __init__(self, budgets: list[int], sinks: int, head_dim: int):
+        self.budgets = list(budgets)
+        _raise_floor_violations(np.array([self.budgets]), sinks)
+        self.sinks = sinks
+        groups, width = len(self.budgets), max(self.budgets)
         self.keys = np.zeros((groups, head_dim, width), dtype=np.float32)
         self.values = np.zeros((groups, width, head_dim), dtype=np.float32)
-        self.positions = np.full((groups, width), EMPTY, dtype=np.int64)
         self.lengths = [0] * groups
         self.seen = [0] * groups
 
@@ -57,10 +74,19 @@ class LayerStore:
         """The live width: the most rows any group holds."""
         return max(self.lengths)
 
+    @property
+    def positions(self) -> np.ndarray:
+        """(groups, width) int64, read-only: the position each slot holds
+        (_held), EMPTY in the slots at or past its group's length."""
+        lengths, seen, budgets = np.array([self.lengths, self.seen, self.budgets])[:, :, None]
+        j = np.arange(self.keys.shape[2])
+        positions = np.where(j < lengths, _held(j, lengths, seen, budgets, self.sinks), EMPTY)
+        positions.flags.writeable = False
+        return positions
+
     def clear(self) -> None:
         self.keys.fill(0)
         self.values.fill(0)
-        self.positions.fill(EMPTY)
         self.lengths[:] = [0] * len(self.lengths)
         self.seen[:] = [0] * len(self.seen)
 
@@ -71,9 +97,11 @@ class BudgetedCache:
 
     Sink positions p < sinks are permanent, in slots 0..sinks-1; the rest
     is a sliding window over the most recent tokens, p in ring slot
-    sinks + (p - sinks) % (budget - sinks). `keys`, `values` and
-    `positions` are (retained, ...) views of the filled slots, in slot
-    order; a cache built on its own gets a one-group store.
+    sinks + (p - sinks) % (budget - sinks). `keys` and `values` are
+    (retained, ...) views of the filled slots, in slot order, and
+    `positions` is derived from the counts (LayerStore.positions). A
+    cache built on its own gets a one-group store; a cache given a store
+    must have its group's budget, the store's sinks and its head_dim.
     """
 
     budget: int
@@ -84,11 +112,13 @@ class BudgetedCache:
 
     def __post_init__(self):
         if self.store is None:
-            # a standalone cache is checked as the only cache of a 1 x 1 plan
-            _raise_floor_violations(np.array([[self.budget]]), self.sinks)
-            self.store = LayerStore(1, self.budget, self.head_dim)
+            self.store = LayerStore([self.budget], self.sinks, self.head_dim)
         s, g = self.store, self.group
-        self.slots = (s.keys[g], s.values[g], s.positions[g])  # full width, keys transposed
+        mine = (self.budget, self.sinks, self.head_dim)
+        theirs = (s.budgets[g], s.sinks, s.keys.shape[1])
+        if mine != theirs:
+            raise ConfigError(f"cache (budget, sinks, head_dim) {mine} != {theirs} of group {g}")
+        self.slots = (s.keys[g], s.values[g])  # full width, keys transposed
 
     @property
     def retained(self) -> int:
@@ -107,8 +137,11 @@ class BudgetedCache:
         return self.slots[1][: self.retained]
 
     @property
-    def positions(self) -> np.ndarray:  # (retained,) int64
-        return self.slots[2][: self.retained]
+    def positions(self) -> np.ndarray:  # (retained,) int64, read-only
+        n = self.retained
+        positions = _held(np.arange(n), n, self.total_seen, self.budget, self.sinks)
+        positions.flags.writeable = False
+        return positions
 
 
 def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray) -> None:
@@ -136,13 +169,12 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
     first = max(sinks, seen, total - (budget - sinks))
     ring = sinks + (first - sinks) % (budget - sinks)
     wrap = min(total, first + budget - ring)
-    keys, values, slot_positions = cache.slots
+    keys, values = cache.slots
     for a, e, slot in ((seen, min(sinks, total), seen), (first, wrap, ring), (wrap, total, sinks)):
         if a < e:
             dest = slice(slot, slot + e - a)
             keys[:, dest] = k_new[a - seen : e - seen].T
             values[dest] = v_new[a - seen : e - seen]
-            slot_positions[dest] = np.arange(a, e)
     store.lengths[g] = min(total, budget)
     store.seen[g] = total
 
@@ -156,17 +188,20 @@ def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.nd
     (t_q, head_dim). Row j of a group's queries is for absolute position
     total_seen - t_q + j of that group; it attends over the group's
     retained tokens with position <= its own. Only the live width (the
-    most rows any group holds) is read; unused slots are masked by their
-    EMPTY position. Groups run in tiles whose score buffer holds at most
-    SCORE_CAP elements (one group at least); each group's result is the
-    same whatever the tiling. Returns one output row per query, shaped
-    like `q`.
+    most rows any group holds) is read. A single query (t_q == 1) sees
+    every retained token, so only each group's unused slots, those at or
+    past its length, are hidden; more queries are masked by the derived
+    positions (LayerStore.positions), and InputError is raised if a
+    group's first query row would see no token. Groups run in tiles whose
+    score buffer holds at most SCORE_CAP elements (one group at least);
+    each group's result is the same whatever the tiling. Returns one
+    output row per query, shaped like `q`.
     """
     store = cache if isinstance(cache, LayerStore) else cache.store
-    parts = store.keys, store.values, store.positions, store.lengths, store.seen
+    parts = store.keys, store.values, store.lengths, store.seen
     if cache is not store:  # one group's slice of each
         parts = [part[cache.group : cache.group + 1] for part in parts]
-    keys_t, values, positions, lengths, seen = parts
+    keys_t, values, lengths, seen = parts
     q = np.asarray(q, dtype=np.float32)
     groups, d, _ = keys_t.shape
     if q.ndim not in (2, 3, 4) or q.shape[-1] != d or (q.shape[0] if q.ndim == 4 else 1) != groups:
@@ -178,9 +213,14 @@ def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.nd
 
     rows = q.reshape(groups, -1, d)  # a group's query heads folded into rows
     heads = rows.shape[1] // t_q
-    masked = t_q > 1 or min(lengths) < width
-    if masked:
+    if t_q > 1:
+        positions = store.positions
+        if cache is not store:
+            positions = positions[cache.group : cache.group + 1]
         q_pos = np.add.outer(seen, np.arange(-t_q, 0))  # (groups, t_q)
+        # the first row sees the fewest tokens; it needs the oldest retained one
+        if np.any(positions.min(axis=1) > q_pos[:, 0]):
+            raise InputError("a query row has no retained token at or before its position")
     step = max(1, SCORE_CAP // (heads * t_q * width))
     scale = np.float32(math.sqrt(d))
     tiles = []
@@ -188,11 +228,13 @@ def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.nd
         hi = lo + step
         scores = rows[lo:hi] @ keys_t[lo:hi, :, :width]  # (tile, heads * t_q, width)
         scores /= scale
-        if masked:
+        if t_q > 1:
             hidden = positions[lo:hi, None, None, :width] > q_pos[lo:hi, None, :, None]
-            if t_q > 1 and np.any(np.all(hidden, axis=-1)):
-                raise InputError("a query row has no retained token at or before its position")
             np.copyto(scores.reshape(-1, heads, t_q, width), np.float32(-np.inf), where=hidden)
+        else:
+            for i, length in enumerate(lengths[lo:hi]):
+                if length < width:
+                    scores[i, :, length:] = -np.inf
         softmax(scores, out=scores)
         tiles.append(scores @ values[lo:hi, :width])
     # a single tile is returned as is, without a copy
@@ -247,7 +289,7 @@ def clamp_budgets(budgets: list[int], sinks: int, tokens: int) -> tuple[int, ...
 
 def layer_caches(budgets: list[int], sinks: int, head_dim: int) -> list[BudgetedCache]:
     """Empty caches of one layer, one per KV group, sharing one store."""
-    store = LayerStore(len(budgets), max(budgets), head_dim)
+    store = LayerStore(budgets, sinks, head_dim)
     return [BudgetedCache(b, sinks, head_dim, store, g) for g, b in enumerate(budgets)]
 
 

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from bklv import (
     AllocationError,
     BudgetedCache,
+    CacheSet,
     ConfigError,
     InputError,
     LayerStore,
@@ -25,6 +27,7 @@ from bklv import (
 from bklv.allocation import AllocationPlan, PlanParams, floor_violations, validate_plan
 from bklv import cache as cache_module
 from bklv.cache import EMPTY
+from bklv.numerics import softmax
 
 from .conftest import SMALL
 from .reference import brute_attention, scaled_dot_attention, sink_window_trace
@@ -95,7 +98,7 @@ class TestAppendAndEvict:
         plan = AllocationPlan(0.5, 2, np.array([[6, 9], [7, 7]]), "uniform", PlanParams())
         caches = build_cache_set(plan, SMALL)
         store, cache = caches.stores[0], caches.caches[0][0]
-        arrays = (store.keys, store.values, store.positions)
+        arrays = (store.keys, store.values)
         rows = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
 
         def append(pos):
@@ -103,8 +106,11 @@ class TestAppendAndEvict:
 
         def check(n):
             _assert_holds(cache, sink_window_trace(6, 2, n), rows, rows + 1)
-            for view, full in zip((cache.keys, cache.values, cache.positions), arrays):
+            for view, full in zip((cache.keys, cache.values), arrays):
                 assert view.base is full
+            # the store's derived positions hold the cache's, then EMPTY to the width
+            padded = cache.positions.tolist() + [EMPTY] * (9 - cache.retained)
+            assert store.positions[0].tolist() == padded
 
         for pos in range(6):
             append(pos)
@@ -115,7 +121,7 @@ class TestAppendAndEvict:
         assert np.array_equal(held, cache.keys)  # a view taken before sees the write
         reset(caches)
         assert cache.retained == 0 and cache.total_seen == 0
-        assert all(a is b for a, b in zip((store.keys, store.values, store.positions), arrays))
+        assert all(a is b for a, b in zip((store.keys, store.values), arrays))
         assert store.positions[0].tolist() == [EMPTY] * 9
         for pos in range(3):
             append(pos)
@@ -154,25 +160,69 @@ class TestAppendAndEvict:
     ):
         budgets = [b + sinks for b in budgets]
         group %= len(budgets)
-        store = LayerStore(len(budgets), max(budgets), HEAD_DIM)
+        store = LayerStore(budgets, sinks, HEAD_DIM)
         views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
         rng = np.random.default_rng(extra)
         for cache in views:
             _append_each(cache, cache.budget + extra, rng)
         cache, pos = views[group], views[group].total_seen
-        before = [a.copy() for a in (store.keys, store.values, store.positions)]
+        before = [a.copy() for a in (store.keys, store.values)]
+        positions_before = store.positions
         row = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
         append_and_evict(cache, row, row + 1)
         slot = _slot(pos, cache.budget, sinks)
         assert cache.positions[slot] == pos
         assert np.array_equal(cache.keys[slot], row[0])
         assert np.array_equal(cache.values[slot], row[0] + 1)
-        # every other slot of every group is untouched in all three arrays (keys transposed)
-        written = ((group, slice(None), slot), (group, slot), (group, slot))
-        for old, new, index in zip(before, (store.keys, store.values, store.positions), written):
+        # every other slot of every group is untouched in both arrays (keys transposed)
+        written = ((group, slice(None), slot), (group, slot))
+        for old, new, index in zip(before, (store.keys, store.values), written):
             untouched = np.ones(new.shape, bool)
             untouched[index] = False
             assert np.array_equal(new[untouched], old[untouched])
+        # and the derived positions changed at the written slot only
+        changed = np.zeros(positions_before.shape, bool)
+        changed[group, slot] = True
+        assert np.array_equal(store.positions != positions_before, changed)
+
+
+class TestDerivedPositions:
+    """LayerStore.positions, derived from each group's counts, against a
+    slot-by-slot replay of every append."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        extra=st.lists(st.integers(1, 10), min_size=2, max_size=4, unique=True),
+        sinks=st.integers(0, 4),
+        appends=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 25)), min_size=1, max_size=12
+        ),
+        reset_at=st.integers(0, 12),
+    )
+    # the first append overflows group 0; the reset comes after two appends
+    @example(extra=[2, 5], sinks=4, appends=[(0, 9), (1, 3), (1, 7), (0, 1)], reset_at=2)
+    def test_positions_equal_a_slot_by_slot_replay(self, extra, sinks, appends, reset_at):
+        budgets = [e + sinks for e in extra]  # unequal, at or above the floor
+        store = LayerStore(budgets, sinks, HEAD_DIM)
+        views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
+        caches = CacheSet([views], SMALL)
+        replay = np.full((len(budgets), max(budgets)), EMPTY, dtype=np.int64)
+        rows = np.ones((25, HEAD_DIM), np.float32)
+        for i, (group, n) in enumerate(appends):
+            if i == reset_at:
+                reset(caches)
+                replay.fill(EMPTY)
+            g = group % len(budgets)
+            seen = views[g].total_seen
+            append_and_evict(views[g], rows[:n], rows[:n])
+            for pos in range(seen, seen + n):
+                replay[g, _slot(pos, budgets[g], sinks)] = pos
+            assert np.array_equal(store.positions, replay)
+            assert not store.positions.flags.writeable
+            for cache in views:
+                assert not cache.positions.flags.writeable
+                held = sorted(cache.positions.tolist())
+                assert held == sink_window_trace(cache.budget, sinks, cache.total_seen)
 
 
 class TestAttendWithCache:
@@ -275,7 +325,7 @@ class TestLayerStoreAttention:
     ):
         budgets = [e + sinks for e in extra]  # unequal, at or above the floor
         groups, total = len(budgets), first + steps
-        store = LayerStore(groups, max(budgets), HEAD_DIM)
+        store = LayerStore(budgets, sinks, HEAD_DIM)
         views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
         alone = [_cache(b, sinks) for b in budgets]
         rng = np.random.default_rng(seed)
@@ -309,7 +359,7 @@ class TestLayerStoreAttention:
                     np.testing.assert_allclose(got[g], attend_with_cache(cache, q[g]), atol=1e-6)
 
     def test_query_groups_must_match_the_store(self, rng):
-        store = LayerStore(2, 4, HEAD_DIM)
+        store = LayerStore([4, 4], 0, HEAD_DIM)
         cache = BudgetedCache(4, 0, HEAD_DIM, store, 1)
         row = np.ones((1, HEAD_DIM), np.float32)
         append_and_evict(cache, row, row)
@@ -320,6 +370,63 @@ class TestLayerStoreAttention:
         with pytest.raises(InputError, match="one retained token"):
             attend_with_cache(store, np.stack([q[None]] * 2))  # group 0 is empty
         assert np.array_equal(attend_with_cache(cache, q), row)
+
+
+def _position_masked_attention(store, q):
+    """The position-masked formulation attend_with_cache once used for
+    every call, untiled: slot positions past a query's own, EMPTY among
+    them, are set to -inf."""
+    groups, d, _ = store.keys.shape
+    t_q, width = q.shape[-2], store.retained
+    rows = q.reshape(groups, -1, d)
+    heads = rows.shape[1] // t_q
+    q_pos = np.add.outer(store.seen, np.arange(-t_q, 0))
+    scores = rows @ store.keys[:, :, :width]
+    scores /= np.float32(math.sqrt(d))
+    hidden = store.positions[:, None, None, :width] > q_pos[:, None, :, None]
+    np.copyto(scores.reshape(-1, heads, t_q, width), np.float32(-np.inf), where=hidden)
+    softmax(scores, out=scores)
+    return (scores @ store.values[:, :width]).reshape(q.shape)
+
+
+class TestSingleQuery:
+    """One query over padded stores, which hides only the unused slots,
+    against the position-masked formulation and brute force."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        extra=st.lists(st.integers(1, 10), min_size=2, max_size=5, unique=True),
+        sinks=st.integers(0, 4),
+        first=st.integers(1, 14),
+        steps=st.integers(0, 10),
+        heads=st.integers(1, 3),
+        cap=st.sampled_from([1, 7, cache_module.SCORE_CAP]),
+        seed=st.integers(0, 2**16),
+    )
+    # one group per tile; the short group is the last of three
+    @example(extra=[9, 8, 2], sinks=2, first=12, steps=3, heads=2, cap=1, seed=0)
+    @example(extra=[9, 8, 2], sinks=0, first=3, steps=8, heads=1, cap=7, seed=1)
+    def test_equals_position_mask_and_brute_force(
+        self, extra, sinks, first, steps, heads, cap, seed
+    ):
+        budgets = [e + sinks for e in extra]  # unequal, so the store is padded
+        groups, total = len(budgets), first + steps
+        store = LayerStore(budgets, sinks, HEAD_DIM)
+        views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
+        rng = np.random.default_rng(seed)
+        k = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
+        v = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
+        for a, b in [(0, first), *((i, i + 1) for i in range(first, total))]:
+            for g in range(groups):
+                append_and_evict(views[g], k[g, a:b], v[g, a:b])
+            q = rng.normal(size=(groups, heads, 1, HEAD_DIM)).astype(np.float32)
+            with mock.patch.object(cache_module, "SCORE_CAP", cap):
+                got = attend_with_cache(store, q)
+            assert np.array_equal(got, _position_masked_attention(store, q))
+            for g in range(groups):
+                kept = sink_window_trace(budgets[g], sinks, b)
+                expected = brute_attention(q[g, :, 0], k[g, kept], v[g, kept], causal=False)
+                np.testing.assert_allclose(got[g, :, 0], expected, atol=1e-6)
 
 
 class TestScoreTiling:
@@ -340,7 +447,7 @@ class TestScoreTiling:
     ):
         budgets = [b + sinks for b in budgets]
         groups, total = len(budgets), first + steps
-        store = LayerStore(groups, max(budgets), HEAD_DIM)
+        store = LayerStore(budgets, sinks, HEAD_DIM)
         views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
         rng = np.random.default_rng(seed)
         k = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
@@ -402,6 +509,19 @@ class TestCacheSet:
     def test_standalone_cache_below_floor_rejected(self):
         with pytest.raises(AllocationError, match="below floor 3"):
             _cache(budget=2, sinks=2)
+
+    def test_layer_store_below_floor_rejected(self):
+        with pytest.raises(AllocationError, match="budget 4 below floor 5 at layer 0 group 0"):
+            LayerStore([4], 4, HEAD_DIM)
+        with pytest.raises(AllocationError, match="budget 3 below floor 4 at layer 0 group 1"):
+            LayerStore([6, 3], 3, HEAD_DIM)
+
+    def test_a_cache_must_match_its_store(self):
+        store = LayerStore([6, 5], 2, HEAD_DIM)
+        for budget, sinks, head_dim in ((5, 2, HEAD_DIM), (6, 1, HEAD_DIM), (6, 2, 2 * HEAD_DIM)):
+            with pytest.raises(ConfigError, match=r"!= \(6, 2, 8\) of group 0"):
+                BudgetedCache(budget, sinks, head_dim, store, 0)
+        assert BudgetedCache(5, 2, HEAD_DIM, store, 1).store is store
 
     def test_total_capacity_is_sum_of_budgets(self):
         plan = uniform_plan(SMALL, 0.5)
