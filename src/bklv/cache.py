@@ -151,8 +151,10 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
     Repeated single-token eviction of the oldest non-sink is equivalent to
     keeping the sink prefix plus the most recent tail. Every position has a
     fixed slot (see BudgetedCache), so this writes only the new rows that
-    are kept, in place over the rows they evict: the new sinks, then the
-    last budget - sinks others in at most two runs of ring slots.
+    are kept, in place over the rows they evict. One row (every decode
+    step, and every stepped token of eval) is two writes into its slot;
+    more rows are the new sinks, then the last budget - sinks others in at
+    most two runs of ring slots.
     """
     k_new = np.asarray(k_new, dtype=np.float32)
     v_new = np.asarray(v_new, dtype=np.float32)
@@ -161,20 +163,26 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
     if k_new.shape[1] != cache.head_dim:
         raise ShapeError(f"row width {k_new.shape[1]} != head_dim {cache.head_dim}")
 
-    # Kept: new sinks seen..min(sinks, total)-1 in their own slots, then new
-    # others first..total-1 from ring slot `ring`, wrapping to `sinks` at `wrap`.
     store, g, sinks, budget = cache.store, cache.group, cache.sinks, cache.budget
-    seen = store.seen[g]
-    total = seen + len(k_new)
-    first = max(sinks, seen, total - (budget - sinks))
-    ring = sinks + (first - sinks) % (budget - sinks)
-    wrap = min(total, first + budget - ring)
     keys, values = cache.slots
-    for a, e, slot in ((seen, min(sinks, total), seen), (first, wrap, ring), (wrap, total, sinks)):
-        if a < e:
-            dest = slice(slot, slot + e - a)
-            keys[:, dest] = k_new[a - seen : e - seen].T
-            values[dest] = v_new[a - seen : e - seen]
+    seen = store.seen[g]
+    rows = len(k_new)
+    total = seen + rows
+    if rows == 1:  # the (1, head_dim) row is written into its slot as is
+        slot = seen if seen < sinks else sinks + (seen - sinks) % (budget - sinks)
+        keys[:, slot] = k_new
+        values[slot] = v_new
+    else:
+        # Kept: new sinks seen..min(sinks, total)-1 in their own slots, then new
+        # others first..total-1 from ring slot `ring`, wrapping to `sinks` at `wrap`.
+        first = max(sinks, seen, total - (budget - sinks))
+        ring = sinks + (first - sinks) % (budget - sinks)
+        wrap = min(total, first + budget - ring)
+        for a, e, slot in ((seen, min(sinks, total), seen), (first, wrap, ring), (wrap, total, sinks)):
+            if a < e:
+                dest = slice(slot, slot + e - a)
+                keys[:, dest] = k_new[a - seen : e - seen].T
+                values[dest] = v_new[a - seen : e - seen]
     store.lengths[g] = min(total, budget)
     store.seen[g] = total
 
@@ -255,15 +263,18 @@ class CacheSet:
 
     @property
     def total_seen(self) -> int:
-        """The stream position of every cache; InputError if one differs."""
-        seen = self.caches[0][0].total_seen
-        for layer, row in enumerate(self.caches):
-            for group, cache in enumerate(row):
-                if cache.total_seen != seen:
-                    raise InputError(
-                        f"cache at layer {layer} group {group} is at stream position "
-                        f"{cache.total_seen}, not {seen}"
-                    )
+        """The stream position of every cache, read from the stores' counts;
+        InputError naming the first cache that differs."""
+        stores = self.stores
+        seen = stores[0].seen[0]
+        if any(store.seen.count(seen) != len(store.seen) for store in stores):
+            for layer, row in enumerate(self.caches):
+                for group, cache in enumerate(row):
+                    if cache.total_seen != seen:
+                        raise InputError(
+                            f"cache at layer {layer} group {group} is at stream position "
+                            f"{cache.total_seen}, not {seen}"
+                        )
         return seen
 
     def all_caches(self):

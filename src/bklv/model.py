@@ -29,6 +29,7 @@ from .config import ModelConfig
 from .errors import ConfigError, FormatError, InputError, ShapeError
 
 RMS_EPS = 1e-5
+_EPS32 = np.float32(RMS_EPS)
 WEIGHT_STD = 0.02
 WEIGHT_FORMAT_VERSION = "bklv1"
 
@@ -103,18 +104,16 @@ def init_model(config: ModelConfig) -> Model:
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """x * gain / sqrt(mean(x**2) + RMS_EPS) over the last axis; the mean is
-    np.mean's own sum reduction and division by the count, done in place."""
-    scale = np.add.reduce(np.square(x), -1, keepdims=True)
-    scale /= np.float32(x.shape[-1])
-    scale += np.float32(RMS_EPS)
-    np.divide(1.0, np.sqrt(scale, out=scale), out=scale)
-    return x * scale * gain
+    """x * gain / sqrt(mean(x**2) + RMS_EPS) over the last axis, in float32;
+    the mean is np.mean's own sum reduction, then division by the count."""
+    total = np.add.reduce(np.square(x), -1, keepdims=True)
+    return x * (1.0 / np.sqrt(total / np.float32(x.shape[-1]) + _EPS32)) * gain
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return x / (1.0 + np.exp(-x))
+    """x / (1 + exp(-x)): -0.0 below about -88.7, where exp(-x) overflows to
+    inf. Callers ignore that overflow (np.errstate), so it warns nothing."""
+    return x / (1.0 + np.exp(-x))
 
 
 _ROPE_TABLES: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -185,9 +184,10 @@ def forward_layer(
 ) -> np.ndarray:
     """Run hidden states x (batch, tokens, d_model) through layer li; returns the new ones.
 
-    `caches` are the layer's batch * kv_groups caches, batch-major,
-    sharing one store, all at the same stream position: the new tokens
-    follow the first cache's total_seen (CacheSet.total_seen checks this).
+    `caches` are the layer's batch * kv_groups caches, batch-major: the
+    groups of one store, in order, all at the same stream position
+    (CacheSet.total_seen checks this). The stepping and the new tokens'
+    positions are read from the store's counts (budgets, lengths, seen).
     Only the cache append and attention are stepped: one segment of as
     many tokens as every cache of this layer can take without evicting,
     then single tokens, so each cache sees the appends and retained sets
@@ -204,9 +204,11 @@ def forward_layer(
     hq, kv, g, d = cfg.num_q_heads, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
     if len(caches) != batch * kv:
         raise ShapeError(f"{len(caches)} caches for a batch of {batch} with {kv} KV groups")
+    store = caches[0].store
     # a full cache steps one token at a time
-    first = max(1, min(n, min(c.budget - c.retained for c in caches)))
-    start = caches[0].total_seen
+    room = min(budget - length for budget, length in zip(store.budgets, store.lengths))
+    first = max(1, min(n, room))
+    start = store.seen[0]
     positions = np.arange(start, start + n, dtype=np.int64)
 
     if probes is not None:
@@ -228,7 +230,6 @@ def forward_layer(
 
     heads = probes.head_output[li, None] if probes is not None else np.empty((batch, hq, n, d), np.float32)
     head_groups = heads.reshape(batch * kv, g, n, d)
-    store = caches[0].store
     a = 0
     for e in range(first, n + 1):  # segments 0..first, then one token each
         for cache, k_new, v_new in zip(caches, k_rows[:, a:e], v_rows[:, a:e]):
@@ -240,9 +241,10 @@ def forward_layer(
 
     out = np.empty(x.shape, np.float32)
     for b in range(batch):
-        xb = x[b] + heads[b].transpose(1, 0, 2).reshape(n, hq * d) @ layer.attn_out
-        h2 = rms_norm(xb, layer.norm2)
-        np.add(xb, _silu(h2 @ layer.mlp_in) @ layer.mlp_out, out=out[b])
+        np.add(x[b], heads[b].transpose(1, 0, 2).reshape(n, hq * d) @ layer.attn_out, out=out[b])
+    with np.errstate(over="ignore"):  # _silu's exp overflows; one context for the batch
+        for xb in out:
+            xb += _silu(rms_norm(xb, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
     if probes is not None:
         probes.layer_output[li] = out[0]
     return out

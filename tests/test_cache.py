@@ -225,6 +225,45 @@ class TestDerivedPositions:
                 assert held == sink_window_trace(cache.budget, sinks, cache.total_seen)
 
 
+class TestOneRowAppend:
+    """append_and_evict's one-row path (two slot writes) against the
+    multi-row runs it bypasses: a store fed one row at a time and a twin
+    fed the same rows in batches stay equal at every batch boundary."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        extra=st.lists(st.integers(1, 10), min_size=2, max_size=4, unique=True),
+        sinks=st.integers(0, 4),
+        batches=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(2, 25)), min_size=1, max_size=12
+        ),
+        reset_at=st.integers(0, 12),
+        seed=st.integers(0, 2**16),
+    )
+    # the first batch overflows group 0; the reset comes after two batches
+    @example(extra=[2, 5], sinks=4, batches=[(0, 9), (1, 3), (1, 7), (0, 2)], reset_at=2, seed=0)
+    def test_single_rows_equal_batched_appends(self, extra, sinks, batches, reset_at, seed):
+        budgets = [e + sinks for e in extra]  # unequal, at or above the floor
+        stores = [LayerStore(budgets, sinks, HEAD_DIM) for _ in range(2)]
+        single, batched = (
+            [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
+            for store in stores
+        )
+        caches = CacheSet([single, batched], SMALL)
+        rng = np.random.default_rng(seed)
+        for i, (group, n) in enumerate(batches):
+            if i == reset_at:
+                reset(caches)
+            g = group % len(budgets)
+            k, v = rng.normal(size=(2, n, HEAD_DIM)).astype(np.float32)
+            for j in range(n):
+                append_and_evict(single[g], k[j : j + 1], v[j : j + 1])
+            append_and_evict(batched[g], k, v)
+            one, many = stores
+            for name in ("keys", "values", "lengths", "seen", "positions"):
+                assert np.array_equal(getattr(one, name), getattr(many, name)), name
+
+
 class TestAttendWithCache:
     def test_no_eviction_equals_full_attention(self, rng):
         cache = _cache(budget=32, sinks=0)

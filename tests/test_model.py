@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -446,8 +447,8 @@ def _rows_and_gain(draw):
 
 
 class TestExactRewrites:
-    """rms_norm and softmax against the np.mean / np.max / np.sum formulas
-    they replaced, with tolerance 0."""
+    """rms_norm, softmax and the MLP's SiLU against the np.mean / np.max /
+    np.sum and per-call errstate formulas they replaced, with tolerance 0."""
 
     @settings(max_examples=200, deadline=None)
     @given(_rows_and_gain())
@@ -458,6 +459,29 @@ class TestExactRewrites:
         with np.errstate(over="ignore"):
             scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(1e-5))
             np.testing.assert_array_equal(model_module.rms_norm(x, gain), x * scale * gain)
+
+    def test_silu_overflow_is_silent_and_gives_the_old_formula(self, small_model, rng):
+        """Pre-activations far below -88.7 overflow SiLU's exp(-x): forward_layer
+        warns nothing, and its output is bit for bit the old per-call
+        errstate formula's, whose SiLU is -0.0 wherever exp overflows."""
+        layer = replace(small_model.layers[0], mlp_in=small_model.layers[0].mlp_in * np.float32(2000))
+        model = replace(small_model, layers=[layer, *small_model.layers[1:]])
+        tokens = rng.integers(0, SMALL.vocab_size, size=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, probes = forward_chunk(model, tokens, build_cache_set(uniform_plan(SMALL, 0.5), SMALL), True)
+        heads = probes.head_output[0].transpose(1, 0, 2).reshape(tokens.size, -1)
+        xb = probes.layer_input[0] + heads @ layer.attn_out
+        act = model_module.rms_norm(xb, layer.norm2) @ layer.mlp_in
+        assert act.min() < -88.8
+        with np.errstate(over="ignore"):
+            overflow = np.isinf(np.exp(-act))
+            old = act / (1.0 + np.exp(-act))
+            silu = model_module._silu(act)
+        assert overflow.any() and silu.tobytes() == old.tobytes()
+        assert np.all(silu[overflow] == 0) and np.all(np.signbit(silu[overflow]))
+        expected = np.add(xb, old @ layer.mlp_out)
+        assert probes.layer_output[0].tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(_masked_scores())
