@@ -2,20 +2,20 @@
 
 Each store holds at most `budget` tokens. When an append overflows the
 budget, the oldest token that is not an attention sink is evicted; the
-first `sinks` absolute positions are never evicted. Attention over a
-store uses exactly the retained tokens, causally masked by absolute
-position.
+first `sinks` absolute positions are never evicted.
 
 The caches of one layer share one preallocated LayerStore, padded to the
 layer's largest budget, and a BudgetedCache is a view of one group's
 slots. Position p lives in slot p if p < sinks, else in ring slot
 sinks + (p - sinks) % (budget - sinks), so an eviction is one overwrite.
 Keys and values are the store's only arrays: which position a slot
-holds follows from the group's counts (LayerStore.positions), so an
+holds follows from the group's counts (BudgetedCache.positions), so an
 append writes keys and values only. Keys are stored transposed; one
 attention call over a layer's store serves all its KV groups and query
-heads, and a single query, which sees every retained token, hides only
-the unused slots.
+heads. Attention sees slots, not positions: of t_q queries, row i sees
+group g's slots j < lengths[g] - t_q + 1 + i. A single query sees every
+retained token; several queries need groups that have evicted nothing,
+where slot j holds position j and the rule is the causal mask.
 """
 
 import math
@@ -29,7 +29,6 @@ from .errors import AllocationError, ConfigError, InputError, ShapeError
 from .numerics import softmax
 
 
-EMPTY = np.iinfo(np.int64).max  # the position of an unused slot: no query sees it
 SCORE_CAP = 1 << 17  # elements in one attention score buffer: 512 KiB of float32
 
 
@@ -39,14 +38,6 @@ def _raise_floor_violations(budgets: np.ndarray, sinks: int) -> None:
         raise AllocationError(violations[0], violations)
 
 
-def _held(j, length, seen, budget, sinks):
-    """The position filled slot j of a group holds, from the group's counts:
-    j if j < sinks, else base + (j - base) % (budget - sinks), with
-    base = seen - length + sinks the oldest retained position past the sinks."""
-    base = seen - length + sinks
-    return np.where(j < sinks, j, base + (j - base) % (budget - sinks))
-
-
 class LayerStore:
     """The preallocated rows of one layer's KV groups, group g with budget
     budgets[g] and all with the same sink count.
@@ -54,9 +45,10 @@ class LayerStore:
     keys are (groups, head_dim, width) float32, transposed, and values
     (groups, width, head_dim) float32, with width the layer's largest
     budget; they are the only arrays. Group g fills slots 0..lengths[g]-1
-    (see BudgetedCache); its other slots are zero and unused. seen[g]
-    counts the tokens ever appended to group g. Raises AllocationError
-    below the budget floor, as a plan would.
+    (see BudgetedCache); its other slots are zero, unused and hidden from
+    attention by lengths[g] alone. seen[g] counts the tokens ever appended
+    to group g, and equals lengths[g] until the group first evicts. Raises
+    AllocationError below the budget floor, as a plan would.
     """
 
     def __init__(self, budgets: list[int], sinks: int, head_dim: int):
@@ -74,16 +66,6 @@ class LayerStore:
         """The live width: the most rows any group holds."""
         return max(self.lengths)
 
-    @property
-    def positions(self) -> np.ndarray:
-        """(groups, width) int64, read-only: the position each slot holds
-        (_held), EMPTY in the slots at or past its group's length."""
-        lengths, seen, budgets = np.array([self.lengths, self.seen, self.budgets])[:, :, None]
-        j = np.arange(self.keys.shape[2])
-        positions = np.where(j < lengths, _held(j, lengths, seen, budgets, self.sinks), EMPTY)
-        positions.flags.writeable = False
-        return positions
-
     def clear(self) -> None:
         self.keys.fill(0)
         self.values.fill(0)
@@ -99,9 +81,9 @@ class BudgetedCache:
     is a sliding window over the most recent tokens, p in ring slot
     sinks + (p - sinks) % (budget - sinks). `keys` and `values` are
     (retained, ...) views of the filled slots, in slot order, and
-    `positions` is derived from the counts (LayerStore.positions). A
-    cache built on its own gets a one-group store; a cache given a store
-    must have its group's budget, the store's sinks and its head_dim.
+    `positions` is derived from the group's counts. A cache built on its
+    own gets a one-group store; a cache given a store must have its
+    group's budget, the store's sinks and its head_dim.
     """
 
     budget: int
@@ -137,9 +119,13 @@ class BudgetedCache:
         return self.slots[1][: self.retained]
 
     @property
-    def positions(self) -> np.ndarray:  # (retained,) int64, read-only
-        n = self.retained
-        positions = _held(np.arange(n), n, self.total_seen, self.budget, self.sinks)
+    def positions(self) -> np.ndarray:
+        """(retained,) int64, read-only, from the group's counts: slot j holds
+        j if j < sinks, else base + (j - base) % (budget - sinks), with base
+        the oldest retained position past the sinks."""
+        n, sinks = self.retained, self.sinks
+        j, base = np.arange(n), self.total_seen - n + sinks
+        positions = np.where(j < sinks, j, base + (j - base) % (self.budget - sinks))
         positions.flags.writeable = False
         return positions
 
@@ -187,64 +173,51 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
     store.seen[g] = total
 
 
-def attend_with_cache(cache: BudgetedCache | LayerStore, q: np.ndarray) -> np.ndarray:
-    """Scaled dot-product attention of the newest queries over retained tokens.
+def attend_with_cache(store: LayerStore, q: np.ndarray) -> np.ndarray:
+    """Scaled dot-product attention of a layer's newest queries over its store.
 
-    `cache` is one BudgetedCache or a whole LayerStore, and `q` is
-    (groups, heads, t_q, head_dim): every query head of every group in
-    one call. One group may also pass (heads, t_q, head_dim) or
-    (t_q, head_dim). Row j of a group's queries is for absolute position
-    total_seen - t_q + j of that group; it attends over the group's
-    retained tokens with position <= its own. Only the live width (the
-    most rows any group holds) is read. A single query (t_q == 1) sees
-    every retained token, so only each group's unused slots, those at or
-    past its length, are hidden; more queries are masked by the derived
-    positions (LayerStore.positions), and InputError is raised if a
-    group's first query row would see no token. Groups run in tiles whose
-    score buffer holds at most SCORE_CAP elements (one group at least);
-    each group's result is the same whatever the tiling. Returns one
-    output row per query, shaped like `q`.
+    `q` is (groups, heads, t_q, head_dim): every query head of every
+    group in one call. Row i of group g sees its slots
+    j < lengths[g] - t_q + 1 + i of the live width (the most rows any
+    group holds). So a single query sees every retained token, and only
+    the unused slots are hidden. Several queries raise InputError unless
+    every group has evicted nothing (seen == lengths) and holds at least
+    t_q tokens: then slot j holds position j and the rule is the causal
+    mask. Groups run in tiles whose score buffer holds at most SCORE_CAP
+    elements (one group at least); each group's result is the same
+    whatever the tiling. Returns one output row per query, shaped like `q`.
     """
-    store = cache if isinstance(cache, LayerStore) else cache.store
-    parts = store.keys, store.values, store.lengths, store.seen
-    if cache is not store:  # one group's slice of each
-        parts = [part[cache.group : cache.group + 1] for part in parts]
-    keys_t, values, lengths, seen = parts
     q = np.asarray(q, dtype=np.float32)
-    groups, d, _ = keys_t.shape
-    if q.ndim not in (2, 3, 4) or q.shape[-1] != d or (q.shape[0] if q.ndim == 4 else 1) != groups:
+    groups, d, _ = store.keys.shape
+    if q.ndim != 4 or q.shape[0] != groups or q.shape[-1] != d:
         raise ShapeError(f"q shape {q.shape} incompatible with {groups} groups of head_dim {d}")
-    t_q = q.shape[-2]
-    width = max(lengths)
+    _, heads, t_q, _ = q.shape
+    lengths, width = store.lengths, max(store.lengths)
     if t_q == 0 or min(lengths) == 0:
         raise InputError("attention needs at least one query and one retained token")
-
-    rows = q.reshape(groups, -1, d)  # a group's query heads folded into rows
-    heads = rows.shape[1] // t_q
     if t_q > 1:
-        positions = store.positions
-        if cache is not store:
-            positions = positions[cache.group : cache.group + 1]
-        q_pos = np.add.outer(seen, np.arange(-t_q, 0))  # (groups, t_q)
-        # the first row sees the fewest tokens; it needs the oldest retained one
-        if np.any(positions.min(axis=1) > q_pos[:, 0]):
-            raise InputError("a query row has no retained token at or before its position")
+        if store.seen != lengths or min(lengths) < t_q:
+            raise InputError(f"{t_q} queries need unevicted groups of {t_q}+ tokens, not "
+                             f"lengths {lengths} of seen {store.seen}")
+        limits = np.add.outer(lengths, np.arange(1 - t_q, 1))[:, None, :, None]
+
+    rows = q.reshape(groups, heads * t_q, d)
     step = max(1, SCORE_CAP // (heads * t_q * width))
     scale = np.float32(math.sqrt(d))
     tiles = []
     for lo in range(0, groups, step):
         hi = lo + step
-        scores = rows[lo:hi] @ keys_t[lo:hi, :, :width]  # (tile, heads * t_q, width)
+        scores = rows[lo:hi] @ store.keys[lo:hi, :, :width]  # (tile, heads * t_q, width)
         scores /= scale
         if t_q > 1:
-            hidden = positions[lo:hi, None, None, :width] > q_pos[lo:hi, None, :, None]
+            hidden = np.arange(width) >= limits[lo:hi]  # (tile, 1, t_q, width)
             np.copyto(scores.reshape(-1, heads, t_q, width), np.float32(-np.inf), where=hidden)
         else:
             for i, length in enumerate(lengths[lo:hi]):
                 if length < width:
                     scores[i, :, length:] = -np.inf
         softmax(scores, out=scores)
-        tiles.append(scores @ values[lo:hi, :width])
+        tiles.append(scores @ store.values[lo:hi, :width])
     # a single tile is returned as is, without a copy
     return (tiles[0] if len(tiles) == 1 else np.concatenate(tiles)).reshape(q.shape)
 

@@ -3,17 +3,17 @@
 import numpy as np
 
 
-def softmax(scores: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable softmax along `axis`, into `out` if given (it
-    may be `scores` itself).
+def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax along the last axis, into `out` if given
+    (it may be `scores` itself).
 
     Entries masked with -inf receive weight 0; every row must keep at
     least one finite entry.
     """
     # the ufunc reductions np.max and np.sum call, without their wrappers
-    weights = np.subtract(scores, np.maximum.reduce(scores, axis, keepdims=True), out=out)
+    weights = np.subtract(scores, np.maximum.reduce(scores, -1, keepdims=True), out=out)
     np.exp(weights, out=weights)
-    weights /= np.add.reduce(weights, axis, keepdims=True)
+    weights /= np.add.reduce(weights, -1, keepdims=True)
     return weights
 
 

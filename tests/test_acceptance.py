@@ -97,7 +97,9 @@ def test_criterion_2_eviction_equivalence():
             q = rng.normal(size=(1, head_dim)).astype(np.float32)
             kept = cache.positions.tolist()
             expected = brute_attention(q, k[kept], v[kept], causal=False)
-            np.testing.assert_allclose(attend_with_cache(cache, q), expected, atol=1e-6)
+            np.testing.assert_allclose(
+                attend_with_cache(cache.store, q[None, None])[0, 0], expected, atol=1e-6
+            )
 
 
 def test_criterion_3_reallocation_trace_suite():
