@@ -47,9 +47,6 @@ from .model import (
 from .profiling import (
     ImportanceProfile,
     group_kv_importance,
-    head_importance,
-    head_similarity,
-    layer_similarity,
     profile_model,
     rank_correlation,
     token_cosine_similarities,

@@ -1,12 +1,12 @@
 """Budgeted per-(layer, KV-group) key/value stores.
 
-Each store holds at most `budget` tokens. When an append overflows the
+Each cache holds at most `budget` tokens. When an append overflows the
 budget, the oldest token that is not an attention sink is evicted; the
 first `sinks` absolute positions are never evicted.
 
-The caches of one layer share one preallocated LayerStore, padded to the
-layer's largest budget, and a BudgetedCache is a view of one group's
-slots. Position p lives in slot p if p < sinks, else in ring slot
+A layer's caches are one preallocated LayerStore, padded to the layer's
+largest budget, which makes a BudgetedCache view of each group's slots
+(store.caches). Position p lives in slot p if p < sinks, else in ring slot
 sinks + (p - sinks) % (budget - sinks), so an eviction is one overwrite.
 Keys and values are the store's only arrays: which position a slot
 holds follows from the group's counts (BudgetedCache.positions), so an
@@ -19,7 +19,7 @@ where slot j holds position j and the rule is the causal mask.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,9 @@ class LayerStore:
     budget; they are the only arrays. Group g fills slots 0..lengths[g]-1
     (see BudgetedCache); its other slots are zero, unused and hidden from
     attention by lengths[g] alone. seen[g] counts the tokens ever appended
-    to group g, and equals lengths[g] until the group first evicts. Raises
-    AllocationError below the budget floor, as a plan would.
+    to group g, and equals lengths[g] until the group first evicts.
+    caches[g] is group g's view, the only way a BudgetedCache is made.
+    Raises AllocationError below the budget floor, as a plan would.
     """
 
     def __init__(self, budgets: list[int], sinks: int, head_dim: int):
@@ -60,6 +61,7 @@ class LayerStore:
         self.values = np.zeros((groups, width, head_dim), dtype=np.float32)
         self.lengths = [0] * groups
         self.seen = [0] * groups
+        self.caches = [BudgetedCache(self, g) for g in range(groups)]
 
     @property
     def retained(self) -> int:
@@ -69,11 +71,10 @@ class LayerStore:
     def clear(self) -> None:
         self.keys.fill(0)
         self.values.fill(0)
-        self.lengths[:] = [0] * len(self.lengths)
+        self.lengths[:] = [0] * len(self.lengths)  # in place: the views share both lists
         self.seen[:] = [0] * len(self.seen)
 
 
-@dataclass(eq=False)
 class BudgetedCache:
     """One KV group's slots of a layer store, with a hard token budget.
 
@@ -81,34 +82,25 @@ class BudgetedCache:
     is a sliding window over the most recent tokens, p in ring slot
     sinks + (p - sinks) % (budget - sinks). `keys` and `values` are
     (retained, ...) views of the filled slots, in slot order, and
-    `positions` is derived from the group's counts. A cache built on its
-    own gets a one-group store; a cache given a store must have its
-    group's budget, the store's sinks and its head_dim.
+    `positions` is derived from the group's counts. Made by its store
+    only, it reads its budget, sinks and head_dim, count lists and slot
+    arrays from the store but keeps no reference to it: a store and its
+    views would form a cycle, freed only when the cycle collector runs.
     """
 
-    budget: int
-    sinks: int
-    head_dim: int
-    store: LayerStore = field(default=None, repr=False)
-    group: int = 0
-
-    def __post_init__(self):
-        if self.store is None:
-            self.store = LayerStore([self.budget], self.sinks, self.head_dim)
-        s, g = self.store, self.group
-        mine = (self.budget, self.sinks, self.head_dim)
-        theirs = (s.budgets[g], s.sinks, s.keys.shape[1])
-        if mine != theirs:
-            raise ConfigError(f"cache (budget, sinks, head_dim) {mine} != {theirs} of group {g}")
-        self.slots = (s.keys[g], s.values[g])  # full width, keys transposed
+    def __init__(self, store: LayerStore, group: int):
+        self.budget, self.sinks, self.group = store.budgets[group], store.sinks, group
+        self.head_dim = store.keys.shape[1]
+        self.lengths, self.seen = store.lengths, store.seen  # shared, mutated in place
+        self.slots = (store.keys[group], store.values[group])  # full width, keys transposed
 
     @property
     def retained(self) -> int:
-        return self.store.lengths[self.group]
+        return self.lengths[self.group]
 
     @property
     def total_seen(self) -> int:
-        return self.store.seen[self.group]
+        return self.seen[self.group]
 
     @property
     def keys(self) -> np.ndarray:  # (retained, head_dim) float32
@@ -149,9 +141,9 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
     if k_new.shape[1] != cache.head_dim:
         raise ShapeError(f"row width {k_new.shape[1]} != head_dim {cache.head_dim}")
 
-    store, g, sinks, budget = cache.store, cache.group, cache.sinks, cache.budget
+    g, sinks, budget = cache.group, cache.sinks, cache.budget
     keys, values = cache.slots
-    seen = store.seen[g]
+    seen = cache.seen[g]
     rows = len(k_new)
     total = seen + rows
     if rows == 1:  # the (1, head_dim) row is written into its slot as is
@@ -169,8 +161,8 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
                 dest = slice(slot, slot + e - a)
                 keys[:, dest] = k_new[a - seen : e - seen].T
                 values[dest] = v_new[a - seen : e - seen]
-    store.lengths[g] = min(total, budget)
-    store.seen[g] = total
+    cache.lengths[g] = min(total, budget)
+    cache.seen[g] = total
 
 
 def attend_with_cache(store: LayerStore, q: np.ndarray) -> np.ndarray:
@@ -224,35 +216,29 @@ def attend_with_cache(store: LayerStore, q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CacheSet:
-    """All the budgeted stores of one model: indexed [layer][kv_group]."""
+    """All the budgeted caches of one model: one LayerStore per layer, and
+    the cache of (layer, kv_group) is stores[layer].caches[kv_group]."""
 
-    caches: list[list[BudgetedCache]]
+    stores: list[LayerStore]
     config: ModelConfig
-
-    @property
-    def stores(self) -> list[LayerStore]:
-        """Each layer's store, which its caches share."""
-        return [row[0].store for row in self.caches]
 
     @property
     def total_seen(self) -> int:
         """The stream position of every cache, read from the stores' counts;
-        InputError naming the first cache that differs."""
-        stores = self.stores
-        seen = stores[0].seen[0]
-        if any(store.seen.count(seen) != len(store.seen) for store in stores):
-            for layer, row in enumerate(self.caches):
-                for group, cache in enumerate(row):
-                    if cache.total_seen != seen:
-                        raise InputError(
-                            f"cache at layer {layer} group {group} is at stream position "
-                            f"{cache.total_seen}, not {seen}"
-                        )
+        InputError naming the first (layer, group) that differs."""
+        seen = self.stores[0].seen[0]
+        for layer, store in enumerate(self.stores):
+            if store.seen.count(seen) != len(store.seen):
+                group = next(g for g, s in enumerate(store.seen) if s != seen)
+                raise InputError(
+                    f"cache at layer {layer} group {group} is at stream position "
+                    f"{store.seen[group]}, not {seen}"
+                )
         return seen
 
     def all_caches(self):
-        for row in self.caches:
-            yield from row
+        for store in self.stores:
+            yield from store.caches
 
 
 def check_plan_fits(plan: AllocationPlan, config: ModelConfig) -> None:
@@ -271,18 +257,12 @@ def clamp_budgets(budgets: list[int], sinks: int, tokens: int) -> tuple[int, ...
     return tuple(min(b, max(tokens, sinks + 1)) for b in budgets)
 
 
-def layer_caches(budgets: list[int], sinks: int, head_dim: int) -> list[BudgetedCache]:
-    """Empty caches of one layer, one per KV group, sharing one store."""
-    store = LayerStore(budgets, sinks, head_dim)
-    return [BudgetedCache(b, sinks, head_dim, store, g) for g, b in enumerate(budgets)]
-
-
 def build_cache_set(plan: AllocationPlan, config: ModelConfig) -> CacheSet:
-    """Empty caches sized from a plan's budget matrix, one store per layer,
-    each budget clamped to max_context (clamp_budgets)."""
+    """Empty stores sized from a plan's budget matrix, one per layer, each
+    budget clamped to max_context (clamp_budgets)."""
     check_plan_fits(plan, config)
     rows = [clamp_budgets(row, plan.sinks, config.max_context) for row in plan.budgets.tolist()]
-    return CacheSet([layer_caches(row, plan.sinks, config.head_dim) for row in rows], config)
+    return CacheSet([LayerStore(row, plan.sinks, config.head_dim) for row in rows], config)
 
 
 def reset(cache_set: CacheSet) -> None:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .cache import BudgetedCache, CacheSet, append_and_evict, attend_with_cache
+from .cache import CacheSet, LayerStore, append_and_evict, attend_with_cache
 from .config import ModelConfig
 from .errors import ConfigError, FormatError, InputError, ShapeError
 
@@ -179,15 +179,14 @@ def forward_layer(
     model: Model,
     li: int,
     x: np.ndarray,
-    caches: list[BudgetedCache],
+    store: LayerStore,
     probes: ProbeCapture | None = None,
 ) -> np.ndarray:
     """Run hidden states x (batch, tokens, d_model) through layer li; returns the new ones.
 
-    `caches` are the layer's batch * kv_groups caches, batch-major: the
-    groups of one store, in order, all at the same stream position
-    (CacheSet.total_seen checks this). The stepping and the new tokens'
-    positions are read from the store's counts (budgets, lengths, seen).
+    `store` is the layer's: store.caches[b * kv_groups + g] is sequence b's
+    group g (batch-major), all at the same stream position (CacheSet.total_seen
+    checks it). The stepping and new positions follow from its budgets and counts.
     Only the cache append and attention are stepped: one segment of as
     many tokens as every cache of this layer can take without evicting,
     then single tokens, so each cache sees the appends and retained sets
@@ -202,9 +201,9 @@ def forward_layer(
     layer = model.layers[li]
     batch, n, _ = x.shape
     hq, kv, g, d = cfg.num_q_heads, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
+    caches = store.caches
     if len(caches) != batch * kv:
         raise ShapeError(f"{len(caches)} caches for a batch of {batch} with {kv} KV groups")
-    store = caches[0].store
     # a full cache steps one token at a time
     room = min(budget - length for budget, length in zip(store.budgets, store.lengths))
     first = max(1, min(n, room))
@@ -272,9 +271,9 @@ def forward_chunk(
     tokens = check_tokens(tokens, cfg.vocab_size)
     if caches.config != cfg:
         raise ConfigError("cache set was built for a different model configuration")
-    if len(caches.caches) != cfg.num_layers:
+    if len(caches.stores) != cfg.num_layers:
         raise ConfigError(
-            f"cache layer count {len(caches.caches)} != num_layers {cfg.num_layers}"
+            f"cache layer count {len(caches.stores)} != num_layers {cfg.num_layers}"
         )
     start = caches.total_seen
     n = tokens.size
@@ -289,8 +288,8 @@ def forward_chunk(
         shapes += [(n, cfg.d_model)] * 2
         probes = ProbeCapture(*(np.empty((cfg.num_layers, *s), np.float32) for s in shapes))
     x = model.embedding[tokens[None]].astype(np.float32, copy=True)
-    for li, row in enumerate(caches.caches):
-        x = forward_layer(model, li, x, row, probes)
+    for li, store in enumerate(caches.stores):
+        x = forward_layer(model, li, x, store, probes)
     return output_logits(model, x[0]), probes
 
 

@@ -72,15 +72,6 @@ def _unit_mean(token_sims: np.ndarray) -> np.ndarray:
     return (np.mean(token_sims, axis=-1) + 1.0) / 2.0
 
 
-def head_similarity(v_in: np.ndarray, attn_out: np.ndarray) -> float:
-    """Mean token cosine mapped from [-1, 1] to [0, 1]."""
-    return float(_unit_mean(token_cosine_similarities(v_in, attn_out)))
-
-
-def head_importance(similarity: float) -> float:
-    return 1.0 - similarity
-
-
 def group_kv_importance(head_sims: np.ndarray, g: int) -> np.ndarray:
     """Per KV group: 1 - mean similarity of its g consecutive query heads."""
     head_sims = np.asarray(head_sims, dtype=np.float64)
@@ -91,11 +82,6 @@ def group_kv_importance(head_sims: np.ndarray, g: int) -> np.ndarray:
         raise ShapeError(f"q_heads ({q_heads}) not divisible by group size {g}")
     grouped = head_sims.reshape(layers, q_heads // g, g).mean(axis=2)
     return 1.0 - grouped
-
-
-def layer_similarity(layer_in: np.ndarray, layer_out: np.ndarray) -> float:
-    """Same cosine/mean/[0,1] pipeline applied to full hidden states."""
-    return head_similarity(layer_in, layer_out)
 
 
 def _prompt_id(tokens: np.ndarray) -> str:

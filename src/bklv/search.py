@@ -18,7 +18,7 @@ from .allocation import (
     uniform_plan,
     window_plan,
 )
-from .cache import CacheSet, check_plan_fits, clamp_budgets, layer_caches
+from .cache import CacheSet, LayerStore, check_plan_fits, clamp_budgets
 from .errors import InputError, ShapeError
 from .model import Model, check_tokens, forward_chunk, forward_layer, output_logits
 from .numerics import log_softmax_f64
@@ -93,8 +93,7 @@ def evaluate_plans(
 
     def step(depth, x, key):
         sinks, budgets = key
-        caches = layer_caches(list(budgets) * len(x), sinks, cfg.head_dim)
-        return forward_layer(model, depth, x, caches)
+        return forward_layer(model, depth, x, LayerStore(list(budgets) * len(x), sinks, cfg.head_dim))
 
     def walk(depth, x, members, batch):
         while depth < cfg.num_layers:

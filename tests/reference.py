@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from bklv.errors import ShapeError
+from bklv.profiling import token_cosine_similarities
 
 RMS_EPS = 1e-5
 
@@ -212,6 +213,23 @@ def reference_nll(model, tokens, budgets=None, sinks: int = 0) -> float:
         lse = row.max() + math.log(np.sum(np.exp(row - row.max())))
         total += lse - row[tokens[i]]
     return total / (tokens.size - 1)
+
+
+def head_similarity(v_in, attn_out) -> float:
+    """One head's (or layer's) similarity on its own: the mean of its token
+    cosines (bklv's token_cosine_similarities) mapped from [-1, 1] to
+    [0, 1], the per-head loop that profile_model's one-pass reduction
+    replaced."""
+    return float((np.mean(token_cosine_similarities(v_in, attn_out)) + 1.0) / 2.0)
+
+
+def head_importance(similarity: float) -> float:
+    return 1.0 - similarity
+
+
+def layer_similarity(layer_in, layer_out) -> float:
+    """head_similarity applied to the hidden states entering and leaving a layer."""
+    return head_similarity(layer_in, layer_out)
 
 
 def sink_window_trace(budget: int, sinks: int, n_tokens: int, chunk_sizes=None):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bklv import (
-    BudgetedCache,
+    LayerStore,
     Model,
     ModelConfig,
     PlanParams,
@@ -21,8 +21,6 @@ from bklv import (
     chunked_perplexity,
     forward_chunk,
     greedy_generate,
-    head_importance,
-    head_similarity,
     init_model,
     layer_sweep,
     parameter_search,
@@ -36,6 +34,8 @@ from bklv.io import dump_json, profile_to_dict
 from .reference import (
     reallocation_trace,
     brute_attention,
+    head_importance,
+    head_similarity,
     reference_generate,
     reference_logits,
     reference_nll,
@@ -84,7 +84,8 @@ def test_criterion_2_eviction_equivalence():
         for _ in range(200):
             budget = int(rng.integers(3, 14))
             sinks = int(rng.integers(0, min(5, budget)))
-            cache = BudgetedCache(budget=budget, sinks=sinks, head_dim=head_dim)
+            store = LayerStore([budget], sinks, head_dim)
+            cache = store.caches[0]
             total = int(rng.integers(budget, 3 * budget + 1))
             k = rng.normal(size=(total, head_dim)).astype(np.float32)
             v = rng.normal(size=(total, head_dim)).astype(np.float32)
@@ -98,7 +99,7 @@ def test_criterion_2_eviction_equivalence():
             kept = cache.positions.tolist()
             expected = brute_attention(q, k[kept], v[kept], causal=False)
             np.testing.assert_allclose(
-                attend_with_cache(cache.store, q[None, None])[0, 0], expected, atol=1e-6
+                attend_with_cache(store, q[None, None])[0, 0], expected, atol=1e-6
             )
 
 

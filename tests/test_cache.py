@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bklv import (
     AllocationError,
-    BudgetedCache,
     CacheSet,
     ConfigError,
     InputError,
@@ -35,7 +34,8 @@ HEAD_DIM = 8
 
 
 def _cache(budget, sinks=0, head_dim=HEAD_DIM):
-    return BudgetedCache(budget=budget, sinks=sinks, head_dim=head_dim)
+    """The one cache of a one-group store."""
+    return LayerStore([budget], sinks, head_dim).caches[0]
 
 
 def _append_each(cache, n, rng):
@@ -96,7 +96,8 @@ class TestAppendAndEvict:
         # group 0 of layer 0 has budget 6 in a store padded to width 9
         plan = AllocationPlan(0.5, 2, np.array([[6, 9], [7, 7]]), "uniform", PlanParams())
         caches = build_cache_set(plan, SMALL)
-        store, cache = caches.stores[0], caches.caches[0][0]
+        store = caches.stores[0]
+        cache = store.caches[0]
         arrays = (store.keys, store.values)
         rows = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
 
@@ -109,7 +110,7 @@ class TestAppendAndEvict:
                 assert view.base is full
             # the store's counts are the cache's, and group 1's view holds nothing
             assert (store.lengths, store.seen) == ([min(n, 6), 0], [n, 0])
-            assert caches.caches[0][1].positions.tolist() == []
+            assert store.caches[1].positions.tolist() == []
 
         for pos in range(6):
             append(pos)
@@ -121,7 +122,7 @@ class TestAppendAndEvict:
         reset(caches)
         assert cache.retained == 0 and cache.total_seen == 0
         assert all(a is b for a, b in zip((store.keys, store.values), arrays))
-        assert [view.positions.tolist() for view in caches.caches[0]] == [[], []]
+        assert [view.positions.tolist() for view in store.caches] == [[], []]
         for pos in range(3):
             append(pos)
         check(3)
@@ -160,7 +161,7 @@ class TestAppendAndEvict:
         budgets = [b + sinks for b in budgets]
         group %= len(budgets)
         store = LayerStore(budgets, sinks, HEAD_DIM)
-        views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
+        views = store.caches
         rng = np.random.default_rng(extra)
         for cache in views:
             _append_each(cache, cache.budget + extra, rng)
@@ -203,8 +204,8 @@ class TestDerivedPositions:
     def test_positions_equal_a_slot_by_slot_replay(self, extra, sinks, appends, reset_at):
         budgets = [e + sinks for e in extra]  # unequal, at or above the floor
         store = LayerStore(budgets, sinks, HEAD_DIM)
-        views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
-        caches = CacheSet([views], SMALL)
+        views = store.caches
+        caches = CacheSet([store], SMALL)
         replay = np.full((len(budgets), max(budgets)), -1, dtype=np.int64)  # -1: unwritten
         rows = np.ones((25, HEAD_DIM), np.float32)
         for i, (group, n) in enumerate(appends):
@@ -245,11 +246,8 @@ class TestOneRowAppend:
     def test_single_rows_equal_batched_appends(self, extra, sinks, batches, reset_at, seed):
         budgets = [e + sinks for e in extra]  # unequal, at or above the floor
         stores = [LayerStore(budgets, sinks, HEAD_DIM) for _ in range(2)]
-        single, batched = (
-            [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
-            for store in stores
-        )
-        caches = CacheSet([single, batched], SMALL)
+        single, batched = (store.caches for store in stores)
+        caches = CacheSet(stores, SMALL)
         rng = np.random.default_rng(seed)
         for i, (group, n) in enumerate(batches):
             if i == reset_at:
@@ -266,52 +264,56 @@ class TestOneRowAppend:
                 assert np.array_equal(a.positions, b.positions)
 
 
-def _attend_one(cache, q):
+def _attend_one(store, q):
     """One group's (t_q, head_dim) queries through its one-group store."""
-    return attend_with_cache(cache.store, q[None, None])[0, 0]
+    return attend_with_cache(store, q[None, None])[0, 0]
 
 
 class TestAttendWithCache:
     def test_no_eviction_equals_full_attention(self, rng):
-        cache = _cache(budget=32, sinks=0)
+        store = LayerStore([32], 0, HEAD_DIM)
+        cache = store.caches[0]
         k = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
         append_and_evict(cache, k, v)
         q = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
-        got = _attend_one(cache, q)
+        got = _attend_one(store, q)
         np.testing.assert_allclose(got, scaled_dot_attention(q, k, v), atol=1e-6)
 
     def test_after_eviction_matches_retained_subset_oracle(self, rng):
-        cache = _cache(budget=6, sinks=2)
+        store = LayerStore([6], 2, HEAD_DIM)
+        cache = store.caches[0]
         k = rng.normal(size=(12, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(12, HEAD_DIM)).astype(np.float32)
         for i in range(12):
             append_and_evict(cache, k[i : i + 1], v[i : i + 1])
         q = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
-        got = _attend_one(cache, q)
+        got = _attend_one(store, q)
         kept = cache.positions.tolist()
         expected = brute_attention(q, k[kept], v[kept], causal=False)
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
     def test_single_retained_token_returns_its_value(self, rng):
-        cache = _cache(budget=1, sinks=0)
+        store = LayerStore([1], 0, HEAD_DIM)
+        cache = store.caches[0]
         k = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
         append_and_evict(cache, k, v)
         q = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
-        assert np.array_equal(_attend_one(cache, q), v)
+        assert np.array_equal(_attend_one(store, q), v)
 
     def test_empty_cache_is_input_error(self, rng):
         with pytest.raises(InputError):
-            _attend_one(_cache(4), rng.normal(size=(1, HEAD_DIM)).astype(np.float32))
+            _attend_one(LayerStore([4], 0, HEAD_DIM), rng.normal(size=(1, HEAD_DIM)).astype(np.float32))
 
     def test_multi_row_causal_masking(self, rng):
-        cache = _cache(budget=32, sinks=0)
+        store = LayerStore([32], 0, HEAD_DIM)
+        cache = store.caches[0]
         k = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
         append_and_evict(cache, k, v)
         q = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
-        got = _attend_one(cache, q)
+        got = _attend_one(store, q)
         expected = brute_attention(q, k, v, causal=True)
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
@@ -319,15 +321,15 @@ class TestAttendWithCache:
     @pytest.mark.parametrize("t_q", [1, 3, 7])
     def test_grouped_heads_bit_identical_to_per_head_calls(self, rng, heads, t_q):
         # one query over a store that has evicted; several over one that has not
-        cache = _cache(budget=9 if t_q == 1 else 16, sinks=2)
-        _append_each(cache, 14, rng)
+        store = LayerStore([9 if t_q == 1 else 16], 2, HEAD_DIM)
+        _append_each(store.caches[0], 14, rng)
         # (t_q, heads, d) rows viewed as (heads, t_q, d), as forward_chunk passes them
         rows = rng.normal(size=(t_q, heads, HEAD_DIM)).astype(np.float32)
         q = rows.transpose(1, 0, 2)
-        got = attend_with_cache(cache.store, q[None])
+        got = attend_with_cache(store, q[None])
         assert got.shape == (1, heads, t_q, HEAD_DIM)
         for h in range(heads):
-            assert np.array_equal(got[0, h], _attend_one(cache, q[h]))
+            assert np.array_equal(got[0, h], _attend_one(store, q[h]))
 
     def test_randomized_eviction_equivalence(self):
         # Randomized sequences of appends; attention over the store must equal
@@ -336,7 +338,8 @@ class TestAttendWithCache:
         for trial in range(50):
             budget = int(rng.integers(3, 12))
             sinks = int(rng.integers(0, min(4, budget - 1) + 1))
-            cache = _cache(budget=budget, sinks=sinks)
+            store = LayerStore([budget], sinks, HEAD_DIM)
+            cache = store.caches[0]
             total = int(rng.integers(budget, 3 * budget))
             k = rng.normal(size=(total, HEAD_DIM)).astype(np.float32)
             v = rng.normal(size=(total, HEAD_DIM)).astype(np.float32)
@@ -348,15 +351,15 @@ class TestAttendWithCache:
             q = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
             kept = cache.positions.tolist()
             expected = brute_attention(q, k[kept], v[kept], causal=False)
-            np.testing.assert_allclose(_attend_one(cache, q), expected, atol=1e-6)
+            np.testing.assert_allclose(_attend_one(store, q), expected, atol=1e-6)
 
 
-def _position_masked_attention(views, q):
+def _position_masked_attention(store, q):
     """Attention masked by position, untiled, as attend_with_cache once did
     for every call: row i of t_q queries is for position seen - t_q + i of
     its group, and a slot is set to -inf where the position its view holds
     is later, or where the view holds nothing."""
-    store = views[0].store
+    views = store.caches
     (groups, heads, t_q, d), width = q.shape, store.retained
     held = np.full((groups, width), np.iinfo(np.int64).max)
     for g, view in enumerate(views):
@@ -370,15 +373,15 @@ def _position_masked_attention(views, q):
     return (scores @ store.values[:, :width]).reshape(q.shape)
 
 
-def _check_attention(views, q, k, v, cap):
-    """attend_with_cache over the views' store under score cap `cap`. With
+def _check_attention(store, q, k, v, cap):
+    """attend_with_cache over a layer store under score cap `cap`. With
     several queries it must raise InputError if a group has evicted or
     holds fewer tokens than queries. Otherwise it must equal
     _position_masked_attention at tolerance 0, and brute force over the
     positions of the literal eviction trace each row may see within 1e-6
     (k[g, p] and v[g, p] are group g's rows for position p). Returns the
     result, or None if it raised."""
-    t_q = q.shape[2]
+    views, t_q = store.caches, q.shape[2]
     traces = [sink_window_trace(view.budget, view.sinks, view.total_seen) for view in views]
     # a group that has evicted holds fewer tokens than it has seen
     refused = t_q > 1 and any(
@@ -387,11 +390,11 @@ def _check_attention(views, q, k, v, cap):
     with mock.patch.object(cache_module, "SCORE_CAP", cap):
         if refused:
             with pytest.raises(InputError, match=f"{t_q} queries need unevicted groups"):
-                attend_with_cache(views[0].store, q)
+                attend_with_cache(store, q)
             return None
-        got = attend_with_cache(views[0].store, q)
+        got = attend_with_cache(store, q)
     assert got.shape == q.shape
-    assert np.array_equal(got, _position_masked_attention(views, q))
+    assert np.array_equal(got, _position_masked_attention(store, q))
     for g, (kept, view) in enumerate(zip(traces, views)):
         for i in range(t_q):
             mine = [p for p in kept if p <= view.total_seen - t_q + i]
@@ -427,54 +430,52 @@ class TestLayerStoreAttention:
         budgets = [e + sinks for e in extra]  # unequal, at or above the floor
         groups, total = len(budgets), sum(rows for rows, _ in segments)
         store = LayerStore(budgets, sinks, HEAD_DIM)
-        views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
-        alone = [_cache(b, sinks) for b in budgets]
+        views = store.caches
+        alone = [LayerStore([b], sinks, HEAD_DIM) for b in budgets]
         rng = np.random.default_rng(seed)
         k = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
         seen = 0
         for rows, t_q in segments:
             for g in range(groups):
-                for cache in (views[g], alone[g]):
+                for cache in (views[g], alone[g].caches[0]):
                     append_and_evict(cache, k[g, seen : seen + rows], v[g, seen : seen + rows])
             seen += rows
             q = rng.normal(size=(groups, heads, t_q, HEAD_DIM)).astype(np.float32)
-            got = _check_attention(views, q, k, v, cap)
+            got = _check_attention(store, q, k, v, cap)
             for g in range(groups):
                 _assert_holds(views[g], sink_window_trace(budgets[g], sinks, seen), k[g], v[g])
                 if got is not None:
-                    one = attend_with_cache(alone[g].store, q[g : g + 1])[0]
+                    one = attend_with_cache(alone[g], q[g : g + 1])[0]
                     np.testing.assert_allclose(got[g], one, atol=1e-6)
 
     @pytest.mark.parametrize("evicted", [0, 1])
     def test_several_queries_over_an_evicted_group_raise(self, rng, evicted):
         budgets = [4, 12] if evicted == 0 else [12, 4]
         store = LayerStore(budgets, 1, HEAD_DIM)
-        views = [BudgetedCache(b, 1, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
         k, v = rng.normal(size=(2, 2, 6, HEAD_DIM)).astype(np.float32)
-        for g, view in enumerate(views):
+        for g, view in enumerate(store.caches):
             append_and_evict(view, k[g], v[g])
         assert store.lengths == ([4, 6] if evicted == 0 else [6, 4])
         q = rng.normal(size=(2, 2, 4, HEAD_DIM)).astype(np.float32)
         # up to the evicted group's length, so only the eviction rules out several
-        results = [_check_attention(views, q[:, :, :t_q], k, v, 1) for t_q in (1, 2, 3, 4)]
+        results = [_check_attention(store, q[:, :, :t_q], k, v, 1) for t_q in (1, 2, 3, 4)]
         assert [got is None for got in results] == [False, True, True, True]
 
     @pytest.mark.parametrize("short", [0, 1])
     def test_several_queries_need_a_token_each_in_every_group(self, rng, short):
         store = LayerStore([8, 8], 0, HEAD_DIM)
-        views = [BudgetedCache(8, 0, HEAD_DIM, store, g) for g in range(2)]
         k, v = rng.normal(size=(2, 2, 5, HEAD_DIM)).astype(np.float32)
-        for g, view in enumerate(views):
+        for g, view in enumerate(store.caches):
             n = 2 if g == short else 5
             append_and_evict(view, k[g, :n], v[g, :n])
         q = rng.normal(size=(2, 3, 4, HEAD_DIM)).astype(np.float32)
-        results = [_check_attention(views, q[:, :, :t_q], k, v, 1) for t_q in (1, 2, 3, 4)]
+        results = [_check_attention(store, q[:, :, :t_q], k, v, 1) for t_q in (1, 2, 3, 4)]
         assert [got is None for got in results] == [False, False, True, True]
 
     def test_query_groups_must_match_the_store(self, rng):
         store = LayerStore([4, 4], 0, HEAD_DIM)
-        views = [BudgetedCache(4, 0, HEAD_DIM, store, g) for g in range(2)]
+        views = store.caches
         row = np.ones((1, HEAD_DIM), np.float32)
         append_and_evict(views[1], row, row)
         q = rng.normal(size=(1, HEAD_DIM)).astype(np.float32)
@@ -511,7 +512,7 @@ class TestSingleQuery:
         budgets = [e + sinks for e in extra]  # unequal, so the store is padded
         groups, total = len(budgets), first + steps
         store = LayerStore(budgets, sinks, HEAD_DIM)
-        views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
+        views = store.caches
         rng = np.random.default_rng(seed)
         k = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
@@ -519,7 +520,7 @@ class TestSingleQuery:
             for g in range(groups):
                 append_and_evict(views[g], k[g, a:b], v[g, a:b])
             q = rng.normal(size=(groups, heads, 1, HEAD_DIM)).astype(np.float32)
-            assert _check_attention(views, q, k, v, cap) is not None
+            assert _check_attention(store, q, k, v, cap) is not None
 
 
 class TestScoreTiling:
@@ -541,7 +542,7 @@ class TestScoreTiling:
         budgets = [b + sinks for b in budgets]
         groups, total = len(budgets), first + steps
         store = LayerStore(budgets, sinks, HEAD_DIM)
-        views = [BudgetedCache(b, sinks, HEAD_DIM, store, g) for g, b in enumerate(budgets)]
+        views = store.caches
         rng = np.random.default_rng(seed)
         k = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
@@ -549,8 +550,8 @@ class TestScoreTiling:
             for g in range(groups):
                 append_and_evict(views[g], k[g, a:b], v[g, a:b])
             q = rng.normal(size=(groups, heads, b - a, HEAD_DIM)).astype(np.float32)
-            untiled = _check_attention(views, q, k, v, cache_module.SCORE_CAP)
-            tiled = _check_attention(views, q, k, v, cap)
+            untiled = _check_attention(store, q, k, v, cache_module.SCORE_CAP)
+            tiled = _check_attention(store, q, k, v, cap)
             if untiled is None:
                 assert tiled is None
             else:
@@ -597,13 +598,6 @@ class TestCacheSet:
         with pytest.raises(AllocationError, match="budget 3 below floor 4 at layer 0 group 1"):
             LayerStore([6, 3], 3, HEAD_DIM)
 
-    def test_a_cache_must_match_its_store(self):
-        store = LayerStore([6, 5], 2, HEAD_DIM)
-        for budget, sinks, head_dim in ((5, 2, HEAD_DIM), (6, 1, HEAD_DIM), (6, 2, 2 * HEAD_DIM)):
-            with pytest.raises(ConfigError, match=r"!= \(6, 2, 8\) of group 0"):
-                BudgetedCache(budget, sinks, head_dim, store, 0)
-        assert BudgetedCache(5, 2, HEAD_DIM, store, 1).store is store
-
     def test_total_capacity_is_sum_of_budgets(self):
         plan = uniform_plan(SMALL, 0.5)
         caches = build_cache_set(plan, SMALL)
@@ -617,12 +611,12 @@ class TestCacheSet:
     def test_reset_preserves_budgets(self, rng):
         plan = uniform_plan(SMALL, 0.5)
         caches = build_cache_set(plan, SMALL)
-        for grp, cache in enumerate(caches.caches[0]):
+        for grp, cache in enumerate(caches.stores[0].caches):
             _append_each(cache, 6, rng)
         reset(caches)
         assert caches.total_seen == 0
-        assert [c.budget for c in caches.caches[0]] == plan.budgets[0].tolist()
-        cache = caches.caches[0][0]
+        assert [c.budget for c in caches.stores[0].caches] == plan.budgets[0].tolist()
+        cache = caches.stores[0].caches[0]
         _append_each(cache, 3, rng)
         assert cache.retained == 3
 
@@ -630,7 +624,7 @@ class TestCacheSet:
     def test_a_cache_at_another_stream_position_is_named(self, small_model, layer, group, rng):
         caches = build_cache_set(uniform_plan(SMALL, 1.0), SMALL)
         forward_chunk(small_model, [1, 2, 3], caches)
-        _append_each(caches.caches[layer][group], 1, rng)  # advanced directly, to position 4
+        _append_each(caches.stores[layer].caches[group], 1, rng)  # advanced directly, to position 4
         message = f"cache at layer {layer} group {group} is at stream position 4, not 3"
         with pytest.raises(InputError, match=message):
             caches.total_seen

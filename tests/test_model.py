@@ -29,7 +29,7 @@ from bklv import (
 from bklv import cache as cache_module
 from bklv import model as model_module
 from bklv.allocation import AllocationPlan, PlanParams
-from bklv.cache import layer_caches
+from bklv.cache import LayerStore
 from bklv.model import (
     check_tokens,
     deserialize_model,
@@ -329,8 +329,8 @@ class TestBudgetedStepping:
         plan = AllocationPlan(0.0, 1, np.array([[4, 6], [10, 12]]), "custom", PlanParams())
         caches = build_cache_set(plan, SMALL)
         forward_chunk(small_model, list(range(16)), caches)
-        for row, first in zip(caches.caches, (4, 10)):
-            for cache in row:
+        for store, first in zip(caches.stores, (4, 10)):
+            for cache in store.caches:
                 assert [n for c, n in appends if c is cache] == [first] + [1] * (16 - first)
 
 
@@ -363,8 +363,8 @@ class TestBatchedLayer:
         cfg = SMALL
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(batch, prefix + n, cfg.d_model)).astype(np.float32)
-        together = layer_caches(budgets * batch, sinks, cfg.head_dim)
-        alone = [layer_caches(budgets, sinks, cfg.head_dim) for _ in range(batch)]
+        together = LayerStore(budgets * batch, sinks, cfg.head_dim)
+        alone = [LayerStore(budgets, sinks, cfg.head_dim) for _ in range(batch)]
         bounds = [0, prefix, prefix + n] if prefix else [0, n]
         with mock.patch.object(cache_module, "SCORE_CAP", cap):
             for a, b in zip(bounds[:-1], bounds[1:]):
@@ -373,18 +373,18 @@ class TestBatchedLayer:
                 for seq in range(batch):
                     one = forward_layer(small_model, li, x[seq : seq + 1, a:b], alone[seq])
                     assert np.array_equal(got[seq], one[0])
-        for seq, caches in enumerate(alone):
-            for grp, cache in enumerate(caches):
-                mine = together[seq * cfg.num_kv_heads + grp]
+        for seq, store in enumerate(alone):
+            for grp, cache in enumerate(store.caches):
+                mine = together.caches[seq * cfg.num_kv_heads + grp]
                 assert (mine.retained, mine.total_seen) == (cache.retained, cache.total_seen)
                 for name in ("keys", "values", "positions"):
                     assert np.array_equal(getattr(mine, name), getattr(cache, name)), name
 
     def test_cache_count_must_match_the_batch(self, small_model):
-        caches = layer_caches([8] * SMALL.num_kv_heads, 1, SMALL.head_dim)
+        store = LayerStore([8] * SMALL.num_kv_heads, 1, SMALL.head_dim)
         x = np.zeros((2, 3, SMALL.d_model), np.float32)
         with pytest.raises(ShapeError):
-            forward_layer(small_model, 0, x, caches)
+            forward_layer(small_model, 0, x, store)
 
 
 def _pairwise_rope(x, positions, theta):

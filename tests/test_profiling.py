@@ -15,9 +15,6 @@ from bklv import (
     build_plan,
     forward_chunk,
     group_kv_importance,
-    head_importance,
-    head_similarity,
-    layer_similarity,
     profile_model,
     rank_correlation,
     token_cosine_similarities,
@@ -26,7 +23,15 @@ from bklv import (
 from bklv import io
 from bklv.profiling import spearman
 
-from .reference import planted_model, readme_text, spearman_average_ranks, spearman_textbook
+from .reference import (
+    head_importance,
+    head_similarity,
+    layer_similarity,
+    planted_model,
+    readme_text,
+    spearman_average_ranks,
+    spearman_textbook,
+)
 
 
 def _random_prompt(rng, n):

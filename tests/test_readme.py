@@ -1,0 +1,64 @@
+"""The README's CLI walkthrough, run in-process through `cli.main` on the
+files it generates: the comparison table, the point `search` selects, the
+sweep's correlations and both plans' budget matrices, as the commands
+print and write them. The bytes of search.json and sweep.json are not
+pinned: a change of float32 rounding may move their losses' last bits."""
+
+import json
+
+from bklv.cli import main
+
+from .reference import readme_text
+
+UNIFORM_BUDGETS = [[154, 154, 154, 153], [154, 154, 154, 153], [154, 154, 153, 153], [154, 154, 153, 153]]
+# t=0.7, r=0.6 moves 92 tokens from group 1 to group 0 of layer 0 only
+BAKLAVA_BUDGETS = [[246, 62, 154, 153], *UNIFORM_BUDGETS[1:]]
+
+
+def _run(capsys, *argv) -> dict:
+    """Run one command; its stdout's `key: value` lines, which it must print
+    with nothing on stderr."""
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return dict(line.split(": ", 1) for line in captured.out.splitlines() if ": " in line)
+
+
+def test_the_walkthrough_prints_the_readme_numbers(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, (size, seed) in {
+        "prompt_a.txt": (260, 1), "prompt_b.txt": (200, 2), "corpus.txt": (1100, 3),
+    }.items():
+        (tmp_path / name).write_bytes(readme_text(size, seed))
+    model, corpus = ["--model", "model.bklv"], ["--corpus", "corpus.txt", "--context-len", "256"]
+
+    _run(capsys, "init-model", "--out", "model.bklv", "--seed", "7")
+    _run(capsys, "profile", *model, "--prompt", "prompt_a.txt", "--prompt", "prompt_b.txt",
+         "--out", "profile.json")
+    _run(capsys, "plan", "--profile", "profile.json", "--strategy", "uniform",
+         "--compression", "0.3", "--out", "uniform.json")
+    search = _run(capsys, "search", *model, "--profile", "profile.json", *corpus,
+                  "--compression", "0.3", "--t-grid", "0,0.5,0.7,0.9", "--r-grid", "0,0.3,0.6",
+                  "--out", "search.json", "--heatmap")
+    assert (search["best_t"], search["best_r"]) == ("0.7", "0.6")
+    assert (search["best_loss"], search["uniform_loss"]) == ("5.600353", "5.601348")
+    _run(capsys, "plan", "--profile", "profile.json", "--strategy", "baklava",
+         "--compression", "0.3", "--t", "0.7", "--r", "0.6", "--out", "baklava.json")
+
+    # the README's table, in its row order: uniform, then baklava
+    table = []
+    for plan in ("uniform.json", "baklava.json"):
+        report = _run(capsys, "eval", *model, "--plan", plan, *corpus)
+        table.append((report["loss"], f"{float(report['perplexity']):.3f}"))
+    assert table == [("5.601348", "270.791"), ("5.600353", "270.522")]
+
+    sweep = _run(capsys, "sweep", *model, *corpus, "--window", "3", "--compression", "0.2",
+                 "--profile", "profile.json", "--out", "sweep.json")
+    assert (sweep["correlation_full"], sweep["correlation_trimmed"]) == ("0.8000", "1.0000")
+    generated = _run(capsys, "generate", *model, "--plan", "uniform.json",
+                     "--text", "the cache holds", "--steps", "16")
+    assert generated["generated_tokens"] == "16"
+
+    for name, budgets in (("uniform.json", UNIFORM_BUDGETS), ("baklava.json", BAKLAVA_BUDGETS)):
+        plan = json.loads((tmp_path / name).read_bytes())
+        assert (plan["budgets"], plan["sinks"]) == (budgets, 4), name

@@ -1,3 +1,4 @@
+import gc
 import math
 import weakref
 from dataclasses import replace
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from bklv import (
     InputError,
+    LayerStore,
     Model,
     PlanParams,
+    append_and_evict,
     build_cache_set,
     build_plan,
     chunk_nll,
@@ -194,9 +197,9 @@ class TestEvaluatePlans:
         plans = [_plan(2, [[4, 7], [9, 5]]), _plan(0, [[12, 3], [6, 20]])]
         sizes = []
 
-        def counting(model, li, x, caches):
+        def counting(model, li, x, store):
             sizes.append(len(x))
-            return forward_layer(model, li, x, caches)
+            return forward_layer(model, li, x, store)
 
         # room for two chunks' hidden states, not three
         monkeypatch.setattr(search_module, "HIDDEN_CAP", 3 * context_len * SMALL.d_model - 1)
@@ -217,14 +220,40 @@ class TestEvaluatePlans:
         model = init_model(replace(SMALL, num_layers=4))
         inputs, alive = [], []
 
-        def tracking(model, li, x, caches):
+        def tracking(model, li, x, store):
             alive.append(sum(ref() is not None for ref in inputs))
             inputs.append(weakref.ref(x))
-            return forward_layer(model, li, x, caches)
+            return forward_layer(model, li, x, store)
 
         monkeypatch.setattr(search_module, "forward_layer", tracking)
         evaluate_plans(model, _corpus(rng, 48), 24, [uniform_plan(model.config, 0.5)])
         assert alive == [0, 0, 0, 0]
+
+    def test_stores_and_their_views_form_no_cycle(self, small_model, rng, monkeypatch):
+        # a view holds its store's arrays and count lists, not the store, so
+        # reference counting alone frees a dropped store, while a view of it
+        # lives on, and every store evaluate_plans builds once it returns
+        stores = []
+
+        def tracking(model, li, x, store):
+            stores.append(weakref.ref(store))
+            return forward_layer(model, li, x, store)
+
+        monkeypatch.setattr(search_module, "forward_layer", tracking)
+        plans = [uniform_plan(SMALL, 0.5), _plan(1, [[4, 7], [9, 5]])]
+        gc.disable()
+        try:
+            store = LayerStore([4, 6], 1, SMALL.head_dim)
+            view, dropped = store.caches[1], weakref.ref(store)
+            del store
+            assert dropped() is None
+            row = np.ones((1, SMALL.head_dim), np.float32)
+            append_and_evict(view, row, row)
+            assert (view.retained, view.total_seen) == (1, 1)
+            evaluate_plans(small_model, _corpus(rng, 48), 24, plans)
+            assert len(stores) == 4 and all(ref() is None for ref in stores)
+        finally:
+            gc.enable()
 
     def test_no_plans(self, small_model, rng):
         assert evaluate_plans(small_model, _corpus(rng, 16), 16, []) == []
@@ -310,9 +339,9 @@ class TestParameterSearch:
 
         calls = []
 
-        def counting(model, li, x, caches):
+        def counting(model, li, x, store):
             calls.append(len(x))
-            return forward_layer(model, li, x, caches)
+            return forward_layer(model, li, x, store)
 
         monkeypatch.setattr(search_module, "forward_layer", counting)
         report = parameter_search(small_model, corpus, context_len, compression, grid, small_profile)
