@@ -113,7 +113,8 @@ class AllocationPlan:
 
     @property
     def total_tokens(self) -> int:
-        return int(self.budgets.sum())
+        """The budget total, summed in Python ints so it cannot wrap."""
+        return sum(self.budgets.ravel().tolist())
 
     def achieved_compression(self, config: ModelConfig) -> float:
         return self.total_tokens / (
@@ -330,12 +331,29 @@ def floor_violations(budgets: np.ndarray, sinks: int) -> list[str]:
     ]
 
 
+def fit_violations(budgets: np.ndarray, sinks: int, config: ModelConfig | None = None) -> list[str]:
+    """The plan-fit rule: the shape violation if `budgets` is not config's
+    (num_layers, num_kv_heads) matrix, else floor_violations (alone without a config)."""
+    expected = None if config is None else (config.num_layers, config.num_kv_heads)
+    if expected is not None and budgets.shape != expected:
+        return [f"budget matrix shape {budgets.shape} does not match {expected}"]
+    return floor_violations(budgets, sinks)
+
+
+def require_fit(budgets: np.ndarray, sinks: int, config: ModelConfig | None = None) -> None:
+    """AllocationError(first violation, all) unless the budgets fit (fit_violations):
+    the raiser for build_cache_set, memory_report, evaluate_plans and LayerStore."""
+    violations = fit_violations(budgets, sinks, config)
+    if violations:
+        raise AllocationError(violations[0], violations)
+
+
 def validate_plan(plan: AllocationPlan, config: ModelConfig) -> list[str]:
-    """Check a plan against a config; returns all violations (empty = ok)."""
-    expected_shape = (config.num_layers, config.num_kv_heads)
-    if plan.budgets.shape != expected_shape:
-        return [f"budget matrix shape {plan.budgets.shape} does not match {expected_shape}"]
-    violations = floor_violations(plan.budgets, plan.sinks)
+    """Check a plan against a config; returns all violations (empty = ok): fit_violations,
+    then, for a matrix of the right shape, the compression range and conservation."""
+    violations = fit_violations(plan.budgets, plan.sinks, config)
+    if plan.budgets.shape != (config.num_layers, config.num_kv_heads):
+        return violations  # the shape violation alone
     try:
         expected_total = global_budget(config, plan.compression_ratio)
     except AllocationError as exc:  # the compression range rule

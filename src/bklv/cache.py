@@ -23,19 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import AllocationPlan, floor_violations
+from .allocation import AllocationPlan, require_fit
 from .config import ModelConfig
-from .errors import AllocationError, ConfigError, InputError, ShapeError
+from .errors import InputError, ShapeError
 from .numerics import softmax
 
 
 SCORE_CAP = 1 << 17  # elements in one attention score buffer: 512 KiB of float32
-
-
-def _raise_floor_violations(budgets: np.ndarray, sinks: int) -> None:
-    violations = floor_violations(budgets, sinks)
-    if violations:
-        raise AllocationError(violations[0], violations)
 
 
 class LayerStore:
@@ -49,12 +43,12 @@ class LayerStore:
     attention by lengths[g] alone. seen[g] counts the tokens ever appended
     to group g, and equals lengths[g] until the group first evicts.
     caches[g] is group g's view, the only way a BudgetedCache is made.
-    Raises AllocationError below the budget floor, as a plan would.
+    Raises AllocationError below the budget floor (require_fit), as a plan would.
     """
 
     def __init__(self, budgets: list[int], sinks: int, head_dim: int):
         self.budgets = list(budgets)
-        _raise_floor_violations(np.array([self.budgets]), sinks)
+        require_fit(np.array([self.budgets]), sinks)
         self.sinks = sinks
         groups, width = len(self.budgets), max(self.budgets)
         self.keys = np.zeros((groups, head_dim, width), dtype=np.float32)
@@ -241,16 +235,6 @@ class CacheSet:
             yield from store.caches
 
 
-def check_plan_fits(plan: AllocationPlan, config: ModelConfig) -> None:
-    """Raise unless the plan's budget matrix fits the config and meets the floor."""
-    expected = (config.num_layers, config.num_kv_heads)
-    if plan.budgets.shape != expected:
-        raise ConfigError(
-            f"plan budget matrix {plan.budgets.shape} does not match config {expected}"
-        )
-    _raise_floor_violations(plan.budgets, plan.sinks)
-
-
 def clamp_budgets(budgets: list[int], sinks: int, tokens: int) -> tuple[int, ...]:
     """Budgets cut to `tokens`, the most a cache will be given, but kept above
     `sinks`: a cache that never fills evicts nothing, so it runs the same."""
@@ -258,9 +242,9 @@ def clamp_budgets(budgets: list[int], sinks: int, tokens: int) -> tuple[int, ...
 
 
 def build_cache_set(plan: AllocationPlan, config: ModelConfig) -> CacheSet:
-    """Empty stores sized from a plan's budget matrix, one per layer, each
-    budget clamped to max_context (clamp_budgets)."""
-    check_plan_fits(plan, config)
+    """Empty stores sized from a plan that fits the config (require_fit), one
+    per layer, each budget clamped to max_context (clamp_budgets)."""
+    require_fit(plan.budgets, plan.sinks, config)
     rows = [clamp_budgets(row, plan.sinks, config.max_context) for row in plan.budgets.tolist()]
     return CacheSet([LayerStore(row, plan.sinks, config.head_dim) for row in rows], config)
 
@@ -276,16 +260,17 @@ def memory_report(plan: AllocationPlan, config: ModelConfig, bytes_per_element: 
     head_dim * bytes_per_element, with the plan's achieved compression
     ratio relative to full context in every cache. This counts budgeted
     tokens, not the float32 layer stores, which are padded to each layer's
-    largest budget.
+    largest budget. Bytes are exact Python ints; the plan must fit (require_fit).
     """
-    check_plan_fits(plan, config)
+    require_fit(plan.budgets, plan.sinks, config)
     if bytes_per_element < 1:
         raise InputError(f"bytes_per_element must be >= 1, got {bytes_per_element}")
-    per_cache = 2 * plan.budgets * config.head_dim * bytes_per_element
+    token_bytes = 2 * config.head_dim * bytes_per_element
+    per_cache = [[b * token_bytes for b in row] for row in plan.budgets.tolist()]
     return {
         "bytes_per_element": bytes_per_element,
-        "per_cache_bytes": per_cache.tolist(),
-        "total_bytes": int(per_cache.sum()),
+        "per_cache_bytes": per_cache,
+        "total_bytes": sum(map(sum, per_cache)),
         "total_budget_tokens": plan.total_tokens,
         "achieved_compression": plan.achieved_compression(config),
     }

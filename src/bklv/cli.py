@@ -11,9 +11,10 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import fields
 
 from . import io
-from .allocation import DEFAULT_SINKS, PlanParams, build_plan, require_valid
+from .allocation import DEFAULT_SINKS, STRATEGIES, PlanParams, build_plan, require_valid
 from .cache import build_cache_set, memory_report
 from .config import ModelConfig
 from .errors import BklvError, InputError
@@ -56,19 +57,12 @@ def _grid_values(text: str, name: str) -> list[float]:
         raise BklvError(f"bad {name} grid {text!r}: {exc}") from exc
 
 
+_INIT_FIELDS = [f for f in fields(ModelConfig) if f.name != "d_model"]  # init-model's flags
+
+
 def cmd_init_model(args) -> int:
-    cfg = ModelConfig(
-        num_layers=args.num_layers,
-        num_q_heads=args.num_q_heads,
-        num_kv_heads=args.num_kv_heads,
-        head_dim=args.head_dim,
-        d_model=args.num_q_heads * args.head_dim,
-        d_ff=args.d_ff,
-        vocab_size=args.vocab_size,
-        max_context=args.max_context,
-        rope_theta=args.rope_theta,
-        seed=args.seed,
-    )
+    given = {f.name: getattr(args, f.name) for f in _INIT_FIELDS}
+    cfg = ModelConfig(**given, d_model=args.num_q_heads * args.head_dim)
     model = init_model(cfg)
     io.write_model_file(model, args.out)
     _manifest(args, args.out, {"model": args.out})
@@ -222,15 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init-model", help="write a seeded toy weight file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-layers", type=int, default=4)
-    p.add_argument("--num-q-heads", type=int, default=8)
-    p.add_argument("--num-kv-heads", type=int, default=4)
-    p.add_argument("--head-dim", type=int, default=16)
-    p.add_argument("--d-ff", type=int, default=256)
-    p.add_argument("--vocab-size", type=int, default=257)
-    p.add_argument("--max-context", type=int, default=512)
-    p.add_argument("--rope-theta", type=float, default=10000.0)
+    for f in _INIT_FIELDS:
+        p.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default)
     p.set_defaults(func=cmd_init_model)
 
     p = sub.add_parser("profile", help="estimate head, group, and layer importance")
@@ -242,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="build a budget plan from a profile")
     p.add_argument("--profile", required=True)
-    p.add_argument("--strategy", choices=("uniform", "layerwise", "baklava"), required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--compression", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0, help="similarity threshold")
     p.add_argument("--r", type=float, default=0.0, help="reduction fraction")

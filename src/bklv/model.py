@@ -171,6 +171,13 @@ def check_tokens(tokens, vocab_size: int) -> np.ndarray:
     return tokens
 
 
+def check_context(start: int, n: int, config: ModelConfig) -> None:
+    """The context-length rule: n tokens from stream position `start` fit in
+    max_context. Every entry point checks it here, before any work."""
+    if start + n > config.max_context:
+        raise InputError(f"context length exceeded: {start} + {n} > max_context {config.max_context}")
+
+
 def output_logits(model: Model, x: np.ndarray) -> np.ndarray:
     return rms_norm(x, model.final_norm) @ model.embedding.T
 
@@ -275,12 +282,8 @@ def forward_chunk(
         raise ConfigError(
             f"cache layer count {len(caches.stores)} != num_layers {cfg.num_layers}"
         )
-    start = caches.total_seen
     n = tokens.size
-    if start + n > cfg.max_context:
-        raise InputError(
-            f"context length exceeded: {start} + {n} > {cfg.max_context}"
-        )
+    check_context(caches.total_seen, n, cfg)
 
     probes = None
     if capture:
@@ -297,16 +300,12 @@ def greedy_generate(model: Model, prompt, steps: int, caches: CacheSet) -> list[
     """Generate `steps` tokens greedily, feeding each one back in.
 
     Ties in the argmax resolve to the lowest token id. The prompt and all
-    generated tokens must fit in max_context positions.
+    generated tokens must fit in max_context positions (check_context).
     """
     if steps < 0:
         raise InputError(f"steps must be >= 0, got {steps}")
     prompt = np.asarray(prompt, dtype=np.int64)
-    if caches.total_seen + prompt.size + steps > model.config.max_context:
-        raise InputError(
-            f"prompt ({prompt.size}) + steps ({steps}) exceed max_context "
-            f"{model.config.max_context}"
-        )
+    check_context(caches.total_seen, prompt.size + steps, model.config)
     logits, _ = forward_chunk(model, prompt, caches)
     out: list[int] = []
     for _ in range(steps):

@@ -17,7 +17,7 @@ from .allocation import uniform_plan
 from .cache import build_cache_set
 from .config import ModelConfig
 from .errors import InputError, ShapeError
-from .model import Model, forward_chunk, model_checksum
+from .model import Model, check_context, forward_chunk, model_checksum
 
 MIN_PROMPT_LEN = 32
 ZERO_NORM_EPS = 1e-12
@@ -99,7 +99,7 @@ def profile_model(
     Per-head similarities are the unweighted mean over prompts; KV-group
     importances are group means of the reduced similarities, complemented;
     layer importances complement the mean layer similarity. Prompts must
-    be at least MIN_PROMPT_LEN tokens and fit in max_context.
+    be at least MIN_PROMPT_LEN tokens and fit in max_context (check_context).
     """
     if not prompts:
         raise InputError("prompt list is empty")
@@ -111,10 +111,7 @@ def profile_model(
             raise InputError(
                 f"profiling prompt of {arr.size} tokens is below the minimum {MIN_PROMPT_LEN}"
             )
-        if arr.size > cfg.max_context:
-            raise InputError(
-                f"profiling prompt of {arr.size} tokens exceeds max_context {cfg.max_context}"
-            )
+        check_context(0, arr.size, cfg)
         arrays.append(arr)
 
     per_prompt_head = []

@@ -15,12 +15,13 @@ from .allocation import (
     DEFAULT_SINKS,
     PlanParams,
     build_plan,
+    require_fit,
     uniform_plan,
     window_plan,
 )
-from .cache import CacheSet, LayerStore, check_plan_fits, clamp_budgets
+from .cache import CacheSet, LayerStore, clamp_budgets
 from .errors import InputError, ShapeError
-from .model import Model, check_tokens, forward_chunk, forward_layer, output_logits
+from .model import Model, check_context, check_tokens, forward_chunk, forward_layer, output_logits
 from .numerics import log_softmax_f64
 from .profiling import ImportanceProfile, spearman
 
@@ -72,17 +73,14 @@ def evaluate_plans(
     cfg = model.config
     if context_len < 2:
         raise InputError(f"context_len must be >= 2, got {context_len}")
-    if context_len > cfg.max_context:
-        raise InputError(
-            f"context_len {context_len} exceeds max_context {cfg.max_context}"
-        )
+    check_context(0, context_len, cfg)
     if corpus_tokens.size < context_len:
         raise InputError(
             f"corpus has {corpus_tokens.size} tokens; need at least one full "
             f"context (context length {context_len})"
         )
     for plan in plans:
-        check_plan_fits(plan, cfg)
+        require_fit(plan.budgets, plan.sinks, cfg)
     n_chunks = corpus_tokens.size // context_len
     chunks = check_tokens(corpus_tokens[: n_chunks * context_len], cfg.vocab_size)
     rows = [

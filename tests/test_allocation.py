@@ -372,8 +372,9 @@ class TestValidatePlan:
 
     def test_shape_violation(self):
         plan = uniform_plan(SMALL, 0.5)
+        plan.budgets[0, 0] = 0  # below the floor too: the shape violation comes alone
         violations = validate_plan(plan, TOY)
-        assert violations and "shape" in violations[0]
+        assert violations == ["budget matrix shape (2, 2) does not match (4, 4)"]
 
     def test_require_valid_returns_the_plan_or_raises_every_violation(self):
         plan = uniform_plan(SMALL, 0.5)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from bklv import (
     AllocationError,
     CacheSet,
-    ConfigError,
     InputError,
     LayerStore,
     ModelConfig,
@@ -17,6 +16,8 @@ from bklv import (
     append_and_evict,
     attend_with_cache,
     build_cache_set,
+    chunked_perplexity,
+    evaluate_plans,
     forward_chunk,
     greedy_generate,
     memory_report,
@@ -605,8 +606,10 @@ class TestCacheSet:
 
     def test_dimension_mismatch(self):
         plan = uniform_plan(SMALL, 1.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(AllocationError) as info:
             build_cache_set(plan, ModelConfig())
+        assert str(info.value) == "budget matrix shape (2, 2) does not match (4, 4)"
+        assert info.value.violations == validate_plan(plan, ModelConfig())
 
     def test_reset_preserves_budgets(self, rng):
         plan = uniform_plan(SMALL, 0.5)
@@ -640,6 +643,52 @@ class TestCacheSet:
         assert caches.total_seen == 0
 
 
+def _wrong_shape_plan():
+    """A plan of the default model's (4, 4) shape, for SMALL's (2, 2)."""
+    return uniform_plan(ModelConfig(), 0.5)
+
+
+def _below_floor_plan():
+    """SMALL's uniform plan with two budgets cut below the floor 5, so its
+    total no longer conserves either."""
+    plan = uniform_plan(SMALL, 0.5, sinks=4)
+    budgets = plan.budgets.copy()
+    budgets[0, 0], budgets[1, 1] = 2, 4
+    return AllocationPlan(plan.compression_ratio, 4, budgets, "uniform", PlanParams())
+
+
+class TestPlanFitRule:
+    """Every plan consumer raises the plan-fit rule's one AllocationError:
+    validate_plan's leading violations, the first as its message."""
+
+    CONSUMERS = {
+        "build_cache_set": lambda model, plan: build_cache_set(plan, SMALL),
+        "memory_report": lambda model, plan: memory_report(plan, SMALL),
+        "chunked_perplexity": lambda model, plan: chunked_perplexity(model, np.arange(64), 16, plan),
+        "evaluate_plans": lambda model, plan: evaluate_plans(
+            model, np.arange(64), 16, [uniform_plan(SMALL, 1.0), plan]
+        ),
+    }
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    @pytest.mark.parametrize(
+        "make_plan, expected",
+        [
+            (_wrong_shape_plan, ["budget matrix shape (4, 4) does not match (2, 2)"]),
+            (_below_floor_plan, ["budget 2 below floor 5 at layer 0 group 0",
+                                 "budget 4 below floor 5 at layer 1 group 1"]),
+        ],
+        ids=["wrong-shape", "below-floor"],
+    )
+    def test_every_consumer_raises_the_same_error(self, small_model, consumer, make_plan, expected):
+        plan = make_plan()
+        assert validate_plan(plan, SMALL)[: len(expected)] == expected
+        with pytest.raises(AllocationError) as info:
+            self.CONSUMERS[consumer](small_model, plan)
+        assert str(info.value) == expected[0]
+        assert info.value.violations == expected
+
+
 class TestMemoryReport:
     def test_toy_default_full_budget_total(self):
         # 2 (K and V) * 512 tokens * head_dim 16 * 2 bytes * 16 caches
@@ -657,6 +706,16 @@ class TestMemoryReport:
     def test_non_positive_element_width_rejected(self, width):
         with pytest.raises(InputError, match=f"bytes_per_element must be >= 1, got {width}"):
             memory_report(uniform_plan(SMALL, 1.0), SMALL, bytes_per_element=width)
+
+    @pytest.mark.parametrize("width", [2**50, 10**30])
+    def test_totals_are_exact_at_any_element_width(self, width):
+        # 2 * 512 * 16 = 2**14 bytes per element of each of 16 caches: in int64
+        # each cache wraps to 0 at 2**50, and 10**30 overflows
+        cfg = ModelConfig()
+        report = memory_report(uniform_plan(cfg, 1.0), cfg, bytes_per_element=width)
+        assert report["per_cache_bytes"] == [[2**14 * width] * 4] * 4
+        assert report["total_bytes"] == 2**18 * width
+        assert all(type(b) is int for row in report["per_cache_bytes"] for b in row)
 
     def test_half_compression_ratio(self):
         cfg = ModelConfig()

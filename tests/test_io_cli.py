@@ -1,7 +1,9 @@
+import argparse
 import json
 import math
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from bklv import (
     uniform_plan,
 )
 from bklv import io
-from bklv.cli import main
+from bklv.allocation import STRATEGIES
+from bklv.cli import build_parser, main
 from bklv import cli as cli_module
 from bklv.model import check_tokens
 from bklv.search import heuristic_vs_empirical, layer_sweep, parameter_search
@@ -893,3 +896,101 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == f"{plan}: malformed plan: {message}"
         assert not os.path.exists(out)
+
+    def _uniform_plan_file(self, cli_env):
+        """cli_env's uniform plan at 0.5: 2 layers x 2 groups x 32 = 128 tokens."""
+        cfg = io.read_model_file(cli_env["model"]).config
+        path = str(cli_env["dir"] / "plan.json")
+        io.write_plan(uniform_plan(cfg, 0.5), cfg, path)
+        return path
+
+    @pytest.mark.parametrize(
+        "command, argv, n",
+        [
+            ("profile", ["--prompt", "{dir}/long.txt", "--out", "{out}"], 101),
+            ("generate", ["--plan", "{plan}", "--text", "abc", "--steps", "61"], 65),
+            ("eval", ["--plan", "{plan}", "--corpus", "{corpus}", "--context-len", "65", "--out", "{out}"], 65),
+        ],
+        ids=["profile", "generate", "eval"],
+    )
+    def test_every_command_states_the_one_context_rule(self, cli_env, command, argv, n, capsys):
+        # max_context 64: a 100-byte prompt is 101 tokens, "abc" and 61 steps are 65
+        d = cli_env["dir"]
+        _write_text(d / "long.txt", 100)
+        names = {"dir": d, "out": d / "out.json", "plan": self._uniform_plan_file(cli_env),
+                 "corpus": cli_env["corpus"]}
+        capsys.readouterr()
+        rc = main([command, "--model", cli_env["model"]] + [a.format(**names) for a in argv])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"context length exceeded: 0 + {n} > max_context 64", "violations": []
+        }
+        assert not os.path.exists(names["out"])
+
+    @pytest.mark.parametrize("command", ["eval", "generate"])
+    @pytest.mark.parametrize("width", [2**50, 2**53, 10**30])
+    def test_memory_totals_are_exact(self, cli_env, command, width, capsys):
+        # 2**11 bytes per element in all: in int64, 2**53 wraps to 0 and 10**30 overflows
+        extra = {
+            "eval": ["--corpus", cli_env["corpus"], "--context-len", "48"],
+            "generate": ["--text", "abc", "--steps", "2"],
+        }[command]
+        plan = self._uniform_plan_file(cli_env)
+        capsys.readouterr()
+        rc = main([command, "--model", cli_env["model"], "--plan", plan,
+                   "--bytes-per-element", str(width)] + extra)
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"total_bytes: {2 * 128 * 8 * width}" in captured.out.splitlines()
+
+    def test_a_plan_total_that_wraps_int64_is_not_conserved(self, tmp_path, capsys):
+        # 4 budgets of 2**62 + 32 sum to 2**64 + 128: int64 wraps to the conserved 256
+        model = str(tmp_path / "m.bklv")
+        main(["init-model", "--out", model, "--num-layers", "2", "--num-q-heads", "4",
+              "--num-kv-heads", "4", "--head-dim", "8", "--d-ff", "64", "--max-context", "64"])
+        cfg = io.read_model_file(model).config
+        plan = str(tmp_path / "plan.json")
+        io.write_plan(uniform_plan(cfg, 0.5), cfg, plan)
+        doc = io.read_json(plan)
+        doc["budgets"][0] = [2**62 + 32] * 4
+        io.write_json(plan, doc)
+        capsys.readouterr()
+        rc = main(["eval", "--model", model, "--plan", plan, "--corpus", _write_text(tmp_path / "c.txt", 200)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "plan does not match this model",
+            "violations": [f"budget total {2**64 + 256} does not conserve the global total 256"],
+        }
+
+
+def _subparsers():
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestInitModelFlags:
+    """init-model's flags are ModelConfig's fields: its defaults are stated once."""
+
+    def test_every_field_but_d_model_is_a_flag_with_its_type_and_default(self):
+        actions = {a.dest: a for a in _subparsers()["init-model"]._actions}
+        config_fields = [f for f in fields(ModelConfig) if f.name != "d_model"]
+        assert sorted(actions) == sorted(["help", "out"] + [f.name for f in config_fields])
+        for f in config_fields:
+            action = actions[f.name]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert (action.type, action.default) == (f.type, f.default)
+
+    def test_no_flags_write_the_default_model(self, tmp_path, capsys):
+        out = str(tmp_path / "m.bklv")
+        assert main(["init-model", "--out", out]) == 0
+        checksum = model_checksum(init_model(ModelConfig()))
+        assert model_checksum(io.read_model_file(out)) == checksum
+        assert f"checksum: {checksum}" in capsys.readouterr().out.splitlines()
+
+    def test_plan_strategy_choices_are_the_strategies(self):
+        strategy = next(a for a in _subparsers()["plan"]._actions if a.dest == "strategy")
+        assert tuple(strategy.choices) == STRATEGIES

@@ -230,6 +230,16 @@ class TestForwardChunk:
         with pytest.raises(InputError, match="context length exceeded"):
             forward_chunk(small_model, toks, _fresh_caches(small_model))
 
+    def test_context_limit_at_an_offset(self, small_model):
+        # the one context-length message, from stream position 3 of max_context 64
+        caches = _fresh_caches(small_model)
+        forward_chunk(small_model, [256, 1, 2], caches)
+        with pytest.raises(InputError, match=r"^context length exceeded: 3 \+ 62 > max_context 64$"):
+            forward_chunk(small_model, [5] * 62, caches)
+        assert caches.total_seen == 3
+        forward_chunk(small_model, [5] * 61, caches)  # exactly fills the context
+        assert caches.total_seen == 64
+
     def test_gqa_equals_mha_reference(self):
         # With num_kv_heads == num_q_heads the model is plain multi-head
         # attention; the cache-free reference with per-head KV is the oracle.
@@ -509,6 +519,13 @@ class TestGreedyGenerate:
     def test_empty_prompt_fails_the_token_rule(self, small_model):
         with pytest.raises(InputError, match="tokens must be a non-empty 1-D sequence"):
             greedy_generate(small_model, [], 3, _fresh_caches(small_model))
+
+    def test_context_limit_fails_before_any_work(self, small_model, monkeypatch):
+        caches = _fresh_caches(small_model)
+        forward_chunk(small_model, [256, 1, 2], caches)
+        monkeypatch.setattr(model_module, "forward_chunk", mock.Mock(side_effect=AssertionError("ran")))
+        with pytest.raises(InputError, match=r"^context length exceeded: 3 \+ 62 > max_context 64$"):
+            greedy_generate(small_model, [4, 5], 60, caches)
 
     def test_matches_cache_free_oracle(self, small_model):
         prompt = [256, 10, 20, 30]

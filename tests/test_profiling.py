@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bklv import (
     uniform_plan,
 )
 from bklv import io
+from bklv import profiling as profiling_module
 from bklv.profiling import spearman
 
 from .reference import (
@@ -156,6 +158,12 @@ class TestProfileModel:
     def test_short_prompt_rejected(self, small_model):
         with pytest.raises(InputError, match="minimum"):
             profile_model(small_model, [[256, 1, 2]])
+
+    def test_long_prompt_fails_before_any_prompt_runs(self, small_model, rng, monkeypatch):
+        monkeypatch.setattr(profiling_module, "forward_chunk", mock.Mock(side_effect=AssertionError("ran")))
+        prompts = [_random_prompt(rng, 40), _random_prompt(rng, 65)]
+        with pytest.raises(InputError, match=r"^context length exceeded: 0 \+ 65 > max_context 64$"):
+            profile_model(small_model, prompts)
 
     def test_single_token_context_identity(self, small_model):
         # attention over one token is an identity map: importance exactly 0
