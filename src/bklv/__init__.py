@@ -10,7 +10,6 @@ from .allocation import (
     PlanParams,
     apportion_largest_remainder,
     build_plan,
-    layer_budget_scaling,
     reallocate_caches,
     require_valid,
     uniform_plan,

@@ -3,9 +3,10 @@ per-cache token budgets.
 
 Three strategies: "uniform" gives every cache the same share, "layerwise"
 rescales whole layers by layer importance, "baklava" additionally moves
-budget between the KV caches inside each layer by head importance. All
-integer rounding uses largest-remainder apportionment so the global token
-total is conserved exactly.
+budget between the KV caches inside each layer by head importance. They
+are one pipeline (build_plan), and all integer rounding uses
+largest-remainder apportionment so the global token total is conserved
+exactly.
 
 Thresholds on the public surface (CLI, plan files, PlanParams) are in
 similarity units: a cache is a reduction candidate when its similarity
@@ -129,22 +130,11 @@ def _uniform_layer_totals(config: ModelConfig, compression: float) -> list[int]:
     return apportion_largest_remainder([share] * config.num_layers, total)
 
 
-def _split_layer_total(config: ModelConfig, layer_total: int) -> list[int]:
-    share = layer_total / config.num_kv_heads
-    return apportion_largest_remainder([share] * config.num_kv_heads, layer_total)
-
-
 def uniform_plan(
     config: ModelConfig, compression: float, sinks: int = DEFAULT_SINKS
 ) -> AllocationPlan:
     """Equal budget for every cache at the requested compression ratio:
-    build_plan's "uniform" strategy, which needs no profile.
-
-    Rounding goes through the same two-stage apportionment as the other
-    strategies (equal layer totals, then an equal split within each
-    layer), so a reallocation pass with no-op parameters reproduces this
-    plan bit for bit.
-    """
+    build_plan's "uniform" strategy, which needs no profile."""
     return build_plan(None, config, "uniform", compression, sinks=sinks)
 
 
@@ -200,37 +190,6 @@ def reallocate_caches(
     return out
 
 
-def layer_budget_scaling(
-    layer_importances: list[float],
-    compression: float,
-    layer_t_importance: float,
-    layer_r: float,
-    config: ModelConfig,
-    sinks: int = DEFAULT_SINKS,
-) -> list[int]:
-    """Per-layer token totals: uniform at the target compression, then the
-    same select-reduce-redistribute move applied at layer granularity.
-
-    The per-layer floor is num_kv_heads * (sinks + 1) so the within-layer
-    split can still give every cache its minimum.
-    """
-    if len(layer_importances) != config.num_layers:
-        raise ShapeError(
-            f"expected {config.num_layers} layer importances, got {len(layer_importances)}"
-        )
-    base = _uniform_layer_totals(config, compression)
-    layer_floor = config.num_kv_heads * (sinks + 1)
-    for layer, tokens in enumerate(base):
-        if tokens < layer_floor:
-            raise AllocationError(
-                f"layer {layer} total {tokens} below floor {layer_floor} "
-                f"at compression {compression}"
-            )
-    return reallocate_caches(
-        base, list(layer_importances), layer_t_importance, layer_r, floor=layer_floor
-    )
-
-
 def build_plan(
     profile,
     config: ModelConfig,
@@ -240,6 +199,12 @@ def build_plan(
     sinks: int = DEFAULT_SINKS,
 ) -> AllocationPlan:
     """Construct the budget matrix for a strategy.
+
+    Every strategy is one pipeline: equal layer totals, the layer move
+    (layerwise and baklava), an equal split inside each layer, then the
+    cache move (baklava). Each move is reallocate_caches and every split is
+    apportioned, so no-op parameters reproduce the uniform plan bit for bit,
+    and require_valid reports a plan below the floor whatever its strategy.
 
     `profile` is an ImportanceProfile; it may be None only for the uniform
     strategy. Thresholds in `params` are similarity values and are
@@ -261,26 +226,21 @@ def build_plan(
         )
     elif len(profile.layer_importance) != config.num_layers:
         raise ShapeError("profile layer_importance length does not match config")
-    else:
-        layer_totals = layer_budget_scaling(
+    else:  # the layer move; a layer keeps enough for each of its caches' floor
+        layer_totals = reallocate_caches(
+            _uniform_layer_totals(config, compression),
             list(profile.layer_importance),
-            compression,
             1.0 - params.layer_t,
             params.layer_r,
-            config,
-            sinks,
+            floor=config.num_kv_heads * (sinks + 1),
         )
-    floor = sinks + 1
+    kv = config.num_kv_heads
     rows = []
     for layer, layer_total in enumerate(layer_totals):
-        row = _split_layer_total(config, layer_total)
-        if strategy == "baklava":
+        row = apportion_largest_remainder([layer_total / kv] * kv, layer_total)
+        if strategy == "baklava":  # the cache move
             row = reallocate_caches(
-                row,
-                list(profile.kv_importance[layer]),
-                1.0 - params.t,
-                params.r,
-                floor=floor,
+                row, list(profile.kv_importance[layer]), 1.0 - params.t, params.r, floor=sinks + 1
             )
         rows.append(row)
     budgets = np.array(rows, dtype=np.int64)
@@ -319,25 +279,20 @@ def window_plan(
     return require_valid(plan, config)
 
 
-def floor_violations(budgets: np.ndarray, sinks: int) -> list[str]:
-    """The budget floor: sinks >= 0, and every cache keeps at least sinks + 1
-    slots so it can always take a new token. One message per (layer, group)
-    below it."""
+def fit_violations(budgets: np.ndarray, sinks: int, config: ModelConfig | None = None) -> list[str]:
+    """The plan-fit rule: the shape violation if `budgets` is not config's
+    (num_layers, num_kv_heads) matrix; else the budget floor (sinks >= 0, and
+    every cache keeps at least sinks + 1 slots so it can always take a new
+    token), one message per (layer, group) below it. Without a config, the floor alone."""
+    expected = None if config is None else (config.num_layers, config.num_kv_heads)
+    if expected is not None and budgets.shape != expected:
+        return [f"budget matrix shape {budgets.shape} does not match {expected}"]
     floor = sinks + 1
     violations = [f"sinks must be >= 0, got {sinks}"] if sinks < 0 else []
     return violations + [
         f"budget {budgets[layer, group]} below floor {floor} at layer {layer} group {group}"
         for layer, group in np.argwhere(budgets < floor)
     ]
-
-
-def fit_violations(budgets: np.ndarray, sinks: int, config: ModelConfig | None = None) -> list[str]:
-    """The plan-fit rule: the shape violation if `budgets` is not config's
-    (num_layers, num_kv_heads) matrix, else floor_violations (alone without a config)."""
-    expected = None if config is None else (config.num_layers, config.num_kv_heads)
-    if expected is not None and budgets.shape != expected:
-        return [f"budget matrix shape {budgets.shape} does not match {expected}"]
-    return floor_violations(budgets, sinks)
 
 
 def require_fit(budgets: np.ndarray, sinks: int, config: ModelConfig | None = None) -> None:

@@ -99,7 +99,7 @@ def read_json(path: str) -> dict:
     with open(path, "rb") as fh:
         try:
             return json.loads(fh.read().decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -111,6 +111,15 @@ def _require(doc, path: str, version: str) -> None:
 
 # Field readers raise ValueError; the document readers add the file name.
 
+def _convert(value, dtype, name: str) -> np.ndarray:
+    """JSON numbers as a dtype array; an integer past the dtype's range names the field and the range."""
+    try:
+        return np.asarray(value, dtype=object).astype(dtype)
+    except OverflowError:
+        info = np.iinfo(dtype) if dtype is np.int64 else np.finfo(dtype)
+        raise ValueError(f"{name} must fit {dtype.__name__}, in [{info.min}, {info.max}]") from None
+
+
 def _finite(value, name: str, shape: tuple) -> np.ndarray:
     """Finite JSON numbers in an array of `shape` (None: any length);
     booleans are rejected."""
@@ -118,7 +127,7 @@ def _finite(value, name: str, shape: tuple) -> np.ndarray:
     fits = arr.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, arr.shape))
     if not fits or not all(type(v) in (int, float) for v in arr.flat):
         raise ValueError(f"{name} must be a {shape} array of numbers")
-    arr = arr.astype(np.float64)
+    arr = _convert(arr, np.float64, name)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite values")
     return arr
@@ -129,7 +138,7 @@ def _integers(value, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=object)
     if arr.ndim != ndim or not all(type(v) is int for v in arr.flat):
         raise ValueError(f"{name} must be a {ndim}-D array of integers")
-    return arr.astype(np.int64)
+    return _convert(arr, np.int64, name)
 
 
 def _fields(cls, value, name: str):
@@ -236,7 +245,7 @@ def plan_from_dict(doc: dict, path: str = "<memory>") -> AllocationPlan:
         if type(compression) not in (int, float):  # bool and str are not numbers
             raise ValueError(f"requested_compression must be a number, got {compression!r}")
         return AllocationPlan(
-            compression_ratio=float(compression),
+            compression_ratio=float(_convert(compression, np.float64, "requested_compression")),
             sinks=int(_integers(doc["sinks"], "sinks", 0)),
             budgets=_integers(doc["budgets"], "budgets", 2),
             strategy=strategy,

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bklv import (
@@ -12,7 +12,6 @@ from bklv import (
     ShapeError,
     apportion_largest_remainder,
     build_plan,
-    layer_budget_scaling,
     reallocate_caches,
     require_valid,
     uniform_plan,
@@ -40,6 +39,40 @@ def _profile(config, kv_importance, layer_importance, head_similarity=None):
         layer_importance=np.asarray(layer_importance, dtype=np.float64),
         config=config,
     )
+
+
+@st.composite
+def _plan_inputs(draw):
+    """(config, profile, params, compression, sinks): a random GQA shape, a
+    profile over it, values for all four params, a compression in
+    [0.001, 1] and sinks in [0, 5]."""
+    num_kv_heads = draw(st.sampled_from([1, 2, 4]))
+    group_size = draw(st.integers(1, 2))
+    config = ModelConfig(
+        num_layers=draw(st.integers(1, 6)),
+        num_q_heads=num_kv_heads * group_size,
+        num_kv_heads=num_kv_heads,
+        head_dim=2,
+        d_model=num_kv_heads * group_size * 2,
+        max_context=draw(st.integers(8, 512)),
+    )
+    shape = (config.num_layers, config.num_kv_heads)
+    unit = st.floats(0.0, 1.0)
+    below_one = st.floats(0.0, 1.0, exclude_max=True)
+    kv = draw(st.lists(unit, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    layer = draw(st.lists(unit, min_size=shape[0], max_size=shape[0]))
+    params = PlanParams(t=draw(unit), r=draw(below_one), layer_t=draw(unit), layer_r=draw(below_one))
+    compression = 10.0 ** draw(st.floats(-3.0, 0.0))
+    return config, _profile(config, np.reshape(kv, shape), layer), params, compression, draw(st.integers(0, 5))
+
+
+def _error(build, *args):
+    """The (message, violations) of the AllocationError build raises, or None."""
+    try:
+        build(*args)
+    except AllocationError as exc:
+        return str(exc), exc.violations
+    return None
 
 
 class TestApportion:
@@ -179,38 +212,6 @@ class TestReallocateCaches:
         assert low_set <= high_set
 
 
-class TestLayerBudgetScaling:
-    def test_hand_trace(self):
-        # uniform 1000/layer needs num_kv_heads * max_context = 1000
-        cfg = ModelConfig(
-            num_layers=4,
-            num_q_heads=4,
-            num_kv_heads=4,
-            head_dim=16,
-            d_model=64,
-            d_ff=64,
-            vocab_size=257,
-            max_context=250,
-        )
-        out = layer_budget_scaling([0.1, 0.2, 0.8, 0.9], 1.0, 0.5, 0.2, cfg, sinks=4)
-        assert out == [800, 800, 1200, 1200]
-
-    def test_r_zero_uniform(self):
-        out = layer_budget_scaling([0.1, 0.9], 0.5, 0.5, 0.0, SMALL, sinks=4)
-        expected_total = global_budget(SMALL, 0.5)
-        assert sum(out) == expected_total
-        assert max(out) - min(out) <= 1
-
-    def test_equal_importances_unchanged(self):
-        base = layer_budget_scaling([0.5, 0.5], 0.5, 0.5, 0.3, SMALL, sinks=4)
-        uniform = layer_budget_scaling([0.5, 0.5], 0.5, 0.0, 0.0, SMALL, sinks=4)
-        assert base == uniform
-
-    def test_floor_violation_names_layer(self):
-        with pytest.raises(AllocationError, match="layer 0"):
-            layer_budget_scaling([0.1, 0.9], 0.05, 0.5, 0.2, SMALL, sinks=4)
-
-
 class TestBuildPlan:
     def test_baklava_noop_equals_uniform(self):
         profile = _profile(SMALL, [[0.2, 0.4], [0.3, 0.5]], [0.1, 0.2])
@@ -225,39 +226,86 @@ class TestBuildPlan:
         assert np.array_equal(a.budgets, b.budgets)
         assert a.strategy == "layerwise" and b.strategy == "baklava"
 
-    def test_baklava_matches_step_by_step_trace(self):
-        profile = _profile(
-            SMALL, [[0.05, 0.60], [0.50, 0.10]], [0.2, 0.6]
-        )
-        params = PlanParams(t=0.8, r=0.25, layer_t=0.7, layer_r=0.2)
-        plan = build_plan(profile, SMALL, "baklava", 0.5, params, sinks=4)
-
-        # independent trace: layer stage, equal split, then head stage per layer
+    @settings(max_examples=300, deadline=None)
+    @given(_plan_inputs(), st.sampled_from(["layerwise", "baklava"]))
+    @example(
+        (SMALL, _profile(SMALL, [[0.05, 0.60], [0.50, 0.10]], [0.2, 0.6]),
+         PlanParams(t=0.8, r=0.25, layer_t=0.7, layer_r=0.2), 0.5, 4),
+        "baklava",
+    )
+    def test_baklava_matches_step_by_step_trace(self, inputs, strategy):
+        # independent trace: equal layer totals, the layer stage, the equal
+        # split, then (baklava only) the cache stage per layer
+        config, profile, params, compression, sinks = inputs
+        if strategy == "layerwise":
+            params = replace(params, t=0.0, r=0.0)
+        kv = config.num_kv_heads
         layer_totals = reallocation_trace(
             apportion_largest_remainder(
-                [0.5 * SMALL.num_kv_heads * SMALL.max_context] * SMALL.num_layers,
-                global_budget(SMALL, 0.5),
+                [compression * kv * config.max_context] * config.num_layers,
+                global_budget(config, compression),
             ),
-            [0.2, 0.6],
+            profile.layer_importance.tolist(),
             1.0 - params.layer_t,
             params.layer_r,
-            floor=SMALL.num_kv_heads * 5,
+            floor=kv * (sinks + 1),
         )
         rows = []
         for layer, total in enumerate(layer_totals):
-            row = apportion_largest_remainder(
-                [total / SMALL.num_kv_heads] * SMALL.num_kv_heads, total
-            )
-            rows.append(
-                reallocation_trace(
-                    row,
-                    profile.kv_importance[layer].tolist(),
-                    1.0 - params.t,
-                    params.r,
-                    floor=5,
+            row = apportion_largest_remainder([total / kv] * kv, total)
+            if strategy == "baklava":
+                row = reallocation_trace(
+                    row, profile.kv_importance[layer].tolist(), 1.0 - params.t, params.r, floor=sinks + 1
                 )
-            )
-        assert plan.budgets.tolist() == rows
+            rows.append(row)
+        if min(min(row) for row in rows) < sinks + 1:  # the floor tests pin the error
+            with pytest.raises(AllocationError):
+                build_plan(profile, config, strategy, compression, params, sinks)
+        else:
+            plan = build_plan(profile, config, strategy, compression, params, sinks)
+            assert plan.budgets.tolist() == rows
+
+    def test_layerwise_hand_trace(self):
+        # uniform 1000 per layer; layers 0 and 1 each give 200 to layers 2 and 3
+        cfg = ModelConfig(
+            num_layers=4,
+            num_q_heads=4,
+            num_kv_heads=4,
+            head_dim=16,
+            d_model=64,
+            d_ff=64,
+            vocab_size=257,
+            max_context=250,
+        )
+        profile = _profile(cfg, np.full((4, 4), 0.5), [0.1, 0.2, 0.8, 0.9])
+        plan = build_plan(profile, cfg, "layerwise", 1.0, PlanParams(layer_t=0.5, layer_r=0.2), sinks=4)
+        assert plan.budgets.tolist() == [[200] * 4, [200] * 4, [300] * 4, [300] * 4]
+
+    def test_layerwise_with_r_zero_is_uniform(self):
+        profile = _profile(SMALL, [[0.2, 0.4], [0.3, 0.5]], [0.1, 0.9])
+        plan = build_plan(profile, SMALL, "layerwise", 0.5, PlanParams(layer_t=0.5), sinks=4)
+        assert np.array_equal(plan.budgets, uniform_plan(SMALL, 0.5, 4).budgets)
+
+    @pytest.mark.parametrize("layer_t", [0.5, 0.1])
+    def test_layerwise_with_equal_importances_is_uniform(self, layer_t):
+        # no layer is below importance 0.5 (layer_t 0.5), or every layer is (0.1)
+        profile = _profile(SMALL, [[0.2, 0.4], [0.3, 0.5]], [0.5, 0.5])
+        params = PlanParams(layer_t=layer_t, layer_r=0.3)
+        plan = build_plan(profile, SMALL, "layerwise", 0.5, params, sinks=4)
+        assert np.array_equal(plan.budgets, uniform_plan(SMALL, 0.5, 4).budgets)
+
+    @pytest.mark.parametrize("compression", [0.001, 78 / 8192])
+    def test_below_the_floor_every_strategy_fails_as_uniform(self, compression):
+        # 78 / 8192: layer totals [20, 20, 19, 19], so only layers 2 and 3
+        # fall below the layer floor 4 * (4 + 1) = 20
+        profile = _profile(TOY, np.tile([0.1, 0.2, 0.8, 0.9], (4, 1)), [0.1, 0.2, 0.8, 0.9])
+        moves = PlanParams(t=0.5, r=0.5, layer_t=0.5, layer_r=0.5)
+        uniform = _error(uniform_plan, TOY, compression, 4)
+        assert uniform is not None and uniform[0] == "plan does not match this model"
+        assert all("below floor 5" in v for v in uniform[1])
+        layer_moves = replace(moves, t=0.0, r=0.0)
+        assert _error(build_plan, profile, TOY, "layerwise", compression, layer_moves, 4) == uniform
+        assert _error(build_plan, profile, TOY, "baklava", compression, moves, 4) == uniform
 
     def test_conservation_across_strategies(self):
         profile = _profile(SMALL, [[0.05, 0.60], [0.50, 0.10]], [0.9, 0.1])
@@ -297,41 +345,12 @@ class TestBuildPlan:
             PlanParams(layer_t=0.5).check_used_by("window")
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_baklava_breaks_the_floor_exactly_when_uniform_does(self, data):
+    @given(_plan_inputs())
+    def test_baklava_breaks_the_floor_exactly_when_uniform_does(self, inputs):
         # parameter_search builds the uniform plan first and relies on this:
         # both reallocation stages keep every cut at the floor
-        num_kv_heads = data.draw(st.sampled_from([1, 2, 4]))
-        group_size = data.draw(st.integers(1, 2))
-        config = ModelConfig(
-            num_layers=data.draw(st.integers(1, 6)),
-            num_q_heads=num_kv_heads * group_size,
-            num_kv_heads=num_kv_heads,
-            head_dim=2,
-            d_model=num_kv_heads * group_size * 2,
-            max_context=data.draw(st.integers(8, 512)),
-        )
-        shape = (config.num_layers, config.num_kv_heads)
-        unit = st.floats(0.0, 1.0)
-        below_one = st.floats(0.0, 1.0, exclude_max=True)
-        kv = data.draw(st.lists(unit, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
-        layer = data.draw(st.lists(unit, min_size=shape[0], max_size=shape[0]))
-        profile = _profile(config, np.reshape(kv, shape), layer)
-        params = PlanParams(
-            t=data.draw(unit), r=data.draw(below_one),
-            layer_t=data.draw(unit), layer_r=data.draw(below_one),
-        )
-        compression = 10.0 ** data.draw(st.floats(-3.0, 0.0))
-        sinks = data.draw(st.integers(0, 5))
-
-        def fails(build, *args):
-            try:
-                build(*args)
-            except AllocationError:
-                return True
-            return False
-
-        assert fails(build_plan, profile, config, "baklava", compression, params, sinks) == fails(
+        config, profile, params, compression, sinks = inputs
+        assert _error(build_plan, profile, config, "baklava", compression, params, sinks) == _error(
             uniform_plan, config, compression, sinks
         )
 

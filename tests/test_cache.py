@@ -24,7 +24,7 @@ from bklv import (
     reset,
     uniform_plan,
 )
-from bklv.allocation import AllocationPlan, PlanParams, floor_violations, validate_plan
+from bklv.allocation import AllocationPlan, PlanParams, fit_violations, validate_plan
 from bklv import cache as cache_module
 from bklv.numerics import softmax
 
@@ -582,7 +582,7 @@ class TestCacheSet:
     def test_negative_sinks_rejected_by_the_floor_rule(self):
         plan = uniform_plan(SMALL, 1.0, sinks=4)
         bad = AllocationPlan(plan.compression_ratio, -1, plan.budgets, "uniform", PlanParams())
-        assert floor_violations(bad.budgets, -1) == ["sinks must be >= 0, got -1"]
+        assert fit_violations(bad.budgets, -1) == ["sinks must be >= 0, got -1"]
         assert validate_plan(bad, SMALL) == ["sinks must be >= 0, got -1"]
         with pytest.raises(AllocationError, match="sinks must be >= 0, got -1"):
             build_cache_set(bad, SMALL)

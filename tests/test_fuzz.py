@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from bklv import (
     BklvError,
+    FormatError,
     InputError,
     PlanParams,
     build_plan,
@@ -51,6 +52,10 @@ JUNK = st.one_of(
     st.recursive(st.integers(-3, 3) | st.floats(-2, 2), lambda kids: st.lists(kids, max_size=3)),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 )
+
+# JSON integers just past int64, and past the largest float64
+PAST_INT64 = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1))
+PAST_FLOAT64 = st.one_of(st.integers(2**1024, 10**400), st.integers(-(10**400), -(2**1024)))
 
 
 def _copy(doc):
@@ -101,6 +106,8 @@ class TestPlanReader:
     @example(_with(PLAN_DOC, 7, "strategy"))
     @example(_with(PLAN_DOC, "abc", "params", "t"))
     @example([PLAN_DOC])  # not a JSON object
+    @example(_with(PLAN_DOC, 2**70, "sinks"))
+    @example(_with(PLAN_DOC, 10**400, "requested_compression"))
     def test_returns_what_the_document_says_or_raises(self, doc):
         plan = _read(io.plan_from_dict, doc)
         if plan is None:
@@ -116,6 +123,18 @@ class TestPlanReader:
         assert all(type(b) is int for row in doc["budgets"] for b in row)
         assert plan.budgets.tolist() == doc["budgets"]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.sampled_from([("sinks",), ("budgets", 1, 0)]), st.just("int64"), PAST_INT64),
+        st.tuples(st.just(("requested_compression",)), st.just("float64"), PAST_FLOAT64),
+    ))
+    @example((("budgets", 1, 0), "int64", 2**63))
+    @example((("sinks",), "int64", -(2**63) - 1))
+    def test_a_number_past_its_type_names_the_field_and_range(self, case):
+        path, dtype, value = case
+        with pytest.raises(FormatError, match=rf"^<memory>: malformed plan: {path[0]} must fit {dtype}, in \["):
+            io.plan_from_dict(_with(PLAN_DOC, value, *path))
+
 
 class TestProfileReader:
     @settings(max_examples=300, deadline=None)
@@ -124,6 +143,7 @@ class TestProfileReader:
     @example(_with(PROFILE_DOC, 0, "config", "num_q_heads"))
     @example(_with(PROFILE_DOC, PROFILE_DOC["head_similarity"][:1], "head_similarity"))
     @example({k: v for k, v in PROFILE_DOC.items() if k != "config"} | {"config": {"seed": 3}})
+    @example(_with(PROFILE_DOC, 10**400, "kv_importance", 0, 1))
     def test_returns_what_the_document_says_or_raises(self, doc):
         profile = _read(io.profile_from_dict, doc)
         if profile is None:
@@ -139,6 +159,15 @@ class TestProfileReader:
             assert np.array_equal(getattr(profile, name), np.array(doc[name], np.float64))
         assert type(doc["model_id"]) is str and profile.model_id == doc["model_id"]
         assert all(type(p) is str for p in doc["prompt_ids"]) and profile.prompt_ids == doc["prompt_ids"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([("head_similarity", 0, 1), ("kv_importance", 1, 0), ("layer_importance", 0)]),
+        PAST_FLOAT64,
+    )
+    def test_a_number_past_float64_names_the_field_and_range(self, path, value):
+        with pytest.raises(FormatError, match=rf"^<memory>: malformed profile: {path[0]} must fit float64, in \["):
+            io.profile_from_dict(_with(PROFILE_DOC, value, *path))
 
 
 # One valid command line per subcommand, on the small model; {name} is a

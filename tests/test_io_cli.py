@@ -395,6 +395,21 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["violations"]
 
+    def test_plan_layerwise_below_the_floor_fails_as_uniform(self, cli_env, capsys):
+        d = cli_env["dir"]
+        prof = str(d / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        errors = []
+        for strategy in (["uniform"], ["layerwise", "--layer-t", "0.5", "--layer-r", "0.3"]):
+            capsys.readouterr()
+            out = str(d / f"{strategy[0]}.json")
+            rc = main(["plan", "--profile", prof, "--compression", "0.005", "--out", out,
+                       "--strategy", *strategy])
+            assert rc == 1 and not os.path.exists(out)
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert json.loads(errors[0])["error"] == "plan does not match this model"
+
     def test_search_eval_consistency(self, cli_env, capsys):
         d = cli_env["dir"]
         prof = str(d / "prof.json")
@@ -896,6 +911,69 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == f"{plan}: malformed plan: {message}"
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["eval", "generate"])
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("sinks",), 2**70, f"sinks must fit int64, in [{-(2**63)}, {2**63 - 1}]"),
+            (("budgets", 1, 0), -(2**70), f"budgets must fit int64, in [{-(2**63)}, {2**63 - 1}]"),
+            (("requested_compression",), 10**400,
+             "requested_compression must fit float64, in [-1.7976931348623157e+308, 1.7976931348623157e+308]"),
+        ],
+        ids=["sinks", "budget", "compression"],
+    )
+    def test_a_plan_number_past_its_type_names_the_field(self, cli_env, command, path, value, message, capsys):
+        plan = self._uniform_plan_file(cli_env)
+        doc = io.read_json(plan)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        io.write_json(plan, doc)
+        extra = {
+            "eval": ["--corpus", cli_env["corpus"], "--context-len", "48"],
+            "generate": ["--text", "abc", "--steps", "2"],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--model", cli_env["model"], "--plan", plan] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": f"{plan}: malformed plan: {message}", "violations": []}
+
+    def test_a_json_integer_past_the_digit_limit_is_not_valid_json(self, cli_env, capsys):
+        # Python's json refuses integers of more than 4300 digits with a bare ValueError
+        plan = self._uniform_plan_file(cli_env)
+        with open(plan) as fh:
+            text = fh.read()
+        with open(plan, "w") as fh:
+            fh.write(text.replace('"sinks": 4', '"sinks": 1' + "0" * 5000))
+        capsys.readouterr()
+        rc = main(["eval", "--model", cli_env["model"], "--plan", plan, "--corpus", cli_env["corpus"],
+                   "--context-len", "48"])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith(f"{plan}: not valid JSON: Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize("command", ["plan", "search"])
+    def test_a_profile_number_past_float64_names_the_field(self, cli_env, command, capsys):
+        d = cli_env["dir"]
+        prof, out = str(d / "prof.json"), str(d / "out.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        doc = io.read_json(prof)
+        doc["kv_importance"][0][1] = 10**400
+        io.write_json(prof, doc)
+        argv = {
+            "plan": ["plan", "--profile", prof, "--strategy", "uniform"],
+            "search": ["search", "--model", cli_env["model"], "--profile", prof,
+                       "--corpus", cli_env["corpus"], "--context-len", "48"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--compression", "0.5", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not os.path.exists(out)
+        message = "kv_importance must fit float64, in [-1.7976931348623157e+308, 1.7976931348623157e+308]"
+        assert json.loads(captured.err) == {"error": f"{prof}: malformed profile: {message}", "violations": []}
 
     def _uniform_plan_file(self, cli_env):
         """cli_env's uniform plan at 0.5: 2 layers x 2 groups x 32 = 128 tokens."""
