@@ -14,7 +14,6 @@ from .allocation import (
     require_valid,
     uniform_plan,
     validate_plan,
-    window_plan,
 )
 from .cache import (
     BudgetedCache,
@@ -37,7 +36,6 @@ from .errors import (
 )
 from .model import (
     Model,
-    ProbeCapture,
     forward_chunk,
     greedy_generate,
     init_model,

@@ -53,8 +53,9 @@ def apportion_largest_remainder(shares: list[float], total: int) -> list[int]:
     return out
 
 
-def _check_compression(compression: float) -> None:
-    """The compression range rule of every plan builder: (0, 1], so not NaN."""
+def check_compression(compression: float) -> None:
+    """The compression range rule of every plan builder and the layer sweep:
+    (0, 1], so not NaN."""
     if not 0.0 < compression <= 1.0:
         raise AllocationError(f"compression must be in (0, 1], got {compression}")
 
@@ -64,7 +65,7 @@ def global_budget(config: ModelConfig, compression: float) -> int:
 
     Every strategy's budgets start here, so here the range is checked.
     """
-    _check_compression(compression)
+    check_compression(compression)
     return round_half_up(
         compression * config.num_layers * config.num_kv_heads * config.max_context
     )
@@ -94,8 +95,8 @@ class PlanParams:
                 raise AllocationError(f"{name} must be in [0, 1{']' if closed else ')'}, got {v!r}")
 
     def check_used_by(self, strategy: str) -> None:
-        """Every field that `strategy` ignores is 0: uniform and window use
-        none, layerwise layer_t and layer_r, baklava all four."""
+        """Every field that `strategy` ignores is 0: uniform uses none,
+        layerwise layer_t and layer_r, baklava all four."""
         used = {"layerwise": ("layer_t", "layer_r"), "baklava": ("t", "r", "layer_t", "layer_r")}
         ignored = [n for n, v in asdict(self).items() if v != 0 and n not in used.get(strategy, ())]
         if ignored:
@@ -245,38 +246,6 @@ def build_plan(
         rows.append(row)
     budgets = np.array(rows, dtype=np.int64)
     return require_valid(AllocationPlan(compression, sinks, budgets, strategy, params), config)
-
-
-def window_plan(
-    config: ModelConfig,
-    layer_lo: int,
-    layer_hi: int,
-    compression: float,
-    sinks: int = DEFAULT_SINKS,
-) -> AllocationPlan:
-    """Compress only layers in [layer_lo, layer_hi]; all others stay full.
-
-    Used by the empirical layer sweep. The stored compression ratio is the
-    achieved global ratio, which keeps the plan's conservation invariant
-    self-consistent.
-    """
-    if not 0 <= layer_lo <= layer_hi < config.num_layers:
-        raise AllocationError(f"bad layer window [{layer_lo}, {layer_hi}]")
-    _check_compression(compression)
-    budgets = np.full(
-        (config.num_layers, config.num_kv_heads), config.max_context, dtype=np.int64
-    )
-    n_window = (layer_hi - layer_lo + 1) * config.num_kv_heads
-    window_total = round_half_up(compression * config.max_context * n_window)
-    flat = apportion_largest_remainder(
-        [compression * config.max_context] * n_window, window_total
-    )
-    budgets[layer_lo : layer_hi + 1, :] = np.array(flat, dtype=np.int64).reshape(
-        layer_hi - layer_lo + 1, config.num_kv_heads
-    )
-    plan = AllocationPlan(math.nan, sinks, budgets, "window", PlanParams())
-    plan.compression_ratio = plan.achieved_compression(config)
-    return require_valid(plan, config)
 
 
 def fit_violations(budgets: np.ndarray, sinks: int, config: ModelConfig | None = None) -> list[str]:

@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from . import io
 from .allocation import DEFAULT_SINKS, STRATEGIES, PlanParams, build_plan, require_valid
@@ -44,9 +44,14 @@ def _manifest(args, out_path: str, files: dict[str, str]) -> None:
 
 
 def _read_profile_for(model, path: str):
+    """The profile at `path`, if both its model_id and its config are the model's."""
     profile = io.read_profile(path)
     if profile.model_id != model_checksum(model):
         raise InputError(f"{path}: profile was made from a different model ({profile.model_id})")
+    mine, recorded = asdict(model.config), asdict(profile.config)
+    differ = [name for name in mine if recorded[name] != mine[name]]
+    if differ:
+        raise InputError(f"{path}: profile config differs from the model's in {', '.join(differ)}")
     return profile
 
 

@@ -28,7 +28,6 @@ SEARCH_VERSION = "bklv-search-v1"
 SWEEP_VERSION = "bklv-sweep-v1"
 EVAL_VERSION = "bklv-eval-v1"
 MANIFEST_VERSION = "bklv-manifest-v1"
-PLAN_STRATEGIES = (*STRATEGIES, "window")  # build_plan's strategies and window_plan's
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +235,8 @@ def plan_from_dict(doc: dict, path: str = "<memory>") -> AllocationPlan:
     _require(doc, path, PLAN_VERSION)
     try:
         strategy = doc["strategy"]
-        if strategy not in PLAN_STRATEGIES:
-            raise ValueError(f"strategy must be one of {PLAN_STRATEGIES}, got {strategy!r}")
+        if strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
         params = _fields(PlanParams, doc["params"], "params")
         params.validate()
         params.check_used_by(strategy)

@@ -1,5 +1,5 @@
-"""Deterministic decoder-only transformer with grouped-query attention,
-rotary positions, and probe hooks for importance profiling.
+"""Deterministic decoder-only transformer with grouped-query attention
+and rotary positions.
 
 Architecture per layer (pre-norm): RMS norm -> GQA attention -> residual,
 RMS norm -> SiLU MLP -> residual; a final RMS norm feeds an output
@@ -54,20 +54,6 @@ class Model:
     embedding: np.ndarray  # (vocab_size, d_model); output projection is its transpose
     layers: list[LayerWeights]
     final_norm: np.ndarray  # (d_model,)
-
-
-@dataclass
-class ProbeCapture:
-    """Per-head and per-layer tensors captured for the processed tokens.
-
-    head_input_v holds each KV group's V once; query head h reads group
-    h // group_size.
-    """
-
-    head_input_v: np.ndarray  # (layers, kv_groups, tokens, head_dim)
-    head_output: np.ndarray  # (layers, q_heads, tokens, head_dim)
-    layer_input: np.ndarray  # (layers, tokens, d_model)
-    layer_output: np.ndarray  # (layers, tokens, d_model)
 
 
 def _layer_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -183,13 +169,12 @@ def output_logits(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def forward_layer(
-    model: Model,
-    li: int,
-    x: np.ndarray,
-    store: LayerStore,
-    probes: ProbeCapture | None = None,
-) -> np.ndarray:
-    """Run hidden states x (batch, tokens, d_model) through layer li; returns the new ones.
+    model: Model, li: int, x: np.ndarray, store: LayerStore
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run hidden states x (batch, tokens, d_model) through layer li.
+
+    Returns (out, heads): the new hidden states, shaped like x, and the
+    attention output of every query head, (batch, q_heads, tokens, head_dim).
 
     `store` is the layer's: store.caches[b * kv_groups + g] is sequence b's
     group g (batch-major), all at the same stream position (CacheSet.total_seen
@@ -202,7 +187,7 @@ def forward_layer(
     keys and values, and one attention call for the whole batch; the dense
     ops run one sequence at a time, so their temporaries stay the size of
     one sequence. Each sequence's result depends on its own x and caches
-    only. Fills layer li of `probes` if given (a batch of one).
+    only.
     """
     cfg = model.config
     layer = model.layers[li]
@@ -217,8 +202,6 @@ def forward_layer(
     start = store.seen[0]
     positions = np.arange(start, start + n, dtype=np.int64)
 
-    if probes is not None:
-        probes.layer_input[li] = x[0]
     qk = np.empty((batch, n, hq + kv, d), np.float32)
     v = np.empty((batch, n, kv * d), np.float32)
     for b in range(batch):
@@ -234,7 +217,7 @@ def forward_layer(
     k_rows = qk[:, :, hq:].transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
     v_rows = v.reshape(batch, n, kv, d).transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
 
-    heads = probes.head_output[li, None] if probes is not None else np.empty((batch, hq, n, d), np.float32)
+    heads = np.empty((batch, hq, n, d), np.float32)
     head_groups = heads.reshape(batch * kv, g, n, d)
     a = 0
     for e in range(first, n + 1):  # segments 0..first, then one token each
@@ -242,8 +225,6 @@ def forward_layer(
             append_and_evict(cache, k_new, v_new)
         head_groups[:, :, a:e] = attend_with_cache(store, q_groups[:, :, a:e])
         a = e
-    if probes is not None:
-        probes.head_input_v[li] = v_rows[:kv]
 
     out = np.empty(x.shape, np.float32)
     for b in range(batch):
@@ -251,17 +232,10 @@ def forward_layer(
     with np.errstate(over="ignore"):  # _silu's exp overflows; one context for the batch
         for xb in out:
             xb += _silu(rms_norm(xb, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
-    if probes is not None:
-        probes.layer_output[li] = out[0]
-    return out
+    return out, heads
 
 
-def forward_chunk(
-    model: Model,
-    tokens,
-    caches: CacheSet,
-    capture: bool = False,
-) -> tuple[np.ndarray, ProbeCapture | None]:
+def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, None]:
     """Run new tokens through the model under budgeted caches.
 
     K/V projections of the new tokens are appended to the caches (evicting
@@ -271,8 +245,7 @@ def forward_chunk(
     with token-by-token generation up to float32 rounding, since batched
     rows do not round exactly like single rows.
 
-    Returns (logits, probes): logits is (len(tokens), vocab_size); probes
-    is a ProbeCapture for the new tokens when capture is set, else None.
+    Returns (logits, None), with logits (len(tokens), vocab_size).
     """
     cfg = model.config
     tokens = check_tokens(tokens, cfg.vocab_size)
@@ -282,18 +255,11 @@ def forward_chunk(
         raise ConfigError(
             f"cache layer count {len(caches.stores)} != num_layers {cfg.num_layers}"
         )
-    n = tokens.size
-    check_context(caches.total_seen, n, cfg)
-
-    probes = None
-    if capture:
-        shapes = [(cfg.num_kv_heads, n, cfg.head_dim), (cfg.num_q_heads, n, cfg.head_dim)]
-        shapes += [(n, cfg.d_model)] * 2
-        probes = ProbeCapture(*(np.empty((cfg.num_layers, *s), np.float32) for s in shapes))
+    check_context(caches.total_seen, tokens.size, cfg)
     x = model.embedding[tokens[None]].astype(np.float32, copy=True)
     for li, store in enumerate(caches.stores):
-        x = forward_layer(model, li, x, store, probes)
-    return output_logits(model, x[0]), probes
+        x, _ = forward_layer(model, li, x, store)
+    return output_logits(model, x[0]), None
 
 
 def greedy_generate(model: Model, prompt, steps: int, caches: CacheSet) -> list[int]:

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import uniform_plan
-from .cache import build_cache_set
+from .cache import LayerStore
 from .config import ModelConfig
 from .errors import InputError, ShapeError
-from .model import Model, check_context, forward_chunk, model_checksum
+from .model import Model, check_context, check_tokens, forward_layer, model_checksum
 
 MIN_PROMPT_LEN = 32
 ZERO_NORM_EPS = 1e-12
@@ -94,12 +93,14 @@ def profile_model(
     prompts: list,
     keep_per_token: bool = False,
 ) -> ImportanceProfile:
-    """Run each prompt through full-budget caches with probes on and reduce.
+    """Run each prompt layer by layer over stores that hold all of it
+    (slot j holds token j's V) and reduce.
 
     Per-head similarities are the unweighted mean over prompts; KV-group
     importances are group means of the reduced similarities, complemented;
-    layer importances complement the mean layer similarity. Prompts must
-    be at least MIN_PROMPT_LEN tokens and fit in max_context (check_context).
+    layer importances complement the mean layer similarity. Every prompt is
+    checked before any runs: at least MIN_PROMPT_LEN tokens of valid ids
+    (check_tokens) that fit in max_context (check_context).
     """
     if not prompts:
         raise InputError("prompt list is empty")
@@ -112,23 +113,30 @@ def profile_model(
                 f"profiling prompt of {arr.size} tokens is below the minimum {MIN_PROMPT_LEN}"
             )
         check_context(0, arr.size, cfg)
-        arrays.append(arr)
+        arrays.append(check_tokens(arr, cfg.vocab_size))
 
+    layers, kv, g, d = cfg.num_layers, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
     per_prompt_head = []
     per_prompt_layer = []
     per_token = [] if keep_per_token else None
     for arr in arrays:
-        caches = build_cache_set(uniform_plan(cfg, 1.0, sinks=0), cfg)
-        _, probes = forward_chunk(model, arr, caches, capture=True)
+        t = arr.size
+        x = model.embedding[arr[None]].astype(np.float32, copy=True)
+        v_in, heads, xs = [], [], [x[0]]
+        for li in range(layers):
+            store = LayerStore([t] * kv, 0, d)
+            x, h = forward_layer(model, li, x, store)
+            v_in.append(store.values)
+            heads.append(h[0])
+            xs.append(x[0])
         # (layers, q_heads, tokens): every head's token cosines in one pass,
         # each group's V broadcast over its query heads
-        layers, q_heads, t, d = probes.head_output.shape
-        out = probes.head_output.reshape(layers, cfg.num_kv_heads, cfg.group_size, t, d)
-        token_sims = token_cosine_similarities(probes.head_input_v[:, :, None], out)
-        token_sims = token_sims.reshape(layers, q_heads, t)
+        out = np.reshape(heads, (layers, kv, g, t, d))
+        token_sims = token_cosine_similarities(np.stack(v_in)[:, :, None], out)
+        token_sims = token_sims.reshape(layers, kv * g, t)
         per_prompt_head.append(_unit_mean(token_sims))
-        layer_cos = token_cosine_similarities(probes.layer_input, probes.layer_output)
-        per_prompt_layer.append(_unit_mean(layer_cos))
+        xs = np.stack(xs)  # each layer's input, then the last layer's output
+        per_prompt_layer.append(_unit_mean(token_cosine_similarities(xs[:-1], xs[1:])))
         if keep_per_token:
             per_token.append(token_sims.transpose(0, 2, 1))
 

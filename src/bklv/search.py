@@ -14,10 +14,12 @@ from .allocation import (
     AllocationPlan,
     DEFAULT_SINKS,
     PlanParams,
+    apportion_largest_remainder,
     build_plan,
+    check_compression,
     require_fit,
+    round_half_up,
     uniform_plan,
-    window_plan,
 )
 from .cache import CacheSet, LayerStore, clamp_budgets
 from .errors import InputError, ShapeError
@@ -54,23 +56,27 @@ def evaluate_plans(
     model: Model,
     corpus_tokens,
     context_len: int,
-    plans: list[AllocationPlan],
+    budgets: list[np.ndarray],
+    sinks: int,
 ) -> list[float]:
-    """Each plan's mean chunk loss over consecutive non-overlapping chunks.
+    """Each budget matrix's mean chunk loss over consecutive non-overlapping
+    chunks, every matrix with the same sink count.
 
     The corpus splits into chunks of `context_len` tokens (a trailing
     partial chunk is dropped), each run from empty caches. Every chunk
     follows the same stepping schedule, so chunks run together on
     forward_layer's batch axis, as many as fit HIDDEN_CAP (one at least).
     A layer's output depends only on its input and its own budget row, so
-    the plans' rows form a trie, walked depth-first once per batch: each
+    the matrices' rows form a trie, walked depth-first once per batch: each
     distinct prefix runs its last layer once for the batch and each leaf
-    is scored once. Rows are keyed by sinks and their budgets clamped to
-    context_len (clamp_budgets). A plan's loss equals its one-plan
-    evaluation bit for bit.
+    is scored once. Rows are keyed by their budgets clamped to
+    context_len (clamp_budgets). A matrix's loss equals its one-matrix
+    evaluation bit for bit. Every matrix must fit (require_fit), checked first.
     """
     corpus_tokens = np.asarray(corpus_tokens, dtype=np.int64)
     cfg = model.config
+    for matrix in budgets:
+        require_fit(matrix, sinks, cfg)
     if context_len < 2:
         raise InputError(f"context_len must be >= 2, got {context_len}")
     check_context(0, context_len, cfg)
@@ -79,19 +85,13 @@ def evaluate_plans(
             f"corpus has {corpus_tokens.size} tokens; need at least one full "
             f"context (context length {context_len})"
         )
-    for plan in plans:
-        require_fit(plan.budgets, plan.sinks, cfg)
     n_chunks = corpus_tokens.size // context_len
     chunks = check_tokens(corpus_tokens[: n_chunks * context_len], cfg.vocab_size)
-    rows = [
-        [(plan.sinks, clamp_budgets(row, plan.sinks, context_len)) for row in plan.budgets.tolist()]
-        for plan in plans
-    ]
-    losses = [[] for _ in plans]  # per plan, one loss per chunk in corpus order
+    rows = [[clamp_budgets(row, sinks, context_len) for row in matrix.tolist()] for matrix in budgets]
+    losses = [[] for _ in budgets]  # per matrix, one loss per chunk in corpus order
 
-    def step(depth, x, key):
-        sinks, budgets = key
-        return forward_layer(model, depth, x, LayerStore(list(budgets) * len(x), sinks, cfg.head_dim))
+    def step(depth, x, row):
+        return forward_layer(model, depth, x, LayerStore(list(row) * len(x), sinks, cfg.head_dim))[0]
 
     def walk(depth, x, members, batch):
         while depth < cfg.num_layers:
@@ -109,19 +109,19 @@ def evaluate_plans(
         for i in members:
             losses[i].extend(nlls)
 
-    if not plans:
+    if not budgets:
         return []
     chunks = chunks.reshape(n_chunks, context_len)
     size = max(1, HIDDEN_CAP // (context_len * cfg.d_model))
     for lo in range(0, n_chunks, size):
         batch = chunks[lo : lo + size]
-        walk(0, model.embedding[batch].astype(np.float32, copy=True), range(len(plans)), batch)
+        walk(0, model.embedding[batch].astype(np.float32, copy=True), range(len(budgets)), batch)
     return [float(np.mean(plan_losses)) for plan_losses in losses]
 
 
 def chunked_perplexity(model: Model, corpus_tokens, context_len: int, plan: AllocationPlan) -> float:
     """Mean chunk loss of one plan (evaluate_plans); exp() for perplexity."""
-    return evaluate_plans(model, corpus_tokens, context_len, [plan])[0]
+    return evaluate_plans(model, corpus_tokens, context_len, [plan.budgets], plan.sinks)[0]
 
 
 def parameter_search(
@@ -158,7 +158,8 @@ def parameter_search(
         p.validate()
     uniform = uniform_plan(cfg, compression, sinks)
     plans = [build_plan(profile, cfg, "baklava", compression, p, sinks) for p in params]
-    uniform_loss, *losses = evaluate_plans(model, corpus_tokens, context_len, [uniform, *plans])
+    matrices = [plan.budgets for plan in [uniform, *plans]]
+    uniform_loss, *losses = evaluate_plans(model, corpus_tokens, context_len, matrices, sinks)
     points = [
         {"t": p.t, "r": p.r, "loss": loss, "feasible": True} for p, loss in zip(params, losses)
     ]
@@ -188,8 +189,10 @@ def layer_sweep(
     """Compress a sliding window of layers around each center and score it.
 
     For center L the window is [max(0, L - window//2),
-    min(last_layer, L + window//2)]; only those layers are compressed,
-    all others keep full budgets. The score is the chunked perplexity.
+    min(last_layer, L + window//2)]; only its caches are compressed, to
+    round(compression * max_context * caches) tokens apportioned equally,
+    and all others keep max_context. The compression range is checked
+    before any matrix is built. The score is the chunked perplexity.
     All centers are scored in one evaluate_plans call. Returns the sweep
     report, every bklv-sweep-v1 key but format_version: "bounds" holds each
     center's [lo, hi] and "correlation" is None (heuristic_vs_empirical).
@@ -204,8 +207,17 @@ def layer_sweep(
         [max(0, center - half), min(cfg.num_layers - 1, center + half)]
         for center in range(cfg.num_layers)
     ]
-    plans = [window_plan(cfg, lo, hi, compression, sinks) for lo, hi in bounds]
-    losses = evaluate_plans(model, corpus_tokens, context_len, plans)
+    check_compression(compression)
+    share = compression * cfg.max_context
+    matrices = []
+    for lo, hi in bounds:
+        matrix = np.full((cfg.num_layers, cfg.num_kv_heads), cfg.max_context, dtype=np.int64)
+        window_caches = matrix[lo : hi + 1]
+        window_caches.flat = apportion_largest_remainder(
+            [share] * window_caches.size, round_half_up(share * window_caches.size)
+        )
+        matrices.append(matrix)
+    losses = evaluate_plans(model, corpus_tokens, context_len, matrices, sinks)
     return {
         "window": window,
         "compression": compression,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bklv import ModelConfig, init_model
+from bklv import LayerStore, ModelConfig, init_model
+from bklv.model import forward_layer
 
 SMALL = ModelConfig(
     num_layers=2,
@@ -31,3 +32,20 @@ def small_model():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def layer_probes(model, tokens) -> dict:
+    """What profiling compares, for `tokens` run layer by layer through
+    forward_layer over stores that hold them all (slot j holds token j):
+    reference_budgeted_logits' probes, with the same keys and shapes."""
+    cfg = model.config
+    x = model.embedding[np.asarray(tokens)[None]].astype(np.float32)
+    probes = {"head_input_v": [], "head_output": [], "layer_input": [], "layer_output": []}
+    for li in range(cfg.num_layers):
+        store = LayerStore([x.shape[1]] * cfg.num_kv_heads, 0, cfg.head_dim)
+        probes["layer_input"].append(x[0])
+        x, heads = forward_layer(model, li, x, store)
+        probes["head_input_v"].append(store.values)
+        probes["head_output"].append(heads[0])
+        probes["layer_output"].append(x[0])
+    return {name: np.stack(arrays) for name, arrays in probes.items()}

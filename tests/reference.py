@@ -141,8 +141,9 @@ def reference_budgeted_logits(model, tokens, budgets, sinks: int):
     full history, and each query head attends (brute_attention) over the
     positions that sink_window_trace retains in its group's cache once the
     token is appended. Returns (logits, probes): logits is (tokens, vocab)
-    and probes holds head_input_v, head_output, layer_input and
-    layer_output in ProbeCapture's shapes.
+    and probes holds head_input_v (layers, kv_groups, tokens, head_dim),
+    head_output (layers, q_heads, tokens, head_dim), and layer_input and
+    layer_output (layers, tokens, d_model).
     """
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)

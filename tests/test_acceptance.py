@@ -31,6 +31,7 @@ from bklv import (
 )
 from bklv.io import dump_json, profile_to_dict
 
+from .conftest import layer_probes
 from .reference import (
     reallocation_trace,
     brute_attention,
@@ -140,12 +141,11 @@ def test_criterion_4_heuristic_range_and_identity(toy):
             assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
 
         # single-token context: softmax over one element is an identity map
-        caches = build_cache_set(uniform_plan(TOY, 1.0, sinks=0), TOY)
-        _, probes = forward_chunk(toy, [256], caches, capture=True)
+        probes = layer_probes(toy, [256])
         for li in range(TOY.num_layers):
             for head in range(TOY.num_q_heads):
-                v_in = probes.head_input_v[li, head // TOY.group_size]
-                sim = head_similarity(v_in, probes.head_output[li, head])
+                v_in = probes["head_input_v"][li, head // TOY.group_size]
+                sim = head_similarity(v_in, probes["head_output"][li, head])
                 assert head_importance(sim) == 0.0
 
         again = profile_model(toy, prompts)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bklv import (
     AllocationError,
+    InputError,
     ModelConfig,
     PlanParams,
     ShapeError,
@@ -15,9 +16,10 @@ from bklv import (
     reallocate_caches,
     require_valid,
     uniform_plan,
+    layer_sweep,
     validate_plan,
-    window_plan,
 )
+from bklv import search as search_module
 from bklv.allocation import global_budget, round_half_up
 from bklv.profiling import ImportanceProfile
 
@@ -109,8 +111,8 @@ class TestUniformPlan:
         with pytest.raises(AllocationError):
             uniform_plan(TOY, 0.001, sinks=4)
 
-    def test_compression_out_of_range(self):
-        # one rule for every strategy and the sweep's window plans
+    def test_compression_out_of_range(self, toy_model):
+        # one rule for every strategy and the sweep's window matrices
         profile = _profile(TOY, np.full((4, 4), 0.5), np.full(4, 0.5))
         params = {
             "uniform": PlanParams(),
@@ -120,7 +122,7 @@ class TestUniformPlan:
         builders = [
             *(lambda c, s=s: build_plan(profile, TOY, s, c, params[s]) for s in params),
             lambda c: uniform_plan(TOY, c),
-            lambda c: window_plan(TOY, 1, 2, c),
+            lambda c: layer_sweep(toy_model, np.arange(64), 32, 3, c),
         ]
         for build in builders:
             for compression in (0.0, -0.2, 1.5, float("nan"), float("inf")):
@@ -339,11 +341,6 @@ class TestBuildPlan:
             build_plan(profile, SMALL, strategy, 0.5, params)
         build_plan(profile, SMALL, "baklava", 0.5, params)  # baklava uses all four
 
-    def test_window_plans_use_no_params(self):
-        PlanParams().check_used_by("window")
-        with pytest.raises(AllocationError, match="^strategy 'window' does not use layer_t;"):
-            PlanParams(layer_t=0.5).check_used_by("window")
-
     @settings(max_examples=300, deadline=None)
     @given(_plan_inputs())
     def test_baklava_breaks_the_floor_exactly_when_uniform_does(self, inputs):
@@ -405,26 +402,56 @@ class TestValidatePlan:
         assert len(info.value.violations) == 2  # the floor and the total
 
     @pytest.mark.parametrize(
-        "build",
-        [lambda: uniform_plan(TOY, 0.001), lambda: window_plan(TOY, 0, 3, 0.001)],
+        "build, headline",
+        [
+            (lambda model: uniform_plan(TOY, 0.001), "plan does not match this model"),
+            # window 3 compresses layers 0-1 first: those 8 caches, in the plan-fit rule's words
+            (lambda model: layer_sweep(model, np.arange(64), 32, 3, 0.001),
+             "budget 1 below floor 5 at layer 0 group 0"),
+        ],
         ids=["uniform", "window"],
     )
-    def test_builders_raise_the_one_plan_check(self, build):
-        with pytest.raises(AllocationError, match="^plan does not match this model$") as info:
-            build()
+    def test_builders_raise_the_one_plan_check(self, toy_model, build, headline):
+        with pytest.raises(AllocationError, match=f"^{headline}$") as info:
+            build(toy_model)
         assert any("below floor 5" in v for v in info.value.violations)
+        if headline != "plan does not match this model":
+            assert info.value.violations == [
+                f"budget {budget} below floor 5 at layer {layer} group {group}"
+                for layer, budget in ((0, 1), (1, 0)) for group in range(4)
+            ]
+
+
+def _window_matrices(model, window, compression, monkeypatch):
+    """The budget matrices layer_sweep hands to evaluate_plans, and their sinks."""
+    calls = []
+
+    def recording(model, corpus, context_len, budgets, sinks):
+        calls.append((budgets, sinks))
+        return [0.0] * len(budgets)
+
+    monkeypatch.setattr(search_module, "evaluate_plans", recording)
+    layer_sweep(model, np.arange(64), 32, window, compression)
+    [(matrices, sinks)] = calls
+    return matrices, sinks
 
 
 class TestWindowPlan:
-    def test_only_window_compressed(self):
-        plan = window_plan(SMALL, 0, 0, 0.5, sinks=4)
-        assert np.all(plan.budgets[0] == 32)
-        assert np.all(plan.budgets[1] == SMALL.max_context)
+    def test_only_window_compressed(self, small_model, monkeypatch):
+        matrices, sinks = _window_matrices(small_model, 1, 0.5, monkeypatch)
+        assert [m.tolist() for m in matrices] == [[[32, 32], [64, 64]], [[64, 64], [32, 32]]]
+        assert sinks == 4
 
-    def test_achieved_ratio_consistent(self):
-        plan = window_plan(SMALL, 0, 1, 0.5, sinks=4)
-        assert validate_plan(plan, SMALL) == []
+    def test_achieved_ratio_consistent(self, toy_model, monkeypatch):
+        # each window's caches share round(compression * max_context * caches) tokens, apportioned
+        matrices, _ = _window_matrices(toy_model, 3, 0.3, monkeypatch)
+        for matrix, (lo, hi) in zip(matrices, [(0, 1), (0, 2), (1, 3), (2, 3)]):
+            window = matrix[lo : hi + 1]
+            assert window.sum() == round_half_up(0.3 * 512 * window.size)
+            assert window.max() - window.min() <= 1
+            assert np.all(np.delete(matrix, np.s_[lo : hi + 1], axis=0) == 512)
 
-    def test_bad_window(self):
-        with pytest.raises(AllocationError):
-            window_plan(SMALL, 1, 0, 0.5)
+    def test_bad_window(self, small_model):
+        # the window rule comes before the compression rule
+        with pytest.raises(InputError, match=r"^window must be odd and within \[1, 2\], got 2$"):
+            layer_sweep(small_model, np.arange(64), 32, 2, float("nan"))

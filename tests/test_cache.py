@@ -666,7 +666,7 @@ class TestPlanFitRule:
         "memory_report": lambda model, plan: memory_report(plan, SMALL),
         "chunked_perplexity": lambda model, plan: chunked_perplexity(model, np.arange(64), 16, plan),
         "evaluate_plans": lambda model, plan: evaluate_plans(
-            model, np.arange(64), 16, [uniform_plan(SMALL, 1.0), plan]
+            model, np.arange(64), 16, [uniform_plan(SMALL, 1.0).budgets, plan.budgets], plan.sinks
         ),
     }
 

@@ -32,6 +32,7 @@ from bklv import (
     profile_model,
     uniform_plan,
 )
+from bklv.allocation import STRATEGIES
 from bklv.cli import main
 
 from .conftest import SMALL
@@ -40,7 +41,6 @@ MODEL = init_model(SMALL)
 PROFILE = profile_model(MODEL, [[256, *range(40)], [256, *range(60, 95)]])
 PROFILE_DOC = io.profile_to_dict(PROFILE)
 PLAN_DOC = io.plan_to_dict(build_plan(PROFILE, SMALL, "baklava", 0.5, PlanParams(t=0.7, r=0.3)), SMALL)
-STRATEGIES = ("uniform", "layerwise", "baklava", "window")
 
 JUNK = st.one_of(
     st.text(max_size=4),

@@ -323,9 +323,7 @@ class TestCli:
         assert json.loads(lines[0])["error"].startswith(f"strategy '{strategy}' does not use t, r")
         assert not os.path.exists(out) and not os.path.exists(out + ".manifest")
 
-    @pytest.mark.parametrize(
-        "strategy, field", [("uniform", "t"), ("layerwise", "r"), ("window", "layer_r")]
-    )
+    @pytest.mark.parametrize("strategy, field", [("uniform", "t"), ("layerwise", "r")])
     def test_plan_file_with_params_the_strategy_ignores_rejected(self, strategy, field):
         doc = io.plan_to_dict(uniform_plan(SMALL, 0.5), SMALL)
         doc["strategy"] = strategy
@@ -699,8 +697,12 @@ class TestCli:
         assert not os.path.exists(out)
         assert not os.path.exists(out + ".manifest")
 
-    @pytest.mark.parametrize("command", ["plan", "search"])
-    def test_nan_compression_rejected(self, cli_env, command, capsys):
+    @pytest.mark.parametrize(
+        "command, compression",
+        [("plan", "nan"), ("search", "nan"), *(("sweep", c) for c in ("0", "-0.2", "1.5", "nan"))],
+        ids=["plan", "search", "sweep-0", "sweep--0.2", "sweep-1.5", "sweep-nan"],
+    )
+    def test_nan_compression_rejected(self, cli_env, command, compression, capsys):
         d = cli_env["dir"]
         prof = str(d / "prof.json")
         main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
@@ -709,12 +711,14 @@ class TestCli:
             "plan": ["plan", "--profile", prof, "--strategy", "baklava", "--t", "0.7", "--r", "0.3"],
             "search": ["search", "--model", cli_env["model"], "--profile", prof,
                        "--corpus", cli_env["corpus"], "--context-len", "48"],
+            "sweep": ["sweep", "--model", cli_env["model"], "--corpus", cli_env["corpus"],
+                      "--context-len", "48", "--window", "1"],
         }[command]
         capsys.readouterr()
-        assert main(argv + ["--compression", "nan", "--out", out]) == 1
+        assert main(argv + [f"--compression={compression}", "--out", out]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert json.loads(err[0])["error"] == "compression must be in (0, 1], got nan"
+        assert json.loads(err[0])["error"] == f"compression must be in (0, 1], got {float(compression)}"
         assert not os.path.exists(out)
         assert not os.path.exists(out + ".manifest")
 
@@ -761,6 +765,44 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert "different model" in err["error"]
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_profile_with_another_config_rejected(self, cli_env, command, capsys):
+        # the model's own profile, its recorded rope_theta and seed changed
+        d = cli_env["dir"]
+        prof, out = str(d / "prof.json"), str(d / "r.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        doc = io.read_json(prof)
+        doc["config"].update(rope_theta=123.0, seed=99)
+        io.write_json(prof, doc)
+        extra = {
+            "search": ["--compression", "0.4", "--t-grid", "0.7", "--r-grid", "0.3"],
+            "sweep": ["--window", "1", "--compression", "0.5"],
+        }[command]
+        capsys.readouterr()
+        rc = main([command, "--model", cli_env["model"], "--profile", prof, "--corpus", cli_env["corpus"],
+                   "--context-len", "48", "--out", out] + extra)
+        assert rc == 1
+        assert capsys.readouterr().err == json.dumps({
+            "error": f"{prof}: profile config differs from the model's in rope_theta, seed", "violations": []
+        }) + "\n"
+        assert not os.path.exists(out)
+
+    def test_sweep_below_the_floor_fails_with_the_plan_fit_violations(self, cli_env, capsys):
+        # window 3 of the default 4-layer model compresses layers 0-1 first, all 8 caches below the floor
+        model = str(cli_env["dir"] / "default.bklv")
+        assert main(["init-model", "--out", model, "--seed", "7"]) == 0
+        out = str(cli_env["dir"] / "sweep.json")
+        capsys.readouterr()
+        rc = main(["sweep", "--model", model, "--corpus", cli_env["corpus"], "--context-len", "48",
+                   "--window", "3", "--compression", "0.001", "--out", out])
+        assert rc == 1
+        violations = [
+            f"budget {budget} below floor 5 at layer {layer} group {group}"
+            for layer, budget in ((0, 1), (1, 0)) for group in range(4)
+        ]
+        assert capsys.readouterr().err == json.dumps({"error": violations[0], "violations": violations}) + "\n"
+        assert not os.path.exists(out) and not os.path.exists(out + ".manifest")
 
     def test_success_is_silent_on_stderr(self, cli_env, capsys):
         prof = str(cli_env["dir"] / "quiet.json")
@@ -887,11 +929,12 @@ class TestCli:
         "field, value, message",
         [
             ("requested_compression", "0.3", "requested_compression must be a number, got '0.3'"),
-            ("strategy", 7, "strategy must be one of ('uniform', 'layerwise', 'baklava', 'window'), got 7"),
+            ("strategy", 7, "strategy must be one of ('uniform', 'layerwise', 'baklava'), got 7"),
+            ("strategy", "window", "strategy must be one of ('uniform', 'layerwise', 'baklava'), got 'window'"),
             ("params", {"t": "abc", "r": 0.0, "layer_t": 0.0, "layer_r": 0.0},
              "t must be in [0, 1], got 'abc'"),
         ],
-        ids=["compression-str", "strategy-int", "params-t-str"],
+        ids=["compression-str", "strategy-int", "strategy-window", "params-t-str"],
     )
     def test_eval_rejects_a_retyped_plan_field(self, cli_env, field, value, message, capsys):
         d = cli_env["dir"]

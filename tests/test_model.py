@@ -194,23 +194,6 @@ class TestForwardChunk:
             parts.append(forward_chunk(small_model, [tok], caches)[0])
         np.testing.assert_allclose(np.concatenate(parts), one, rtol=1e-4, atol=1e-6)
 
-    def test_capture_shapes(self, small_model):
-        cfg = small_model.config
-        n = 9
-        _, probes = forward_chunk(
-            small_model, list(range(n)), _fresh_caches(small_model), capture=True
-        )
-        assert probes.head_input_v.shape == (cfg.num_layers, cfg.num_kv_heads, n, cfg.head_dim)
-        assert probes.head_output.shape == (cfg.num_layers, cfg.num_q_heads, n, cfg.head_dim)
-        assert probes.layer_input.shape == (cfg.num_layers, n, cfg.d_model)
-        assert probes.layer_output.shape == probes.layer_input.shape
-
-    def test_capture_under_eviction_keeps_all_rows(self, small_model):
-        caches = _fresh_caches(small_model, compression=0.2)
-        n = 30
-        _, probes = forward_chunk(small_model, list(range(n)), caches, capture=True)
-        assert probes.head_input_v.shape[2] == n
-
     def test_token_out_of_range(self, small_model):
         with pytest.raises(InputError, match="token id out of range"):
             forward_chunk(small_model, [0, 300], _fresh_caches(small_model))
@@ -276,21 +259,29 @@ def _budgeted_runs(draw):
 
 
 def _run_calls(model, budgets, sinks, tokens, cuts):
+    """Drive forward_layer over a cache set's stores, one call per layer for
+    each cut of tokens. Returns the logits, each layer's input, heads and
+    output for every token, the cache set, and forward_chunk's logits over
+    another cache set with the same cuts."""
     plan = AllocationPlan(0.0, sinks, np.array(budgets, dtype=np.int64), "custom", PlanParams())
-    caches = build_cache_set(plan, model.config)
+    caches, chunked = build_cache_set(plan, model.config), build_cache_set(plan, model.config)
     bounds = [0, *cuts, len(tokens)]
-    outs = [
-        forward_chunk(model, tokens[a:b], caches, capture=True)
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    logits = np.concatenate([lg for lg, _ in outs])
-    probes = {
-        "head_input_v": np.concatenate([p.head_input_v for _, p in outs], axis=2),
-        "head_output": np.concatenate([p.head_output for _, p in outs], axis=2),
-        "layer_input": np.concatenate([p.layer_input for _, p in outs], axis=1),
-        "layer_output": np.concatenate([p.layer_output for _, p in outs], axis=1),
-    }
-    return logits, probes
+    logits, chunk_logits = [], []
+    probes = {"head_output": [], "layer_input": [], "layer_output": []}
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        x = model.embedding[np.asarray(tokens[a:b])[None]].astype(np.float32)
+        for name in probes:
+            probes[name].append([])
+        for li, store in enumerate(caches.stores):
+            probes["layer_input"][-1].append(x[0])
+            x, heads = forward_layer(model, li, x, store)
+            probes["head_output"][-1].append(heads[0])
+            probes["layer_output"][-1].append(x[0])
+        logits.append(model_module.output_logits(model, x[0]))
+        chunk_logits.append(forward_chunk(model, tokens[a:b], chunked)[0])
+    axis = {"head_output": 2, "layer_input": 1, "layer_output": 1}  # the token axis
+    probes = {name: np.concatenate([np.stack(c) for c in calls], axis=axis[name]) for name, calls in probes.items()}
+    return np.concatenate(logits), probes, caches, np.concatenate(chunk_logits)
 
 
 class TestBudgetedStepping:
@@ -319,13 +310,19 @@ class TestBudgetedStepping:
     @example(([[3, 5], [3, 4]], 2, list(range(30)), [6, 7, 20]))
     def test_matches_stepping_oracle(self, small_model, run):
         budgets, sinks, tokens, cuts = run
-        logits, probes = _run_calls(small_model, budgets, sinks, tokens, cuts)
+        logits, probes, caches, chunk_logits = _run_calls(small_model, budgets, sinks, tokens, cuts)
         expected_logits, expected_probes = reference_budgeted_logits(
             small_model, tokens, budgets, sinks
         )
         np.testing.assert_allclose(logits, expected_logits, rtol=0, atol=1e-5)
-        for name, expected in expected_probes.items():
-            np.testing.assert_allclose(probes[name], expected, rtol=0, atol=1e-5, err_msg=name)
+        assert chunk_logits.tobytes() == logits.tobytes()
+        for name, got in probes.items():  # every token's, whatever was evicted
+            np.testing.assert_allclose(got, expected_probes[name], rtol=0, atol=1e-5, err_msg=name)
+        # the V rows each cache kept, at the positions it holds
+        for li, store in enumerate(caches.stores):
+            for grp, cache in enumerate(store.caches):
+                expected = expected_probes["head_input_v"][li, grp, cache.positions]
+                np.testing.assert_allclose(cache.values, expected, rtol=0, atol=1e-5)
 
     def test_each_layer_batches_up_to_its_own_free_space(self, small_model, monkeypatch):
         appends = []
@@ -378,11 +375,13 @@ class TestBatchedLayer:
         bounds = [0, prefix, prefix + n] if prefix else [0, n]
         with mock.patch.object(cache_module, "SCORE_CAP", cap):
             for a, b in zip(bounds[:-1], bounds[1:]):
-                got = forward_layer(small_model, li, x[:, a:b], together)
+                got, heads = forward_layer(small_model, li, x[:, a:b], together)
                 assert got.shape == (batch, b - a, cfg.d_model)
+                assert heads.shape == (batch, cfg.num_q_heads, b - a, cfg.head_dim)
                 for seq in range(batch):
-                    one = forward_layer(small_model, li, x[seq : seq + 1, a:b], alone[seq])
+                    one, one_heads = forward_layer(small_model, li, x[seq : seq + 1, a:b], alone[seq])
                     assert np.array_equal(got[seq], one[0])
+                    assert np.array_equal(heads[seq], one_heads[0])
         for seq, store in enumerate(alone):
             for grp, cache in enumerate(store.caches):
                 mine = together.caches[seq * cfg.num_kv_heads + grp]
@@ -477,11 +476,12 @@ class TestExactRewrites:
         layer = replace(small_model.layers[0], mlp_in=small_model.layers[0].mlp_in * np.float32(2000))
         model = replace(small_model, layers=[layer, *small_model.layers[1:]])
         tokens = rng.integers(0, SMALL.vocab_size, size=12)
+        x = model.embedding[tokens[None]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, probes = forward_chunk(model, tokens, build_cache_set(uniform_plan(SMALL, 0.5), SMALL), True)
-        heads = probes.head_output[0].transpose(1, 0, 2).reshape(tokens.size, -1)
-        xb = probes.layer_input[0] + heads @ layer.attn_out
+            out, heads = forward_layer(model, 0, x, LayerStore([32] * SMALL.num_kv_heads, 4, SMALL.head_dim))
+        heads = heads[0].transpose(1, 0, 2).reshape(tokens.size, -1)
+        xb = x[0] + heads @ layer.attn_out
         act = model_module.rms_norm(xb, layer.norm2) @ layer.mlp_in
         assert act.min() < -88.8
         with np.errstate(over="ignore"):
@@ -491,7 +491,7 @@ class TestExactRewrites:
         assert overflow.any() and silu.tobytes() == old.tobytes()
         assert np.all(silu[overflow] == 0) and np.all(np.signbit(silu[overflow]))
         expected = np.add(xb, old @ layer.mlp_out)
-        assert probes.layer_output[0].tobytes() == expected.tobytes()
+        assert out[0].tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(_masked_scores())

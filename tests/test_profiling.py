@@ -12,9 +12,7 @@ from bklv import (
     InputError,
     PlanParams,
     ShapeError,
-    build_cache_set,
     build_plan,
-    forward_chunk,
     group_kv_importance,
     profile_model,
     rank_correlation,
@@ -25,12 +23,14 @@ from bklv import io
 from bklv import profiling as profiling_module
 from bklv.profiling import spearman
 
+from .conftest import layer_probes
 from .reference import (
     head_importance,
     head_similarity,
     layer_similarity,
     planted_model,
     readme_text,
+    reference_budgeted_logits,
     spearman_average_ranks,
     spearman_textbook,
 )
@@ -160,20 +160,23 @@ class TestProfileModel:
             profile_model(small_model, [[256, 1, 2]])
 
     def test_long_prompt_fails_before_any_prompt_runs(self, small_model, rng, monkeypatch):
-        monkeypatch.setattr(profiling_module, "forward_chunk", mock.Mock(side_effect=AssertionError("ran")))
+        monkeypatch.setattr(profiling_module, "forward_layer", mock.Mock(side_effect=AssertionError("ran")))
         prompts = [_random_prompt(rng, 40), _random_prompt(rng, 65)]
         with pytest.raises(InputError, match=r"^context length exceeded: 0 \+ 65 > max_context 64$"):
+            profile_model(small_model, prompts)
+        # and so does a token id out of range
+        prompts = [_random_prompt(rng, 40), [*_random_prompt(rng, 39), 257]]
+        with pytest.raises(InputError, match=r"^token id out of range \[0, 257\): 257$"):
             profile_model(small_model, prompts)
 
     def test_single_token_context_identity(self, small_model):
         # attention over one token is an identity map: importance exactly 0
-        caches = build_cache_set(uniform_plan(small_model.config, 1.0, 0), small_model.config)
-        _, probes = forward_chunk(small_model, [256], caches, capture=True)
+        probes = layer_probes(small_model, [256])
         cfg = small_model.config
         for li in range(cfg.num_layers):
             for head in range(cfg.num_q_heads):
-                v_in = probes.head_input_v[li, head // cfg.group_size]
-                sim = head_similarity(v_in, probes.head_output[li, head])
+                v_in = probes["head_input_v"][li, head // cfg.group_size]
+                sim = head_similarity(v_in, probes["head_output"][li, head])
                 assert sim == 1.0
                 assert head_importance(sim) == 0.0
 
@@ -189,14 +192,18 @@ class TestProfileModel:
         p = _random_prompt(rng, 48)
         profile = profile_model(small_model, [p])
         cfg = small_model.config
-        caches = build_cache_set(uniform_plan(cfg, 1.0, 0), cfg)
-        _, probes = forward_chunk(small_model, p, caches, capture=True)
+        probes = layer_probes(small_model, p)
+        # the probes are every token's, as the token-by-token oracle computes them
+        full = [[len(p)] * cfg.num_kv_heads] * cfg.num_layers
+        _, expected = reference_budgeted_logits(small_model, p, full, 0)
+        for name, got in probes.items():
+            np.testing.assert_allclose(got, expected[name], rtol=0, atol=1e-5, err_msg=name)
         for li in range(cfg.num_layers):
             for grp in range(cfg.num_kv_heads):
                 sims = []
                 for head in range(grp * cfg.group_size, (grp + 1) * cfg.group_size):
-                    a = probes.head_input_v[li, grp].astype(np.float64)
-                    b = probes.head_output[li, head].astype(np.float64)
+                    a = probes["head_input_v"][li, grp].astype(np.float64)
+                    b = probes["head_output"][li, head].astype(np.float64)
                     cos = [
                         a[i] @ b[i] / (np.linalg.norm(a[i]) * np.linalg.norm(b[i]))
                         for i in range(a.shape[0])
@@ -232,18 +239,17 @@ class TestProfileModel:
         p = _random_prompt(rng, 45)
         profile = profile_model(small_model, [p], keep_per_token=True)
         cfg = small_model.config
-        caches = build_cache_set(uniform_plan(cfg, 1.0, 0), cfg)
-        _, probes = forward_chunk(small_model, p, caches, capture=True)
+        probes = layer_probes(small_model, p)
         for li in range(cfg.num_layers):
             for head in range(cfg.num_q_heads):
-                v_in = probes.head_input_v[li, head // cfg.group_size]
-                out = probes.head_output[li, head]
+                v_in = probes["head_input_v"][li, head // cfg.group_size]
+                out = probes["head_output"][li, head]
                 assert profile.head_similarity[li, head] == head_similarity(v_in, out)
                 assert np.array_equal(
                     profile.per_token_similarity[0][li, :, head],
                     token_cosine_similarities(v_in, out),
                 )
-            layer_sim = layer_similarity(probes.layer_input[li], probes.layer_output[li])
+            layer_sim = layer_similarity(probes["layer_input"][li], probes["layer_output"][li])
             assert profile.layer_importance[li] == 1.0 - layer_sim
 
     def test_prompt_head_similarity_equals_single_prompt_profiles(self, small_model, rng):

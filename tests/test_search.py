@@ -138,21 +138,21 @@ class TestChunkedPerplexity:
 
 @st.composite
 def _plan_sets(draw):
-    """A corpus, a context length and 2-5 plans drawn so that layer 0 rows
-    repeat (shared prefixes), budgets often reach past the context length,
-    and per-layer minimum budgets differ."""
+    """A corpus, a context length and 2-5 plans of one sink count drawn so
+    that layer 0 rows repeat (shared prefixes), budgets often reach past
+    the context length, and per-layer minimum budgets differ."""
     context_len = draw(st.integers(4, 12))
     size = draw(st.integers(context_len, 2 * context_len + 3))
     corpus = draw(st.lists(st.integers(0, SMALL.vocab_size - 1), min_size=size, max_size=size))
     budget = st.integers(4, 16)  # >= the floor for sinks <= 3
     row = st.lists(budget, min_size=SMALL.num_kv_heads, max_size=SMALL.num_kv_heads)
     first_rows = draw(st.lists(row, min_size=1, max_size=2))
-    sink_counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    sinks = draw(st.integers(0, 3))
     plans = []
     for _ in range(draw(st.integers(2, 5))):
         rows = [draw(st.sampled_from(first_rows))]
         rows += [draw(row) for _ in range(SMALL.num_layers - 1)]
-        plans.append(_plan(draw(st.sampled_from(sink_counts)), rows))
+        plans.append(_plan(sinks, rows))
     order = draw(st.permutations(range(len(plans))))
     return np.array(corpus), context_len, plans, order
 
@@ -172,21 +172,22 @@ def _reference_loss(model, corpus, context_len, plan):
 class TestEvaluatePlans:
     @settings(max_examples=20, deadline=None)
     @given(_plan_sets())
-    # plans 0 and 1 differ only in sinks; 2 and 3 only in budgets above context_len
+    # plans 2 and 3 differ only in budgets above context_len
     @example((
         np.arange(100, 124),
         12,
-        [_plan(0, [[4, 5], [6, 20]]), _plan(3, [[4, 5], [6, 20]]),
+        [_plan(3, [[4, 5], [6, 20]]), _plan(3, [[4, 7], [6, 20]]),
          _plan(3, [[4, 5], [12, 9]]), _plan(3, [[4, 5], [30, 9]])],
         [3, 2, 1, 0],
     ))
     def test_matches_stepping_oracle_and_one_plan_evaluation(self, small_model, case):
         corpus, context_len, plans, order = case
-        losses = evaluate_plans(small_model, corpus, context_len, plans)
+        sinks = plans[0].sinks
+        losses = evaluate_plans(small_model, corpus, context_len, [p.budgets for p in plans], sinks)
         for plan, loss in zip(plans, losses):
             assert abs(loss - _reference_loss(small_model, corpus, context_len, plan)) < 1e-5
             assert loss == chunked_perplexity(small_model, corpus, context_len, plan)  # bit-for-bit
-        permuted = evaluate_plans(small_model, corpus, context_len, [plans[i] for i in order])
+        permuted = evaluate_plans(small_model, corpus, context_len, [plans[i].budgets for i in order], sinks)
         assert permuted == [losses[i] for i in order]
 
     def test_chunk_batches_match_one_chunk_evaluations(self, small_model, rng, monkeypatch):
@@ -194,7 +195,7 @@ class TestEvaluatePlans:
         # one-chunk evaluation bit for bit, and the plan loss their mean
         context_len = 12
         corpus = _corpus(rng, 5 * context_len + 3)
-        plans = [_plan(2, [[4, 7], [9, 5]]), _plan(0, [[12, 3], [6, 20]])]
+        plans = [_plan(2, [[4, 7], [9, 5]]), _plan(2, [[12, 3], [6, 20]])]
         sizes = []
 
         def counting(model, li, x, store):
@@ -204,12 +205,12 @@ class TestEvaluatePlans:
         # room for two chunks' hidden states, not three
         monkeypatch.setattr(search_module, "HIDDEN_CAP", 3 * context_len * SMALL.d_model - 1)
         monkeypatch.setattr(search_module, "forward_layer", counting)
-        losses = evaluate_plans(small_model, corpus, context_len, plans)
+        losses = evaluate_plans(small_model, corpus, context_len, [p.budgets for p in plans], 2)
         assert sizes == [2] * 8 + [1] * 4  # 2 batches of 2 chunks, then 1, each over 4 prefixes
         monkeypatch.undo()
         for plan, loss in zip(plans, losses):
             chunk_losses = [
-                evaluate_plans(small_model, corpus[i : i + context_len], context_len, [plan])[0]
+                chunked_perplexity(small_model, corpus[i : i + context_len], context_len, plan)
                 for i in range(0, 5 * context_len, context_len)
             ]
             assert loss == float(np.mean(chunk_losses))
@@ -226,7 +227,7 @@ class TestEvaluatePlans:
             return forward_layer(model, li, x, store)
 
         monkeypatch.setattr(search_module, "forward_layer", tracking)
-        evaluate_plans(model, _corpus(rng, 48), 24, [uniform_plan(model.config, 0.5)])
+        evaluate_plans(model, _corpus(rng, 48), 24, [uniform_plan(model.config, 0.5).budgets], 4)
         assert alive == [0, 0, 0, 0]
 
     def test_stores_and_their_views_form_no_cycle(self, small_model, rng, monkeypatch):
@@ -240,7 +241,7 @@ class TestEvaluatePlans:
             return forward_layer(model, li, x, store)
 
         monkeypatch.setattr(search_module, "forward_layer", tracking)
-        plans = [uniform_plan(SMALL, 0.5), _plan(1, [[4, 7], [9, 5]])]
+        budgets = [uniform_plan(SMALL, 0.5, sinks=1).budgets, np.array([[4, 7], [9, 5]])]
         gc.disable()
         try:
             store = LayerStore([4, 6], 1, SMALL.head_dim)
@@ -250,18 +251,18 @@ class TestEvaluatePlans:
             row = np.ones((1, SMALL.head_dim), np.float32)
             append_and_evict(view, row, row)
             assert (view.retained, view.total_seen) == (1, 1)
-            evaluate_plans(small_model, _corpus(rng, 48), 24, plans)
+            evaluate_plans(small_model, _corpus(rng, 48), 24, budgets, 1)
             assert len(stores) == 4 and all(ref() is None for ref in stores)
         finally:
             gc.enable()
 
     def test_no_plans(self, small_model, rng):
-        assert evaluate_plans(small_model, _corpus(rng, 16), 16, []) == []
+        assert evaluate_plans(small_model, _corpus(rng, 16), 16, [], 4) == []
 
     def test_token_out_of_range(self, small_model):
         corpus = np.full(16, SMALL.vocab_size)
         with pytest.raises(InputError, match="out of range"):
-            evaluate_plans(small_model, corpus, 16, [uniform_plan(SMALL, 1.0)])
+            evaluate_plans(small_model, corpus, 16, [uniform_plan(SMALL, 1.0).budgets], 4)
 
 
 class TestParameterSearch:

@@ -46,11 +46,11 @@ def _models(draw):
 
 
 def _plans(draw, cfg, count):
-    """`count` plans of sinks 0-3 and budgets at or above the floor, some
-    past max_context."""
+    """`count` plans of one sink count 0-3 and budgets at or above the
+    floor, some past max_context."""
     plans = []
+    sinks = draw(st.integers(0, 3))
     for _ in range(count):
-        sinks = draw(st.integers(0, 3))
         budget = st.integers(sinks + 1, cfg.max_context + 8)
         budgets = [[draw(budget) for _ in range(cfg.num_kv_heads)] for _ in range(cfg.num_layers)]
         plans.append(AllocationPlan(0.0, sinks, np.array(budgets, dtype=np.int64), "custom", PlanParams()))
@@ -104,7 +104,7 @@ def test_evaluate_plans_matches_the_stepping_oracle(case):
     model, plans, corpus, context_len, hidden_cap, score_cap = case
     with mock.patch.object(search_module, "HIDDEN_CAP", hidden_cap), \
             mock.patch.object(cache_module, "SCORE_CAP", score_cap):
-        losses = evaluate_plans(model, corpus, context_len, plans)
+        losses = evaluate_plans(model, corpus, context_len, [p.budgets for p in plans], plans[0].sinks)
     starts = range(0, corpus.size - context_len + 1, context_len)
     for plan, loss in zip(plans, losses):
         expected = np.mean([
