@@ -194,6 +194,32 @@ class TestForwardChunk:
             parts.append(forward_chunk(small_model, [tok], caches)[0])
         np.testing.assert_allclose(np.concatenate(parts), one, rtol=1e-4, atol=1e-6)
 
+    def test_capture_shapes(self, small_model):
+        # the layer pass returns every query head's output alongside its
+        # hidden states; chained over the stores it gives forward_chunk's logits
+        cfg = small_model.config
+        n = 9
+        toks = list(range(n))
+        caches = _fresh_caches(small_model)
+        x = small_model.embedding[np.asarray(toks)[None]].astype(np.float32)
+        for li, store in enumerate(caches.stores):
+            out, heads = forward_layer(small_model, li, x, store)
+            assert heads.shape == (1, cfg.num_q_heads, n, cfg.head_dim)
+            assert out.shape == x.shape == (1, n, cfg.d_model)
+            x = out
+        logits, _ = forward_chunk(small_model, toks, _fresh_caches(small_model))
+        assert model_module.output_logits(small_model, x[0]).tobytes() == logits.tobytes()
+
+    def test_capture_under_eviction_keeps_all_rows(self, small_model):
+        # caches that evict still give a head output and hidden state per token
+        caches = _fresh_caches(small_model, compression=0.2)
+        n = 30
+        x = small_model.embedding[np.arange(n)[None]].astype(np.float32)
+        for li, store in enumerate(caches.stores):
+            x, heads = forward_layer(small_model, li, x, store)
+            assert max(store.lengths) < n
+            assert heads.shape[2] == n and x.shape[1] == n
+
     def test_token_out_of_range(self, small_model):
         with pytest.raises(InputError, match="token id out of range"):
             forward_chunk(small_model, [0, 300], _fresh_caches(small_model))
