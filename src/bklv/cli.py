@@ -78,10 +78,7 @@ def cmd_init_model(args) -> int:
 
 def cmd_profile(args) -> int:
     model = io.read_model_file(args.model)
-    prompts = []
-    for path in args.prompt:
-        with open(path, "rb") as fh:
-            prompts.append(io.encode_bytes(fh.read()))
+    prompts = [io.read_document(path) for path in args.prompt]
     profile = profile_model(model, prompts, keep_per_token=args.heatmap)
     sims = profile.prompt_head_similarity
     pairs = [
@@ -152,13 +149,16 @@ def cmd_eval(args) -> int:
     context_len = model.config.max_context if args.context_len is None else args.context_len
     memory = memory_report(plan, model.config, args.bytes_per_element)
     loss = chunked_perplexity(model, corpus, context_len, plan)
-    doc = io.eval_report_to_dict(loss, memory, plan, model.config)
     print(f"perplexity: {math.exp(loss):.6f}")
     print(f"loss: {loss:.6f}")
     print(f"total_bytes: {memory['total_bytes']}")
     print(f"achieved_compression: {memory['achieved_compression']:.6f}")
     if args.out:
-        io.write_json(args.out, doc)
+        io.write_json(args.out, {
+            "format_version": io.EVAL_VERSION, "loss": loss, "perplexity": math.exp(loss),
+            "strategy": plan.strategy, "requested_compression": plan.compression_ratio,
+            "achieved_compression": memory["achieved_compression"], "memory": memory,
+        })
         _manifest(
             args, args.out, {"model": args.model, "plan": args.plan, "report": args.out}
         )
@@ -192,8 +192,7 @@ def cmd_generate(args) -> int:
     if args.text is not None:
         prompt = io.encode_bytes(args.text.encode("utf-8"))
     else:
-        with open(args.prompt, "rb") as fh:
-            prompt = io.encode_bytes(fh.read())
+        prompt = io.read_document(args.prompt)
     memory = memory_report(plan, model.config, args.bytes_per_element)
     out_ids = greedy_generate(model, prompt, args.steps, build_cache_set(plan, model.config))
     text = io.decode_ids(out_ids).decode("utf-8", errors="replace")

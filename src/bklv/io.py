@@ -7,7 +7,6 @@ byte-identical files. Each document carries a format_version field.
 
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import asdict
@@ -41,9 +40,16 @@ def decode_ids(ids) -> bytes:
     return bytes(int(i) for i in ids if int(i) < 256)
 
 
+def read_document(path: str) -> list[int]:
+    """One file's raw bytes as a BOS-prefixed document of token ids. Every
+    input file (corpus, prompt) is read here; an unreadable path raises OSError."""
+    with open(path, "rb") as fh:
+        return encode_bytes(fh.read())
+
+
 def load_corpus(paths: list[str]) -> np.ndarray:
-    """Read plain files as raw bytes, one BOS-prefixed document per file,
-    into one int64 array of token ids.
+    """Read plain files, one document per file (read_document), into one
+    int64 array of token ids.
 
     Directories expand to the files directly in them, in sorted name
     order. Nothing found raises InputError; an unreadable path, OSError.
@@ -60,23 +66,15 @@ def load_corpus(paths: list[str]) -> np.ndarray:
             files.append(path)
     if not files:
         raise InputError("corpus is empty: no files found")
-    ids: list[int] = []
-    for fname in files:
-        with open(fname, "rb") as fh:
-            ids.extend(encode_bytes(fh.read()))
-    return np.asarray(ids, dtype=np.int64)
+    return np.asarray([i for fname in files for i in read_document(fname)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # low-level helpers
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path: str) -> str:
     with open(path, "rb") as fh:
-        return sha256_bytes(fh.read())
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -156,8 +154,13 @@ def write_model_file(model: Model, path: str) -> None:
 
 
 def read_model_file(path: str) -> Model:
+    """The model in a weight file; each FormatError names the file."""
     with open(path, "rb") as fh:
-        return deserialize_model(fh.read())
+        data = fh.read()
+    try:
+        return deserialize_model(data)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +263,6 @@ def write_plan(plan: AllocationPlan, config: ModelConfig, path: str) -> None:
 
 def read_plan(path: str) -> AllocationPlan:
     return plan_from_dict(read_json(path), path)
-
-
-# ---------------------------------------------------------------------------
-# eval report
-
-def eval_report_to_dict(
-    loss: float, memory: dict, plan: AllocationPlan, config: ModelConfig
-) -> dict:
-    """`memory` is the plan's memory_report."""
-    return {
-        "format_version": EVAL_VERSION,
-        "loss": loss,
-        "perplexity": math.exp(loss),
-        "strategy": plan.strategy,
-        "requested_compression": plan.compression_ratio,
-        "achieved_compression": plan.achieved_compression(config),
-        "memory": memory,
-    }
 
 
 # ---------------------------------------------------------------------------

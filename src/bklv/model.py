@@ -56,37 +56,39 @@ class Model:
     final_norm: np.ndarray  # (d_model,)
 
 
-def _layer_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+def _layer_shapes(cfg: ModelConfig) -> list[tuple[int, ...]]:
+    """The shapes of one layer's tensors, in LayerWeights field order; the
+    1-D ones are the norm gains."""
+    q, kv = cfg.num_q_heads * cfg.head_dim, cfg.num_kv_heads * cfg.head_dim
     return [
-        ("attn_q", (cfg.d_model, cfg.num_q_heads * cfg.head_dim)),
-        ("attn_k", (cfg.d_model, cfg.num_kv_heads * cfg.head_dim)),
-        ("attn_v", (cfg.d_model, cfg.num_kv_heads * cfg.head_dim)),
-        ("attn_out", (cfg.num_q_heads * cfg.head_dim, cfg.d_model)),
-        ("mlp_in", (cfg.d_model, cfg.d_ff)),
-        ("mlp_out", (cfg.d_ff, cfg.d_model)),
-        ("norm1", (cfg.d_model,)),
-        ("norm2", (cfg.d_model,)),
+        (cfg.d_model, q), (cfg.d_model, kv), (cfg.d_model, kv), (q, cfg.d_model),
+        (cfg.d_model, cfg.d_ff), (cfg.d_ff, cfg.d_model), (cfg.d_model,), (cfg.d_model,),
     ]
+
+
+def _canonical_shapes(cfg: ModelConfig) -> list[tuple[int, ...]]:
+    """Every tensor's shape, in the order of _canonical_tensors."""
+    return [(cfg.vocab_size, cfg.d_model), *_layer_shapes(cfg) * cfg.num_layers, (cfg.d_model,)]
+
+
+def _assemble(cfg: ModelConfig, tensors: list[np.ndarray]) -> Model:
+    """The model whose canonical tensors (_canonical_tensors) are `tensors`."""
+    blocks, n = tensors[1:-1], len(fields(LayerWeights))
+    layers = [LayerWeights(*blocks[i : i + n]) for i in range(0, len(blocks), n)]
+    return Model(cfg, tensors[0], layers, tensors[-1])
 
 
 def init_model(config: ModelConfig) -> Model:
-    """Build a model with weights generated by the documented scheme."""
+    """Build a model with weights generated by the documented scheme: one
+    default_rng(seed) stream draws every matrix (2-D tensor) in canonical
+    order, and the gains (1-D) are ones."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-
-    def draw(shape):
-        return rng.normal(0.0, WEIGHT_STD, size=shape).astype(np.float32)
-
-    embedding = draw((config.vocab_size, config.d_model))
-    layers = [
-        LayerWeights(**{
-            name: np.ones(shape, dtype=np.float32) if name.startswith("norm") else draw(shape)
-            for name, shape in _layer_shapes(config)
-        })
-        for _ in range(config.num_layers)
-    ]
-    final_norm = np.ones(config.d_model, dtype=np.float32)
-    return Model(config, embedding, layers, final_norm)
+    return _assemble(config, [
+        rng.normal(0.0, WEIGHT_STD, size=shape).astype(np.float32)
+        if len(shape) == 2 else np.ones(shape, dtype=np.float32)
+        for shape in _canonical_shapes(config)
+    ])
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -283,9 +285,8 @@ def greedy_generate(model: Model, prompt, steps: int, caches: CacheSet) -> list[
 
 # Weight file format: one newline-terminated ASCII header line
 #   bklv1 key=value ... (sorted keys, every ModelConfig field)
-# followed by raw little-endian float32 tensors in canonical order:
-# embedding, then per layer attn_q, attn_k, attn_v, attn_out, mlp_in,
-# mlp_out, norm1, norm2, then final_norm. Row-major within each tensor.
+# followed by the raw little-endian float32 tensors of _canonical_tensors,
+# each row-major.
 
 def serialize_model(model: Model) -> bytes:
     pairs = asdict(model.config)
@@ -299,10 +300,10 @@ def serialize_model(model: Model) -> bytes:
 
 
 def _canonical_tensors(model: Model):
+    """The embedding, each layer's tensors in LayerWeights field order, then final_norm."""
     yield model.embedding
     for layer in model.layers:
-        for name, _ in _layer_shapes(model.config):
-            yield getattr(layer, name)
+        yield from (getattr(layer, f.name) for f in fields(LayerWeights))
     yield model.final_norm
 
 
@@ -348,8 +349,7 @@ def deserialize_model(data: bytes) -> Model:
     body = data[newline + 1 :]
     # sized in Python ints before any per-layer list is built, so a huge
     # header neither overflows nor allocates
-    layer_shapes = [shape for _, shape in _layer_shapes(cfg)]
-    layer_size = sum(math.prod(shape) for shape in layer_shapes)
+    layer_size = sum(math.prod(shape) for shape in _layer_shapes(cfg))
     expected = 4 * ((cfg.vocab_size + 1) * cfg.d_model + cfg.num_layers * layer_size)
     if len(body) != expected:
         raise FormatError(f"weight payload is {len(body)} bytes, expected {expected}")
@@ -357,21 +357,9 @@ def deserialize_model(data: bytes) -> Model:
     flat = np.frombuffer(body, dtype="<f4")
     if not np.all(np.isfinite(flat)):
         raise FormatError("weight payload contains non-finite values")
-    shapes = [(cfg.vocab_size, cfg.d_model), *layer_shapes * cfg.num_layers, (cfg.d_model,)]
-    tensors = []
-    offset = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        tensors.append(flat[offset : offset + size].reshape(shape).copy())
-        offset += size
-
-    embedding = tensors[0]
-    per_layer = len(_layer_shapes(cfg))
-    layers = []
-    for li in range(cfg.num_layers):
-        block = tensors[1 + li * per_layer : 1 + (li + 1) * per_layer]
-        layers.append(LayerWeights(*block))
-    return Model(cfg, embedding, layers, tensors[-1])
+    shapes = _canonical_shapes(cfg)
+    pieces = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    return _assemble(cfg, [piece.reshape(shape).copy() for piece, shape in zip(pieces, shapes)])
 
 
 def model_checksum(model: Model) -> str:

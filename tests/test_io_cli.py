@@ -341,6 +341,7 @@ class TestCli:
         assert rc != 0
         err = json.loads(capsys.readouterr().err.strip())
         assert "format version" in err["error"]
+        assert err["error"] == f"{bad}: format version: expected 'bklv1', got 'bklv0'"
 
     def test_profile_byte_identical_reruns(self, cli_env, capsys):
         p1 = str(cli_env["dir"] / "p1.json")
@@ -441,6 +442,16 @@ class TestCli:
         ) == 0
         doc = _load(eval_out)
         assert doc["format_version"] == io.EVAL_VERSION
+        assert set(doc) == {
+            "format_version", "loss", "perplexity", "strategy", "requested_compression",
+            "achieved_compression", "memory",
+        }
+        assert doc["perplexity"] == math.exp(doc["loss"])
+        assert doc["achieved_compression"] == doc["memory"]["achieved_compression"]
+        plan = _load(plan_path)
+        assert (doc["strategy"], doc["requested_compression"]) == (
+            plan["strategy"], plan["requested_compression"]
+        )
         anchor = [p for p in report["grid"] if p["t"] == 0.0 and p["r"] == 0.0][0]
         assert doc["loss"] == anchor["loss"]
         assert anchor["loss"] == report["uniform_loss"]
@@ -588,6 +599,44 @@ class TestCli:
             assert main(["generate", "--model", cli_env["model"], "--plan", plan_path, "--text", "abc", "--steps", "8"]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    def test_generate_prompt_file_prints_what_the_same_text_prints(
+        self, cli_env, tmp_path, capsys, monkeypatch
+    ):
+        d = cli_env["dir"]
+        prof, plan_path = str(d / "prof.json"), str(d / "plan.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "0.5", "--out", plan_path])
+        text = "caché holds ünïcode"
+        prompt = tmp_path / "prompt.txt"
+        prompt.write_bytes(text.encode("utf-8"))
+        # this model's output does not show a lost BOS, so record the prompt ids too
+        prompts, generate = [], cli_module.greedy_generate
+        monkeypatch.setattr(
+            cli_module, "greedy_generate",
+            lambda model, ids, *rest: prompts.append(list(ids)) or generate(model, ids, *rest),
+        )
+        outs = []
+        for source in (["--text", text], ["--prompt", str(prompt)]):
+            capsys.readouterr()
+            assert main(["generate", "--model", cli_env["model"], "--plan", plan_path, *source,
+                         "--steps", "12"]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+        assert "generated_tokens: 12" in outs[1].out and outs[1].err == ""
+        assert prompts == [[io.BOS_ID, *text.encode("utf-8")]] * 2
+
+    def test_generate_prompt_directory_is_an_io_error(self, cli_env, tmp_path, capsys):
+        d = cli_env["dir"]
+        prof, plan_path = str(d / "prof.json"), str(d / "plan.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "1.0", "--out", plan_path])
+        capsys.readouterr()
+        rc = main(["generate", "--model", cli_env["model"], "--plan", plan_path,
+                   "--prompt", str(tmp_path), "--steps", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert json.loads(captured.err)["error"].startswith("i/o error")
 
     def test_manifest_checksums_match(self, cli_env):
         manifest = _load(cli_env["model"] + ".manifest")
