@@ -2,12 +2,11 @@
 init-model -> profile -> plan -> search -> eval -> sweep -> generate.
 
 Validation failures exit nonzero with a machine-readable JSON error on
-stderr; successful runs write nothing to stderr. Every command that
-writes an artifact also writes a `<out>.manifest` recording checksums.
+stderr; successful runs write nothing to stderr. After a command succeeds
+with `--out`, `main` writes `<out>.manifest` from the command's flags.
 """
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -19,7 +18,7 @@ from .cache import build_cache_set, memory_report
 from .config import ModelConfig
 from .errors import BklvError, InputError
 from .model import greedy_generate, init_model, model_checksum
-from .profiling import profile_model, rank_correlation
+from .profiling import profile_model
 from .search import (
     DEFAULT_R_GRID,
     DEFAULT_T_GRID,
@@ -37,10 +36,6 @@ def _fail(message: str, violations: list[str] | None = None) -> int:
         file=sys.stderr,
     )
     return 1
-
-
-def _manifest(args, out_path: str, files: dict[str, str]) -> None:
-    io.write_manifest(out_path + ".manifest", args.argv, files)
 
 
 def _read_profile_for(model, path: str):
@@ -70,7 +65,6 @@ def cmd_init_model(args) -> int:
     cfg = ModelConfig(**given, d_model=args.num_q_heads * args.head_dim)
     model = init_model(cfg)
     io.write_model_file(model, args.out)
-    _manifest(args, args.out, {"model": args.out})
     print(f"model: {args.out}")
     print(f"checksum: {model_checksum(model)}")
     return 0
@@ -80,17 +74,7 @@ def cmd_profile(args) -> int:
     model = io.read_model_file(args.model)
     prompts = [io.read_document(path) for path in args.prompt]
     profile = profile_model(model, prompts, keep_per_token=args.heatmap)
-    sims = profile.prompt_head_similarity
-    pairs = [
-        {
-            "a": profile.prompt_ids[i],
-            "b": profile.prompt_ids[j],
-            "per_layer_spearman": rank_correlation(sims[i], sims[j]).tolist(),
-        }
-        for i, j in itertools.combinations(range(len(prompts)), 2)
-    ]
-    io.write_profile(profile, args.out, {"prompt_consistency": pairs} if pairs else None)
-    _manifest(args, args.out, {"model": args.model, "profile": args.out})
+    io.write_profile(profile, args.out)
     print(f"profile: {args.out}")
     print(f"model_id: {profile.model_id}")
     return 0
@@ -102,7 +86,6 @@ def cmd_plan(args) -> int:
     params = PlanParams(t=args.t, r=args.r, layer_t=args.layer_t, layer_r=args.layer_r)
     plan = build_plan(profile, cfg, args.strategy, args.compression, params, args.sinks)
     io.write_plan(plan, cfg, args.out)
-    _manifest(args, args.out, {"profile": args.profile, "plan": args.out})
     print(f"plan: {args.out}")
     print(f"achieved_compression: {plan.achieved_compression(cfg):.6f}")
     return 0
@@ -131,7 +114,6 @@ def cmd_search(args) -> int:
         sinks=args.sinks, layer_t=args.layer_t, layer_r=args.layer_r,
     )
     io.write_json(args.out, {"format_version": io.SEARCH_VERSION, **report})
-    _manifest(args, args.out, {"model": args.model, "profile": args.profile, "report": args.out})
     print(f"report: {args.out}")
     print(f"best_t: {report['best']['t']}")
     print(f"best_r: {report['best']['r']}")
@@ -159,9 +141,6 @@ def cmd_eval(args) -> int:
             "strategy": plan.strategy, "requested_compression": plan.compression_ratio,
             "achieved_compression": memory["achieved_compression"], "memory": memory,
         })
-        _manifest(
-            args, args.out, {"model": args.model, "plan": args.plan, "report": args.out}
-        )
     return 0
 
 
@@ -174,10 +153,6 @@ def cmd_sweep(args) -> int:
     if profile is not None:
         report["correlation"] = heuristic_vs_empirical(profile, report)
     io.write_json(args.out, {"format_version": io.SWEEP_VERSION, **report})
-    files = {"model": args.model, "report": args.out}
-    if args.profile:
-        files["profile"] = args.profile
-    _manifest(args, args.out, files)
     print(f"report: {args.out}")
     print(f"scores: {' '.join(f'{s:.4f}' for s in report['scores'])}")
     if profile is not None:
@@ -291,12 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# manifest roles: the input flags, and each command's --out ("report" if not listed)
+_INPUT_ROLES = ("model", "profile", "plan", "corpus", "prompt")
+_OUTPUT_ROLES = {"init-model": "model", "profile": "profile", "plan": "plan"}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args.argv = argv  # recorded in manifests
     try:
-        return args.func(args)
+        code = args.func(args)
+        if code == 0 and getattr(args, "out", None):
+            files = {role: getattr(args, role) for role in _INPUT_ROLES if getattr(args, role, None)}
+            files[_OUTPUT_ROLES.get(args.command, "report")] = args.out
+            io.write_manifest(args.out + ".manifest", argv, files)
+        return code
     except BklvError as exc:
         return _fail(str(exc), exc.violations)
     except OSError as exc:

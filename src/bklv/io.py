@@ -47,13 +47,9 @@ def read_document(path: str) -> list[int]:
         return encode_bytes(fh.read())
 
 
-def load_corpus(paths: list[str]) -> np.ndarray:
-    """Read plain files, one document per file (read_document), into one
-    int64 array of token ids.
-
-    Directories expand to the files directly in them, in sorted name
-    order. Nothing found raises InputError; an unreadable path, OSError.
-    """
+def corpus_files(paths: list[str]) -> list[str]:
+    """The files that `paths` name, in reading order: a directory expands to
+    the files directly in it, in sorted name order; any other path stays."""
     files: list[str] = []
     for path in paths:
         if os.path.isdir(path):
@@ -64,6 +60,13 @@ def load_corpus(paths: list[str]) -> np.ndarray:
             )
         else:
             files.append(path)
+    return files
+
+
+def load_corpus(paths: list[str]) -> np.ndarray:
+    """corpus_files(paths), one document per file (read_document), as one int64
+    array of token ids. Nothing found raises InputError; an unreadable path, OSError."""
+    files = corpus_files(paths)
     if not files:
         raise InputError("corpus is empty: no files found")
     return np.asarray([i for fname in files for i in read_document(fname)], dtype=np.int64)
@@ -166,7 +169,7 @@ def read_model_file(path: str) -> Model:
 # ---------------------------------------------------------------------------
 # importance profile
 
-def profile_to_dict(profile: ImportanceProfile, extra: dict | None = None) -> dict:
+def profile_to_dict(profile: ImportanceProfile) -> dict:
     doc = {
         "format_version": PROFILE_VERSION,
         "model_id": profile.model_id,
@@ -181,8 +184,8 @@ def profile_to_dict(profile: ImportanceProfile, extra: dict | None = None) -> di
             else [m.tolist() for m in profile.per_token_similarity]
         ),
     }
-    if extra:
-        doc.update(extra)
+    if profile.prompt_consistency is not None:  # written, never read back
+        doc["prompt_consistency"] = profile.prompt_consistency
     return doc
 
 
@@ -211,8 +214,8 @@ def profile_from_dict(doc: dict, path: str = "<memory>") -> ImportanceProfile:
         raise FormatError(f"{path}: malformed profile: {exc}") from exc
 
 
-def write_profile(profile: ImportanceProfile, path: str, extra: dict | None = None) -> None:
-    write_json(path, profile_to_dict(profile, extra))
+def write_profile(profile: ImportanceProfile, path: str) -> None:
+    write_json(path, profile_to_dict(profile))
 
 
 def read_profile(path: str) -> ImportanceProfile:
@@ -268,16 +271,22 @@ def read_plan(path: str) -> AllocationPlan:
 # ---------------------------------------------------------------------------
 # run manifest
 
-def write_manifest(path: str, command: list[str], files: dict[str, str]) -> None:
-    """Record what a command produced: every referenced file's checksum at
-    write time plus a timestamp."""
+def write_manifest(path: str, command: list[str], files: dict[str, str | list[str]]) -> None:
+    """Record what a command read and wrote: each file's checksum at write
+    time, by role, plus a timestamp. A role given a list of paths (the
+    repeatable corpus and prompt) records one entry per file read, with
+    directories expanded as load_corpus expands them (corpus_files)."""
+
+    def entry(fpath: str) -> dict:
+        return {"path": fpath, "sha256": sha256_file(fpath)}
+
     doc = {
         "format_version": MANIFEST_VERSION,
         "command": list(command),
         "created_unix": time.time(),
         "files": {
-            role: {"path": fpath, "sha256": sha256_file(fpath)}
-            for role, fpath in files.items()
+            role: entry(p) if isinstance(p, str) else [entry(f) for f in corpus_files(p)]
+            for role, p in files.items()
         },
     }
     write_json(path, doc)

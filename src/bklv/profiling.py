@@ -9,6 +9,7 @@ hidden states entering and leaving each layer.
 """
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,9 @@ class ImportanceProfile:
 
     per_token_similarity, when kept, holds one (layers, tokens, q_heads)
     array of raw token cosines per prompt for heatmap rendering.
-    prompt_head_similarity holds each prompt's own (layers, q_heads)
-    similarities; it lives in memory only and is never serialized.
+    prompt_consistency, for two prompts or more, holds one entry per
+    prompt pair i < j: {"a", "b" (prompt ids), "per_layer_spearman"},
+    the rank_correlation of the two prompts' own head similarities.
     """
 
     model_id: str
@@ -39,7 +41,7 @@ class ImportanceProfile:
     layer_importance: np.ndarray  # (layers,) in [0, 1]
     config: ModelConfig
     per_token_similarity: list[np.ndarray] | None = None
-    prompt_head_similarity: list[np.ndarray] | None = None
+    prompt_consistency: list[dict] | None = None
 
 
 def token_cosine_similarities(v_in: np.ndarray, attn_out: np.ndarray) -> np.ndarray:
@@ -142,15 +144,20 @@ def profile_model(
 
     head_sims = np.mean(per_prompt_head, axis=0)
     layer_sims = np.mean(per_prompt_layer, axis=0)
+    ids = [_prompt_id(a) for a in arrays]
+    pairs = [
+        {"a": a, "b": b, "per_layer_spearman": rank_correlation(sims_a, sims_b).tolist()}
+        for (a, sims_a), (b, sims_b) in itertools.combinations(zip(ids, per_prompt_head), 2)
+    ]
     return ImportanceProfile(
         model_id=model_checksum(model),
-        prompt_ids=[_prompt_id(a) for a in arrays],
+        prompt_ids=ids,
         head_similarity=head_sims,
         kv_importance=group_kv_importance(head_sims, cfg.group_size),
         layer_importance=1.0 - layer_sims,
         config=cfg,
         per_token_similarity=per_token,
-        prompt_head_similarity=per_prompt_head,
+        prompt_consistency=pairs or None,
     )
 
 
@@ -180,7 +187,7 @@ def spearman(x, y) -> tuple[float, bool]:
 
 def rank_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-layer Spearman correlation of two (layers, q_heads) head-similarity
-    matrices, such as two prompts' entries of prompt_head_similarity."""
+    matrices, such as two prompts' own similarities (prompt_consistency)."""
     if a.ndim != 2 or a.shape != b.shape:
         raise ShapeError(f"expected equal (layers, q_heads) matrices, got {a.shape} vs {b.shape}")
     return np.array([spearman(row_a, row_b)[0] for row_a, row_b in zip(a, b)])

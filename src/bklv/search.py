@@ -22,7 +22,7 @@ from .allocation import (
     uniform_plan,
 )
 from .cache import CacheSet, LayerStore, clamp_budgets
-from .errors import InputError, ShapeError
+from .errors import InputError
 from .model import Model, check_context, check_tokens, forward_chunk, forward_layer, output_logits
 from .numerics import log_softmax_f64
 from .profiling import ImportanceProfile, spearman
@@ -236,14 +236,10 @@ def heuristic_vs_empirical(profile: ImportanceProfile, sweep: dict) -> dict:
     "correlation" object: "full" and "full_degenerate" over all layers,
     and "trimmed" and "trimmed_degenerate" without the "trim" =
     window//2 layers at each end, where window overlap at the boundaries
-    biases scores.
+    biases scores. Unequal lengths raise spearman's ShapeError.
     """
     imp = np.asarray(profile.layer_importance, dtype=np.float64)
     scores = np.asarray(sweep["scores"], dtype=np.float64)
-    if imp.shape != scores.shape:
-        raise ShapeError(
-            f"layer importance ({imp.shape}) and sweep scores ({scores.shape}) differ"
-        )
     full, full_deg = spearman(imp, scores)
     trim = sweep["window"] // 2
     # fewer than two layers left after trimming is spearman's degenerate case

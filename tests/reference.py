@@ -101,10 +101,12 @@ def _ref_silu(x):
     return x / (1.0 + np.exp(-x))
 
 
-def reference_logits(model, tokens) -> np.ndarray:
+def reference_logits(model, tokens, attention: list | None = None) -> np.ndarray:
     """Cache-free full forward over the whole sequence, written separately
     from the production path (per-position rotary, per-head masked
-    attention over the full history)."""
+    attention over the full history). If `attention` is a list, each
+    head's (tokens, tokens) attention probabilities are appended to it,
+    layer by layer and head by head."""
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
     t = tokens.size
@@ -128,6 +130,8 @@ def reference_logits(model, tokens) -> np.ndarray:
                 scores[i, i + 1 :] = -np.inf
             probs = naive_row_softmax(scores).astype(np.float32)
             heads[:, head] = probs @ v[:, grp]
+            if attention is not None:
+                attention.append(probs)
         x = x + heads.reshape(t, -1) @ layer.attn_out
         h2 = _ref_rms(x, layer.norm2)
         x = x + _ref_silu(h2 @ layer.mlp_in) @ layer.mlp_out
@@ -333,8 +337,13 @@ def planted_model(model, local_groups, q_gain: float = 40.0, out_gain: float = 1
 
     Each query head of a KV group in `local_groups` gets W_q = q_gain x its
     group's W_k. Rotary positions turn a query and a key at the same
-    position alike, so the head scores its own token far above the others
-    and its output stays close to its own V row: a low-importance head.
+    position alike, so the head favours its own token and its output stays
+    nearer its own V row than a global head's: a low-importance head.
+    Measured on the README prompts with the seed-7 model, groups (0, 1)
+    local and q_gain 40, the own token takes about half of a local head's
+    attention: averaged over positions and local heads, 0.535, 0.501, 0.544
+    and 0.480 per layer on prompt_a and 0.588, 0.568, 0.590 and 0.572 on
+    prompt_b, and as little as 0.013 at a single position and head.
     Every other group gets W_q = W_k = 0, so all its scores are equal and
     it averages V over the causal prefix: a high-importance head. attn_out
     is scaled by out_gain, so attention dominates the residual stream.

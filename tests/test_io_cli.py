@@ -644,6 +644,30 @@ class TestCli:
         entry = manifest["files"]["model"]
         assert entry["sha256"] == io.sha256_file(cli_env["model"])
 
+    def test_eval_manifest_lists_a_corpus_directory_in_reading_order(
+        self, cli_env, tmp_path, monkeypatch
+    ):
+        d = cli_env["dir"]
+        prof, plan_path = str(d / "prof.json"), str(d / "plan.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "0.5", "--out", plan_path])
+        corpus_dir = tmp_path / "corpus_dir"
+        (corpus_dir / "nested").mkdir(parents=True)  # not a file: not read, not listed
+        for name, seed in (("b.txt", 5), ("a.txt", 6), ("c.txt", 7)):
+            _write_text(corpus_dir / name, 60, seed=seed)
+        read, read_document = [], io.read_document
+        monkeypatch.setattr(io, "read_document", lambda path: read.append(path) or read_document(path))
+        out = str(d / "evaldir.json")
+        assert main(["eval", "--model", cli_env["model"], "--plan", plan_path,
+                     "--corpus", str(corpus_dir), "--corpus", cli_env["corpus"],
+                     "--context-len", "48", "--out", out]) == 0
+        listed = _load(out + ".manifest")["files"]["corpus"]
+        assert [entry["path"] for entry in listed] == read == [
+            str(corpus_dir / "a.txt"), str(corpus_dir / "b.txt"), str(corpus_dir / "c.txt"),
+            cli_env["corpus"],
+        ]
+        assert [entry["sha256"] for entry in listed] == [io.sha256_file(path) for path in read]
+
     def test_manifest_records_the_argv_given_to_main(self, cli_env):
         out = str(cli_env["dir"] / "argv.json")
         argv = ["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", out]

@@ -31,6 +31,7 @@ from .reference import (
     planted_model,
     readme_text,
     reference_budgeted_logits,
+    reference_logits,
     spearman_average_ranks,
     spearman_textbook,
 )
@@ -252,12 +253,21 @@ class TestProfileModel:
             layer_sim = layer_similarity(probes["layer_input"][li], probes["layer_output"][li])
             assert profile.layer_importance[li] == 1.0 - layer_sim
 
-    def test_prompt_head_similarity_equals_single_prompt_profiles(self, small_model, rng):
+    def test_prompt_consistency_equals_single_prompt_profiles(self, small_model, rng):
         prompts = [_random_prompt(rng, n) for n in (40, 57, 33)]
         joint = profile_model(small_model, prompts)
-        assert len(joint.prompt_head_similarity) == len(prompts)
-        for p, sims in zip(prompts, joint.prompt_head_similarity):
-            assert np.array_equal(sims, profile_model(small_model, [p]).head_similarity)
+        singles = [profile_model(small_model, [p]) for p in prompts]
+        assert [single.prompt_consistency for single in singles] == [None] * 3
+        assert joint.prompt_consistency == [
+            {
+                "a": singles[i].prompt_ids[0],
+                "b": singles[j].prompt_ids[0],
+                "per_layer_spearman": rank_correlation(
+                    singles[i].head_similarity, singles[j].head_similarity
+                ).tolist(),
+            }
+            for i, j in ((0, 1), (0, 2), (1, 2))
+        ]
 
     def test_per_token_capture(self, small_model, rng):
         p = _random_prompt(rng, 40)
@@ -295,6 +305,25 @@ class TestPlantedStructure:
         moved = plan.budgets - uniform_plan(cfg, 0.3).budgets
         assert np.all(moved[:, LOCAL] < 0) and np.all(moved[:, GLOBAL] > 0)
         assert np.all(moved.sum(axis=1) == 0)
+
+    def test_local_heads_put_about_half_their_attention_on_their_own_token(self, toy_model):
+        # each local head's probability on the query's own token, from the
+        # cache-free reference forward, averaged over positions and local heads
+        # per layer; measured values rounded to 4 decimals, so atol 1e-4
+        model = planted_model(toy_model, local_groups=(0, 1))
+        cfg = model.config
+        measured = {(260, 1): [0.5354, 0.5014, 0.5435, 0.4800],
+                    (200, 2): [0.5885, 0.5678, 0.5905, 0.5724]}
+        smallest = []
+        for (size, seed), means in measured.items():
+            tokens = io.encode_bytes(readme_text(size, seed))
+            attention = []
+            reference_logits(model, tokens, attention)
+            probs = np.reshape(attention, (cfg.num_layers, cfg.num_q_heads, len(tokens), len(tokens)))
+            own = np.diagonal(probs[:, : 2 * cfg.group_size], axis1=2, axis2=3)  # groups 0-1
+            np.testing.assert_allclose(own.mean(axis=(1, 2)), means, rtol=0, atol=1e-4)
+            smallest.append(own.min())
+        assert abs(min(smallest) - 0.0130) <= 1e-4
 
 
 class TestRankCorrelation:

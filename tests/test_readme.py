@@ -2,10 +2,14 @@
 files it generates: the comparison table, the point `search` selects, the
 sweep's correlations and both plans' budget matrices, as the commands
 print and write them. The bytes of search.json and sweep.json are not
-pinned: a change of float32 rounding may move their losses' last bits."""
+pinned: a change of float32 rounding may move their losses' last bits.
+Every manifest the walkthrough writes is checked against the files its
+command's flags name and the bytes on disk."""
 
+import hashlib
 import json
 
+from bklv import cli
 from bklv.cli import main
 
 from .reference import readme_text
@@ -13,6 +17,19 @@ from .reference import readme_text
 UNIFORM_BUDGETS = [[154, 154, 154, 153], [154, 154, 154, 153], [154, 154, 153, 153], [154, 154, 153, 153]]
 # t=0.7, r=0.6 moves 92 tokens from group 1 to group 0 of layer 0 only
 BAKLAVA_BUDGETS = [[246, 62, 154, 153], *UNIFORM_BUDGETS[1:]]
+# each --out's manifest: role -> the path its flag names, a list for the
+# repeatable --corpus and --prompt (the eval commands have no --out)
+MANIFEST_FILES = {
+    "model.bklv": {"model": "model.bklv"},
+    "profile.json": {"model": "model.bklv", "prompt": ["prompt_a.txt", "prompt_b.txt"],
+                     "profile": "profile.json"},
+    "uniform.json": {"profile": "profile.json", "plan": "uniform.json"},
+    "search.json": {"model": "model.bklv", "profile": "profile.json", "corpus": ["corpus.txt"],
+                    "report": "search.json"},
+    "baklava.json": {"profile": "profile.json", "plan": "baklava.json"},
+    "sweep.json": {"model": "model.bklv", "corpus": ["corpus.txt"], "profile": "profile.json",
+                   "report": "sweep.json"},
+}
 
 
 def _run(capsys, *argv) -> dict:
@@ -55,10 +72,30 @@ def test_the_walkthrough_prints_the_readme_numbers(tmp_path, monkeypatch, capsys
     sweep = _run(capsys, "sweep", *model, *corpus, "--window", "3", "--compression", "0.2",
                  "--profile", "profile.json", "--out", "sweep.json")
     assert (sweep["correlation_full"], sweep["correlation_trimmed"]) == ("0.8000", "1.0000")
+    # stdout need not show a lost BOS or byte, so check the ids the model is given
+    prompts, generate = [], cli.greedy_generate
+    monkeypatch.setattr(
+        cli, "greedy_generate",
+        lambda model, ids, *rest: prompts.append(list(ids)) or generate(model, ids, *rest),
+    )
     generated = _run(capsys, "generate", *model, "--plan", "uniform.json",
                      "--text", "the cache holds", "--steps", "16")
     assert generated["generated_tokens"] == "16"
+    assert prompts == [[256, *b"the cache holds"]]
 
     for name, budgets in (("uniform.json", UNIFORM_BUDGETS), ("baklava.json", BAKLAVA_BUDGETS)):
         plan = json.loads((tmp_path / name).read_bytes())
         assert (plan["budgets"], plan["sinks"]) == (budgets, 4), name
+
+    def entry(path):
+        return {"path": path, "sha256": hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()}
+
+    assert sorted(p.name for p in tmp_path.glob("*.manifest")) == sorted(
+        out + ".manifest" for out in MANIFEST_FILES
+    )
+    for out, files in MANIFEST_FILES.items():
+        manifest = json.loads((tmp_path / (out + ".manifest")).read_bytes())
+        assert manifest["files"] == {
+            role: [entry(p) for p in path] if isinstance(path, list) else entry(path)
+            for role, path in files.items()
+        }, out

@@ -13,6 +13,7 @@ from bklv import (
     LayerStore,
     Model,
     PlanParams,
+    ShapeError,
     append_and_evict,
     build_cache_set,
     build_plan,
@@ -395,6 +396,13 @@ class TestLayerSweep:
 
 
 class TestHeuristicVsEmpirical:
+    @pytest.mark.parametrize("n_scores", [1, 3])
+    def test_scores_of_the_wrong_length_raise(self, small_profile, n_scores):
+        # small_profile has 2 layers; spearman states the equal-vectors rule
+        sweep = {"window": 1, "scores": [2.0, 1.0, 3.0][:n_scores]}
+        with pytest.raises(ShapeError, match=r"expected equal 1-D vectors, got \(2,\) vs"):
+            heuristic_vs_empirical(small_profile, sweep)
+
     def test_constant_scores_degenerate(self, small_profile):
         sweep = {"window": 1, "scores": [2.0, 2.0]}
         report = heuristic_vs_empirical(small_profile, sweep)
