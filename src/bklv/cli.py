@@ -274,12 +274,15 @@ _OUTPUT_ROLES = {"init-model": "model", "profile": "profile", "plan": "plan"}
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
+    paths = {role: getattr(args, role) for role in _INPUT_ROLES if getattr(args, role, None)}
     try:
+        # hashed before the command runs, so an --out that overwrites an input is not read back
+        inputs = io.file_entries(paths) if out else {}
         code = args.func(args)
-        if code == 0 and getattr(args, "out", None):
-            files = {role: getattr(args, role) for role in _INPUT_ROLES if getattr(args, role, None)}
-            files[_OUTPUT_ROLES.get(args.command, "report")] = args.out
-            io.write_manifest(args.out + ".manifest", argv, files)
+        if code == 0 and out:
+            outputs = io.file_entries({_OUTPUT_ROLES.get(args.command, "report"): out})
+            io.write_manifest(out + ".manifest", argv, {**inputs, **outputs})
         return code
     except BklvError as exc:
         return _fail(str(exc), exc.violations)

@@ -271,22 +271,22 @@ def read_plan(path: str) -> AllocationPlan:
 # ---------------------------------------------------------------------------
 # run manifest
 
-def write_manifest(path: str, command: list[str], files: dict[str, str | list[str]]) -> None:
-    """Record what a command read and wrote: each file's checksum at write
-    time, by role, plus a timestamp. A role given a list of paths (the
-    repeatable corpus and prompt) records one entry per file read, with
-    directories expanded as load_corpus expands them (corpus_files)."""
+def file_entries(files: dict[str, str | list[str]]) -> dict:
+    """Each file's path and checksum by role, taken now. A role given a list
+    of paths (the repeatable corpus and prompt) gets one entry per file,
+    with directories expanded as load_corpus expands them (corpus_files)."""
 
     def entry(fpath: str) -> dict:
         return {"path": fpath, "sha256": sha256_file(fpath)}
 
-    doc = {
-        "format_version": MANIFEST_VERSION,
-        "command": list(command),
-        "created_unix": time.time(),
-        "files": {
-            role: entry(p) if isinstance(p, str) else [entry(f) for f in corpus_files(p)]
-            for role, p in files.items()
-        },
+    return {
+        role: entry(p) if isinstance(p, str) else [entry(f) for f in corpus_files(p)]
+        for role, p in files.items()
     }
-    write_json(path, doc)
+
+
+def write_manifest(path: str, command: list[str], files: dict) -> None:
+    """Record what a command read and wrote, file_entries taken by the
+    caller (inputs before the command runs, outputs after), plus a timestamp."""
+    doc = {"format_version": MANIFEST_VERSION, "command": list(command), "created_unix": time.time()}
+    write_json(path, {**doc, "files": files})

@@ -180,16 +180,13 @@ def forward_layer(
 
     `store` is the layer's: store.caches[b * kv_groups + g] is sequence b's
     group g (batch-major), all at the same stream position (CacheSet.total_seen
-    checks it). The stepping and new positions follow from its budgets and counts.
-    Only the cache append and attention are stepped: one segment of as
-    many tokens as every cache of this layer can take without evicting,
-    then single tokens, so each cache sees the appends and retained sets
-    of token-by-token generation. Each segment makes one append per cache,
-    of that cache's rows of the (batch * kv_groups, tokens, head_dim) new
-    keys and values, and one attention call for the whole batch; the dense
-    ops run one sequence at a time, so their temporaries stay the size of
-    one sequence. Each sequence's result depends on its own x and caches
-    only.
+    checks it). A chunk of several tokens attends once, every query over the
+    store and the chunk's new keys and values (attend_with_cache), and is then
+    appended: a segment of as many tokens as every cache of this layer can
+    take without evicting, then single tokens, the appends of token-by-token
+    generation. One token is appended first, then attends. The dense ops run
+    one sequence at a time, so their temporaries stay the size of one
+    sequence; each sequence's result depends on its own x and caches only.
     """
     cfg = model.config
     layer = model.layers[li]
@@ -219,14 +216,15 @@ def forward_layer(
     k_rows = qk[:, :, hq:].transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
     v_rows = v.reshape(batch, n, kv, d).transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
 
-    heads = np.empty((batch, hq, n, d), np.float32)
-    head_groups = heads.reshape(batch * kv, g, n, d)
+    if n > 1:
+        heads = attend_with_cache(store, q_groups, k_rows, v_rows).reshape(batch, hq, n, d)
     a = 0
     for e in range(first, n + 1):  # segments 0..first, then one token each
         for cache, k_new, v_new in zip(caches, k_rows[:, a:e], v_rows[:, a:e]):
             append_and_evict(cache, k_new, v_new)
-        head_groups[:, :, a:e] = attend_with_cache(store, q_groups[:, :, a:e])
         a = e
+    if n == 1:  # the new token's slot is its evictee's, so the store is its visible set
+        heads = attend_with_cache(store, q_groups).reshape(batch, hq, n, d)
 
     out = np.empty(x.shape, np.float32)
     for b in range(batch):
@@ -241,11 +239,9 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
     """Run new tokens through the model under budgeted caches.
 
     K/V projections of the new tokens are appended to the caches (evicting
-    as the budgets require) and every query attends over exactly the
-    retained tokens. The chunk runs layer by layer (forward_layer), and
-    each layer decides its own stepping from its own caches. Logits agree
-    with token-by-token generation up to float32 rounding, since batched
-    rows do not round exactly like single rows.
+    as the budgets require) and every query attends over exactly what
+    token-by-token generation retains, layer by layer (forward_layer).
+    Logits agree with generation up to float32 rounding.
 
     Returns (logits, None), with logits (len(tokens), vocab_size).
     """

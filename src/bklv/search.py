@@ -63,9 +63,9 @@ def evaluate_plans(
     chunks, every matrix with the same sink count.
 
     The corpus splits into chunks of `context_len` tokens (a trailing
-    partial chunk is dropped), each run from empty caches. Every chunk
-    follows the same stepping schedule, so chunks run together on
-    forward_layer's batch axis, as many as fit HIDDEN_CAP (one at least).
+    partial chunk is dropped), each run from empty caches at position 0,
+    so chunks run together on forward_layer's batch axis, in one
+    attention pass per layer, as many as fit HIDDEN_CAP (one at least).
     A layer's output depends only on its input and its own budget row, so
     the matrices' rows form a trie, walked depth-first once per batch: each
     distinct prefix runs its last layer once for the batch and each leaf

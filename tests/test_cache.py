@@ -272,14 +272,14 @@ def _attend_one(store, q):
 
 class TestAttendWithCache:
     def test_no_eviction_equals_full_attention(self, rng):
+        # a chunk's queries over an empty store, with their own rows as the new keys
         store = LayerStore([32], 0, HEAD_DIM)
-        cache = store.caches[0]
         k = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
-        append_and_evict(cache, k, v)
         q = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
-        got = _attend_one(store, q)
+        got = attend_with_cache(store, q[None, None], k[None], v[None])[0, 0]
         np.testing.assert_allclose(got, scaled_dot_attention(q, k, v), atol=1e-6)
+        assert store.lengths == [0]  # attention appends nothing
 
     def test_after_eviction_matches_retained_subset_oracle(self, rng):
         store = LayerStore([6], 2, HEAD_DIM)
@@ -309,28 +309,27 @@ class TestAttendWithCache:
 
     def test_multi_row_causal_masking(self, rng):
         store = LayerStore([32], 0, HEAD_DIM)
-        cache = store.caches[0]
         k = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
-        append_and_evict(cache, k, v)
         q = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
-        got = _attend_one(store, q)
+        got = attend_with_cache(store, q[None, None], k[None], v[None])[0, 0]
         expected = brute_attention(q, k, v, causal=True)
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("t_q", [1, 3, 7])
     def test_grouped_heads_bit_identical_to_per_head_calls(self, rng, heads, t_q):
-        # one query over a store that has evicted; several over one that has not
-        store = LayerStore([9 if t_q == 1 else 16], 2, HEAD_DIM)
+        # one query, its token appended, or several with their new rows, over a store that has evicted
+        store = LayerStore([9], 2, HEAD_DIM)
         _append_each(store.caches[0], 14, rng)
+        new = [rng.normal(size=(1, t_q, HEAD_DIM)).astype(np.float32) for _ in range(2)] if t_q > 1 else []
         # (t_q, heads, d) rows viewed as (heads, t_q, d), as forward_chunk passes them
         rows = rng.normal(size=(t_q, heads, HEAD_DIM)).astype(np.float32)
         q = rows.transpose(1, 0, 2)
-        got = attend_with_cache(store, q[None])
+        got = attend_with_cache(store, q[None], *new)
         assert got.shape == (1, heads, t_q, HEAD_DIM)
         for h in range(heads):
-            assert np.array_equal(got[0, h], _attend_one(store, q[h]))
+            assert np.array_equal(got[0, h], attend_with_cache(store, q[None, h : h + 1], *new)[0, 0])
 
     def test_randomized_eviction_equivalence(self):
         # Randomized sequences of appends; attention over the store must equal
@@ -356,10 +355,10 @@ class TestAttendWithCache:
 
 
 def _position_masked_attention(store, q):
-    """Attention masked by position, untiled, as attend_with_cache once did
-    for every call: row i of t_q queries is for position seen - t_q + i of
-    its group, and a slot is set to -inf where the position its view holds
-    is later, or where the view holds nothing."""
+    """One query per group masked by position, untiled, as attend_with_cache
+    once did for every call: it is for position seen - 1 of its group, and a
+    slot is set to -inf where the position its view holds is later, or where
+    the view holds nothing."""
     views = store.caches
     (groups, heads, t_q, d), width = q.shape, store.retained
     held = np.full((groups, width), np.iinfo(np.int64).max)
@@ -375,104 +374,125 @@ def _position_masked_attention(store, q):
 
 
 def _check_attention(store, q, k, v, cap):
-    """attend_with_cache over a layer store under score cap `cap`. With
-    several queries it must raise InputError if a group has evicted or
-    holds fewer tokens than queries. Otherwise it must equal
-    _position_masked_attention at tolerance 0, and brute force over the
-    positions of the literal eviction trace each row may see within 1e-6
-    (k[g, p] and v[g, p] are group g's rows for position p). Returns the
-    result, or None if it raised."""
+    """attend_with_cache over a layer store under score cap `cap`. One query
+    is for the newest token, already appended, and must equal
+    _position_masked_attention at tolerance 0. Several are for the next
+    positions seen.., with k and v's rows there as the new rows. Each
+    query at position t must equal brute force over the positions that
+    token-by-token generation holds at t (the literal eviction trace)
+    within 1e-6 (k[g, p] and v[g, p] are group g's rows for position p).
+    Returns the result."""
     views, t_q = store.caches, q.shape[2]
-    traces = [sink_window_trace(view.budget, view.sinks, view.total_seen) for view in views]
-    # a group that has evicted holds fewer tokens than it has seen
-    refused = t_q > 1 and any(
-        len(kept) < max(t_q, view.total_seen) for kept, view in zip(traces, views)
-    )
+    seen = views[0].total_seen
+    new = [k[:, seen : seen + t_q], v[:, seen : seen + t_q]] if t_q > 1 else []
     with mock.patch.object(cache_module, "SCORE_CAP", cap):
-        if refused:
-            with pytest.raises(InputError, match=f"{t_q} queries need unevicted groups"):
-                attend_with_cache(store, q)
-            return None
-        got = attend_with_cache(store, q)
+        got = attend_with_cache(store, q, *new)
     assert got.shape == q.shape
-    assert np.array_equal(got, _position_masked_attention(store, q))
-    for g, (kept, view) in enumerate(zip(traces, views)):
+    if t_q == 1:
+        assert np.array_equal(got, _position_masked_attention(store, q))
+    for g, view in enumerate(views):
         for i in range(t_q):
-            mine = [p for p in kept if p <= view.total_seen - t_q + i]
+            t = view.total_seen - 1 if t_q == 1 else seen + i
+            mine = sink_window_trace(view.budget, view.sinks, t + 1)
             expected = brute_attention(q[g, :, i], k[g, mine], v[g, mine], causal=False)
             np.testing.assert_allclose(got[g, :, i], expected, atol=1e-6)
     return got
 
 
+def _append(views, k, v, a, e):
+    for g, view in enumerate(views):
+        append_and_evict(view, k[g, a:e], v[g, a:e])
+
+
 class TestLayerStoreAttention:
     """One call over a layer store, single and several queries, against the
-    position mask, brute force and per-group standalone caches."""
+    position mask, brute force and per-group standalone caches. A segment
+    of one token is appended, then attends; several attend, then are
+    appended, as forward_layer runs them."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         extra=st.lists(st.integers(1, 10), min_size=2, max_size=4, unique=True),
         sinks=st.integers(0, 4),
-        segments=st.lists(
-            st.tuples(st.integers(1, 8), st.integers(1, 9)), min_size=1, max_size=8
-        ),
+        segments=st.lists(st.integers(1, 9), min_size=1, max_size=8),
         heads=st.integers(1, 3),
         cap=st.sampled_from([1, 7, cache_module.SCORE_CAP]),
         seed=st.integers(0, 2**16),
     )
-    # the first append overflows group 0, so its several queries raise
-    @example(extra=[2, 5], sinks=0, segments=[(8, 8), (1, 1), (1, 1)], heads=2, cap=7, seed=0)
-    # no eviction in the first append; the groups are padded to width 6
-    @example(extra=[1, 4, 2], sinks=2, segments=[(3, 3)] + [(1, 1)] * 6, heads=1, cap=1, seed=1)
-    # group 1 has evicted and group 0 has not, with fewer queries than either holds
-    @example(extra=[9, 2], sinks=1, segments=[(5, 1), (3, 3), (1, 2)], heads=2, cap=1, seed=2)
+    # the first segment overflows group 0 while it attends
+    @example(extra=[2, 5], sinks=0, segments=[8, 1, 1], heads=2, cap=7, seed=0)
+    # no eviction in the first segment; the groups are padded to width 6
+    @example(extra=[1, 4, 2], sinks=2, segments=[3] + [1] * 6, heads=1, cap=1, seed=1)
+    # group 1 has evicted and group 0 has not when several queries come
+    @example(extra=[9, 2], sinks=1, segments=[5, 3, 2], heads=2, cap=1, seed=2)
     def test_matches_brute_force_and_standalone_caches(
         self, extra, sinks, segments, heads, cap, seed
     ):
         budgets = [e + sinks for e in extra]  # unequal, at or above the floor
-        groups, total = len(budgets), sum(rows for rows, _ in segments)
+        groups, total = len(budgets), sum(segments)
         store = LayerStore(budgets, sinks, HEAD_DIM)
         views = store.caches
         alone = [LayerStore([b], sinks, HEAD_DIM) for b in budgets]
         rng = np.random.default_rng(seed)
         k = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
+
+        def append(a, e):
+            _append(views, k, v, a, e)
+            for g, one in enumerate(alone):
+                _append(one.caches, k[g : g + 1], v[g : g + 1], a, e)
+
         seen = 0
-        for rows, t_q in segments:
-            for g in range(groups):
-                for cache in (views[g], alone[g].caches[0]):
-                    append_and_evict(cache, k[g, seen : seen + rows], v[g, seen : seen + rows])
-            seen += rows
-            q = rng.normal(size=(groups, heads, t_q, HEAD_DIM)).astype(np.float32)
+        for rows in segments:
+            if rows == 1:
+                append(seen, seen + 1)
+            q = rng.normal(size=(groups, heads, rows, HEAD_DIM)).astype(np.float32)
             got = _check_attention(store, q, k, v, cap)
+            for g, one in enumerate(alone):
+                new = [x[g : g + 1, seen : seen + rows] for x in (k, v)] if rows > 1 else []
+                np.testing.assert_allclose(got[g], attend_with_cache(one, q[g : g + 1], *new)[0], atol=1e-6)
+            if rows > 1:
+                append(seen, seen + rows)
+            seen += rows
             for g in range(groups):
                 _assert_holds(views[g], sink_window_trace(budgets[g], sinks, seen), k[g], v[g])
-                if got is not None:
-                    one = attend_with_cache(alone[g], q[g : g + 1])[0]
-                    np.testing.assert_allclose(got[g], one, atol=1e-6)
 
     @pytest.mark.parametrize("evicted", [0, 1])
     def test_several_queries_over_an_evicted_group_raise(self, rng, evicted):
         budgets = [4, 12] if evicted == 0 else [12, 4]
         store = LayerStore(budgets, 1, HEAD_DIM)
-        k, v = rng.normal(size=(2, 2, 6, HEAD_DIM)).astype(np.float32)
-        for g, view in enumerate(store.caches):
-            append_and_evict(view, k[g], v[g])
+        k, v = rng.normal(size=(2, 2, 10, HEAD_DIM)).astype(np.float32)
+        _append(store.caches, k, v, 0, 6)
         assert store.lengths == ([4, 6] if evicted == 0 else [6, 4])
         q = rng.normal(size=(2, 2, 4, HEAD_DIM)).astype(np.float32)
-        # up to the evicted group's length, so only the eviction rules out several
-        results = [_check_attention(store, q[:, :, :t_q], k, v, 1) for t_q in (1, 2, 3, 4)]
-        assert [got is None for got in results] == [False, True, True, True]
+        for t_q in (2, 3, 4):
+            # without their new rows, several queries raise
+            with pytest.raises(InputError, match="without new rows"):
+                attend_with_cache(store, q[:, :, :t_q])
+            # with them, the evicted group's queries see its sink and a window that
+            # moves past what it holds, and the other group's see every token before them
+            _check_attention(store, q[:, :, :t_q], k, v, 1)
+        assert store.seen == [6, 6]  # attention appends nothing
 
     @pytest.mark.parametrize("short", [0, 1])
     def test_several_queries_need_a_token_each_in_every_group(self, rng, short):
+        # each query brings its own token, a new row in every group, and every
+        # group must be at the stream position those rows follow
         store = LayerStore([8, 8], 0, HEAD_DIM)
-        k, v = rng.normal(size=(2, 2, 5, HEAD_DIM)).astype(np.float32)
+        k, v = rng.normal(size=(2, 2, 9, HEAD_DIM)).astype(np.float32)
+        _append(store.caches, k, v, 0, 5)
+        q = rng.normal(size=(2, 3, 4, HEAD_DIM)).astype(np.float32)
+        _check_attention(store, q, k, v, 1)
+        for k_new, v_new in ((k[:, 5:8], v[:, 5:8]), (k[short : short + 1, 5:], v[short : short + 1, 5:])):
+            with pytest.raises(ShapeError, match="new rows"):
+                attend_with_cache(store, q, k_new, v_new)  # a token short, or a group without its rows
+        store = LayerStore([8, 8], 0, HEAD_DIM)
         for g, view in enumerate(store.caches):
             n = 2 if g == short else 5
             append_and_evict(view, k[g, :n], v[g, :n])
-        q = rng.normal(size=(2, 3, 4, HEAD_DIM)).astype(np.float32)
-        results = [_check_attention(store, q[:, :, :t_q], k, v, 1) for t_q in (1, 2, 3, 4)]
-        assert [got is None for got in results] == [False, False, True, True]
+        _check_attention(store, q[:, :, :1], k, v, 1)  # one query is each group's newest token
+        with pytest.raises(InputError, match=r"groups at stream positions \[\d, \d\], not one"):
+            attend_with_cache(store, q, k[:, 5:], v[:, 5:])
 
     def test_query_groups_must_match_the_store(self, rng):
         store = LayerStore([4, 4], 0, HEAD_DIM)
@@ -488,6 +508,52 @@ class TestLayerStoreAttention:
             attend_with_cache(store, np.stack([q[None]] * 2))  # group 0 is empty
         append_and_evict(views[0], row, row)
         assert np.array_equal(attend_with_cache(store, np.stack([q[None]] * 2)), [[row], [row]])
+        # several queries without their new rows, or with rows of another shape
+        chunk, rows = rng.normal(size=(2, 1, 3, HEAD_DIM)).astype(np.float32), np.ones((2, 3, HEAD_DIM))
+        with pytest.raises(InputError, match="without new rows"):
+            attend_with_cache(store, chunk)
+        for k_bad, v_bad in ((rows[:, :2], rows[:, :2]), (rows, rows[:1]), (rows[..., :4], rows[..., :4])):
+            with pytest.raises(ShapeError, match="new rows"):
+                attend_with_cache(store, chunk, k_bad, v_bad)
+        with pytest.raises(ShapeError, match="new rows"):
+            attend_with_cache(store, chunk[:, :, :0], rows[:, :0], rows[:, :0])  # no queries
+        # rows given as float64 lists are taken as float32 arrays
+        listed = attend_with_cache(store, chunk, rows.tolist(), rows.tolist())
+        assert listed.dtype == np.float32
+        assert np.array_equal(listed, attend_with_cache(store, chunk, rows.astype(np.float32), rows))
+
+
+class TestBandedAttention:
+    """A chunk's queries, which attend before their rows are appended,
+    against brute force over what token-by-token generation holds at each
+    position, under every block size and score cap."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        extra=st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True),
+        sinks=st.integers(0, 4),
+        prefix=st.integers(0, 30),
+        n=st.integers(2, 40),
+        heads=st.integers(1, 3),
+        cap=st.sampled_from([1, 50, cache_module.SCORE_CAP]),
+        block=st.sampled_from([1, 3, cache_module.BLOCK]),
+        seed=st.integers(0, 2**16),
+    )
+    # the prefix fills group 1 (budget 4) and not group 0 (budget 12)
+    @example(extra=[9, 1], sinks=3, prefix=7, n=40, heads=2, cap=50, block=3, seed=0)
+    # a budget at the floor, sinks later than the first queries
+    @example(extra=[1, 5, 2], sinks=4, prefix=1, n=33, heads=1, cap=1, block=1, seed=1)
+    def test_matches_brute_force_over_the_retained_set(
+        self, extra, sinks, prefix, n, heads, cap, block, seed
+    ):
+        budgets = [e + sinks for e in extra]  # unequal, down to the floor
+        store = LayerStore(budgets, sinks, HEAD_DIM)
+        rng = np.random.default_rng(seed)
+        k, v = rng.normal(size=(2, len(budgets), prefix + n, HEAD_DIM)).astype(np.float32)
+        _append(store.caches, k, v, 0, prefix)
+        q = rng.normal(size=(len(budgets), heads, n, HEAD_DIM)).astype(np.float32)
+        with mock.patch.object(cache_module, "BLOCK", block):
+            _check_attention(store, q, k, v, cap)
 
 
 class TestSingleQuery:
@@ -548,15 +614,13 @@ class TestScoreTiling:
         k = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
         for a, b in [(0, first), *((i, i + 1) for i in range(first, total))]:
-            for g in range(groups):
-                append_and_evict(views[g], k[g, a:b], v[g, a:b])
+            if b - a == 1:  # a single token is appended, then attends; several attend first
+                _append(views, k, v, a, b)
             q = rng.normal(size=(groups, heads, b - a, HEAD_DIM)).astype(np.float32)
             untiled = _check_attention(store, q, k, v, cache_module.SCORE_CAP)
-            tiled = _check_attention(store, q, k, v, cap)
-            if untiled is None:
-                assert tiled is None
-            else:
-                assert np.array_equal(tiled, untiled)
+            assert np.array_equal(_check_attention(store, q, k, v, cap), untiled)
+            if b - a > 1:
+                _append(views, k, v, a, b)
 
 
 class TestCacheSet:

@@ -644,6 +644,20 @@ class TestCli:
         entry = manifest["files"]["model"]
         assert entry["sha256"] == io.sha256_file(cli_env["model"])
 
+    def test_manifest_hashes_an_input_that_out_overwrites_as_it_was_read(self, cli_env):
+        # bklv plan --profile p.json --out p.json: the plan replaces the profile it read
+        path = str(cli_env["dir"] / "p.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", path])
+        read = io.sha256_file(path)
+        assert main(["plan", "--profile", path, "--strategy", "uniform", "--compression", "0.5",
+                     "--out", path]) == 0
+        written = io.sha256_file(path)
+        assert written != read
+        assert _load(path + ".manifest")["files"] == {
+            "profile": {"path": path, "sha256": read},
+            "plan": {"path": path, "sha256": written},
+        }
+
     def test_eval_manifest_lists_a_corpus_directory_in_reading_order(
         self, cli_env, tmp_path, monkeypatch
     ):

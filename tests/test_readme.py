@@ -9,8 +9,12 @@ command's flags name and the bytes on disk."""
 import hashlib
 import json
 
-from bklv import cli
+import numpy as np
+
+from bklv import ModelConfig, build_cache_set, chunked_perplexity, cli, forward_chunk, init_model, io, reset
+from bklv.allocation import AllocationPlan, PlanParams
 from bklv.cli import main
+from bklv.numerics import log_softmax_f64
 
 from .reference import readme_text
 
@@ -99,3 +103,21 @@ def test_the_walkthrough_prints_the_readme_numbers(tmp_path, monkeypatch, capsys
             role: [entry(p) for p in path] if isinstance(path, list) else entry(path)
             for role, path in files.items()
         }, out
+
+
+def test_chunked_losses_equal_one_token_per_forward_chunk_call():
+    """perfbench's stepped-loss check in tier 1: on the README corpus at
+    model seed 7, chunked_perplexity under the README's uniform and
+    baklava (t=0.7, r=0.6) plans is within 1e-6 of the loss from one token
+    per forward_chunk call, from empty caches for each chunk of 256."""
+    model = init_model(ModelConfig(seed=7))
+    corpus = np.asarray(io.encode_bytes(readme_text(1100, 3)))
+    for budgets in (UNIFORM_BUDGETS, BAKLAVA_BUDGETS):
+        plan = AllocationPlan(0.3, 4, np.array(budgets), "custom", PlanParams())
+        caches, losses = build_cache_set(plan, model.config), []
+        for start in range(0, corpus.size - 255, 256):
+            chunk = corpus[start : start + 256]
+            reset(caches)
+            logits = np.concatenate([forward_chunk(model, chunk[j : j + 1], caches)[0] for j in range(255)])
+            losses.append(-log_softmax_f64(logits)[np.arange(255), chunk[1:]].mean())
+        assert abs(chunked_perplexity(model, corpus, 256, plan) - np.mean(losses)) <= 1e-6
