@@ -31,6 +31,7 @@ from .numerics import softmax
 
 SCORE_CAP = 1 << 17  # elements in one attention score buffer: 512 KiB of float32
 BLOCK = 32  # queries per block of a chunk's attention pass, from a measured scan
+_NO_REACH = np.iinfo(np.int64).max  # a sink's reach: past every offset
 
 
 class LayerStore:
@@ -131,17 +132,17 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
     """
     k_new = np.asarray(k_new, dtype=np.float32)
     v_new = np.asarray(v_new, dtype=np.float32)
-    if k_new.ndim != 2 or v_new.ndim != 2 or k_new.shape != v_new.shape:
+    if k_new.ndim != 2 or k_new.shape != v_new.shape:
         raise ShapeError(f"k_new {k_new.shape} and v_new {v_new.shape} must be equal 2-D shapes")
-    if k_new.shape[1] != cache.head_dim:
-        raise ShapeError(f"row width {k_new.shape[1]} != head_dim {cache.head_dim}")
+    rows, width = k_new.shape
+    if width != cache.head_dim:
+        raise ShapeError(f"row width {width} != head_dim {cache.head_dim}")
 
     g, sinks, budget = cache.group, cache.sinks, cache.budget
     keys, values = cache.slots
     seen = cache.seen[g]
-    rows = len(k_new)
     total = seen + rows
-    if rows == 1:  # the (1, head_dim) row is written into its slot as is
+    if rows == 1:  # the (1, head_dim) row as is: measured faster than writing k_new[0]
         slot = seen if seen < sinks else sinks + (seen - sinks) % (budget - sinks)
         keys[:, slot] = k_new
         values[slot] = v_new
@@ -205,14 +206,18 @@ def attend_with_cache(
         raise ShapeError(f"new rows {k_new.shape} and {v_new.shape} for q shape {q.shape}")
     if store.seen.count(seen) != groups:
         raise InputError(f"groups at stream positions {store.seen}, not one")
-    # the retained positions in order, the sinks then first..seen-1, each from its slot;
-    # one that a group has evicted reads a stale slot, which the rule below hides
     held, span = min(sinks, seen), np.array(store.budgets)[:, None] - sinks
-    first, widest = seen - width + held, int(span.max())
-    old = np.arange(width) + (np.arange(width) >= held) * (first - held)
-    slots = np.where(old < sinks, old, sinks + (old - sinks) % span)
-    keys = np.concatenate([store.keys[np.arange(groups)[:, None], :, slots], k_new], 1)  # rows, not transposed
-    values = np.concatenate([store.values[np.arange(groups)[:, None], slots], v_new], 1)
+    first, widest = seen - width + held, max(store.budgets) - sinks
+    if seen:
+        # the retained positions in order, the sinks then first..seen-1, each from its slot;
+        # one that a group has evicted reads a stale slot, which the rule below hides
+        old = np.arange(width) + (np.arange(width) >= held) * (first - held)
+        slots = np.where(old < sinks, old, sinks + (old - sinks) % span)
+        group = np.arange(groups)[:, None]
+        keys = np.concatenate([store.keys[group, :, slots], k_new], 1)  # rows, not transposed
+        values = np.concatenate([store.values[group, slots], v_new], 1)
+    else:  # nothing retained: copies, since the sinks move within them and the caller appends the rows
+        keys, values = k_new.copy(), v_new.copy()
     sink_keys, sink_values = keys[:, :sinks].copy(), values[:, :sinks].copy()
     out = np.empty(q.shape, np.float32)
     for a in range(0, t_q, BLOCK):
@@ -225,8 +230,8 @@ def attend_with_cache(
             values[:, lo_col : lo_col + n_sinks] = sink_values
         # t sees p iff 0 <= t - p < reach, past every offset for a sink; unsigned, t < p is past it too
         positions = np.concatenate([np.arange(n_sinks), np.arange(start, seen + e)])
-        reach = np.where(positions < sinks, np.iinfo(np.int64).max, span).astype(np.uint64)
-        hidden = (seen + np.arange(a, e)[:, None] - positions).view(np.uint64) >= reach[:, None]
+        reach = np.where(positions < sinks, _NO_REACH, span).astype(np.uint64)
+        hidden = (np.arange(seen + a, seen + e)[:, None] - positions).view(np.uint64) >= reach[:, None]
         # queries, not scores, are scaled: fewer operations, exact when sqrt(d) is a power of 2
         rows, cols = (q[:, :, a:e] / scale).reshape(groups, -1, d), hi_col - lo_col
         step = max(1, SCORE_CAP // (rows.shape[1] * cols))

@@ -93,8 +93,13 @@ def init_model(config: ModelConfig) -> Model:
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """x * gain / sqrt(mean(x**2) + RMS_EPS) over the last axis, in float32;
-    the mean is np.mean's own sum reduction, then division by the count."""
-    total = np.add.reduce(np.square(x), -1, keepdims=True)
+    the mean is np.mean's own sum reduction, then division by the count.
+    One row (1, width), as in every decode step, takes the same float32
+    steps on a np.float32 scalar rather than on (1, 1) arrays."""
+    if x.shape[:-1] == (1,):
+        total = np.add.reduce(np.square(x), -1)[0]
+    else:
+        total = np.add.reduce(np.square(x), -1, keepdims=True)
     return x * (1.0 / np.sqrt(total / np.float32(x.shape[-1]) + _EPS32)) * gain
 
 
@@ -108,40 +113,37 @@ _ROPE_TABLES: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _rope_rows(
-    theta: float, head_dim: int, positions: np.ndarray
+    theta: float, head_dim: int, start: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """float32 factor rows [cos, cos] and [-sin, sin], (tokens, 1, head_dim),
-    of non-negative positions, read from tables memoized per (theta,
-    head_dim) and grown by doubling when a position is past their end."""
+    """float32 factor rows [cos, cos] and [-sin, sin], (n, 1, head_dim), of
+    positions start..start+n-1: slices of tables memoized per (theta,
+    head_dim) and grown by doubling when the range is past their end."""
     key = (theta, head_dim)
-    if key in _ROPE_TABLES:
-        cos_table, sin_table = _ROPE_TABLES[key]
-        try:
-            return cos_table[positions], sin_table[positions]
-        except IndexError:
-            size = max(int(positions.max()) + 1, 2 * len(cos_table))
-    else:
-        size = int(positions.max(initial=0)) + 1
-    half = head_dim // 2
-    inv_freq = theta ** (-2.0 * np.arange(half, dtype=np.float64) / head_dim)
-    angles = np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]
-    cos, sin = (f(angles).astype(np.float32)[:, None] for f in (np.cos, np.sin))
-    _ROPE_TABLES[key] = np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
-    return _rope_rows(theta, head_dim, positions)
+    tables = _ROPE_TABLES.get(key)
+    if tables is None or start + n > len(tables[0]):
+        size = start + n if tables is None else max(start + n, 2 * len(tables[0]))
+        half = head_dim // 2
+        inv_freq = theta ** (-2.0 * np.arange(half, dtype=np.float64) / head_dim)
+        angles = np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]
+        cos, sin = (f(angles).astype(np.float32)[:, None] for f in (np.cos, np.sin))
+        tables = np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
+        _ROPE_TABLES[key] = tables
+    return tables[0][start : start + n], tables[1][start : start + n]
 
 
 def rope_rotate(
-    x: np.ndarray, positions: np.ndarray, theta: float, out: np.ndarray | None = None
+    x: np.ndarray, start: int, theta: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Rotate per-head vectors by their absolute positions, into `out` if given.
 
-    x: (tokens, heads, head_dim); positions are non-negative. Angles are
-    computed in float64 and the rotation applied in float32, as
-    x * [cos, cos] + [x2, x1] * [-sin, sin] for halves (x1, x2): bit for
-    bit (x1 cos - x2 sin, x1 sin + x2 cos), as negation is exact and + commutes.
+    x: (tokens, heads, head_dim), the tokens at positions start, start + 1,
+    ... (start >= 0). Angles are computed in float64 and the rotation
+    applied in float32, as x * [cos, cos] + [x2, x1] * [-sin, sin] for
+    halves (x1, x2): bit for bit (x1 cos - x2 sin, x1 sin + x2 cos), as
+    negation is exact and + commutes.
     """
     half = x.shape[-1] // 2
-    cos, sin = _rope_rows(theta, x.shape[-1], positions)
+    cos, sin = _rope_rows(theta, x.shape[-1], start, len(x))
     swapped = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
     out = np.multiply(x, cos, out=out)
     out += swapped * sin
@@ -180,59 +182,79 @@ def forward_layer(
 
     `store` is the layer's: store.caches[b * kv_groups + g] is sequence b's
     group g (batch-major), all at the same stream position (CacheSet.total_seen
-    checks it). A chunk of several tokens attends once, every query over the
-    store and the chunk's new keys and values (attend_with_cache), and is then
-    appended: a segment of as many tokens as every cache of this layer can
-    take without evicting, then single tokens, the appends of token-by-token
-    generation. One token is appended first, then attends. The dense ops run
-    one sequence at a time, so their temporaries stay the size of one
-    sequence; each sequence's result depends on its own x and caches only.
+    checks it). The shape of x picks the attention: one token, every decode
+    step, takes _token_heads (append, then attend), and a chunk of several
+    _chunk_heads (attend, then append). The dense ops run one sequence at a
+    time, so their temporaries stay the size of one sequence; each
+    sequence's result depends on its own x and caches only.
     """
     cfg = model.config
     layer = model.layers[li]
     batch, n, _ = x.shape
-    hq, kv, g, d = cfg.num_q_heads, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
-    caches = store.caches
+    caches, kv = store.caches, cfg.num_kv_heads
     if len(caches) != batch * kv:
         raise ShapeError(f"{len(caches)} caches for a batch of {batch} with {kv} KV groups")
+    heads = (_token_heads if n == 1 else _chunk_heads)(cfg, layer, x, store)
+    out = np.empty(x.shape, np.float32)
+    for b in range(batch):
+        np.add(x[b], heads[b].transpose(1, 0, 2).reshape(n, -1) @ layer.attn_out, out=out[b])
+    with np.errstate(over="ignore"):  # _silu's exp overflows; one context for the batch
+        for xb in out:
+            xb += _silu(rms_norm(xb, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
+    return out, heads
+
+
+def _token_heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
+    """The heads of one token per sequence, x (batch, 1, d_model): each
+    sequence's rotated key and value rows are appended, one row per cache in
+    cache order, then every query attends over the store. The new token's
+    ring slot is its evictee's, so the store then holds exactly what it sees."""
+    hq, kv, g, d = cfg.num_q_heads, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
+    start, caches = store.seen[0], store.caches
+    qk = np.empty((len(x), hq + kv, d), np.float32)
+    for b, xb in enumerate(x):
+        h = rms_norm(xb, layer.norm1)
+        qk_b = np.concatenate([h @ layer.attn_q, h @ layer.attn_k], axis=1).reshape(1, hq + kv, d)
+        rope_rotate(qk_b, start, cfg.rope_theta, out=qk[b : b + 1])
+        v = (h @ layer.attn_v).reshape(kv, 1, d)
+        for cache, k_new, v_new in zip(caches[b * kv : (b + 1) * kv], qk[b, hq:, None], v):
+            append_and_evict(cache, k_new, v_new)
+    # (batch * kv, g, 1, d): the query heads of a group share its cache
+    return attend_with_cache(store, qk[:, :hq].reshape(-1, g, 1, d)).reshape(len(x), hq, 1, d)
+
+
+def _chunk_heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
+    """The heads of a chunk of several tokens per sequence, x (batch, n,
+    d_model): every query attends once over the store and the chunk's new
+    keys and values (attend_with_cache), and the chunk is then appended on
+    the schedule of token-by-token generation, a segment of as many tokens
+    as every cache of this layer can take without evicting, then single
+    tokens."""
+    batch, n, _ = x.shape
+    hq, kv, g, d = cfg.num_q_heads, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
     # a full cache steps one token at a time
     room = min(budget - length for budget, length in zip(store.budgets, store.lengths))
     first = max(1, min(n, room))
-    start = store.seen[0]
-    positions = np.arange(start, start + n, dtype=np.int64)
-
     qk = np.empty((batch, n, hq + kv, d), np.float32)
     v = np.empty((batch, n, kv * d), np.float32)
     for b in range(batch):
         h = rms_norm(x[b], layer.norm1)
-        q = (h @ layer.attn_q).reshape(n, hq, d)
-        k = (h @ layer.attn_k).reshape(n, kv, d)
         np.matmul(h, layer.attn_v, out=v[b])
-        rope_rotate(np.concatenate([q, k], axis=1), positions, cfg.rope_theta, out=qk[b])
+        qk_b = np.concatenate([h @ layer.attn_q, h @ layer.attn_k], axis=1).reshape(n, hq + kv, d)
+        rope_rotate(qk_b, store.seen[0], cfg.rope_theta, out=qk[b])
     # (batch * kv, g, n, d): the query heads of a group share its cache
     q_groups = qk[:, :, :hq].reshape(batch, n, kv, g, d).transpose(0, 2, 3, 1, 4)
     q_groups = q_groups.reshape(batch * kv, g, n, d)
     # (batch * kv, n, d): row i holds the new keys or values of caches[i]
     k_rows = qk[:, :, hq:].transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
     v_rows = v.reshape(batch, n, kv, d).transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
-
-    if n > 1:
-        heads = attend_with_cache(store, q_groups, k_rows, v_rows).reshape(batch, hq, n, d)
+    heads = attend_with_cache(store, q_groups, k_rows, v_rows).reshape(batch, hq, n, d)
     a = 0
     for e in range(first, n + 1):  # segments 0..first, then one token each
-        for cache, k_new, v_new in zip(caches, k_rows[:, a:e], v_rows[:, a:e]):
+        for cache, k_new, v_new in zip(store.caches, k_rows[:, a:e], v_rows[:, a:e]):
             append_and_evict(cache, k_new, v_new)
         a = e
-    if n == 1:  # the new token's slot is its evictee's, so the store is its visible set
-        heads = attend_with_cache(store, q_groups).reshape(batch, hq, n, d)
-
-    out = np.empty(x.shape, np.float32)
-    for b in range(batch):
-        np.add(x[b], heads[b].transpose(1, 0, 2).reshape(n, hq * d) @ layer.attn_out, out=out[b])
-    with np.errstate(over="ignore"):  # _silu's exp overflows; one context for the batch
-        for xb in out:
-            xb += _silu(rms_norm(xb, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
-    return out, heads
+    return heads
 
 
 def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, None]:
@@ -254,7 +276,7 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
             f"cache layer count {len(caches.stores)} != num_layers {cfg.num_layers}"
         )
     check_context(caches.total_seen, tokens.size, cfg)
-    x = model.embedding[tokens[None]].astype(np.float32, copy=True)
+    x = model.embedding[tokens[None]].astype(np.float32, copy=False)  # the gather copies
     for li, store in enumerate(caches.stores):
         x, _ = forward_layer(model, li, x, store)
     return output_logits(model, x[0]), None

@@ -334,6 +334,8 @@ class TestBudgetedStepping:
     @example(([[10, 12], [11, 10]], 2, list(range(100, 140)), [5, 12]))
     # every call after the first starts full; budgets at the sink floor
     @example(([[3, 5], [3, 4]], 2, list(range(30)), [6, 7, 20]))
+    # every call after the first is one token, past every budget: the decode step
+    @example(([[5, 7], [6, 4]], 1, list(range(50, 70)), list(range(4, 20))))
     def test_matches_stepping_oracle(self, small_model, run):
         budgets, sinks, tokens, cuts = run
         logits, probes, caches, chunk_logits = _run_calls(small_model, budgets, sinks, tokens, cuts)
@@ -366,6 +368,31 @@ class TestBudgetedStepping:
             for cache in store.caches:
                 assert [n for c, n in appends if c is cache] == [first] + [1] * (16 - first)
 
+    def test_one_token_appends_a_row_per_cache_then_attends_once_per_layer(self, small_model, monkeypatch):
+        """The call schedule of a decode step, the calls perfbench's decode counts."""
+        calls, attend = [], cache_module.attend_with_cache
+
+        def appending(cache, k_new, v_new):
+            calls.append(("append", cache, k_new.shape))
+            append_and_evict(cache, k_new, v_new)
+
+        def attending(store, q, k_new=None, v_new=None):
+            calls.append(("attend", store, k_new is None and v_new is None))
+            return attend(store, q, k_new, v_new)
+
+        monkeypatch.setattr(model_module, "append_and_evict", appending)
+        monkeypatch.setattr(model_module, "attend_with_cache", attending)
+        plan = AllocationPlan(0.0, 1, np.array([[4, 6], [10, 12]]), "custom", PlanParams())
+        caches = build_cache_set(plan, SMALL)
+        forward_chunk(small_model, list(range(16)), caches)  # past every budget
+        calls.clear()
+        forward_chunk(small_model, [7], caches)
+        expected = []
+        for store in caches.stores:  # one row per cache in cache order, then one attention
+            expected += [("append", cache, (1, SMALL.head_dim)) for cache in store.caches]
+            expected.append(("attend", store, True))
+        assert calls == expected
+
 
 @st.composite
 def _layer_batches(draw):
@@ -391,6 +418,8 @@ class TestBatchedLayer:
     @example(([3, 9], 2, 3, 5, 12, cache_module.SCORE_CAP, 1, 0))
     # one group per score tile; the first segment has 9 rows
     @example(([9, 10], 0, 4, 0, 16, 1, 0, 1))
+    # one token after a prefix past every budget: the decode step at batch 3, ring wrapped
+    @example(([5, 7], 2, 3, 20, 1, 1, 0, 3))
     def test_batch_equals_one_sequence_calls(self, small_model, case):
         budgets, sinks, batch, prefix, n, cap, li, seed = case
         cfg = SMALL
@@ -438,12 +467,14 @@ class TestRope:
     def test_memoized_tables_match_the_direct_formula(self, rng):
         model_module._ROPE_TABLES.clear()
         for theta, head_dim in ((10000.0, 16), (500.0, 8)):
-            # the tables grow: a row, a short range, random positions, a long range
-            steps = (np.array([7]), np.arange(60, 64), rng.integers(0, 2048, 50), np.arange(4096))
-            for positions in steps:
-                x = rng.normal(size=(positions.size, 3, head_dim)).astype(np.float32)
-                expected = _pairwise_rope(x, positions, theta)
-                assert np.array_equal(rope_rotate(x, positions, theta), expected)
+            # the tables grow: a row, a short range, a long one, a range inside,
+            # one row past the end (doubled), a range from 0 past the doubling
+            steps = ((7, 1, 8), (60, 4, 64), (1000, 50, 1050), (30, 20, 1050), (1100, 1, 2100), (0, 4096, 4200))
+            for start, n, size in steps:
+                x = rng.normal(size=(n, 3, head_dim)).astype(np.float32)
+                expected = _pairwise_rope(x, np.arange(start, start + n), theta)
+                assert np.array_equal(rope_rotate(x, start, theta), expected)
+                assert [len(t) for t in model_module._ROPE_TABLES[theta, head_dim]] == [size, size]
 
     def test_one_token_into_out_matches_the_pairwise_formula(self, rng):
         # the decode call shape: one position, rotated into a view of a larger buffer
@@ -451,10 +482,9 @@ class TestRope:
         buffer = np.zeros((2, 1, 5, head_dim), np.float32)
         for position in (0, 3, 511, 5000):
             x = (rng.normal(size=(1, 5, head_dim)) * 1e3).astype(np.float32)
-            positions = np.array([position])
             out = buffer[1]
-            assert rope_rotate(x, positions, theta, out=out) is out
-            assert np.array_equal(buffer[1], _pairwise_rope(x, positions, theta))
+            assert rope_rotate(x, position, theta, out=out) is out
+            assert np.array_equal(buffer[1], _pairwise_rope(x, np.array([position]), theta))
             assert not buffer[0].any()
 
 
@@ -481,6 +511,18 @@ def _rows_and_gain(draw):
     return x, draw(hnp.arrays(np.float32, x.shape[-1:], elements=st.floats(-4, 4, width=32)))
 
 
+@st.composite
+def _row_among_rows(draw):
+    """Rows of one width, one of them of magnitude 1e-3 to 1e3 or of
+    near-zero norm, its index, and an arbitrary gain."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = rng.normal(size=(draw(st.integers(2, 6)), draw(st.integers(1, 64)))).astype(np.float32)
+    i = draw(st.integers(0, len(rows) - 1))
+    scale = draw(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.0, 1e-42, 1e-30, 1e-19])))
+    rows[i] *= np.float32(scale)
+    return rows, i, draw(hnp.arrays(np.float32, rows.shape[-1:], elements=_FLOAT32))
+
+
 class TestExactRewrites:
     """rms_norm, softmax and the MLP's SiLU against the np.mean / np.max /
     np.sum and per-call errstate formulas they replaced, with tolerance 0."""
@@ -494,6 +536,15 @@ class TestExactRewrites:
         with np.errstate(over="ignore"):
             scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + np.float32(1e-5))
             np.testing.assert_array_equal(model_module.rms_norm(x, gain), x * scale * gain)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_row_among_rows())
+    @example((np.zeros((2, 3), np.float32), 1, np.ones(3, np.float32)))
+    def test_rms_norm_of_one_row_is_its_row_of_the_many_row_path(self, case):
+        rows, i, gain = case
+        with np.errstate(over="ignore"):  # an arbitrary gain can overflow float32, on both paths
+            one, many = model_module.rms_norm(rows[i : i + 1], gain), model_module.rms_norm(rows, gain)
+        assert one.tobytes() == many[i : i + 1].tobytes()
 
     def test_silu_overflow_is_silent_and_gives_the_old_formula(self, small_model, rng):
         """Pre-activations far below -88.7 overflow SiLU's exp(-x): forward_layer
