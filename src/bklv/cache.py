@@ -15,7 +15,7 @@ attention call over a layer's store serves all its KV groups and query
 heads. The query at position t sees p iff p <= t and either p < sinks or
 p > t - budget + sinks, what token-by-token generation holds at t: a
 single query, appended first, sees every retained slot, and a chunk's
-queries attend before their rows are appended, under that rule.
+queries start a stream and attend over their own rows before appending them.
 """
 
 import math
@@ -29,7 +29,7 @@ from .errors import InputError, ShapeError
 from .numerics import softmax
 
 
-SCORE_CAP = 1 << 17  # elements in one attention score buffer: 512 KiB of float32
+SCORE_CAP = 1 << 17  # elements in one score buffer of a chunk's block: 512 KiB of float32
 BLOCK = 32  # queries per block of a chunk's attention pass, from a measured scan
 _NO_REACH = np.iinfo(np.int64).max  # a sink's reach: past every offset
 
@@ -169,78 +169,62 @@ def attend_with_cache(
     `q` is (groups, heads, t_q, head_dim). Without new rows, the one query
     is the newest token, already appended, and sees every retained token.
     With k_new and v_new, (groups, t_q, head_dim), the queries are those
-    rows' tokens, after every group's seen, and see the retained tokens and
-    the new rows under the sink+window rule. Block [a, e) of BLOCK queries
-    scores the sinks and the chunk's positions a - (largest budget - sinks)
-    + 1 to e - 1. Groups run in tiles whose score buffer holds at most
-    SCORE_CAP elements (one group at least), and each group's result is the
-    same whatever the tiling. Returns one output row per query, like `q`.
+    rows' tokens, which start the stream of an empty store, and see those
+    rows under the sink+window rule. Block [a, e) of BLOCK queries scores
+    the sinks and positions a - (largest budget - sinks) + 1 to e - 1.
+    Groups run in tiles whose score buffer holds at most SCORE_CAP elements
+    (one group at least), and each group's result is the same whatever the
+    tiling. Returns one output row per query, like `q`.
     """
     q = np.asarray(q, dtype=np.float32)
     groups, d, _ = store.keys.shape
     if q.ndim != 4 or q.shape[0] != groups or q.shape[-1] != d:
         raise ShapeError(f"q shape {q.shape} incompatible with {groups} groups of head_dim {d}")
     _, heads, t_q, _ = q.shape
-    lengths, width, sinks, seen = store.lengths, max(store.lengths), store.sinks, store.seen[0]
+    lengths, width, sinks = store.lengths, max(store.lengths), store.sinks
     scale = np.float32(math.sqrt(d))
     if k_new is None:
         if t_q != 1 or min(lengths) == 0:
             raise InputError("without new rows, attention takes one query and one retained token")
-        rows = q.reshape(groups, heads, d)
-        step = max(1, SCORE_CAP // (heads * width))
-        tiles = []
-        for lo in range(0, groups, step):
-            hi = lo + step
-            scores = rows[lo:hi] @ store.keys[lo:hi, :, :width]  # (tile, heads, width)
-            scores /= scale
-            for i, length in enumerate(lengths[lo:hi]):
-                if length < width:
-                    scores[i, :, length:] = -np.inf
-            softmax(scores, out=scores)
-            tiles.append(scores @ store.values[lo:hi, :width])
-        # a single tile is returned as is, without a copy
-        return (tiles[0] if len(tiles) == 1 else np.concatenate(tiles)).reshape(q.shape)
+        scores = q.reshape(groups, heads, d) @ store.keys[:, :, :width]  # (groups, heads, width)
+        scores /= scale
+        for g, length in enumerate(lengths):
+            if length < width:
+                scores[g, :, length:] = -np.inf
+        softmax(scores, out=scores)
+        return (scores @ store.values[:, :width]).reshape(q.shape)
 
     k_new, v_new = np.asarray(k_new, dtype=np.float32), np.asarray(v_new, dtype=np.float32)
     if k_new.shape != (groups, t_q, d) or v_new.shape != k_new.shape or t_q == 0:
         raise ShapeError(f"new rows {k_new.shape} and {v_new.shape} for q shape {q.shape}")
-    if store.seen.count(seen) != groups:
-        raise InputError(f"groups at stream positions {store.seen}, not one")
-    held, span = min(sinks, seen), np.array(store.budgets)[:, None] - sinks
-    first, widest = seen - width + held, max(store.budgets) - sinks
-    if seen:
-        # the retained positions in order, the sinks then first..seen-1, each from its slot;
-        # one that a group has evicted reads a stale slot, which the rule below hides
-        old = np.arange(width) + (np.arange(width) >= held) * (first - held)
-        slots = np.where(old < sinks, old, sinks + (old - sinks) % span)
-        group = np.arange(groups)[:, None]
-        keys = np.concatenate([store.keys[group, :, slots], k_new], 1)  # rows, not transposed
-        values = np.concatenate([store.values[group, slots], v_new], 1)
-    else:  # nothing retained: copies, since the sinks move within them and the caller appends the rows
-        keys, values = k_new.copy(), v_new.copy()
+    if any(store.seen):
+        raise InputError(f"new rows start a stream, but the groups have seen {store.seen} tokens")
+    span, widest = np.array(store.budgets)[:, None] - sinks, max(store.budgets) - sinks
+    # copies, since the sinks move within them and the caller appends the rows
+    keys, values = k_new.copy(), v_new.copy()
     sink_keys, sink_values = keys[:, :sinks].copy(), values[:, :sinks].copy()
     out = np.empty(q.shape, np.float32)
     for a in range(0, t_q, BLOCK):
         e = min(a + BLOCK, t_q)
-        n_sinks = min(sinks, seen + e)
-        start = max(n_sinks, first, seen + a - widest + 1)  # the band's first position
-        lo_col, hi_col = held + start - first - n_sinks, held + seen + e - first
+        n_sinks = min(sinks, e)
+        start = max(n_sinks, a - widest + 1)  # the band's first position, and column
+        lo_col = start - n_sinks
         if lo_col > 0:  # the sinks move next to the band, over columns no later block reads
-            keys[:, lo_col : lo_col + n_sinks] = sink_keys
-            values[:, lo_col : lo_col + n_sinks] = sink_values
+            keys[:, lo_col:start] = sink_keys
+            values[:, lo_col:start] = sink_values
         # t sees p iff 0 <= t - p < reach, past every offset for a sink; unsigned, t < p is past it too
-        positions = np.concatenate([np.arange(n_sinks), np.arange(start, seen + e)])
+        positions = np.concatenate([np.arange(n_sinks), np.arange(start, e)])
         reach = np.where(positions < sinks, _NO_REACH, span).astype(np.uint64)
-        hidden = (np.arange(seen + a, seen + e)[:, None] - positions).view(np.uint64) >= reach[:, None]
+        hidden = (np.arange(a, e)[:, None] - positions).view(np.uint64) >= reach[:, None]
         # queries, not scores, are scaled: fewer operations, exact when sqrt(d) is a power of 2
-        rows, cols = (q[:, :, a:e] / scale).reshape(groups, -1, d), hi_col - lo_col
+        rows, cols = (q[:, :, a:e] / scale).reshape(groups, -1, d), e - lo_col
         step = max(1, SCORE_CAP // (rows.shape[1] * cols))
         for lo in range(0, groups, step):
             hi = lo + step
-            scores = rows[lo:hi] @ keys[lo:hi, lo_col:hi_col].transpose(0, 2, 1)
+            scores = rows[lo:hi] @ keys[lo:hi, lo_col:e].transpose(0, 2, 1)
             np.copyto(scores.reshape(-1, heads, e - a, cols), -np.inf, where=hidden[lo:hi, None])
             softmax(scores, out=scores)
-            out[lo:hi, :, a:e] = (scores @ values[lo:hi, lo_col:hi_col]).reshape(-1, heads, e - a, d)
+            out[lo:hi, :, a:e] = (scores @ values[lo:hi, lo_col:e]).reshape(-1, heads, e - a, d)
     return out
 
 

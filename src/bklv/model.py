@@ -182,11 +182,12 @@ def forward_layer(
 
     `store` is the layer's: store.caches[b * kv_groups + g] is sequence b's
     group g (batch-major), all at the same stream position (CacheSet.total_seen
-    checks it). The shape of x picks the attention: one token, every decode
-    step, takes _token_heads (append, then attend), and a chunk of several
-    _chunk_heads (attend, then append). The dense ops run one sequence at a
-    time, so their temporaries stay the size of one sequence; each
-    sequence's result depends on its own x and caches only.
+    checks it). One token, every decode step, takes _token_heads (append,
+    then attend). A chunk of several into empty stores takes _chunk_heads
+    (attend, then append), and one into stores that hold tokens takes
+    _token_heads per token. The dense ops run one sequence at a time, so
+    their temporaries stay the size of one sequence; each sequence's
+    result depends on its own x and caches only.
     """
     cfg = model.config
     layer = model.layers[li]
@@ -194,7 +195,10 @@ def forward_layer(
     caches, kv = store.caches, cfg.num_kv_heads
     if len(caches) != batch * kv:
         raise ShapeError(f"{len(caches)} caches for a batch of {batch} with {kv} KV groups")
-    heads = (_token_heads if n == 1 else _chunk_heads)(cfg, layer, x, store)
+    if n > 1 and store.seen[0]:  # a chunk that continues a stream steps token by token
+        heads = np.concatenate([_token_heads(cfg, layer, xi, store) for xi in np.split(x, n, 1)], 2)
+    else:
+        heads = (_token_heads if n == 1 else _chunk_heads)(cfg, layer, x, store)
     out = np.empty(x.shape, np.float32)
     for b in range(batch):
         np.add(x[b], heads[b].transpose(1, 0, 2).reshape(n, -1) @ layer.attn_out, out=out[b])
@@ -225,23 +229,21 @@ def _token_heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: La
 
 def _chunk_heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
     """The heads of a chunk of several tokens per sequence, x (batch, n,
-    d_model): every query attends once over the store and the chunk's new
-    keys and values (attend_with_cache), and the chunk is then appended on
-    the schedule of token-by-token generation, a segment of as many tokens
-    as every cache of this layer can take without evicting, then single
-    tokens."""
+    d_model), that starts the stream of empty stores: every query attends
+    once over the chunk's keys and values (attend_with_cache), and the
+    chunk is then appended on the schedule of token-by-token generation, a
+    segment of as many tokens as every cache of this layer holds without
+    evicting, then single tokens."""
     batch, n, _ = x.shape
     hq, kv, g, d = cfg.num_q_heads, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
-    # a full cache steps one token at a time
-    room = min(budget - length for budget, length in zip(store.budgets, store.lengths))
-    first = max(1, min(n, room))
+    first = min(n, min(store.budgets))
     qk = np.empty((batch, n, hq + kv, d), np.float32)
     v = np.empty((batch, n, kv * d), np.float32)
     for b in range(batch):
         h = rms_norm(x[b], layer.norm1)
         np.matmul(h, layer.attn_v, out=v[b])
         qk_b = np.concatenate([h @ layer.attn_q, h @ layer.attn_k], axis=1).reshape(n, hq + kv, d)
-        rope_rotate(qk_b, store.seen[0], cfg.rope_theta, out=qk[b])
+        rope_rotate(qk_b, 0, cfg.rope_theta, out=qk[b])
     # (batch * kv, g, n, d): the query heads of a group share its cache
     q_groups = qk[:, :, :hq].reshape(batch, n, kv, g, d).transpose(0, 2, 3, 1, 4)
     q_groups = q_groups.reshape(batch * kv, g, n, d)
@@ -262,8 +264,9 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
 
     K/V projections of the new tokens are appended to the caches (evicting
     as the budgets require) and every query attends over exactly what
-    token-by-token generation retains, layer by layer (forward_layer).
-    Logits agree with generation up to float32 rounding.
+    token-by-token generation retains, layer by layer (forward_layer); a
+    chunk into caches that hold tokens steps through each layer token by
+    token. Logits agree with generation up to float32 rounding.
 
     Returns (logits, None), with logits (len(tokens), vocab_size).
     """

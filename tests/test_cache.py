@@ -319,9 +319,11 @@ class TestAttendWithCache:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("t_q", [1, 3, 7])
     def test_grouped_heads_bit_identical_to_per_head_calls(self, rng, heads, t_q):
-        # one query, its token appended, or several with their new rows, over a store that has evicted
+        # one query, its token appended, over a store that has evicted, or several
+        # with their new rows, which start the stream of an empty store
         store = LayerStore([9], 2, HEAD_DIM)
-        _append_each(store.caches[0], 14, rng)
+        if t_q == 1:
+            _append_each(store.caches[0], 14, rng)
         new = [rng.normal(size=(1, t_q, HEAD_DIM)).astype(np.float32) for _ in range(2)] if t_q > 1 else []
         # (t_q, heads, d) rows viewed as (heads, t_q, d), as forward_chunk passes them
         rows = rng.normal(size=(t_q, heads, HEAD_DIM)).astype(np.float32)
@@ -373,18 +375,17 @@ def _position_masked_attention(store, q):
     return (scores @ store.values[:, :width]).reshape(q.shape)
 
 
-def _check_attention(store, q, k, v, cap):
+def _check_attention(store, q, k, v, cap=cache_module.SCORE_CAP):
     """attend_with_cache over a layer store under score cap `cap`. One query
     is for the newest token, already appended, and must equal
-    _position_masked_attention at tolerance 0. Several are for the next
-    positions seen.., with k and v's rows there as the new rows. Each
-    query at position t must equal brute force over the positions that
-    token-by-token generation holds at t (the literal eviction trace)
-    within 1e-6 (k[g, p] and v[g, p] are group g's rows for position p).
-    Returns the result."""
+    _position_masked_attention at tolerance 0. Several start the stream of
+    an empty store, positions 0.., with k and v's rows there as the new
+    rows. Each query at position t must equal brute force over the
+    positions that token-by-token generation holds at t (the literal
+    eviction trace) within 1e-6 (k[g, p] and v[g, p] are group g's rows
+    for position p). Returns the result."""
     views, t_q = store.caches, q.shape[2]
-    seen = views[0].total_seen
-    new = [k[:, seen : seen + t_q], v[:, seen : seen + t_q]] if t_q > 1 else []
+    new = [k[:, :t_q], v[:, :t_q]] if t_q > 1 else []
     with mock.patch.object(cache_module, "SCORE_CAP", cap):
         got = attend_with_cache(store, q, *new)
     assert got.shape == q.shape
@@ -392,7 +393,7 @@ def _check_attention(store, q, k, v, cap):
         assert np.array_equal(got, _position_masked_attention(store, q))
     for g, view in enumerate(views):
         for i in range(t_q):
-            t = view.total_seen - 1 if t_q == 1 else seen + i
+            t = view.total_seen - 1 if t_q == 1 else i
             mine = sink_window_trace(view.budget, view.sinks, t + 1)
             expected = brute_attention(q[g, :, i], k[g, mine], v[g, mine], causal=False)
             np.testing.assert_allclose(got[g, :, i], expected, atol=1e-6)
@@ -406,30 +407,33 @@ def _append(views, k, v, a, e):
 
 class TestLayerStoreAttention:
     """One call over a layer store, single and several queries, against the
-    position mask, brute force and per-group standalone caches. A segment
-    of one token is appended, then attends; several attend, then are
-    appended, as forward_layer runs them."""
+    position mask, brute force and per-group standalone caches. A first
+    segment of several tokens starts the stream: it attends, then is
+    appended. Every later segment is one token, appended, then attending,
+    as forward_layer runs them."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         extra=st.lists(st.integers(1, 10), min_size=2, max_size=4, unique=True),
         sinks=st.integers(0, 4),
-        segments=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+        first=st.integers(1, 9),
+        steps=st.integers(0, 7),
         heads=st.integers(1, 3),
         cap=st.sampled_from([1, 7, cache_module.SCORE_CAP]),
         seed=st.integers(0, 2**16),
     )
     # the first segment overflows group 0 while it attends
-    @example(extra=[2, 5], sinks=0, segments=[8, 1, 1], heads=2, cap=7, seed=0)
+    @example(extra=[2, 5], sinks=0, first=8, steps=2, heads=2, cap=7, seed=0)
     # no eviction in the first segment; the groups are padded to width 6
-    @example(extra=[1, 4, 2], sinks=2, segments=[3] + [1] * 6, heads=1, cap=1, seed=1)
-    # group 1 has evicted and group 0 has not when several queries come
-    @example(extra=[9, 2], sinks=1, segments=[5, 3, 2], heads=2, cap=1, seed=2)
+    @example(extra=[1, 4, 2], sinks=2, first=3, steps=6, heads=1, cap=1, seed=1)
+    # group 1 evicts in the first segment, group 0 only in the steps after it
+    @example(extra=[9, 2], sinks=1, first=5, steps=7, heads=2, cap=1, seed=2)
     def test_matches_brute_force_and_standalone_caches(
-        self, extra, sinks, segments, heads, cap, seed
+        self, extra, sinks, first, steps, heads, cap, seed
     ):
         budgets = [e + sinks for e in extra]  # unequal, at or above the floor
-        groups, total = len(budgets), sum(segments)
+        segments = [first] + [1] * steps
+        groups, total = len(budgets), first + steps
         store = LayerStore(budgets, sinks, HEAD_DIM)
         views = store.caches
         alone = [LayerStore([b], sinks, HEAD_DIM) for b in budgets]
@@ -469,29 +473,27 @@ class TestLayerStoreAttention:
             # without their new rows, several queries raise
             with pytest.raises(InputError, match="without new rows"):
                 attend_with_cache(store, q[:, :, :t_q])
-            # with them, the evicted group's queries see its sink and a window that
-            # moves past what it holds, and the other group's see every token before them
-            _check_attention(store, q[:, :, :t_q], k, v, 1)
+            # with them too: new rows start a stream, and these groups hold one
+            with pytest.raises(InputError, match=r"start a stream.*\[6, 6\]"):
+                attend_with_cache(store, q[:, :, :t_q], k[:, 6 : 6 + t_q], v[:, 6 : 6 + t_q])
         assert store.seen == [6, 6]  # attention appends nothing
 
     @pytest.mark.parametrize("short", [0, 1])
     def test_several_queries_need_a_token_each_in_every_group(self, rng, short):
         # each query brings its own token, a new row in every group, and every
-        # group must be at the stream position those rows follow
+        # group must be empty, as the rows start its stream
         store = LayerStore([8, 8], 0, HEAD_DIM)
         k, v = rng.normal(size=(2, 2, 9, HEAD_DIM)).astype(np.float32)
-        _append(store.caches, k, v, 0, 5)
         q = rng.normal(size=(2, 3, 4, HEAD_DIM)).astype(np.float32)
         _check_attention(store, q, k, v, 1)
-        for k_new, v_new in ((k[:, 5:8], v[:, 5:8]), (k[short : short + 1, 5:], v[short : short + 1, 5:])):
+        for k_new, v_new in ((k[:, :3], v[:, :3]), (k[short : short + 1, :4], v[short : short + 1, :4])):
             with pytest.raises(ShapeError, match="new rows"):
                 attend_with_cache(store, q, k_new, v_new)  # a token short, or a group without its rows
-        store = LayerStore([8, 8], 0, HEAD_DIM)
         for g, view in enumerate(store.caches):
             n = 2 if g == short else 5
             append_and_evict(view, k[g, :n], v[g, :n])
         _check_attention(store, q[:, :, :1], k, v, 1)  # one query is each group's newest token
-        with pytest.raises(InputError, match=r"groups at stream positions \[\d, \d\], not one"):
+        with pytest.raises(InputError, match=r"start a stream.*\[\d, \d\]"):
             attend_with_cache(store, q, k[:, 5:], v[:, 5:])
 
     def test_query_groups_must_match_the_store(self, rng):
@@ -506,10 +508,12 @@ class TestLayerStoreAttention:
                 attend_with_cache(store, bad)
         with pytest.raises(InputError, match="one retained token"):
             attend_with_cache(store, np.stack([q[None]] * 2))  # group 0 is empty
+        chunk, rows = rng.normal(size=(2, 1, 3, HEAD_DIM)).astype(np.float32), np.ones((2, 3, HEAD_DIM))
+        with pytest.raises(InputError, match=r"start a stream.*\[0, 1\]"):
+            attend_with_cache(store, chunk, rows, rows)  # group 1 is not empty
         append_and_evict(views[0], row, row)
         assert np.array_equal(attend_with_cache(store, np.stack([q[None]] * 2)), [[row], [row]])
         # several queries without their new rows, or with rows of another shape
-        chunk, rows = rng.normal(size=(2, 1, 3, HEAD_DIM)).astype(np.float32), np.ones((2, 3, HEAD_DIM))
         with pytest.raises(InputError, match="without new rows"):
             attend_with_cache(store, chunk)
         for k_bad, v_bad in ((rows[:, :2], rows[:, :2]), (rows, rows[:1]), (rows[..., :4], rows[..., :4])):
@@ -517,40 +521,38 @@ class TestLayerStoreAttention:
                 attend_with_cache(store, chunk, k_bad, v_bad)
         with pytest.raises(ShapeError, match="new rows"):
             attend_with_cache(store, chunk[:, :, :0], rows[:, :0], rows[:, :0])  # no queries
-        # rows given as float64 lists are taken as float32 arrays
+        # rows given as float64 lists, into an empty store, are taken as float32 arrays
+        store = LayerStore([4, 4], 0, HEAD_DIM)
         listed = attend_with_cache(store, chunk, rows.tolist(), rows.tolist())
         assert listed.dtype == np.float32
         assert np.array_equal(listed, attend_with_cache(store, chunk, rows.astype(np.float32), rows))
 
 
 class TestBandedAttention:
-    """A chunk's queries, which attend before their rows are appended,
-    against brute force over what token-by-token generation holds at each
-    position, under every block size and score cap."""
+    """A chunk's queries, which start the stream of an empty store and
+    attend before their rows are appended, against brute force over what
+    token-by-token generation holds at each position, under every block
+    size and score cap."""
 
     @settings(max_examples=100, deadline=None)
     @given(
         extra=st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True),
         sinks=st.integers(0, 4),
-        prefix=st.integers(0, 30),
         n=st.integers(2, 40),
         heads=st.integers(1, 3),
         cap=st.sampled_from([1, 50, cache_module.SCORE_CAP]),
         block=st.sampled_from([1, 3, cache_module.BLOCK]),
         seed=st.integers(0, 2**16),
     )
-    # the prefix fills group 1 (budget 4) and not group 0 (budget 12)
-    @example(extra=[9, 1], sinks=3, prefix=7, n=40, heads=2, cap=50, block=3, seed=0)
+    # group 1's window (budget 4) moves past its budget mid-chunk, group 0's (budget 12) later
+    @example(extra=[9, 1], sinks=3, n=40, heads=2, cap=50, block=3, seed=0)
     # a budget at the floor, sinks later than the first queries
-    @example(extra=[1, 5, 2], sinks=4, prefix=1, n=33, heads=1, cap=1, block=1, seed=1)
-    def test_matches_brute_force_over_the_retained_set(
-        self, extra, sinks, prefix, n, heads, cap, block, seed
-    ):
+    @example(extra=[1, 5, 2], sinks=4, n=33, heads=1, cap=1, block=1, seed=1)
+    def test_matches_brute_force_over_the_retained_set(self, extra, sinks, n, heads, cap, block, seed):
         budgets = [e + sinks for e in extra]  # unequal, down to the floor
         store = LayerStore(budgets, sinks, HEAD_DIM)
         rng = np.random.default_rng(seed)
-        k, v = rng.normal(size=(2, len(budgets), prefix + n, HEAD_DIM)).astype(np.float32)
-        _append(store.caches, k, v, 0, prefix)
+        k, v = rng.normal(size=(2, len(budgets), n, HEAD_DIM)).astype(np.float32)
         q = rng.normal(size=(len(budgets), heads, n, HEAD_DIM)).astype(np.float32)
         with mock.patch.object(cache_module, "BLOCK", block):
             _check_attention(store, q, k, v, cap)
@@ -567,15 +569,12 @@ class TestSingleQuery:
         first=st.integers(1, 14),
         steps=st.integers(0, 10),
         heads=st.integers(1, 3),
-        cap=st.sampled_from([1, 7, cache_module.SCORE_CAP]),
         seed=st.integers(0, 2**16),
     )
-    # one group per tile; the short group is the last of three
-    @example(extra=[9, 8, 2], sinks=2, first=12, steps=3, heads=2, cap=1, seed=0)
-    @example(extra=[9, 8, 2], sinks=0, first=3, steps=8, heads=1, cap=7, seed=1)
-    def test_equals_position_mask_and_brute_force(
-        self, extra, sinks, first, steps, heads, cap, seed
-    ):
+    # the short group is the last of three
+    @example(extra=[9, 8, 2], sinks=2, first=12, steps=3, heads=2, seed=0)
+    @example(extra=[9, 8, 2], sinks=0, first=3, steps=8, heads=1, seed=1)
+    def test_equals_position_mask_and_brute_force(self, extra, sinks, first, steps, heads, seed):
         budgets = [e + sinks for e in extra]  # unequal, so the store is padded
         groups, total = len(budgets), first + steps
         store = LayerStore(budgets, sinks, HEAD_DIM)
@@ -587,7 +586,7 @@ class TestSingleQuery:
             for g in range(groups):
                 append_and_evict(views[g], k[g, a:b], v[g, a:b])
             q = rng.normal(size=(groups, heads, 1, HEAD_DIM)).astype(np.float32)
-            assert _check_attention(store, q, k, v, cap) is not None
+            assert _check_attention(store, q, k, v) is not None
 
 
 class TestScoreTiling:

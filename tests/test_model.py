@@ -18,16 +18,22 @@ from bklv import (
     ShapeError,
     append_and_evict,
     build_cache_set,
+    chunked_perplexity,
     forward_chunk,
     greedy_generate,
     init_model,
+    layer_sweep,
     memory_report,
     model_checksum,
+    parameter_search,
+    profile_model,
     reset,
     uniform_plan,
 )
 from bklv import cache as cache_module
 from bklv import model as model_module
+from bklv import profiling as profiling_module
+from bklv import search as search_module
 from bklv.allocation import AllocationPlan, PlanParams
 from bklv.cache import LayerStore
 from bklv.model import (
@@ -368,8 +374,12 @@ class TestBudgetedStepping:
             for cache in store.caches:
                 assert [n for c, n in appends if c is cache] == [first] + [1] * (16 - first)
 
-    def test_one_token_appends_a_row_per_cache_then_attends_once_per_layer(self, small_model, monkeypatch):
-        """The call schedule of a decode step, the calls perfbench's decode counts."""
+    @staticmethod
+    def _step_calls(model, monkeypatch, prefix, tokens) -> tuple[list, list]:
+        """The append and attention calls of forward_chunk of `tokens` after
+        `prefix`, and a decode step's schedule for each token in each layer:
+        one row's append per cache in cache order, then one attention
+        without new rows."""
         calls, attend = [], cache_module.attend_with_cache
 
         def appending(cache, k_new, v_new):
@@ -384,14 +394,48 @@ class TestBudgetedStepping:
         monkeypatch.setattr(model_module, "attend_with_cache", attending)
         plan = AllocationPlan(0.0, 1, np.array([[4, 6], [10, 12]]), "custom", PlanParams())
         caches = build_cache_set(plan, SMALL)
-        forward_chunk(small_model, list(range(16)), caches)  # past every budget
+        forward_chunk(model, prefix, caches)
         calls.clear()
-        forward_chunk(small_model, [7], caches)
+        forward_chunk(model, tokens, caches)
         expected = []
-        for store in caches.stores:  # one row per cache in cache order, then one attention
-            expected += [("append", cache, (1, SMALL.head_dim)) for cache in store.caches]
-            expected.append(("attend", store, True))
+        for store in caches.stores:
+            for _ in tokens:
+                expected += [("append", cache, (1, SMALL.head_dim)) for cache in store.caches]
+                expected.append(("attend", store, True))
+        return calls, expected
+
+    def test_one_token_appends_a_row_per_cache_then_attends_once_per_layer(self, small_model, monkeypatch):
+        """The call schedule of a decode step, the calls perfbench's decode counts."""
+        calls, expected = self._step_calls(small_model, monkeypatch, list(range(16)), [7])  # past every budget
         assert calls == expected
+
+    def test_a_chunk_after_a_prefix_takes_the_decode_step_per_token(self, small_model, monkeypatch):
+        # the prefix overflows layer 0's group 0 (budget 4) only, the chunk its group 1 (budget 6) too
+        calls, expected = self._step_calls(small_model, monkeypatch, list(range(5)), [7, 8, 9, 200])
+        assert calls == expected
+
+
+class TestServedTraffic:
+    """The traffic the chunk path is built for: every chunk of several
+    tokens that the pipeline sends through a layer starts its stream."""
+
+    def test_no_chunk_continues_a_stream(self, small_model, monkeypatch, rng):
+        calls = []
+
+        def recording(model, li, x, store):
+            calls.append((x.shape[1] > 1, any(store.seen)))
+            return forward_layer(model, li, x, store)
+
+        for module in (model_module, search_module, profiling_module):
+            monkeypatch.setattr(module, "forward_layer", recording)
+        corpus = rng.integers(0, SMALL.vocab_size, size=140)
+        plan = uniform_plan(SMALL, 0.5)
+        chunked_perplexity(small_model, corpus, 64, plan)
+        profile = profile_model(small_model, [rng.integers(0, SMALL.vocab_size, size=n) for n in (40, 64)])
+        parameter_search(small_model, corpus, 64, 0.5, [(0.5, 0.3), (0.9, 0.6)], profile)
+        layer_sweep(small_model, corpus, 48, 1, 0.5)
+        greedy_generate(small_model, corpus[:20], 30, build_cache_set(plan, SMALL))
+        assert set(calls) == {(True, False), (False, True)}  # chunks into empty stores, then single tokens
 
 
 @st.composite
