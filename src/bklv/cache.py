@@ -32,6 +32,7 @@ from .numerics import softmax
 SCORE_CAP = 1 << 17  # elements in one score buffer of a chunk's block: 512 KiB of float32
 BLOCK = 32  # queries per block of a chunk's attention pass, from a measured scan
 _NO_REACH = np.iinfo(np.int64).max  # a sink's reach: past every offset
+SCORE_BOUND = 80.0  # the largest score bound whose exp skips the row max: e**-80 is a normal float32
 
 
 class LayerStore:
@@ -125,28 +126,28 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
     Repeated single-token eviction of the oldest non-sink is equivalent to
     keeping the sink prefix plus the most recent tail. Every position has a
     fixed slot (see BudgetedCache), so this writes only the new rows that
-    are kept, in place over the rows they evict. One row (every decode
-    step, and every stepped token of eval) is two writes into its slot;
-    more rows are the new sinks, then the last budget - sinks others in at
-    most two runs of ring slots.
+    are kept, in place over the rows they evict: the new sinks, then the
+    last budget - sinks others in at most two runs of ring slots. A pair of
+    (1, head_dim) ndarrays, as every decode step appends, goes as is into
+    its slot, checked by shape only; other input is converted and checked.
     """
-    k_new = np.asarray(k_new, dtype=np.float32)
-    v_new = np.asarray(v_new, dtype=np.float32)
-    if k_new.ndim != 2 or k_new.shape != v_new.shape:
-        raise ShapeError(f"k_new {k_new.shape} and v_new {v_new.shape} must be equal 2-D shapes")
-    rows, width = k_new.shape
-    if width != cache.head_dim:
-        raise ShapeError(f"row width {width} != head_dim {cache.head_dim}")
-
     g, sinks, budget = cache.group, cache.sinks, cache.budget
     keys, values = cache.slots
     seen = cache.seen[g]
-    total = seen + rows
-    if rows == 1:  # the (1, head_dim) row as is: measured faster than writing k_new[0]
+    if type(k_new) is type(v_new) is np.ndarray and k_new.shape == v_new.shape == (1, cache.head_dim):
         slot = seen if seen < sinks else sinks + (seen - sinks) % (budget - sinks)
         keys[:, slot] = k_new
         values[slot] = v_new
+        total = seen + 1
     else:
+        k_new = np.asarray(k_new, dtype=np.float32)
+        v_new = np.asarray(v_new, dtype=np.float32)
+        if k_new.ndim != 2 or k_new.shape != v_new.shape:
+            raise ShapeError(f"k_new {k_new.shape} and v_new {v_new.shape} must be equal 2-D shapes")
+        rows, width = k_new.shape
+        if width != cache.head_dim:
+            raise ShapeError(f"row width {width} != head_dim {cache.head_dim}")
+        total = seen + rows
         # Kept: new sinks seen..min(sinks, total)-1 in their own slots, then new
         # others first..total-1 from ring slot `ring`, wrapping to `sinks` at `wrap`.
         first = max(sinks, seen, total - (budget - sinks))
@@ -173,8 +174,14 @@ def attend_with_cache(
     rows under the sink+window rule. Block [a, e) of BLOCK queries scores
     the sinks and positions a - (largest budget - sinks) + 1 to e - 1.
     Groups run in tiles whose score buffer holds at most SCORE_CAP elements
-    (one group at least), and each group's result is the same whatever the
-    tiling. Returns one output row per query, like `q`.
+    (one group at least). A group whose scores are bounded (_bounded: all
+    within SCORE_BOUND, and no row sum or PV entry can overflow) takes exp
+    without the row max; a ones column carried in its values makes the PV
+    product return each row's weight sum too, and only the (rows, head_dim)
+    result is divided. Any other group keeps the softmax shifted by the row
+    max, its weights normalized before the PV product. Decided per group, a
+    group's result is the same whatever the tiling or the other groups.
+    Returns one output row per query, like `q`.
     """
     q = np.asarray(q, dtype=np.float32)
     groups, d, _ = store.keys.shape
@@ -200,8 +207,12 @@ def attend_with_cache(
     if any(store.seen):
         raise InputError(f"new rows start a stream, but the groups have seen {store.seen} tokens")
     span, widest = np.array(store.budgets)[:, None] - sinks, max(store.budgets) - sinks
-    # copies, since the sinks move within them and the caller appends the rows
-    keys, values = k_new.copy(), v_new.copy()
+    # queries, not scores, are scaled: fewer operations, exact when sqrt(d) is a power of 2
+    q = q / scale
+    bounded = _bounded(q, k_new, v_new).tolist()
+    # copies, since the sinks move within them and the caller appends the rows;
+    # the values carry a ones column, whose PV product is each row's weight sum
+    keys, values = k_new.copy(), np.concatenate([v_new, np.ones((groups, t_q, 1), np.float32)], 2)
     sink_keys, sink_values = keys[:, :sinks].copy(), values[:, :sinks].copy()
     out = np.empty(q.shape, np.float32)
     for a in range(0, t_q, BLOCK):
@@ -216,16 +227,34 @@ def attend_with_cache(
         positions = np.concatenate([np.arange(n_sinks), np.arange(start, e)])
         reach = np.where(positions < sinks, _NO_REACH, span).astype(np.uint64)
         hidden = (np.arange(a, e)[:, None] - positions).view(np.uint64) >= reach[:, None]
-        # queries, not scores, are scaled: fewer operations, exact when sqrt(d) is a power of 2
-        rows, cols = (q[:, :, a:e] / scale).reshape(groups, -1, d), e - lo_col
+        rows, cols = q[:, :, a:e].reshape(groups, -1, d), e - lo_col
         step = max(1, SCORE_CAP // (rows.shape[1] * cols))
         for lo in range(0, groups, step):
-            hi = lo + step
+            hi, tile = lo + step, bounded[lo : lo + step]
             scores = rows[lo:hi] @ keys[lo:hi, lo_col:e].transpose(0, 2, 1)
             np.copyto(scores.reshape(-1, heads, e - a, cols), -np.inf, where=hidden[lo:hi, None])
-            softmax(scores, out=scores)
-            out[lo:hi, :, a:e] = (scores @ values[lo:hi, lo_col:e]).reshape(-1, heads, e - a, d)
+            if all(tile):
+                np.exp(scores, out=scores)
+            else:  # a group past the bound is shifted by its row max and its weights normalized
+                for group_scores, fits in zip(scores, tile):
+                    (np.exp if fits else softmax)(group_scores, out=group_scores)
+            pv = (scores @ values[lo:hi, lo_col:e]).reshape(-1, heads, e - a, d + 1)
+            if not all(tile):
+                pv[~np.array(tile), ..., d] = 1  # so the normalized groups divide by 1, exactly
+            np.divide(pv[..., :d], pv[..., d:], out=out[lo:hi, :, a:e])
     return out
+
+
+def _bounded(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(groups,) bool, per group of a chunk: its scores of scaled queries q
+    (groups, heads, t_q, d) by keys k (groups, t_q, d) are within B = max |q_i|
+    * max |k_j|, and B <= SCORE_BOUND and t_q * e**B * max(1, max |v|) < FLT_MAX / 2,
+    so no row sum or PV entry overflows. A NaN or inf fails both tests."""
+    groups, t_q, _ = k.shape
+    q_norms = np.einsum("...d,...d->...", q, q).reshape(groups, -1).max(1)
+    bound = np.sqrt(q_norms.astype(np.float64) * np.einsum("...d,...d->...", k, k).max(1))
+    growth = t_q * np.exp(np.minimum(bound, SCORE_BOUND)) * np.maximum(1.0, np.abs(v).reshape(groups, -1).max(1))
+    return (bound <= SCORE_BOUND) & (growth < float(np.finfo(np.float32).max) / 2)
 
 
 @dataclass

@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 MAX_SIZE = 2**31 - 1  # so a budget total of any real plan fits its int64 matrix
+MAX_WEIGHTS = 2**28  # 1 GiB of float32 weights, so a model that validates can be held in memory
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,24 @@ class ModelConfig:
         """Query heads per KV group."""
         return self.num_q_heads // self.num_kv_heads
 
+    def layer_shapes(self) -> list[tuple[int, ...]]:
+        """The shapes of one layer's tensors, in LayerWeights field order; the
+        1-D ones are the norm gains."""
+        q, kv = self.num_q_heads * self.head_dim, self.num_kv_heads * self.head_dim
+        return [
+            (self.d_model, q), (self.d_model, kv), (self.d_model, kv), (q, self.d_model),
+            (self.d_model, self.d_ff), (self.d_ff, self.d_model), (self.d_model,), (self.d_model,),
+        ]
+
+    def weight_count(self) -> int:
+        """Weights in the embedding, the layers and the final norm, in Python ints."""
+        layer = sum(math.prod(shape) for shape in self.layer_shapes())
+        return (self.vocab_size + 1) * self.d_model + self.num_layers * layer
+
     def validate(self) -> None:
         """The config rules, wherever a config comes from: integer fields are
         integers (not bool, str or float), sizes in [1, MAX_SIZE], seed >= 0,
-        and rope_theta a finite positive real number."""
+        rope_theta a finite positive real number, and at most MAX_WEIGHTS weights."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "rope_theta":
@@ -66,3 +81,5 @@ class ModelConfig:
             raise ConfigError(f"head_dim must be even for rotary positions, got {self.head_dim}")
         if self.max_context < 8:
             raise ConfigError(f"max_context must be >= 8, got {self.max_context}")
+        if self.weight_count() > MAX_WEIGHTS:
+            raise ConfigError(f"the model has {self.weight_count()} weights, above MAX_WEIGHTS {MAX_WEIGHTS}")

@@ -56,19 +56,9 @@ class Model:
     final_norm: np.ndarray  # (d_model,)
 
 
-def _layer_shapes(cfg: ModelConfig) -> list[tuple[int, ...]]:
-    """The shapes of one layer's tensors, in LayerWeights field order; the
-    1-D ones are the norm gains."""
-    q, kv = cfg.num_q_heads * cfg.head_dim, cfg.num_kv_heads * cfg.head_dim
-    return [
-        (cfg.d_model, q), (cfg.d_model, kv), (cfg.d_model, kv), (q, cfg.d_model),
-        (cfg.d_model, cfg.d_ff), (cfg.d_ff, cfg.d_model), (cfg.d_model,), (cfg.d_model,),
-    ]
-
-
 def _canonical_shapes(cfg: ModelConfig) -> list[tuple[int, ...]]:
     """Every tensor's shape, in the order of _canonical_tensors."""
-    return [(cfg.vocab_size, cfg.d_model), *_layer_shapes(cfg) * cfg.num_layers, (cfg.d_model,)]
+    return [(cfg.vocab_size, cfg.d_model), *cfg.layer_shapes() * cfg.num_layers, (cfg.d_model,)]
 
 
 def _assemble(cfg: ModelConfig, tensors: list[np.ndarray]) -> Model:
@@ -368,10 +358,7 @@ def deserialize_model(data: bytes) -> Model:
         raise FormatError(f"header describes an invalid config: {exc}") from exc
 
     body = data[newline + 1 :]
-    # sized in Python ints before any per-layer list is built, so a huge
-    # header neither overflows nor allocates
-    layer_size = sum(math.prod(shape) for shape in _layer_shapes(cfg))
-    expected = 4 * ((cfg.vocab_size + 1) * cfg.d_model + cfg.num_layers * layer_size)
+    expected = 4 * cfg.weight_count()
     if len(body) != expected:
         raise FormatError(f"weight payload is {len(body)} bytes, expected {expected}")
 

@@ -10,16 +10,10 @@ def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     Entries masked with -inf receive weight 0; every row must keep at
     least one finite entry.
     """
-    # the ufunc reductions np.max and np.sum call, without their wrappers
-    weights = np.subtract(scores, np.maximum.reduce(scores, -1, keepdims=True), out=out)
+    # the ufunc reductions, without np.max's and np.sum's wrappers; fmax skips
+    # the NaN checks of maximum, and a row holding a NaN is still all NaN
+    weights = np.subtract(scores, np.fmax.reduce(scores, -1, keepdims=True), out=out)
     np.exp(weights, out=weights)
     weights /= np.add.reduce(weights, -1, keepdims=True)
     return weights
 
-
-def log_softmax_f64(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax computed in float64 for loss accounting."""
-    x = np.asarray(logits, dtype=np.float64)
-    m = np.max(x, axis=-1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(x - m), axis=-1, keepdims=True))
-    return x - lse

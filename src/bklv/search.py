@@ -24,7 +24,6 @@ from .allocation import (
 from .cache import CacheSet, LayerStore, clamp_budgets
 from .errors import InputError
 from .model import Model, check_context, check_tokens, forward_chunk, forward_layer, output_logits
-from .numerics import log_softmax_f64
 from .profiling import ImportanceProfile, spearman
 
 DEFAULT_T_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
@@ -37,8 +36,12 @@ HIDDEN_CAP = 1 << 18
 
 
 def _mean_nll(logits: np.ndarray, tokens: np.ndarray) -> float:
-    log_probs = log_softmax_f64(logits[:-1])
-    picked = log_probs[np.arange(tokens.size - 1), tokens[1:]]
+    """Mean of -log softmax(logits[i])[tokens[i + 1]], in float64: each
+    row's log-sum-exp is subtracted from its target logit only."""
+    x = logits[:-1].astype(np.float64)
+    m = np.max(x, axis=-1, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(x - m), axis=-1, keepdims=True))
+    picked = x[np.arange(tokens.size - 1), tokens[1:]] - lse[:, 0]
     return float(-np.mean(picked))
 
 

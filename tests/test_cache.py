@@ -265,6 +265,20 @@ class TestOneRowAppend:
                 assert np.array_equal(a.positions, b.positions)
 
 
+    def test_the_runs_write_one_row_where_the_one_row_path_does(self, rng):
+        # a row given as lists takes the general path's runs, one as arrays the slot write
+        rows = rng.normal(size=(80, 2, 1, HEAD_DIM)).astype(np.float32)
+        for sinks in range(6):
+            for budget in range(sinks + 1, sinks + 20):
+                arrays, lists = (LayerStore([budget], sinks, HEAD_DIM) for _ in range(2))
+                for k, v in rows:
+                    append_and_evict(arrays.caches[0], k, v)
+                    append_and_evict(lists.caches[0], k.tolist(), v.tolist())
+                    assert arrays.keys.tobytes() == lists.keys.tobytes()
+                    assert arrays.values.tobytes() == lists.values.tobytes()
+                    assert (arrays.lengths, arrays.seen) == (lists.lengths, lists.seen)
+
+
 def _attend_one(store, q):
     """One group's (t_q, head_dim) queries through its one-group store."""
     return attend_with_cache(store, q[None, None])[0, 0]
@@ -532,7 +546,7 @@ class TestBandedAttention:
     """A chunk's queries, which start the stream of an empty store and
     attend before their rows are appended, against brute force over what
     token-by-token generation holds at each position, under every block
-    size and score cap."""
+    size and score cap, on both softmax paths (SCORE_BOUND 0 shifts every group)."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -542,19 +556,20 @@ class TestBandedAttention:
         heads=st.integers(1, 3),
         cap=st.sampled_from([1, 50, cache_module.SCORE_CAP]),
         block=st.sampled_from([1, 3, cache_module.BLOCK]),
+        bound=st.sampled_from([cache_module.SCORE_BOUND, 0.0]),
         seed=st.integers(0, 2**16),
     )
     # group 1's window (budget 4) moves past its budget mid-chunk, group 0's (budget 12) later
-    @example(extra=[9, 1], sinks=3, n=40, heads=2, cap=50, block=3, seed=0)
+    @example(extra=[9, 1], sinks=3, n=40, heads=2, cap=50, block=3, bound=80.0, seed=0)
     # a budget at the floor, sinks later than the first queries
-    @example(extra=[1, 5, 2], sinks=4, n=33, heads=1, cap=1, block=1, seed=1)
-    def test_matches_brute_force_over_the_retained_set(self, extra, sinks, n, heads, cap, block, seed):
+    @example(extra=[1, 5, 2], sinks=4, n=33, heads=1, cap=1, block=1, bound=0.0, seed=1)
+    def test_matches_brute_force_over_the_retained_set(self, extra, sinks, n, heads, cap, block, bound, seed):
         budgets = [e + sinks for e in extra]  # unequal, down to the floor
         store = LayerStore(budgets, sinks, HEAD_DIM)
         rng = np.random.default_rng(seed)
         k, v = rng.normal(size=(2, len(budgets), n, HEAD_DIM)).astype(np.float32)
         q = rng.normal(size=(len(budgets), heads, n, HEAD_DIM)).astype(np.float32)
-        with mock.patch.object(cache_module, "BLOCK", block):
+        with mock.patch.object(cache_module, "BLOCK", block), mock.patch.object(cache_module, "SCORE_BOUND", bound):
             _check_attention(store, q, k, v, cap)
 
 
@@ -589,37 +604,152 @@ class TestSingleQuery:
             assert _check_attention(store, q, k, v) is not None
 
 
-class TestScoreTiling:
-    """attend_with_cache under a small score cap against the one-tile call."""
+def _chunk_attention(budgets, sinks, q, k, v, cap=cache_module.SCORE_CAP):
+    """A chunk's several queries into a fresh store, under score cap `cap`."""
+    with mock.patch.object(cache_module, "SCORE_CAP", cap):
+        return attend_with_cache(LayerStore(budgets, sinks, HEAD_DIM), q, k, v)
 
-    @settings(max_examples=50, deadline=None)
+
+def _scaled_normal(rng, shape, scales):
+    """float32 normal draws, group g (the first axis) scaled by scales[g]."""
+    x = rng.normal(size=shape).astype(np.float32)
+    return x * np.asarray(scales, np.float32).reshape(-1, *[1] * (len(shape) - 1))
+
+
+PAST_BOUND = 100.0  # a query scale whose scores pass SCORE_BOUND: B is about 500 at head_dim 8
+# scores of a few hundred: float32 rounding moves them by about 1e-5; measured
+# largest |difference| from brute force 3.0e-5 over 300 random calls of this shape
+PAST_BOUND_TOL = 1e-4
+
+
+class TestScoreTiling:
+    """A chunk into a fresh store under a small score cap against the
+    one-tile call, bit for bit, and against brute force. Query scales push
+    some groups past SCORE_BOUND, so tiles hold groups of both softmax paths."""
+
+    @settings(max_examples=60, deadline=None)
     @given(
         budgets=st.lists(st.integers(1, 12), min_size=1, max_size=6),
         sinks=st.integers(0, 3),
-        first=st.integers(1, 14),
-        steps=st.integers(0, 5),
+        n=st.integers(2, 40),
         heads=st.integers(1, 3),
         cap=st.sampled_from([1, 7, 100, 1000]),
+        scales=st.lists(st.sampled_from([1.0, PAST_BOUND]), min_size=6, max_size=6),
         seed=st.integers(0, 2**16),
     )
-    def test_tiled_equals_untiled_and_brute_force(
-        self, budgets, sinks, first, steps, heads, cap, seed
-    ):
-        budgets = [b + sinks for b in budgets]
-        groups, total = len(budgets), first + steps
-        store = LayerStore(budgets, sinks, HEAD_DIM)
-        views = store.caches
+    # groups 0 and 2 past the bound, tiles of one group and of several
+    @example(budgets=[3, 9, 4], sinks=2, n=40, heads=2, cap=100, scales=[PAST_BOUND, 1, PAST_BOUND] + [1] * 3,
+             seed=0)
+    def test_tiled_equals_untiled_and_brute_force(self, budgets, sinks, n, heads, cap, scales, seed):
+        budgets, scales = [b + sinks for b in budgets], scales[: len(budgets)]
         rng = np.random.default_rng(seed)
-        k = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
-        v = rng.normal(size=(groups, total, HEAD_DIM)).astype(np.float32)
-        for a, b in [(0, first), *((i, i + 1) for i in range(first, total))]:
-            if b - a == 1:  # a single token is appended, then attends; several attend first
-                _append(views, k, v, a, b)
-            q = rng.normal(size=(groups, heads, b - a, HEAD_DIM)).astype(np.float32)
-            untiled = _check_attention(store, q, k, v, cache_module.SCORE_CAP)
-            assert np.array_equal(_check_attention(store, q, k, v, cap), untiled)
-            if b - a > 1:
-                _append(views, k, v, a, b)
+        k, v = rng.normal(size=(2, len(budgets), n, HEAD_DIM)).astype(np.float32)
+        q = _scaled_normal(rng, (len(budgets), heads, n, HEAD_DIM), scales)
+        bounded = cache_module._bounded(q / np.float32(math.sqrt(HEAD_DIM)), k, v)
+        assert bounded.tolist() == [scale == 1 for scale in scales]
+        untiled = _chunk_attention(budgets, sinks, q, k, v)
+        assert np.array_equal(_chunk_attention(budgets, sinks, q, k, v, cap), untiled)
+        for g, (budget, fits) in enumerate(zip(budgets, bounded)):
+            for i in range(n):
+                mine = sink_window_trace(budget, sinks, i + 1)
+                expected = brute_attention(q[g, :, i], k[g, mine], v[g, mine], causal=False)
+                np.testing.assert_allclose(untiled[g, :, i], expected, atol=1e-6 if fits else PAST_BOUND_TOL)
+
+
+# measured: largest |difference| 1.4e-6 over 2,000 random calls of this
+# test's shapes with queries scaled by 4, scores up to 29 at head_dim 8
+BOUNDED_TOL = 5e-6
+
+
+class TestBoundedSoftmax:
+    """The banded pass's two softmax paths. A group whose score bound is
+    within SCORE_BOUND takes exp without the row max and divides its PV
+    product by the ones column's sum; any other keeps the shifted,
+    normalized softmax. Each against the other, per group, and on the
+    README's traffic (tests/test_readme.py)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        extra=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        sinks=st.integers(0, 4),
+        n=st.integers(2, 40),
+        heads=st.integers(1, 3),
+        scale=st.sampled_from([0.01, 0.5, 1.0, 2.0, 4.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(extra=[12, 3], sinks=1, n=40, heads=3, scale=4.0, seed=0)  # scores up to about 20
+    def test_bounded_groups_match_the_shifted_path(self, extra, sinks, n, heads, scale, seed):
+        budgets = [e + sinks for e in extra]
+        rng = np.random.default_rng(seed)
+        k, v = rng.normal(size=(2, len(budgets), n, HEAD_DIM)).astype(np.float32)
+        q = rng.normal(size=(len(budgets), heads, n, HEAD_DIM)).astype(np.float32) * np.float32(scale)
+        assert cache_module._bounded(q / np.float32(math.sqrt(HEAD_DIM)), k, v).all()
+        bounded = _chunk_attention(budgets, sinks, q, k, v)
+        with mock.patch.object(cache_module, "SCORE_BOUND", 0.0):  # every group shifted
+            assert not cache_module._bounded(q / np.float32(math.sqrt(HEAD_DIM)), k, v).any()
+            shifted = _chunk_attention(budgets, sinks, q, k, v)
+        np.testing.assert_allclose(bounded, shifted, rtol=0, atol=BOUNDED_TOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        groups=st.integers(2, 4),
+        budget=st.integers(1, 12),
+        sinks=st.integers(0, 3),
+        n=st.integers(2, 40),
+        heads=st.integers(1, 3),
+        past=st.integers(0, 3),
+        cap=st.sampled_from([1, cache_module.SCORE_CAP]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_group_past_the_bound_leaves_the_others_bit_identical(
+        self, groups, budget, sinks, n, heads, past, cap, seed
+    ):
+        past, budgets = past % groups, [budget + sinks] * groups  # one width, so a group's own call matches
+        scales = [PAST_BOUND if g == past else 1.0 for g in range(groups)]
+        rng = np.random.default_rng(seed)
+        k, v = rng.normal(size=(2, groups, n, HEAD_DIM)).astype(np.float32)
+        q = _scaled_normal(rng, (groups, heads, n, HEAD_DIM), scales)
+        bounded = cache_module._bounded(q / np.float32(math.sqrt(HEAD_DIM)), k, v)
+        assert bounded.tolist() == [g != past for g in range(groups)]
+        together = _chunk_attention(budgets, sinks, q, k, v, cap)
+        for g in range(groups):
+            alone = _chunk_attention(budgets[:1], sinks, q[g : g + 1], k[g : g + 1], v[g : g + 1], cap)
+            assert together[g].tobytes() == alone[0].tobytes(), g
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        extra=st.integers(1, 12),
+        sinks=st.integers(0, 3),
+        n=st.integers(2, cache_module.BLOCK),
+        heads=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_past_the_bound_a_group_keeps_the_normalized_softmax_bit_for_bit(self, extra, sinks, n, heads, seed):
+        # one block, so its scores are the whole chunk's: softmax, then the PV product,
+        # undivided. The product is taken with the values' ones column, as in the
+        # call: BLAS may sum a head_dim + 1 wide product in another order than a head_dim one.
+        rng = np.random.default_rng(seed)
+        k, v = rng.normal(size=(2, 1, n, HEAD_DIM)).astype(np.float32)
+        q = rng.normal(size=(1, heads, n, HEAD_DIM)).astype(np.float32) * np.float32(PAST_BOUND)
+        got = _chunk_attention([extra + sinks], sinks, q, k, v)
+        scores = (q[0] / np.float32(math.sqrt(HEAD_DIM))).reshape(-1, HEAD_DIM) @ k[0].T
+        visible = np.zeros((n, n), bool)
+        for i in range(n):
+            visible[i, sink_window_trace(extra + sinks, sinks, i + 1)] = True
+        scores[~np.tile(visible, (heads, 1))] = -np.inf
+        expected = softmax(scores) @ np.concatenate([v[0], np.ones((n, 1), np.float32)], 1)
+        assert got[0].reshape(-1, HEAD_DIM).tobytes() == expected[:, :HEAD_DIM].tobytes()
+
+    @pytest.mark.parametrize(
+        "poison, where",
+        [(np.nan, "q"), (np.inf, "k"), (np.nan, "v"), (np.inf, "v"), (1e34, "v"), (1e20, "q")],
+    )
+    def test_a_nan_an_inf_or_a_huge_value_fails_the_bound(self, rng, poison, where):
+        q = rng.normal(size=(2, 2, 6, HEAD_DIM)).astype(np.float32)
+        k, v = rng.normal(size=(2, 2, 6, HEAD_DIM)).astype(np.float32)
+        {"q": q[:, 0], "k": k, "v": v}[where][1, 3, 2] = poison  # group 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cache_module._bounded(q, k, v).tolist() == [True, False]
 
 
 class TestCacheSet:

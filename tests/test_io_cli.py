@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bklv import (
+    ConfigError,
     FormatError,
     InputError,
     ModelConfig,
@@ -284,6 +285,28 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert "rope_theta must be finite and positive" in json.loads(lines[0])["error"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_init_model_past_the_weight_bound(self, tmp_path, monkeypatch, capsys):
+        # about 2.6e12 weights: refused by ModelConfig.validate before any
+        # tensor is drawn. The guard fails the test instead of allocating, were the bound lost.
+        init_model = cli_module.init_model
+
+        def guarded(cfg):
+            assert cfg.weight_count() > 2**28
+            with pytest.raises(ConfigError):
+                cfg.validate()
+            return init_model(cfg)
+
+        monkeypatch.setattr(cli_module, "init_model", guarded)
+        out = tmp_path / "x.bklv"
+        assert main(["init-model", "--out", str(out), "--num-layers", "100000", "--d-ff", "100000"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert re.fullmatch(r"the model has \d+ weights, above MAX_WEIGHTS 268435456", error), error
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -31,6 +31,7 @@ from bklv import (
     uniform_plan,
 )
 from bklv import cache as cache_module
+from bklv import config as config_module
 from bklv import model as model_module
 from bklv import profiling as profiling_module
 from bklv import search as search_module
@@ -88,6 +89,18 @@ class TestConfig:
     def test_field_types_and_ranges(self, field, value, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             ModelConfig(**{field: value}).validate()
+
+    def test_weight_count_is_bounded(self, small_model):
+        assert ModelConfig().weight_count() == 492_800
+        assert SMALL.weight_count() == sum(t.size for t in model_module._canonical_tensors(small_model))
+        with mock.patch.object(config_module, "MAX_WEIGHTS", 492_800):
+            ModelConfig().validate()
+        with mock.patch.object(config_module, "MAX_WEIGHTS", 492_799):
+            with pytest.raises(ConfigError, match="^the model has 492800 weights, above MAX_WEIGHTS 492799$"):
+                ModelConfig().validate()
+        huge = ModelConfig(num_layers=100_000, d_ff=100_000)  # about 2.6e12 weights
+        with pytest.raises(ConfigError, match=f"has {huge.weight_count()} weights, above MAX_WEIGHTS {2**28}"):
+            huge.validate()
 
 
 class TestInitModel:
@@ -618,6 +631,8 @@ class TestExactRewrites:
     @given(_masked_scores())
     @example(np.array([[-np.inf, 2.5e38, -np.inf, -3e38]], np.float32))  # one row, huge spread
     @example(np.array([[-np.inf, -1.0], [4.0, -np.inf]], np.float32))
+    @example(np.array([[1.0, np.nan, -np.inf], [0.5, -1.0, 2.0]], np.float32))  # the NaN row stays all NaN
+    @example(np.array([[0.0, -0.0, -np.inf], [-0.0, 0.0, -1.0]], np.float32))  # a tie of +0 and -0
     def test_softmax_is_the_max_sum_formula(self, scores):
         with np.errstate(over="ignore"):
             expected = np.subtract(scores, np.max(scores, axis=-1, keepdims=True))
@@ -718,6 +733,13 @@ class TestWeightFile:
         header, body = data.split(b"\n", 1)
         broken = header.replace(b"vocab_size=257", b"") + b"\n" + body
         with pytest.raises(FormatError, match="vocab_size"):
+            deserialize_model(broken)
+
+    def test_a_header_past_the_weight_bound_is_rejected_before_its_payload(self, small_model):
+        data = serialize_model(small_model)
+        broken = data.replace(b"num_layers=2", b"num_layers=100000", 1).replace(b"d_ff=64", b"d_ff=100000", 1)
+        assert broken.split(b"\n", 1)[0].count(b"=100000 ") == 2
+        with pytest.raises(FormatError, match=r"invalid config: the model has \d+ weights, above MAX_WEIGHTS"):
             deserialize_model(broken)
 
     def test_truncated_payload(self, small_model):

@@ -8,13 +8,14 @@ command's flags name and the bytes on disk."""
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 
 from bklv import ModelConfig, build_cache_set, chunked_perplexity, cli, forward_chunk, init_model, io, reset
+from bklv import cache as cache_module
 from bklv.allocation import AllocationPlan, PlanParams
 from bklv.cli import main
-from bklv.numerics import log_softmax_f64
 
 from .reference import readme_text
 
@@ -109,7 +110,9 @@ def test_chunked_losses_equal_one_token_per_forward_chunk_call():
     """perfbench's stepped-loss check in tier 1: on the README corpus at
     model seed 7, chunked_perplexity under the README's uniform and
     baklava (t=0.7, r=0.6) plans is within 1e-6 of the loss from one token
-    per forward_chunk call, from empty caches for each chunk of 256."""
+    per forward_chunk call, from empty caches for each chunk of 256. The
+    oracle's loss is its own: float64 log-sum-exp by np.logaddexp, sharing
+    no code with the evaluator."""
     model = init_model(ModelConfig(seed=7))
     corpus = np.asarray(io.encode_bytes(readme_text(1100, 3)))
     for budgets in (UNIFORM_BUDGETS, BAKLAVA_BUDGETS):
@@ -119,5 +122,32 @@ def test_chunked_losses_equal_one_token_per_forward_chunk_call():
             chunk = corpus[start : start + 256]
             reset(caches)
             logits = np.concatenate([forward_chunk(model, chunk[j : j + 1], caches)[0] for j in range(255)])
-            losses.append(-log_softmax_f64(logits)[np.arange(255), chunk[1:]].mean())
+            x = logits.astype(np.float64)
+            losses.append(np.mean(np.logaddexp.reduce(x, axis=1) - x[np.arange(255), chunk[1:]]))
         assert abs(chunked_perplexity(model, corpus, 256, plan) - np.mean(losses)) <= 1e-6
+
+
+def test_readme_chunks_take_the_bounded_softmax_and_decode_steps_never_ask():
+    """On the README corpus at model seed 7, every (layer call, KV group)
+    of chunked_perplexity's banded pass is within SCORE_BOUND under both
+    README plans, so perfbench's chunked-eval measures the bounded path.
+    A prefill asks once per layer; single-token steps never ask."""
+    model = init_model(ModelConfig(seed=7))
+    corpus = np.asarray(io.encode_bytes(readme_text(1100, 3)))
+    decisions, bounded = [], cache_module._bounded
+
+    def recorded(*args):
+        decisions.append(bounded(*args))
+        return decisions[-1]
+
+    with mock.patch.object(cache_module, "_bounded", recorded):
+        for budgets in (UNIFORM_BUDGETS, BAKLAVA_BUDGETS):
+            plan = AllocationPlan(0.3, 4, np.array(budgets), "custom", PlanParams())
+            chunked_perplexity(model, corpus, 256, plan)
+            caches = build_cache_set(plan, model.config)
+            forward_chunk(model, corpus[:128], caches)
+            for token in corpus[128:160]:
+                forward_chunk(model, [token], caches)
+    # per plan, one batched call per layer for the 4 chunks (4 x 4 groups), then the prefill's
+    assert [d.shape for d in decisions] == ([(16,)] * 4 + [(4,)] * 4) * 2
+    assert all(d.all() for d in decisions)
