@@ -26,7 +26,6 @@ import numpy as np
 from .allocation import AllocationPlan, require_fit
 from .config import ModelConfig
 from .errors import InputError, ShapeError
-from .numerics import softmax
 
 
 SCORE_CAP = 1 << 17  # elements in one score buffer of a chunk's block: 512 KiB of float32
@@ -243,6 +242,21 @@ def attend_with_cache(
                 pv[~np.array(tile), ..., d] = 1  # so the normalized groups divide by 1, exactly
             np.divide(pv[..., :d], pv[..., d:], out=out[lo:hi, :, a:e])
     return out
+
+
+def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax along the last axis, into `out` if given
+    (it may be `scores` itself).
+
+    Entries masked with -inf receive weight 0; every row must keep at
+    least one finite entry.
+    """
+    # the ufunc reductions, without np.max's and np.sum's wrappers; fmax skips
+    # the NaN checks of maximum, and a row holding a NaN is still all NaN
+    weights = np.subtract(scores, np.fmax.reduce(scores, -1, keepdims=True), out=out)
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, -1, keepdims=True)
+    return weights
 
 
 def _bounded(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:

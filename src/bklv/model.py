@@ -172,12 +172,12 @@ def forward_layer(
 
     `store` is the layer's: store.caches[b * kv_groups + g] is sequence b's
     group g (batch-major), all at the same stream position (CacheSet.total_seen
-    checks it). One token, every decode step, takes _token_heads (append,
-    then attend). A chunk of several into empty stores takes _chunk_heads
-    (attend, then append), and one into stores that hold tokens takes
-    _token_heads per token. The dense ops run one sequence at a time, so
-    their temporaries stay the size of one sequence; each sequence's
-    result depends on its own x and caches only.
+    checks it). One token, as in every decode step, is appended, then
+    attends; a chunk of several starts the stream of empty stores, attends,
+    then is appended (_heads). A chunk into stores that hold tokens runs as
+    one call per token, so its out and heads are decode's bit for bit. The
+    dense ops run one sequence at a time, so their temporaries stay the size
+    of one sequence; each sequence's result depends on its x and caches only.
     """
     cfg = model.config
     layer = model.layers[li]
@@ -186,9 +186,9 @@ def forward_layer(
     if len(caches) != batch * kv:
         raise ShapeError(f"{len(caches)} caches for a batch of {batch} with {kv} KV groups")
     if n > 1 and store.seen[0]:  # a chunk that continues a stream steps token by token
-        heads = np.concatenate([_token_heads(cfg, layer, xi, store) for xi in np.split(x, n, 1)], 2)
-    else:
-        heads = (_token_heads if n == 1 else _chunk_heads)(cfg, layer, x, store)
+        outs, heads = zip(*(forward_layer(model, li, xi, store) for xi in np.split(x, n, 1)))
+        return np.concatenate(outs, 1), np.concatenate(heads, 2)
+    heads = _heads(cfg, layer, x, store)
     out = np.empty(x.shape, np.float32)
     for b in range(batch):
         np.add(x[b], heads[b].transpose(1, 0, 2).reshape(n, -1) @ layer.attn_out, out=out[b])
@@ -198,55 +198,40 @@ def forward_layer(
     return out, heads
 
 
-def _token_heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
-    """The heads of one token per sequence, x (batch, 1, d_model): each
-    sequence's rotated key and value rows are appended, one row per cache in
-    cache order, then every query attends over the store. The new token's
-    ring slot is its evictee's, so the store then holds exactly what it sees."""
-    hq, kv, g, d = cfg.num_q_heads, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
-    start, caches = store.seen[0], store.caches
-    qk = np.empty((len(x), hq + kv, d), np.float32)
-    for b, xb in enumerate(x):
-        h = rms_norm(xb, layer.norm1)
-        qk_b = np.concatenate([h @ layer.attn_q, h @ layer.attn_k], axis=1).reshape(1, hq + kv, d)
-        rope_rotate(qk_b, start, cfg.rope_theta, out=qk[b : b + 1])
-        v = (h @ layer.attn_v).reshape(kv, 1, d)
-        for cache, k_new, v_new in zip(caches[b * kv : (b + 1) * kv], qk[b, hq:, None], v):
-            append_and_evict(cache, k_new, v_new)
-    # (batch * kv, g, 1, d): the query heads of a group share its cache
-    return attend_with_cache(store, qk[:, :hq].reshape(-1, g, 1, d)).reshape(len(x), hq, 1, d)
-
-
-def _chunk_heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
-    """The heads of a chunk of several tokens per sequence, x (batch, n,
-    d_model), that starts the stream of empty stores: every query attends
-    once over the chunk's keys and values (attend_with_cache), and the
-    chunk is then appended on the schedule of token-by-token generation, a
-    segment of as many tokens as every cache of this layer holds without
-    evicting, then single tokens."""
+def _heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
+    """The heads (batch, q_heads, n, head_dim) of x (batch, n, d_model) at
+    stream positions store.seen[0] onwards. The rotated key and value rows
+    go to the caches on the schedule of token-by-token generation: one token
+    as one row per cache, in cache order; a chunk, which starts the stream
+    of empty stores, as a segment of as many tokens as every cache of this
+    layer holds without evicting, then single tokens. One token attends after
+    its append, over the store, which then holds exactly what it sees (its
+    ring slot is its evictee's); a chunk attends before, over its own rows."""
     batch, n, _ = x.shape
     hq, kv, g, d = cfg.num_q_heads, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
-    first = min(n, min(store.budgets))
     qk = np.empty((batch, n, hq + kv, d), np.float32)
     v = np.empty((batch, n, kv * d), np.float32)
     for b in range(batch):
         h = rms_norm(x[b], layer.norm1)
         np.matmul(h, layer.attn_v, out=v[b])
         qk_b = np.concatenate([h @ layer.attn_q, h @ layer.attn_k], axis=1).reshape(n, hq + kv, d)
-        rope_rotate(qk_b, 0, cfg.rope_theta, out=qk[b])
+        rope_rotate(qk_b, store.seen[0], cfg.rope_theta, out=qk[b])
     # (batch * kv, g, n, d): the query heads of a group share its cache
     q_groups = qk[:, :, :hq].reshape(batch, n, kv, g, d).transpose(0, 2, 3, 1, 4)
     q_groups = q_groups.reshape(batch * kv, g, n, d)
     # (batch * kv, n, d): row i holds the new keys or values of caches[i]
     k_rows = qk[:, :, hq:].transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
     v_rows = v.reshape(batch, n, kv, d).transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
-    heads = attend_with_cache(store, q_groups, k_rows, v_rows).reshape(batch, hq, n, d)
+    if n != 1:  # a chunk attends, then is appended
+        heads = attend_with_cache(store, q_groups, k_rows, v_rows)
     a = 0
-    for e in range(first, n + 1):  # segments 0..first, then one token each
+    for e in range(min(n, min(store.budgets)), n + 1):  # a segment no cache overflows, then one token each
         for cache, k_new, v_new in zip(store.caches, k_rows[:, a:e], v_rows[:, a:e]):
             append_and_evict(cache, k_new, v_new)
         a = e
-    return heads
+    if n == 1:  # one token is appended, then attends
+        heads = attend_with_cache(store, q_groups)
+    return heads.reshape(batch, hq, n, d)
 
 
 def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, None]:

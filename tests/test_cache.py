@@ -26,7 +26,7 @@ from bklv import (
 )
 from bklv.allocation import AllocationPlan, PlanParams, fit_violations, validate_plan
 from bklv import cache as cache_module
-from bklv.numerics import softmax
+from bklv.cache import softmax
 
 from .conftest import SMALL
 from .reference import brute_attention, scaled_dot_attention, sink_window_trace

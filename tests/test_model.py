@@ -36,7 +36,7 @@ from bklv import model as model_module
 from bklv import profiling as profiling_module
 from bklv import search as search_module
 from bklv.allocation import AllocationPlan, PlanParams
-from bklv.cache import LayerStore
+from bklv.cache import LayerStore, softmax
 from bklv.model import (
     check_tokens,
     deserialize_model,
@@ -44,7 +44,6 @@ from bklv.model import (
     rope_rotate,
     serialize_model,
 )
-from bklv.numerics import softmax
 
 from .conftest import SMALL
 from .reference import (
@@ -422,10 +421,23 @@ class TestBudgetedStepping:
         calls, expected = self._step_calls(small_model, monkeypatch, list(range(16)), [7])  # past every budget
         assert calls == expected
 
-    def test_a_chunk_after_a_prefix_takes_the_decode_step_per_token(self, small_model, monkeypatch):
+    def test_a_chunk_after_a_prefix_takes_the_decode_step_per_token(self, small_model, monkeypatch, rng):
         # the prefix overflows layer 0's group 0 (budget 4) only, the chunk its group 1 (budget 6) too
         calls, expected = self._step_calls(small_model, monkeypatch, list(range(5)), [7, 8, 9, 200])
         assert calls == expected
+        monkeypatch.undo()
+        # out and heads are the one-token calls', bit for bit: a batch of 2, sinks 2,
+        # and a prefix of 6 past group 0's budget (4) but not group 1's (9)
+        budgets, sinks, prefix, n = [4, 9], 2, 6, 7
+        x = rng.normal(size=(2, prefix + n, SMALL.d_model)).astype(np.float32)
+        chunked, stepped = (LayerStore(budgets * 2, sinks, SMALL.head_dim) for _ in range(2))
+        for store in (chunked, stepped):
+            forward_layer(small_model, 1, x[:, :prefix], store)
+        out, heads = forward_layer(small_model, 1, x[:, prefix:], chunked)
+        steps = [forward_layer(small_model, 1, x[:, t : t + 1], stepped) for t in range(prefix, prefix + n)]
+        assert out.tobytes() == np.concatenate([o for o, _ in steps], 1).tobytes()
+        assert heads.tobytes() == np.concatenate([h for _, h in steps], 2).tobytes()
+        assert (chunked.keys.tobytes(), chunked.values.tobytes()) == (stepped.keys.tobytes(), stepped.values.tobytes())
 
 
 class TestServedTraffic:
