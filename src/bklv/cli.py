@@ -192,6 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Budgeted KV-cache allocation lab for a toy decoder-only transformer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags that several commands share; --out, --profile, --prompt and --heatmap differ by command
+    model, corpus, plan, compression, sinks, layer = (_Parser(add_help=False) for _ in range(6))
+    model.add_argument("--model", required=True)
+    corpus.add_argument("--corpus", action="append", required=True, help="repeatable")
+    corpus.add_argument("--context-len", type=int, default=None)
+    plan.add_argument("--plan", required=True)
+    plan.add_argument("--bytes-per-element", type=int, default=2)
+    compression.add_argument("--compression", type=float, required=True)
+    sinks.add_argument("--sinks", type=int, default=DEFAULT_SINKS)
+    layer.add_argument("--layer-t", type=float, default=0.0)
+    layer.add_argument("--layer-r", type=float, default=0.0)
 
     p = sub.add_parser("init-model", help="write a seeded toy weight file")
     p.add_argument("--out", required=True)
@@ -199,68 +210,45 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default)
     p.set_defaults(func=cmd_init_model)
 
-    p = sub.add_parser("profile", help="estimate head, group, and layer importance")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("profile", parents=[model], help="estimate head, group, and layer importance")
     p.add_argument("--prompt", action="append", required=True, help="repeatable")
     p.add_argument("--out", required=True)
     p.add_argument("--heatmap", action="store_true", help="keep per-token similarities")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("plan", help="build a budget plan from a profile")
+    p = sub.add_parser("plan", parents=[compression, layer, sinks], help="build a budget plan from a profile")
     p.add_argument("--profile", required=True)
     p.add_argument("--strategy", choices=STRATEGIES, required=True)
-    p.add_argument("--compression", type=float, required=True)
     p.add_argument("--t", type=float, default=0.0, help="similarity threshold")
     p.add_argument("--r", type=float, default=0.0, help="reduction fraction")
-    p.add_argument("--layer-t", type=float, default=0.0)
-    p.add_argument("--layer-r", type=float, default=0.0)
-    p.add_argument("--sinks", type=int, default=DEFAULT_SINKS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("search", help="grid-search (t, r) by chunked perplexity")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("search", parents=[model, corpus, compression, layer, sinks],
+                       help="grid-search (t, r) by chunked perplexity")
     p.add_argument("--profile", required=True)
-    p.add_argument("--corpus", action="append", required=True, help="repeatable")
-    p.add_argument("--compression", type=float, required=True)
-    p.add_argument("--context-len", type=int, default=None)
     p.add_argument("--t-grid", default=None, help="comma-separated similarity thresholds")
     p.add_argument("--r-grid", default=None, help="comma-separated reduction fractions")
-    p.add_argument("--layer-t", type=float, default=0.0)
-    p.add_argument("--layer-r", type=float, default=0.0)
-    p.add_argument("--sinks", type=int, default=DEFAULT_SINKS)
     p.add_argument("--heatmap", action="store_true", help="print a text loss grid")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("eval", help="chunked perplexity and memory for one plan")
-    p.add_argument("--model", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--corpus", action="append", required=True)
-    p.add_argument("--context-len", type=int, default=None)
-    p.add_argument("--bytes-per-element", type=int, default=2)
+    p = sub.add_parser("eval", parents=[model, plan, corpus], help="chunked perplexity and memory for one plan")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="compress a sliding layer window and score each center")
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus", action="append", required=True)
+    p = sub.add_parser("sweep", parents=[model, corpus, compression, sinks],
+                       help="compress a sliding layer window and score each center")
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    p.add_argument("--compression", type=float, required=True)
-    p.add_argument("--context-len", type=int, default=None)
-    p.add_argument("--sinks", type=int, default=DEFAULT_SINKS)
     p.add_argument("--profile", default=None, help="adds heuristic correlation")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("generate", help="greedy generation under a plan")
-    p.add_argument("--model", required=True)
-    p.add_argument("--plan", required=True)
+    p = sub.add_parser("generate", parents=[model, plan], help="greedy generation under a plan")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--text", default=None)
     group.add_argument("--prompt", default=None, help="prompt file")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--bytes-per-element", type=int, default=2)
     p.set_defaults(func=cmd_generate)
 
     return parser

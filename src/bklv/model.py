@@ -20,7 +20,7 @@ Q and K before caching; evicted stores keep original absolute positions
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -279,17 +279,19 @@ def greedy_generate(model: Model, prompt, steps: int, caches: CacheSet) -> list[
     return out
 
 
-# Weight file format: one newline-terminated ASCII header line
-#   bklv1 key=value ... (sorted keys, every ModelConfig field)
+# Weight file format: one newline-terminated ASCII header line, _header,
 # followed by the raw little-endian float32 tensors of _canonical_tensors,
 # each row-major.
 
+def _header(cfg: ModelConfig) -> str:
+    """The weight file's first line: the version, then every config field as
+    key=value, keys sorted, each value converted to its field's type first."""
+    pairs = sorted((f.name, f.type(getattr(cfg, f.name))) for f in fields(ModelConfig))
+    return " ".join([WEIGHT_FORMAT_VERSION] + [f"{k}={v}" for k, v in pairs]) + "\n"
+
+
 def serialize_model(model: Model) -> bytes:
-    pairs = asdict(model.config)
-    header = WEIGHT_FORMAT_VERSION + " " + " ".join(
-        f"{k}={pairs[k]}" for k in sorted(pairs)
-    ) + "\n"
-    chunks = [header.encode("ascii")]
+    chunks = [_header(model.config).encode("ascii")]
     for tensor in _canonical_tensors(model):
         chunks.append(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
     return b"".join(chunks)
@@ -304,11 +306,12 @@ def _canonical_tensors(model: Model):
 
 
 def deserialize_model(data: bytes) -> Model:
+    """The model `data` holds; bytes that serialize_model would not write for it raise FormatError."""
     newline = data.find(b"\n")
     if newline < 0:
         raise FormatError("missing header line")
     try:
-        header = data[:newline].decode("ascii")
+        header = data[: newline + 1].decode("ascii")
     except UnicodeDecodeError as exc:
         raise FormatError("header is not ASCII") from exc
     parts = header.split()
@@ -316,12 +319,8 @@ def deserialize_model(data: bytes) -> Model:
         raise FormatError(
             f"format version: expected {WEIGHT_FORMAT_VERSION!r}, got {parts[0] if parts else ''!r}"
         )
-    given: dict[str, str] = {}
-    for item in parts[1:]:
-        if "=" not in item:
-            raise FormatError(f"malformed header item {item!r}")
-        key, value = item.split("=", 1)
-        given[key] = value
+    # an item without "=" reads as a key with an empty value, which a check below rejects
+    given = dict(item.partition("=")[::2] for item in parts[1:])
 
     kwargs = {}
     for f in fields(ModelConfig):  # each is an int, or rope_theta a float
@@ -332,15 +331,14 @@ def deserialize_model(data: bytes) -> Model:
         except ValueError as exc:
             kind = "an integer" if f.type is int else "a number"
             raise FormatError(f"header field {f.name!r} is not {kind}") from exc
-    unknown = set(given) - set(kwargs)
-    if unknown:
-        raise FormatError(f"unknown header fields {sorted(unknown)}")
 
     cfg = ModelConfig(**kwargs)
     try:
         cfg.validate()
     except ConfigError as exc:
         raise FormatError(f"header describes an invalid config: {exc}") from exc
+    if header != _header(cfg):
+        raise FormatError(f"header is not the canonical line {_header(cfg)!r}")
 
     body = data[newline + 1 :]
     expected = 4 * cfg.weight_count()

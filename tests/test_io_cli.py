@@ -1225,3 +1225,23 @@ class TestInitModelFlags:
     def test_plan_strategy_choices_are_the_strategies(self):
         strategy = next(a for a in _subparsers()["plan"]._actions if a.dest == "strategy")
         assert tuple(strategy.choices) == STRATEGIES
+
+
+def test_a_flag_several_commands_take_is_the_same_flag_in_each():
+    """--out, --profile, --prompt and --heatmap mean different things in
+    different commands; every other flag more than one command accepts has
+    one type, default, requiredness, help and action in all of them."""
+    per_command = {"--out", "--profile", "--prompt", "--heatmap"}
+    taken = {}
+    for command, parser in _subparsers().items():
+        for action in parser._actions:
+            for flag in set(action.option_strings) - per_command:
+                taken.setdefault(flag, {})[command] = action
+    shared = {flag: actions for flag, actions in taken.items() if len(actions) > 1}
+    assert {
+        "--model", "--corpus", "--context-len", "--plan", "--bytes-per-element",
+        "--compression", "--sinks", "--layer-t", "--layer-r",
+    } <= set(shared)
+    for flag, actions in shared.items():
+        described = {(type(a), a.type, a.default, a.required, a.help) for a in actions.values()}
+        assert len(described) == 1, (flag, sorted(actions))

@@ -712,6 +712,19 @@ class TestGreedyGenerate:
         assert a == b
 
 
+# headers that spell a valid config other than as serialize_model writes it,
+# for a model with num_layers=2 and seed=7
+_NON_CANONICAL_HEADERS = {
+    "a repeated key": lambda h: h.replace(" seed=7", " seed=7 seed=9"),
+    "a plus sign": lambda h: h.replace("seed=7", "seed=+7"),
+    "an underscore": lambda h: h.replace("seed=7", "seed=0_7"),
+    "a leading zero": lambda h: h.replace("num_layers=2", "num_layers=02"),
+    "an exponent": lambda h: h.replace("rope_theta=10000.0", "rope_theta=1e4"),
+    "keys in reverse order": lambda h: " ".join([h.split()[0], *reversed(h.split()[1:])]),
+    "a doubled space": lambda h: h.replace(" ", "  ", 1),
+    "a trailing space": lambda h: h + " ",
+    "a tab": lambda h: h.replace(" ", "\t", 1),
+}
 _HEADER_FIELDS = tuple(f.name for f in fields(ModelConfig))
 _HEADER_VALUES = [
     "0", "-1", "1", "2", "3", "8", "32", "64", "257", "10000.0", "1_0", "2.5",
@@ -759,6 +772,21 @@ class TestWeightFile:
         with pytest.raises(FormatError, match="bytes"):
             deserialize_model(data[:-8])
 
+    @pytest.mark.parametrize("edit", _NON_CANONICAL_HEADERS.values(), ids=_NON_CANONICAL_HEADERS)
+    def test_a_header_serialize_model_would_not_write_is_rejected(self, edit):
+        header, body = serialize_model(init_model(replace(SMALL, seed=7))).split(b"\n", 1)
+        edited = edit(header.decode("ascii"))
+        assert edited != header.decode("ascii")
+        with pytest.raises(FormatError, match="header is not the canonical line 'bklv1 d_ff=64 "):
+            deserialize_model(edited.encode("ascii") + b"\n" + body)
+
+    def test_values_are_written_as_their_field_type_prints_them(self):
+        # an int rope_theta is written as the float it is read back as
+        model = init_model(replace(SMALL, rope_theta=500))
+        data = serialize_model(model)
+        assert b" rope_theta=500.0 " in data.split(b"\n", 1)[0]
+        assert serialize_model(deserialize_model(data)) == data
+
     @pytest.mark.parametrize("theta", [b"nan", b"inf", b"-inf", b"0.0"])
     def test_non_finite_or_non_positive_rope_theta_rejected(self, small_model, theta):
         data = serialize_model(small_model)
@@ -783,6 +811,8 @@ class TestWeightFile:
     @example(version="bklv1", edits=[("rope_theta", "nan")], cut=0, poke=None)
     # a payload size that only a huge model could match is rejected without building it
     @example(version="bklv1", edits=[("num_layers", "99999999999999999999")], cut=0, poke=None)
+    # a header that parses to seed 10 but is not the line serialize_model writes
+    @example(version="bklv1", edits=[("seed", "1_0")], cut=0, poke=None)
     def test_fuzzed_file_gives_a_valid_model_or_a_package_error(
         self, small_model, version, edits, cut, poke
     ):
@@ -799,13 +829,13 @@ class TestWeightFile:
         if poke is not None:
             body[poke[0] % len(body)] = poke[1]
         head = " ".join([version] + [f"{k}={v}" for k, v in items.items()])
+        data = head.encode("utf-8") + b"\n" + bytes(body)
         try:
-            model = deserialize_model(head.encode("utf-8") + b"\n" + bytes(body))
+            model = deserialize_model(data)
         except BklvError:
             return
+        assert serialize_model(model) == data  # so the file's sha256 is its model_id
         cfg = model.config
         cfg.validate()
         assert math.isfinite(cfg.rope_theta) and cfg.rope_theta > 0
-        payload = serialize_model(model).split(b"\n", 1)[1]
-        assert len(payload) == len(body)
-        assert np.all(np.isfinite(np.frombuffer(payload, dtype="<f4")))
+        assert np.all(np.isfinite(np.frombuffer(bytes(body), dtype="<f4")))

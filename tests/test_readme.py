@@ -104,6 +104,9 @@ def test_the_walkthrough_prints_the_readme_numbers(tmp_path, monkeypatch, capsys
             role: [entry(p) for p in path] if isinstance(path, list) else entry(path)
             for role, path in files.items()
         }, out
+    # the profile is bound to the model file: its model_id is the file's sha256
+    model_file = json.loads((tmp_path / "model.bklv.manifest").read_bytes())["files"]["model"]
+    assert json.loads((tmp_path / "profile.json").read_bytes())["model_id"] == model_file["sha256"]
 
 
 def test_chunked_losses_equal_one_token_per_forward_chunk_call():
