@@ -94,9 +94,13 @@ class PlanParams:
             if not real or not (0.0 <= v <= 1.0 if closed else 0.0 <= v < 1.0):
                 raise AllocationError(f"{name} must be in [0, 1{']' if closed else ')'}, got {v!r}")
 
-    def check_used_by(self, strategy: str) -> None:
-        """Every field that `strategy` ignores is 0: uniform uses none,
-        layerwise layer_t and layer_r, baklava all four."""
+    def check_for(self, strategy: str) -> None:
+        """The recipe rule of build_plan and the plan reader: `strategy` is one of STRATEGIES,
+        each field is in its range (validate), and each field the strategy ignores is 0:
+        uniform uses none, layerwise layer_t and layer_r, baklava all four."""
+        if strategy not in STRATEGIES:
+            raise AllocationError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+        self.validate()
         used = {"layerwise": ("layer_t", "layer_r"), "baklava": ("t", "r", "layer_t", "layer_r")}
         ignored = [n for n, v in asdict(self).items() if v != 0 and n not in used.get(strategy, ())]
         if ignored:
@@ -211,11 +215,8 @@ def build_plan(
     strategy. Thresholds in `params` are similarity values and are
     converted to importance internally (importance = 1 - similarity).
     """
-    if strategy not in STRATEGIES:
-        raise AllocationError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     params = params or PlanParams()
-    params.validate()
-    params.check_used_by(strategy)
+    params.check_for(strategy)
     if strategy == "uniform":
         layer_totals = _uniform_layer_totals(config, compression)
     elif profile is None:

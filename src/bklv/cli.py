@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict, fields
 
 from . import io
-from .allocation import DEFAULT_SINKS, STRATEGIES, PlanParams, build_plan, require_valid
+from .allocation import DEFAULT_SINKS, STRATEGIES, PlanParams, build_plan
 from .cache import build_cache_set, memory_report
 from .config import ModelConfig
 from .errors import BklvError, InputError
@@ -52,7 +52,7 @@ def _read_profile_for(model, path: str):
 
 def _grid_values(text: str, name: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [float(v) for v in text.split(",")] if text.strip() else []
     except ValueError as exc:
         raise BklvError(f"bad {name} grid {text!r}: {exc}") from exc
 
@@ -126,7 +126,7 @@ def cmd_search(args) -> int:
 
 def cmd_eval(args) -> int:
     model = io.read_model_file(args.model)
-    plan = require_valid(io.read_plan(args.plan), model.config)
+    plan = io.read_plan(args.plan, model.config)
     corpus = io.load_corpus(args.corpus)
     context_len = model.config.max_context if args.context_len is None else args.context_len
     memory = memory_report(plan, model.config, args.bytes_per_element)
@@ -163,7 +163,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_generate(args) -> int:
     model = io.read_model_file(args.model)
-    plan = require_valid(io.read_plan(args.plan), model.config)
+    plan = io.read_plan(args.plan, model.config)
     if args.text is not None:
         prompt = io.encode_bytes(args.text.encode("utf-8"))
     else:

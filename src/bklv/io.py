@@ -9,11 +9,11 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .allocation import STRATEGIES, AllocationPlan, PlanParams
+from .allocation import AllocationPlan, PlanParams, require_valid
 from .config import ModelConfig
 from .errors import FormatError, InputError
 from .model import Model, deserialize_model, serialize_model
@@ -111,42 +111,43 @@ def _require(doc, path: str, version: str) -> None:
 
 # Field readers raise ValueError; the document readers add the file name.
 
-def _convert(value, dtype, name: str) -> np.ndarray:
-    """JSON numbers as a dtype array; an integer past the dtype's range names the field and the range."""
+def _convert(value, dtype, name: str, ndim: int) -> np.ndarray:
+    """`value` as an ndim-D dtype array, if that array writes back the same JSON:
+    154.9, true, "0.3" or [4] for an integer, or 1 for a float, name the field;
+    a number past the dtype's range names the field and the range."""
     try:
-        return np.asarray(value, dtype=object).astype(dtype)
+        arr = np.asarray(value, dtype=object).astype(dtype)
+        same = arr.ndim == ndim and dump_json(arr.tolist()) == dump_json(value)
     except OverflowError:
         info = np.iinfo(dtype) if dtype is np.int64 else np.finfo(dtype)
         raise ValueError(f"{name} must fit {dtype.__name__}, in [{info.min}, {info.max}]") from None
+    except (TypeError, ValueError):
+        same = False
+    if not same:
+        kind = "integer" if dtype is np.int64 else "float"
+        raise ValueError(f"{name} must be a {ndim}-D array of JSON {kind}s")
+    return arr
 
 
 def _finite(value, name: str, shape: tuple) -> np.ndarray:
-    """Finite JSON numbers in an array of `shape` (None: any length);
-    booleans are rejected."""
-    arr = np.asarray(value, dtype=object)
-    fits = arr.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, arr.shape))
-    if not fits or not all(type(v) in (int, float) for v in arr.flat):
-        raise ValueError(f"{name} must be a {shape} array of numbers")
-    arr = _convert(arr, np.float64, name)
+    """Finite JSON floats in an array of `shape` (None: any length)."""
+    arr = _convert(value, np.float64, name, len(shape))
+    if any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise ValueError(f"{name} must be a {shape} array, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite values")
     return arr
 
 
-def _integers(value, name: str, ndim: int) -> np.ndarray:
-    """ndim-D JSON integers: floats such as 154.9 and booleans are rejected."""
-    arr = np.asarray(value, dtype=object)
-    if arr.ndim != ndim or not all(type(v) is int for v in arr.flat):
-        raise ValueError(f"{name} must be a {ndim}-D array of integers")
-    return _convert(arr, np.int64, name)
-
-
-def _fields(cls, value, name: str):
-    """A cls dataclass from a JSON object that gives each of its fields."""
-    obj = cls(**value)
-    if value.keys() != asdict(obj).keys():
-        raise ValueError(f"{name} must give every field of {cls.__name__}")
-    return obj
+def _as_written(doc: dict, written: dict, path: str, what: str) -> None:
+    """FormatError naming every top-level key, unknown or missing ones included,
+    where `doc` is not `written` (what the writer writes for what it holds)."""
+    differ = [
+        key for key in sorted(doc.keys() | written.keys())
+        if key not in doc or key not in written or dump_json(doc[key]) != dump_json(written[key])
+    ]
+    if differ:
+        raise FormatError(f"{path}: malformed {what}: keys {', '.join(differ)} differ from what bklv writes")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,7 @@ def profile_to_dict(profile: ImportanceProfile) -> dict:
         "format_version": PROFILE_VERSION,
         "model_id": profile.model_id,
         "prompt_ids": profile.prompt_ids,
-        "config": asdict(profile.config),
+        "config": {f.name: f.type(getattr(profile.config, f.name)) for f in fields(ModelConfig)},
         "head_similarity": profile.head_similarity.tolist(),
         "kv_importance": profile.kv_importance.tolist(),
         "layer_importance": profile.layer_importance.tolist(),
@@ -184,24 +185,22 @@ def profile_to_dict(profile: ImportanceProfile) -> dict:
             else [m.tolist() for m in profile.per_token_similarity]
         ),
     }
-    if profile.prompt_consistency is not None:  # written, never read back
+    if profile.prompt_consistency is not None:  # carried, never read
         doc["prompt_consistency"] = profile.prompt_consistency
     return doc
 
 
 def profile_from_dict(doc: dict, path: str = "<memory>") -> ImportanceProfile:
+    """The profile `doc` holds, if `doc` is what profile_to_dict writes for it."""
     _require(doc, path, PROFILE_VERSION)
     try:
-        config = _fields(ModelConfig, doc["config"], "config")
+        config = ModelConfig(**doc["config"])
         config.validate()
-        model_id, ids, per_token = doc["model_id"], doc["prompt_ids"], doc["per_token_similarity"]
-        strings = type(ids) is list and all(type(i) is str for i in ids)
-        if type(model_id) is not str or not strings:
-            raise ValueError("model_id must be a string and prompt_ids a list of strings")
         layers, q, kv = config.num_layers, config.num_q_heads, config.num_kv_heads
-        return ImportanceProfile(
-            model_id=model_id,
-            prompt_ids=ids,
+        per_token = doc["per_token_similarity"]
+        profile = ImportanceProfile(
+            model_id=str(doc["model_id"]),
+            prompt_ids=[str(i) for i in doc["prompt_ids"]],
             head_similarity=_finite(doc["head_similarity"], "head_similarity", (layers, q)),
             kv_importance=_finite(doc["kv_importance"], "kv_importance", (layers, kv)),
             layer_importance=_finite(doc["layer_importance"], "layer_importance", (layers,)),
@@ -209,9 +208,12 @@ def profile_from_dict(doc: dict, path: str = "<memory>") -> ImportanceProfile:
             per_token_similarity=None if per_token is None else [
                 _finite(m, "per_token_similarity", (layers, None, q)) for m in per_token
             ],
+            prompt_consistency=doc.get("prompt_consistency"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed profile: {exc}") from exc
+    _as_written(doc, profile_to_dict(profile), path, "profile")
+    return profile
 
 
 def write_profile(profile: ImportanceProfile, path: str) -> None:
@@ -229,43 +231,37 @@ def plan_to_dict(plan: AllocationPlan, config: ModelConfig) -> dict:
     return {
         "format_version": PLAN_VERSION,
         "strategy": plan.strategy,
-        "requested_compression": plan.compression_ratio,
+        "requested_compression": float(plan.compression_ratio),
         "achieved_compression": plan.achieved_compression(config),
         "sinks": plan.sinks,
-        "params": asdict(plan.params),
+        "params": {name: float(v) for name, v in asdict(plan.params).items()},
         "budgets": plan.budgets.tolist(),
     }
 
 
-def plan_from_dict(doc: dict, path: str = "<memory>") -> AllocationPlan:
+def plan_from_dict(doc: dict, config: ModelConfig, path: str = "<memory>") -> AllocationPlan:
+    """The plan `doc` holds, if it fits `config` (require_valid) and is what plan_to_dict writes."""
     _require(doc, path, PLAN_VERSION)
     try:
-        strategy = doc["strategy"]
-        if strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-        params = _fields(PlanParams, doc["params"], "params")
-        params.validate()
-        params.check_used_by(strategy)
-        compression = doc["requested_compression"]
-        if type(compression) not in (int, float):  # bool and str are not numbers
-            raise ValueError(f"requested_compression must be a number, got {compression!r}")
-        return AllocationPlan(
-            compression_ratio=float(_convert(compression, np.float64, "requested_compression")),
-            sinks=int(_integers(doc["sinks"], "sinks", 0)),
-            budgets=_integers(doc["budgets"], "budgets", 2),
-            strategy=strategy,
-            params=params,
-        )
+        strategy, params = doc["strategy"], PlanParams(**doc["params"])
+        params.check_for(strategy)
+        compression = _convert(doc["requested_compression"], np.float64, "requested_compression", 0)
+        sinks = _convert(doc["sinks"], np.int64, "sinks", 0)
+        budgets = _convert(doc["budgets"], np.int64, "budgets", 2)
+        plan = AllocationPlan(float(compression), int(sinks), budgets, strategy, params)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed plan: {exc}") from exc
+    require_valid(plan, config)
+    _as_written(doc, plan_to_dict(plan, config), path, "plan")
+    return plan
 
 
 def write_plan(plan: AllocationPlan, config: ModelConfig, path: str) -> None:
     write_json(path, plan_to_dict(plan, config))
 
 
-def read_plan(path: str) -> AllocationPlan:
-    return plan_from_dict(read_json(path), path)
+def read_plan(path: str, config: ModelConfig) -> AllocationPlan:
+    return plan_from_dict(read_json(path), config, path)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ contract, over valid documents with one field replaced, deleted or retyped,
 and of the corpus reader over trees of files and directories.
 
 A reader returns what its document says, every value of its documented
-type, or raises a BklvError. The CLI exits 0 with nothing on stderr, or
-nonzero with exactly one JSON error object on stderr.
+type, and the document is what the writer writes for the result; or it
+raises a BklvError. Every plan the writer writes is read back. The CLI
+exits 0 with nothing on stderr, or nonzero with exactly one JSON error
+object on stderr.
 """
 
 import contextlib
@@ -12,7 +14,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from io import StringIO
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bklv import (
+    AllocationError,
     BklvError,
     FormatError,
     InputError,
@@ -36,6 +39,7 @@ from bklv.allocation import STRATEGIES
 from bklv.cli import main
 
 from .conftest import SMALL
+from .test_allocation import _plan_inputs
 
 MODEL = init_model(SMALL)
 PROFILE = profile_model(MODEL, [[256, *range(40)], [256, *range(60, 95)]])
@@ -108,17 +112,21 @@ class TestPlanReader:
     @example([PLAN_DOC])  # not a JSON object
     @example(_with(PLAN_DOC, 2**70, "sinks"))
     @example(_with(PLAN_DOC, 10**400, "requested_compression"))
+    @example(_with(PLAN_DOC, 5, "budget"))  # an unknown key
+    @example(_with(_with(PLAN_DOC, 5, "budget"), 0.99, "achieved_compression"))
+    @example(_with(PLAN_DOC, 0.99, "achieved_compression"))
+    @example(_with(PLAN_DOC, 1, "params", "t"))  # 1 for a float
     def test_returns_what_the_document_says_or_raises(self, doc):
-        plan = _read(io.plan_from_dict, doc)
+        plan = _read(lambda d: io.plan_from_dict(d, SMALL), doc)
         if plan is None:
             return
+        assert io.dump_json(io.plan_to_dict(plan, SMALL)) == io.dump_json(doc)
         assert plan.strategy in STRATEGIES and plan.strategy == doc["strategy"]
         assert _same_number(plan.compression_ratio, doc["requested_compression"])
         assert doc["params"].keys() == asdict(plan.params).keys()
         for name, value in doc["params"].items():
             assert _same_number(getattr(plan.params, name), value)
-        plan.params.validate()
-        plan.params.check_used_by(plan.strategy)
+        plan.params.check_for(plan.strategy)
         assert type(doc["sinks"]) is int and plan.sinks == doc["sinks"]
         assert all(type(b) is int for row in doc["budgets"] for b in row)
         assert plan.budgets.tolist() == doc["budgets"]
@@ -133,7 +141,39 @@ class TestPlanReader:
     def test_a_number_past_its_type_names_the_field_and_range(self, case):
         path, dtype, value = case
         with pytest.raises(FormatError, match=rf"^<memory>: malformed plan: {path[0]} must fit {dtype}, in \["):
-            io.plan_from_dict(_with(PLAN_DOC, value, *path))
+            io.plan_from_dict(_with(PLAN_DOC, value, *path), SMALL)
+
+
+def _read_back(plan, config):
+    """`plan` after write_plan then read_plan, in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "plan.json")
+        io.write_plan(plan, config, path)
+        return io.read_plan(path, config)
+
+
+def _assert_same_plan(got, plan):
+    assert np.array_equal(got.budgets, plan.budgets) and got.budgets.dtype == np.int64
+    assert (got.sinks, got.strategy, got.params) == (plan.sinks, plan.strategy, plan.params)
+    assert got.compression_ratio == plan.compression_ratio
+
+
+class TestPlanWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_plan_inputs(), st.sampled_from(STRATEGIES))
+    def test_every_plan_build_plan_makes_is_read_back(self, inputs, strategy):
+        config, profile, params, compression, sinks = inputs
+        params = {"uniform": PlanParams(), "layerwise": replace(params, t=0.0, r=0.0)}.get(strategy, params)
+        try:
+            plan = build_plan(profile, config, strategy, compression, params, sinks)
+        except AllocationError:  # below the floor
+            return
+        _assert_same_plan(_read_back(plan, config), plan)
+
+    @pytest.mark.parametrize("compression", [1, 0.5])
+    def test_a_uniform_plan_at_an_integer_or_float_compression_is_read_back(self, compression):
+        plan = uniform_plan(SMALL, compression)
+        _assert_same_plan(_read_back(plan, SMALL), plan)
 
 
 class TestProfileReader:
@@ -144,10 +184,14 @@ class TestProfileReader:
     @example(_with(PROFILE_DOC, PROFILE_DOC["head_similarity"][:1], "head_similarity"))
     @example({k: v for k, v in PROFILE_DOC.items() if k != "config"} | {"config": {"seed": 3}})
     @example(_with(PROFILE_DOC, 10**400, "kv_importance", 0, 1))
+    @example(_with(PROFILE_DOC, 5, "budget"))  # an unknown key
+    @example(_with(PROFILE_DOC, 0, "kv_importance", 0, 0))  # 0 for a float
+    @example(_with(PROFILE_DOC, 10000, "config", "rope_theta"))
     def test_returns_what_the_document_says_or_raises(self, doc):
         profile = _read(io.profile_from_dict, doc)
         if profile is None:
             return
+        assert io.dump_json(io.profile_to_dict(profile)) == io.dump_json(doc)
         cfg = profile.config
         cfg.validate()
         assert asdict(cfg) == doc["config"]

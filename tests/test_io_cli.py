@@ -112,7 +112,7 @@ class TestRoundTrips:
         plan = build_plan(profile, SMALL, "baklava", 0.5, PlanParams(t=0.7, r=0.3), 4)
         path = str(tmp_path / "plan.json")
         io.write_plan(plan, SMALL, path)
-        again = io.read_plan(path)
+        again = io.read_plan(path, SMALL)
         assert np.array_equal(again.budgets, plan.budgets)
         assert again.strategy == plan.strategy
         assert again.params == plan.params
@@ -196,7 +196,7 @@ class TestRoundTrips:
         else:
             doc["sinks"] = value
         with pytest.raises(FormatError, match=field):
-            io.plan_from_dict(doc)
+            io.plan_from_dict(doc, SMALL)
 
     @pytest.mark.parametrize(
         "field", ["head_similarity", "kv_importance", "layer_importance", "per_token_similarity"]
@@ -353,7 +353,7 @@ class TestCli:
         doc["params"][field] = 0.5
         message = f"malformed plan: strategy '{strategy}' does not use {field};"
         with pytest.raises(FormatError, match=message):
-            io.plan_from_dict(doc)
+            io.plan_from_dict(doc, SMALL)
 
     def test_corrupt_model_header(self, cli_env, tmp_path, capsys):
         data = open(cli_env["model"], "rb").read()
@@ -398,7 +398,7 @@ class TestCli:
         assert main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof]) == 0
         plan_path = str(cli_env["dir"] / "plan.json")
         assert main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "1.0", "--out", plan_path]) == 0
-        plan = io.read_plan(plan_path)
+        plan = io.read_plan(plan_path, io.read_model_file(cli_env["model"]).config)
         assert np.all(plan.budgets == 64)
 
     def test_plan_noop_baklava_equals_uniform(self, cli_env):
@@ -407,7 +407,8 @@ class TestCli:
         u, b = str(cli_env["dir"] / "u.json"), str(cli_env["dir"] / "b.json")
         main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "0.5", "--out", u])
         main(["plan", "--profile", prof, "--strategy", "baklava", "--compression", "0.5", "--t", "0", "--r", "0", "--out", b])
-        assert io.read_plan(u).budgets.tolist() == io.read_plan(b).budgets.tolist()
+        cfg = io.read_model_file(cli_env["model"]).config
+        assert io.read_plan(u, cfg).budgets.tolist() == io.read_plan(b, cfg).budgets.tolist()
 
     def test_plan_floor_violation_exit(self, cli_env, capsys):
         prof = str(cli_env["dir"] / "prof.json")
@@ -808,6 +809,29 @@ class TestCli:
         assert not os.path.exists(out + ".manifest")
 
     @pytest.mark.parametrize(
+        "grid", [["--t-grid", "0.5,,0.6"], ["--t-grid", "0.5,"], ["--t-grid", ","], ["--r-grid", ",0.3"]]
+    )
+    def test_an_empty_grid_entry_is_a_bad_grid_not_dropped(self, cli_env, grid, capsys):
+        d = cli_env["dir"]
+        prof = str(d / "prof.json")
+        main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
+        out = str(d / "s.json")
+        capsys.readouterr()
+        rc = main(
+            ["search", "--model", cli_env["model"], "--profile", prof, "--corpus", cli_env["corpus"],
+             "--compression", "0.4", "--context-len", "48", "--out", out] + grid
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        name = grid[0][2]  # "t" or "r"
+        assert json.loads(err[0]) == {
+            "error": f"bad {name} grid {grid[1]!r}: could not convert string to float: ''", "violations": []
+        }
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".manifest")
+
+    @pytest.mark.parametrize(
         "command, compression",
         [("plan", "nan"), ("search", "nan"), *(("sweep", c) for c in ("0", "-0.2", "1.5", "nan"))],
         ids=["plan", "search", "sweep-0", "sweep--0.2", "sweep-1.5", "sweep-nan"],
@@ -930,6 +954,7 @@ class TestCli:
         rc = main(["eval", "--model", other_model, "--plan", plan_path, "--corpus", cli_env["corpus"]])
         assert rc != 0
         err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "plan does not match this model"
         assert err["violations"]
 
     def test_generate_full_budget_matches_cache_free_oracle(self, cli_env, capsys):
@@ -1038,13 +1063,18 @@ class TestCli:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("requested_compression", "0.3", "requested_compression must be a number, got '0.3'"),
-            ("strategy", 7, "strategy must be one of ('uniform', 'layerwise', 'baklava'), got 7"),
-            ("strategy", "window", "strategy must be one of ('uniform', 'layerwise', 'baklava'), got 'window'"),
+            ("requested_compression", "0.3", "requested_compression must be a 0-D array of JSON floats"),
+            ("strategy", 7, "unknown strategy 7, expected one of ('uniform', 'layerwise', 'baklava')"),
+            ("strategy", "window", "unknown strategy 'window', expected one of ('uniform', 'layerwise', 'baklava')"),
             ("params", {"t": "abc", "r": 0.0, "layer_t": 0.0, "layer_r": 0.0},
              "t must be in [0, 1], got 'abc'"),
+            ("params", {"t": 0, "r": 0.0, "layer_t": 0.0, "layer_r": 0.0},
+             "keys params differ from what bklv writes"),
+            ("achieved_compression", 0.99, "keys achieved_compression differ from what bklv writes"),
+            ("budget", 5, "keys budget differ from what bklv writes"),
         ],
-        ids=["compression-str", "strategy-int", "strategy-window", "params-t-str"],
+        ids=["compression-str", "strategy-int", "strategy-window", "params-t-str", "params-t-int",
+             "achieved-compression", "unknown-key"],
     )
     def test_eval_rejects_a_retyped_plan_field(self, cli_env, field, value, message, capsys):
         d = cli_env["dir"]
@@ -1055,7 +1085,7 @@ class TestCli:
         doc[field] = value
         io.write_json(plan, doc)
         with pytest.raises(FormatError, match=re.escape(message)):
-            io.read_plan(plan)
+            io.read_plan(plan, io.read_model_file(cli_env["model"]).config)
         capsys.readouterr()
         rc = main(["eval", "--model", cli_env["model"], "--plan", plan, "--corpus", cli_env["corpus"],
                    "--context-len", "48", "--out", out])
