@@ -88,7 +88,7 @@ class BudgetedCache:
         self.budget, self.sinks, self.group = store.budgets[group], store.sinks, group
         self.head_dim = store.keys.shape[1]
         self.lengths, self.seen = store.lengths, store.seen  # shared, mutated in place
-        self.slots = (store.keys[group], store.values[group])  # full width, keys transposed
+        self.slots = (store.keys[group].T, store.values[group])  # full width, (width, head_dim) views
 
     @property
     def retained(self) -> int:
@@ -100,7 +100,7 @@ class BudgetedCache:
 
     @property
     def keys(self) -> np.ndarray:  # (retained, head_dim) float32
-        return self.slots[0][:, : self.retained].T
+        return self.slots[0][: self.retained]
 
     @property
     def values(self) -> np.ndarray:  # (retained, head_dim) float32
@@ -135,7 +135,7 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
     seen = cache.seen[g]
     if type(k_new) is type(v_new) is np.ndarray and k_new.shape == v_new.shape == (1, cache.head_dim):
         slot = seen if seen < sinks else sinks + (seen - sinks) % (budget - sinks)
-        keys[:, slot] = k_new
+        keys[slot] = k_new
         values[slot] = v_new
         total = seen + 1
     else:
@@ -155,9 +155,9 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
         for a, e, slot in ((seen, min(sinks, total), seen), (first, wrap, ring), (wrap, total, sinks)):
             if a < e:
                 dest = slice(slot, slot + e - a)
-                keys[:, dest] = k_new[a - seen : e - seen].T
+                keys[dest] = k_new[a - seen : e - seen]
                 values[dest] = v_new[a - seen : e - seen]
-    cache.lengths[g] = min(total, budget)
+    cache.lengths[g] = total if total < budget else budget  # not min(): cheaper, once per token
     cache.seen[g] = total
 
 
@@ -172,14 +172,18 @@ def attend_with_cache(
     rows' tokens, which start the stream of an empty store, and see those
     rows under the sink+window rule. Block [a, e) of BLOCK queries scores
     the sinks and positions a - (largest budget - sinks) + 1 to e - 1.
-    Groups run in tiles whose score buffer holds at most SCORE_CAP elements
-    (one group at least). A group whose scores are bounded (_bounded: all
-    within SCORE_BOUND, and no row sum or PV entry can overflow) takes exp
-    without the row max; a ones column carried in its values makes the PV
-    product return each row's weight sum too, and only the (rows, head_dim)
-    result is divided. Any other group keeps the softmax shifted by the row
-    max, its weights normalized before the PV product. Decided per group, a
-    group's result is the same whatever the tiling or the other groups.
+    Groups run in tiles of at most SCORE_CAP scores (one group at least),
+    every tile computed into one score buffer per call. A group whose scores
+    are bounded (_bounded: all within SCORE_BOUND, and no row sum or PV entry
+    can overflow) takes exp without the row max, then is multiplied by a 0/1
+    visibility mask, built once per distinct span per block; a ones column
+    carried in its values makes the PV product return each row's weight sum
+    too, and only the (rows, head_dim) result is divided. Any other group is
+    masked with -inf and keeps the softmax shifted by the row max, its
+    weights normalized before the PV product. Decided per group, a group's
+    result is the same whatever the tiling, and a bounded group's whatever
+    the other groups; a shifted group's row sums span the call's band,
+    which the widest budget sets.
     Returns one output row per query, like `q`.
     """
     q = np.asarray(q, dtype=np.float32)
@@ -205,15 +209,18 @@ def attend_with_cache(
         raise ShapeError(f"new rows {k_new.shape} and {v_new.shape} for q shape {q.shape}")
     if any(store.seen):
         raise InputError(f"new rows start a stream, but the groups have seen {store.seen} tokens")
-    span, widest = np.array(store.budgets)[:, None] - sinks, max(store.budgets) - sinks
-    # queries, not scores, are scaled: fewer operations, exact when sqrt(d) is a power of 2
-    q = q / scale
-    bounded = _bounded(q, k_new, v_new).tolist()
+    span, widest = np.array(store.budgets) - sinks, max(store.budgets) - sinks
+    spans, span_of = np.unique(span, return_inverse=True)  # the distinct spans, and each group's
+    bounded = _bounded(q, k_new, v_new, scale).tolist()
     # copies, since the sinks move within them and the caller appends the rows;
     # the values carry a ones column, whose PV product is each row's weight sum
     keys, values = k_new.copy(), np.concatenate([v_new, np.ones((groups, t_q, 1), np.float32)], 2)
     sink_keys, sink_values = keys[:, :sinks].copy(), values[:, :sinks].copy()
     out = np.empty(q.shape, np.float32)
+    # one score buffer for every tile: a group's block scores at most heads * BLOCK rows
+    # by BLOCK + widest + sinks - 1 columns, and a tile is one group or within SCORE_CAP
+    per_group = heads * min(BLOCK, t_q) * min(t_q, BLOCK + widest + sinks - 1)
+    buffer = np.empty(min(groups * per_group, max(SCORE_CAP, per_group)), np.float32)
     for a in range(0, t_q, BLOCK):
         e = min(a + BLOCK, t_q)
         n_sinks = min(sinks, e)
@@ -222,21 +229,25 @@ def attend_with_cache(
         if lo_col > 0:  # the sinks move next to the band, over columns no later block reads
             keys[:, lo_col:start] = sink_keys
             values[:, lo_col:start] = sink_values
-        # t sees p iff 0 <= t - p < reach, past every offset for a sink; unsigned, t < p is past it too
+        # t sees p iff 0 <= t - p < reach, past every offset for a sink; unsigned, t < p is past
+        # it too. One float mask per distinct span, (spans, e - a, cols): 1 if seen, else 0
         positions = np.concatenate([np.arange(n_sinks), np.arange(start, e)])
-        reach = np.where(positions < sinks, _NO_REACH, span).astype(np.uint64)
-        hidden = (np.arange(a, e)[:, None] - positions).view(np.uint64) >= reach[:, None]
-        rows, cols = q[:, :, a:e].reshape(groups, -1, d), e - lo_col
+        reach = np.where(positions < sinks, _NO_REACH, spans[:, None]).astype(np.uint64)
+        visible = ((np.arange(a, e)[:, None] - positions).view(np.uint64) < reach[:, None]).astype(np.float32)
+        # queries, not scores, are scaled, in the block's copy: exact when sqrt(d) is a power of 2
+        rows, cols = (q[:, :, a:e] / scale).reshape(groups, -1, d), e - lo_col
         step = max(1, SCORE_CAP // (rows.shape[1] * cols))
         for lo in range(0, groups, step):
             hi, tile = lo + step, bounded[lo : lo + step]
-            scores = rows[lo:hi] @ keys[lo:hi, lo_col:e].transpose(0, 2, 1)
-            np.copyto(scores.reshape(-1, heads, e - a, cols), -np.inf, where=hidden[lo:hi, None])
-            if all(tile):
-                np.exp(scores, out=scores)
-            else:  # a group past the bound is shifted by its row max and its weights normalized
-                for group_scores, fits in zip(scores, tile):
-                    (np.exp if fits else softmax)(group_scores, out=group_scores)
+            scores = buffer[: len(tile) * rows.shape[1] * cols].reshape(len(tile), -1, cols)
+            np.matmul(rows[lo:hi], keys[lo:hi, lo_col:e].transpose(0, 2, 1), out=scores)
+            for group_scores, j, fits in zip(scores.reshape(-1, heads, e - a, cols), span_of[lo:hi], tile):
+                if fits:  # a bounded score's exp is finite, so the mask zeroes what is hidden
+                    np.exp(group_scores, out=group_scores)
+                    group_scores *= visible[j]
+                else:  # past the bound: masked with -inf, shifted by its row max and normalized
+                    np.copyto(group_scores, -np.inf, where=visible[j] == 0)
+                    softmax(group_scores, out=group_scores)
             pv = (scores @ values[lo:hi, lo_col:e]).reshape(-1, heads, e - a, d + 1)
             if not all(tile):
                 pv[~np.array(tile), ..., d] = 1  # so the normalized groups divide by 1, exactly
@@ -259,14 +270,15 @@ def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return weights
 
 
-def _bounded(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(groups,) bool, per group of a chunk: its scores of scaled queries q
-    (groups, heads, t_q, d) by keys k (groups, t_q, d) are within B = max |q_i|
-    * max |k_j|, and B <= SCORE_BOUND and t_q * e**B * max(1, max |v|) < FLT_MAX / 2,
-    so no row sum or PV entry overflows. A NaN or inf fails both tests."""
+def _bounded(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """(groups,) bool, per group of a chunk: its scores of queries q / scale,
+    q (groups, heads, t_q, d), by keys k (groups, t_q, d) are within
+    B = max |q_i| * max |k_j| / scale, and B <= SCORE_BOUND and
+    t_q * e**B * max(1, max |v|) < FLT_MAX / 2, so no row sum or PV entry
+    overflows. A NaN or inf fails both tests."""
     groups, t_q, _ = k.shape
     q_norms = np.einsum("...d,...d->...", q, q).reshape(groups, -1).max(1)
-    bound = np.sqrt(q_norms.astype(np.float64) * np.einsum("...d,...d->...", k, k).max(1))
+    bound = np.sqrt(q_norms.astype(np.float64) * np.einsum("...d,...d->...", k, k).max(1)) / scale
     growth = t_q * np.exp(np.minimum(bound, SCORE_BOUND)) * np.maximum(1.0, np.abs(v).reshape(groups, -1).max(1))
     return (bound <= SCORE_BOUND) & (growth < float(np.finfo(np.float32).max) / 2)
 

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -54,12 +55,13 @@ class ModelConfig:
     def validate(self) -> None:
         """The config rules, wherever a config comes from: integer fields are
         integers (not bool, str or float), sizes in [1, MAX_SIZE], seed >= 0,
-        rope_theta a finite positive real number, and at most MAX_WEIGHTS weights."""
+        rope_theta a positive real within float range, and at most MAX_WEIGHTS weights."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "rope_theta":
                 real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-                if not real or not 0 < value < math.inf:
+                huge = isinstance(value, numbers.Integral) and value > sys.float_info.max  # no float holds it
+                if not real or huge or not 0 < value < math.inf:
                     raise ConfigError(f"rope_theta must be finite and positive, got {value!r}")
             elif isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")

@@ -94,9 +94,13 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    """x / (1 + exp(-x)): -0.0 below about -88.7, where exp(-x) overflows to
-    inf. Callers ignore that overflow (np.errstate), so it warns nothing."""
-    return x / (1.0 + np.exp(-x))
+    """x / (1 + exp(-x)), in one temporary: -0.0 below about -88.7, where
+    exp(-x) overflows to inf. Callers ignore that overflow (np.errstate), so
+    it warns nothing."""
+    t = np.negative(x)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(x, t, out=t)
 
 
 _ROPE_TABLES: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -136,7 +140,8 @@ def rope_rotate(
     cos, sin = _rope_rows(theta, x.shape[-1], start, len(x))
     swapped = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
     out = np.multiply(x, cos, out=out)
-    out += swapped * sin
+    swapped *= sin
+    out += swapped
     return out
 
 
@@ -200,38 +205,40 @@ def forward_layer(
 
 def _heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
     """The heads (batch, q_heads, n, head_dim) of x (batch, n, d_model) at
-    stream positions store.seen[0] onwards. The rotated key and value rows
-    go to the caches on the schedule of token-by-token generation: one token
-    as one row per cache, in cache order; a chunk, which starts the stream
-    of empty stores, as a segment of as many tokens as every cache of this
-    layer holds without evicting, then single tokens. One token attends after
-    its append, over the store, which then holds exactly what it sees (its
-    ring slot is its evictee's); a chunk attends before, over its own rows."""
+    stream positions store.seen[0] onwards. Queries, keys and values are
+    written once, where attention and the appends read them: qk[i] holds
+    cache i's query heads then its key, v[i] its values. The key and value
+    rows go to the caches on the schedule of token-by-token generation: one
+    token as one row per cache, in cache order; a chunk, which starts the
+    stream of empty stores, as a segment of as many tokens as every cache of
+    this layer holds without evicting, then single tokens, cache by cache.
+    One token attends after its append, over the store, which then holds
+    exactly what it sees (its ring slot is its evictee's); a chunk attends
+    before, over its own rows."""
     batch, n, _ = x.shape
-    hq, kv, g, d = cfg.num_q_heads, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
-    qk = np.empty((batch, n, hq + kv, d), np.float32)
-    v = np.empty((batch, n, kv * d), np.float32)
+    kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
+    qk = np.empty((batch * kv, g + 1, n, d), np.float32)
+    v = np.empty((batch * kv, n, d), np.float32)
     for b in range(batch):
-        h = rms_norm(x[b], layer.norm1)
-        np.matmul(h, layer.attn_v, out=v[b])
-        qk_b = np.concatenate([h @ layer.attn_q, h @ layer.attn_k], axis=1).reshape(n, hq + kv, d)
-        rope_rotate(qk_b, store.seen[0], cfg.rope_theta, out=qk[b])
-    # (batch * kv, g, n, d): the query heads of a group share its cache
-    q_groups = qk[:, :, :hq].reshape(batch, n, kv, g, d).transpose(0, 2, 3, 1, 4)
-    q_groups = q_groups.reshape(batch * kv, g, n, d)
-    # (batch * kv, n, d): row i holds the new keys or values of caches[i]
-    k_rows = qk[:, :, hq:].transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
-    v_rows = v.reshape(batch, n, kv, d).transpose(0, 2, 1, 3).reshape(batch * kv, n, d)
+        h, caches = rms_norm(x[b], layer.norm1), slice(b * kv, (b + 1) * kv)
+        qk[caches, :g] = (h @ layer.attn_q).reshape(n, kv, g, d).transpose(1, 2, 0, 3)
+        qk[caches, g] = (h @ layer.attn_k).reshape(n, kv, d).transpose(1, 0, 2)
+        v[caches] = (h @ layer.attn_v).reshape(n, kv, d).transpose(1, 0, 2)
+        qk_b = qk[caches].reshape(-1, n, d).transpose(1, 0, 2)  # (n, kv * (g + 1), d), rotated in place
+        rope_rotate(qk_b, store.seen[0], cfg.rope_theta, out=qk_b)
+    q, k = qk[:, :g], qk[:, g]  # (batch * kv, g, n, d) and (batch * kv, n, d)
     if n != 1:  # a chunk attends, then is appended
-        heads = attend_with_cache(store, q_groups, k_rows, v_rows)
-    a = 0
-    for e in range(min(n, min(store.budgets)), n + 1):  # a segment no cache overflows, then one token each
-        for cache, k_new, v_new in zip(store.caches, k_rows[:, a:e], v_rows[:, a:e]):
-            append_and_evict(cache, k_new, v_new)
-        a = e
+        heads = attend_with_cache(store, q, k, v)
+    m = min(n, min(store.budgets))  # a segment no cache overflows
+    for cache, k_new, v_new in zip(store.caches, k[:, :m], v[:, :m]):
+        append_and_evict(cache, k_new, v_new)
+    if n > m:  # then one token at a time, cache by cache
+        for cache, k_new, v_new in zip(store.caches, k[:, m:, None], v[:, m:, None]):
+            for k_row, v_row in zip(k_new, v_new):
+                append_and_evict(cache, k_row, v_row)
     if n == 1:  # one token is appended, then attends
-        heads = attend_with_cache(store, q_groups)
-    return heads.reshape(batch, hq, n, d)
+        heads = attend_with_cache(store, q)
+    return heads.reshape(batch, cfg.num_q_heads, n, d)
 
 
 def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, None]:

@@ -123,7 +123,7 @@ def profile_model(
     per_token = [] if keep_per_token else None
     for arr in arrays:
         t = arr.size
-        x = model.embedding[arr[None]].astype(np.float32, copy=True)
+        x = model.embedding[arr[None]].astype(np.float32, copy=False)  # the gather copies
         v_in, heads, xs = [], [], [x[0]]
         for li in range(layers):
             store = LayerStore([t] * kv, 0, d)

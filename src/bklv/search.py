@@ -40,7 +40,8 @@ def _mean_nll(logits: np.ndarray, tokens: np.ndarray) -> float:
     row's log-sum-exp is subtracted from its target logit only."""
     x = logits[:-1].astype(np.float64)
     m = np.max(x, axis=-1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(x - m), axis=-1, keepdims=True))
+    shifted = x - m
+    lse = m + np.log(np.sum(np.exp(shifted, out=shifted), axis=-1, keepdims=True))
     picked = x[np.arange(tokens.size - 1), tokens[1:]] - lse[:, 0]
     return float(-np.mean(picked))
 
@@ -118,7 +119,7 @@ def evaluate_plans(
     size = max(1, HIDDEN_CAP // (context_len * cfg.d_model))
     for lo in range(0, n_chunks, size):
         batch = chunks[lo : lo + size]
-        walk(0, model.embedding[batch].astype(np.float32, copy=True), range(len(budgets)), batch)
+        walk(0, model.embedding[batch].astype(np.float32, copy=False), range(len(budgets)), batch)
     return [float(np.mean(plan_losses)) for plan_losses in losses]
 
 

@@ -645,7 +645,7 @@ class TestScoreTiling:
         rng = np.random.default_rng(seed)
         k, v = rng.normal(size=(2, len(budgets), n, HEAD_DIM)).astype(np.float32)
         q = _scaled_normal(rng, (len(budgets), heads, n, HEAD_DIM), scales)
-        bounded = cache_module._bounded(q / np.float32(math.sqrt(HEAD_DIM)), k, v)
+        bounded = cache_module._bounded(q, k, v, np.float32(math.sqrt(HEAD_DIM)))
         assert bounded.tolist() == [scale == 1 for scale in scales]
         untiled = _chunk_attention(budgets, sinks, q, k, v)
         assert np.array_equal(_chunk_attention(budgets, sinks, q, k, v, cap), untiled)
@@ -654,6 +654,41 @@ class TestScoreTiling:
                 mine = sink_window_trace(budget, sinks, i + 1)
                 expected = brute_attention(q[g, :, i], k[g, mine], v[g, mine], causal=False)
                 np.testing.assert_allclose(untiled[g, :, i], expected, atol=1e-6 if fits else PAST_BOUND_TOL)
+
+
+class TestSpanMasks:
+    """The banded pass builds one visibility mask per distinct span
+    (budget - sinks) per block, and each group reads its own. Spans that
+    alternate, so that no two neighbours share one, under tiles of one or
+    two groups whose last tile is short, on both softmax paths: each group
+    against its one-group call bit for bit, against the call with the groups
+    reversed, and against brute force."""
+
+    # 70 queries are 3 blocks of BLOCK = 32; a group's block scores 2 heads x
+    # (32, 32), (32, 43) and (6, 17), so a cap of 500 makes tiles of 1, 1 and 2
+    # groups, and one of 5000 tiles of 2, 1 and all 5
+    @pytest.mark.parametrize("cap", [1, 500, 5000])
+    @pytest.mark.parametrize("bound", [cache_module.SCORE_BOUND, 0.0])
+    def test_each_group_reads_its_own_span(self, rng, cap, bound):
+        budgets, sinks, heads, n = [12, 7, 12, 7, 9], 2, 2, 70
+        k, v = rng.normal(size=(2, len(budgets), n, HEAD_DIM)).astype(np.float32)
+        q = rng.normal(size=(len(budgets), heads, n, HEAD_DIM)).astype(np.float32)
+        with mock.patch.object(cache_module, "SCORE_BOUND", bound):  # 0: every group shifted
+            together = _chunk_attention(budgets, sinks, q, k, v, cap)
+            # reversed, each group has other neighbours and another place in its tiles
+            backwards = _chunk_attention(budgets[::-1], sinks, q[::-1], k[::-1], v[::-1], cap)
+            alone = [_chunk_attention([b], sinks, q[g : g + 1], k[g : g + 1], v[g : g + 1], cap)[0]
+                     for g, b in enumerate(budgets)]
+        assert together.tobytes() == backwards[::-1].tobytes()
+        for g, budget in enumerate(budgets):
+            # a shifted row is normalized by its sum over the call's columns, so a
+            # group narrower than the widest one matches only calls as wide
+            if bound or budget == max(budgets):
+                assert together[g].tobytes() == alone[g].tobytes(), g
+            for i in range(n):
+                mine = sink_window_trace(budget, sinks, i + 1)
+                expected = brute_attention(q[g, :, i], k[g, mine], v[g, mine], causal=False)
+                np.testing.assert_allclose(together[g, :, i], expected, atol=1e-6)
 
 
 # measured: largest |difference| 1.4e-6 over 2,000 random calls of this
@@ -683,10 +718,10 @@ class TestBoundedSoftmax:
         rng = np.random.default_rng(seed)
         k, v = rng.normal(size=(2, len(budgets), n, HEAD_DIM)).astype(np.float32)
         q = rng.normal(size=(len(budgets), heads, n, HEAD_DIM)).astype(np.float32) * np.float32(scale)
-        assert cache_module._bounded(q / np.float32(math.sqrt(HEAD_DIM)), k, v).all()
+        assert cache_module._bounded(q, k, v, np.float32(math.sqrt(HEAD_DIM))).all()
         bounded = _chunk_attention(budgets, sinks, q, k, v)
         with mock.patch.object(cache_module, "SCORE_BOUND", 0.0):  # every group shifted
-            assert not cache_module._bounded(q / np.float32(math.sqrt(HEAD_DIM)), k, v).any()
+            assert not cache_module._bounded(q, k, v, np.float32(math.sqrt(HEAD_DIM))).any()
             shifted = _chunk_attention(budgets, sinks, q, k, v)
         np.testing.assert_allclose(bounded, shifted, rtol=0, atol=BOUNDED_TOL)
 
@@ -709,7 +744,7 @@ class TestBoundedSoftmax:
         rng = np.random.default_rng(seed)
         k, v = rng.normal(size=(2, groups, n, HEAD_DIM)).astype(np.float32)
         q = _scaled_normal(rng, (groups, heads, n, HEAD_DIM), scales)
-        bounded = cache_module._bounded(q / np.float32(math.sqrt(HEAD_DIM)), k, v)
+        bounded = cache_module._bounded(q, k, v, np.float32(math.sqrt(HEAD_DIM)))
         assert bounded.tolist() == [g != past for g in range(groups)]
         together = _chunk_attention(budgets, sinks, q, k, v, cap)
         for g in range(groups):
@@ -749,7 +784,7 @@ class TestBoundedSoftmax:
         k, v = rng.normal(size=(2, 2, 6, HEAD_DIM)).astype(np.float32)
         {"q": q[:, 0], "k": k, "v": v}[where][1, 3, 2] = poison  # group 1
         with np.errstate(over="ignore", invalid="ignore"):
-            assert cache_module._bounded(q, k, v).tolist() == [True, False]
+            assert cache_module._bounded(q, k, v, 1.0).tolist() == [True, False]
 
 
 class TestCacheSet:

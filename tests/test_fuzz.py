@@ -187,6 +187,7 @@ class TestProfileReader:
     @example(_with(PROFILE_DOC, 5, "budget"))  # an unknown key
     @example(_with(PROFILE_DOC, 0, "kv_importance", 0, 0))  # 0 for a float
     @example(_with(PROFILE_DOC, 10000, "config", "rope_theta"))
+    @example(_with(PROFILE_DOC, 10**400, "config", "rope_theta"))  # an int with no float
     def test_returns_what_the_document_says_or_raises(self, doc):
         profile = _read(io.profile_from_dict, doc)
         if profile is None:

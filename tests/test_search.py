@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -27,12 +28,13 @@ from bklv import (
     profile_model,
     uniform_plan,
 )
+from bklv import io
 from bklv import search as search_module
 from bklv.allocation import AllocationPlan
 from bklv.model import forward_layer
 
 from .conftest import SMALL
-from .reference import reference_nll, spearman_textbook
+from .reference import readme_text, reference_nll, spearman_textbook
 
 
 def _uniform_logits_model(model):
@@ -256,6 +258,26 @@ class TestEvaluatePlans:
             assert len(stores) == 4 and all(ref() is None for ref in stores)
         finally:
             gc.enable()
+
+    def test_a_warm_readme_call_peaks_under_4_5_mib_of_transient_arrays(self, toy_model):
+        # the README corpus (4 chunks of 256 tokens, one batch) under the uniform
+        # plan: the traced peak of a call's short-lived arrays above what was live
+        # at its start. A first call fills the rotary tables. Unlike page-fault
+        # counts, which follow the allocator's state, the peak is deterministic
+        corpus = np.asarray(io.encode_bytes(readme_text(1100, 3)))
+        plan = uniform_plan(toy_model.config, 0.3)
+        chunked_perplexity(toy_model, corpus, 256, plan)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            chunked_perplexity(toy_model, corpus, 256, plan)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 4.5 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_no_plans(self, small_model, rng):
         assert evaluate_plans(small_model, _corpus(rng, 16), 16, [], 4) == []
