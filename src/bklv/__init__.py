@@ -21,6 +21,7 @@ from .cache import (
     LayerStore,
     append_and_evict,
     attend_with_cache,
+    banded_attention,
     build_cache_set,
     memory_report,
     reset,

@@ -1,4 +1,4 @@
-"""Budgeted per-(layer, KV-group) key/value stores.
+"""Budgeted per-(layer, KV-group) key/value stores, and attention under them.
 
 Each cache holds at most `budget` tokens. When an append overflows the
 budget, the oldest token that is not an attention sink is evicted; the
@@ -10,12 +10,12 @@ largest budget, which makes a BudgetedCache view of each group's slots
 sinks + (p - sinks) % (budget - sinks), so an eviction is one overwrite.
 Keys and values are the store's only arrays: which position a slot
 holds follows from the group's counts (BudgetedCache.positions), so an
-append writes keys and values only. Keys are stored transposed; one
-attention call over a layer's store serves all its KV groups and query
-heads. The query at position t sees p iff p <= t and either p < sinks or
-p > t - budget + sinks, what token-by-token generation holds at t: a
-single query, appended first, sees every retained slot, and a chunk's
-queries start a stream and attend over their own rows before appending them.
+append writes keys and values only. Keys are stored transposed. The query
+at position t sees p iff p <= t and either p < sinks or p > t - budget +
+sinks, what token-by-token generation holds at t. A layer step appends,
+then attends with all its KV groups and query heads at once: a single
+query over the store (attend_with_cache), and a chunk, which starts a
+stream, over its own rows (banded_attention, given only budgets and sinks).
 """
 
 import math
@@ -161,77 +161,78 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
     cache.seen[g] = total
 
 
-def attend_with_cache(
-    store: LayerStore, q: np.ndarray, k_new: np.ndarray | None = None, v_new: np.ndarray | None = None
-) -> np.ndarray:
-    """Scaled dot-product attention of a layer's newest queries over its store.
+def attend_with_cache(store: LayerStore, q: np.ndarray) -> np.ndarray:
+    """Scaled dot-product attention of a layer's newest token over its store:
+    `q` (groups, heads, 1, head_dim) is its query, appended first, so it sees
+    every retained slot; a padded group's unused slots are masked with -inf.
+    Returns one output row per query, like `q`."""
+    q = np.asarray(q, dtype=np.float32)
+    groups, d, _ = store.keys.shape
+    if q.ndim != 4 or q.shape[0] != groups or q.shape[-1] != d:
+        raise ShapeError(f"q shape {q.shape} incompatible with {groups} groups of head_dim {d}")
+    lengths, width = store.lengths, max(store.lengths)
+    if q.shape[2] != 1 or min(lengths) == 0:
+        raise InputError("attention over a store takes one query and one retained token")
+    scores = q.reshape(groups, -1, d) @ store.keys[:, :, :width]  # (groups, heads, width)
+    scores /= np.float32(math.sqrt(d))
+    for g, length in enumerate(lengths):
+        if length < width:
+            scores[g, :, length:] = -np.inf
+    softmax(scores, out=scores)
+    return (scores @ store.values[:, :width]).reshape(q.shape)
 
-    `q` is (groups, heads, t_q, head_dim). Without new rows, the one query
-    is the newest token, already appended, and sees every retained token.
-    With k_new and v_new, (groups, t_q, head_dim), the queries are those
-    rows' tokens, which start the stream of an empty store, and see those
-    rows under the sink+window rule. Block [a, e) of BLOCK queries scores
+
+def banded_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, budgets: list[int], sinks: int) -> np.ndarray:
+    """Scaled dot-product attention of a chunk's queries, stream positions
+    0..t_q - 1, over their own rows under the sink+window rule of `budgets`
+    and `sinks`, which must fit (require_fit). `q` is (groups, heads, t_q,
+    head_dim), `k` (groups, t_q, head_dim) and `v` (groups, t_q, head_dim +
+    1), its last column ones. k and v are worked in place, not copied: the
+    sinks move next to each block's band, over rows no later block reads,
+    so a caller appends the rows first. Block [a, e) of BLOCK queries scores
     the sinks and positions a - (largest budget - sinks) + 1 to e - 1.
     Groups run in tiles of at most SCORE_CAP scores (one group at least),
     every tile computed into one score buffer per call. A group whose scores
     are bounded (_bounded: all within SCORE_BOUND, and no row sum or PV entry
     can overflow) takes exp without the row max, then is multiplied by a 0/1
-    visibility mask, built once per distinct span per block; a ones column
-    carried in its values makes the PV product return each row's weight sum
-    too, and only the (rows, head_dim) result is divided. Any other group is
-    masked with -inf and keeps the softmax shifted by the row max, its
-    weights normalized before the PV product. Decided per group, a group's
-    result is the same whatever the tiling, and a bounded group's whatever
-    the other groups; a shifted group's row sums span the call's band,
-    which the widest budget sets.
-    Returns one output row per query, like `q`.
+    visibility mask, built once per distinct span per block; v's ones column
+    makes the PV product return each row's weight sum too, and only the
+    (rows, head_dim) result is divided. Any other group is masked with -inf
+    and keeps the softmax shifted by the row max, its weights normalized
+    before the PV product. Decided per group, a group's result is the same
+    whatever the tiling, and a bounded group's whatever the other groups; a
+    shifted group's row sums span the call's band, which the widest budget
+    sets. Returns one output row per query, like `q`.
     """
-    q = np.asarray(q, dtype=np.float32)
-    groups, d, _ = store.keys.shape
-    if q.ndim != 4 or q.shape[0] != groups or q.shape[-1] != d:
-        raise ShapeError(f"q shape {q.shape} incompatible with {groups} groups of head_dim {d}")
-    _, heads, t_q, _ = q.shape
-    lengths, width, sinks = store.lengths, max(store.lengths), store.sinks
+    q, k, v = (np.asarray(x, dtype=np.float32) for x in (q, k, v))
+    groups, heads, t_q, d = q.shape if q.ndim == 4 else (-1,) * 4
+    if k.shape != (groups, t_q, d) or v.shape != (groups, t_q, d + 1) or groups != len(budgets) or 0 in q.shape:
+        raise ShapeError(f"q {q.shape}, k {k.shape} and v {v.shape} (head_dim + 1 wide) "
+                         f"are not a chunk's for {len(budgets)} budgets")
+    require_fit(np.array([budgets]), sinks)
     scale = np.float32(math.sqrt(d))
-    if k_new is None:
-        if t_q != 1 or min(lengths) == 0:
-            raise InputError("without new rows, attention takes one query and one retained token")
-        scores = q.reshape(groups, heads, d) @ store.keys[:, :, :width]  # (groups, heads, width)
-        scores /= scale
-        for g, length in enumerate(lengths):
-            if length < width:
-                scores[g, :, length:] = -np.inf
-        softmax(scores, out=scores)
-        return (scores @ store.values[:, :width]).reshape(q.shape)
-
-    k_new, v_new = np.asarray(k_new, dtype=np.float32), np.asarray(v_new, dtype=np.float32)
-    if k_new.shape != (groups, t_q, d) or v_new.shape != k_new.shape or t_q == 0:
-        raise ShapeError(f"new rows {k_new.shape} and {v_new.shape} for q shape {q.shape}")
-    if any(store.seen):
-        raise InputError(f"new rows start a stream, but the groups have seen {store.seen} tokens")
-    span, widest = np.array(store.budgets) - sinks, max(store.budgets) - sinks
+    span, widest = np.array(budgets) - sinks, max(budgets) - sinks
     spans, span_of = np.unique(span, return_inverse=True)  # the distinct spans, and each group's
-    bounded = _bounded(q, k_new, v_new, scale).tolist()
-    # copies, since the sinks move within them and the caller appends the rows;
-    # the values carry a ones column, whose PV product is each row's weight sum
-    keys, values = k_new.copy(), np.concatenate([v_new, np.ones((groups, t_q, 1), np.float32)], 2)
-    sink_keys, sink_values = keys[:, :sinks].copy(), values[:, :sinks].copy()
+    bounded = _bounded(q, k, v, scale).tolist()
     out = np.empty(q.shape, np.float32)
     # one score buffer for every tile: a group's block scores at most heads * BLOCK rows
     # by BLOCK + widest + sinks - 1 columns, and a tile is one group or within SCORE_CAP
     per_group = heads * min(BLOCK, t_q) * min(t_q, BLOCK + widest + sinks - 1)
     buffer = np.empty(min(groups * per_group, max(SCORE_CAP, per_group)), np.float32)
+    sink_col = 0  # the sinks' first row: their own, then next to the last block's band
     for a in range(0, t_q, BLOCK):
         e = min(a + BLOCK, t_q)
         n_sinks = min(sinks, e)
         start = max(n_sinks, a - widest + 1)  # the band's first position, and column
         lo_col = start - n_sinks
-        if lo_col > 0:  # the sinks move next to the band, over columns no later block reads
-            keys[:, lo_col:start] = sink_keys
-            values[:, lo_col:start] = sink_values
+        if lo_col > sink_col:  # the sinks move next to the band (numpy buffers an overlap)
+            k[:, lo_col:start] = k[:, sink_col : sink_col + n_sinks]
+            v[:, lo_col:start] = v[:, sink_col : sink_col + n_sinks]
+            sink_col = lo_col
         # t sees p iff 0 <= t - p < reach, past every offset for a sink; unsigned, t < p is past
         # it too. One float mask per distinct span, (spans, e - a, cols): 1 if seen, else 0
-        positions = np.concatenate([np.arange(n_sinks), np.arange(start, e)])
+        positions = np.arange(lo_col, e)
+        positions[:n_sinks] -= lo_col  # the moved sinks, 0..n_sinks - 1
         reach = np.where(positions < sinks, _NO_REACH, spans[:, None]).astype(np.uint64)
         visible = ((np.arange(a, e)[:, None] - positions).view(np.uint64) < reach[:, None]).astype(np.float32)
         # queries, not scores, are scaled, in the block's copy: exact when sqrt(d) is a power of 2
@@ -240,7 +241,7 @@ def attend_with_cache(
         for lo in range(0, groups, step):
             hi, tile = lo + step, bounded[lo : lo + step]
             scores = buffer[: len(tile) * rows.shape[1] * cols].reshape(len(tile), -1, cols)
-            np.matmul(rows[lo:hi], keys[lo:hi, lo_col:e].transpose(0, 2, 1), out=scores)
+            np.matmul(rows[lo:hi], k[lo:hi, lo_col:e].transpose(0, 2, 1), out=scores)
             for group_scores, j, fits in zip(scores.reshape(-1, heads, e - a, cols), span_of[lo:hi], tile):
                 if fits:  # a bounded score's exp is finite, so the mask zeroes what is hidden
                     np.exp(group_scores, out=group_scores)
@@ -248,7 +249,7 @@ def attend_with_cache(
                 else:  # past the bound: masked with -inf, shifted by its row max and normalized
                     np.copyto(group_scores, -np.inf, where=visible[j] == 0)
                     softmax(group_scores, out=group_scores)
-            pv = (scores @ values[lo:hi, lo_col:e]).reshape(-1, heads, e - a, d + 1)
+            pv = (scores @ v[lo:hi, lo_col:e]).reshape(-1, heads, e - a, d + 1)
             if not all(tile):
                 pv[~np.array(tile), ..., d] = 1  # so the normalized groups divide by 1, exactly
             np.divide(pv[..., :d], pv[..., d:], out=out[lo:hi, :, a:e])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cache import CacheSet, LayerStore, append_and_evict, attend_with_cache
+from .cache import CacheSet, LayerStore, append_and_evict, attend_with_cache, banded_attention
 from .config import ModelConfig
 from .errors import ConfigError, FormatError, InputError, ShapeError
 
@@ -177,12 +177,11 @@ def forward_layer(
 
     `store` is the layer's: store.caches[b * kv_groups + g] is sequence b's
     group g (batch-major), all at the same stream position (CacheSet.total_seen
-    checks it). One token, as in every decode step, is appended, then
-    attends; a chunk of several starts the stream of empty stores, attends,
-    then is appended (_heads). A chunk into stores that hold tokens runs as
-    one call per token, so its out and heads are decode's bit for bit. The
-    dense ops run one sequence at a time, so their temporaries stay the size
-    of one sequence; each sequence's result depends on its x and caches only.
+    checks it). Every call appends, then attends (_heads). A chunk into
+    stores that hold tokens runs as one call per token, so its out and
+    heads are decode's bit for bit. The dense ops run one sequence at a
+    time, so their temporaries stay the size of one sequence; each
+    sequence's result depends on its x and caches only.
     """
     cfg = model.config
     layer = model.layers[li]
@@ -206,38 +205,36 @@ def forward_layer(
 def _heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
     """The heads (batch, q_heads, n, head_dim) of x (batch, n, d_model) at
     stream positions store.seen[0] onwards. Queries, keys and values are
-    written once, where attention and the appends read them: qk[i] holds
-    cache i's query heads then its key, v[i] its values. The key and value
-    rows go to the caches on the schedule of token-by-token generation: one
-    token as one row per cache, in cache order; a chunk, which starts the
-    stream of empty stores, as a segment of as many tokens as every cache of
-    this layer holds without evicting, then single tokens, cache by cache.
-    One token attends after its append, over the store, which then holds
-    exactly what it sees (its ring slot is its evictee's); a chunk attends
-    before, over its own rows."""
+    written once, where the appends and attention read them: qk[i] holds
+    cache i's query heads then its key, v[i] its values then a ones column.
+    The key and value rows go to the caches first, on the schedule of
+    token-by-token generation: one token as one row per cache, in cache
+    order; a chunk, which starts the stream of empty stores, as a segment
+    of as many tokens as every cache of this layer holds without evicting,
+    then single tokens, cache by cache. Then one token attends over the
+    store, which holds exactly what it sees (its ring slot is its
+    evictee's), and a chunk over its own rows, worked in place."""
     batch, n, _ = x.shape
     kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
     qk = np.empty((batch * kv, g + 1, n, d), np.float32)
-    v = np.empty((batch * kv, n, d), np.float32)
+    v = np.empty((batch * kv, n, d + 1), np.float32)
+    v[..., d] = 1  # with np.empty, 0.3 µs cheaper per decode layer call than np.ones
     for b in range(batch):
         h, caches = rms_norm(x[b], layer.norm1), slice(b * kv, (b + 1) * kv)
         qk[caches, :g] = (h @ layer.attn_q).reshape(n, kv, g, d).transpose(1, 2, 0, 3)
         qk[caches, g] = (h @ layer.attn_k).reshape(n, kv, d).transpose(1, 0, 2)
-        v[caches] = (h @ layer.attn_v).reshape(n, kv, d).transpose(1, 0, 2)
+        v[caches, :, :d] = (h @ layer.attn_v).reshape(n, kv, d).transpose(1, 0, 2)
         qk_b = qk[caches].reshape(-1, n, d).transpose(1, 0, 2)  # (n, kv * (g + 1), d), rotated in place
         rope_rotate(qk_b, store.seen[0], cfg.rope_theta, out=qk_b)
     q, k = qk[:, :g], qk[:, g]  # (batch * kv, g, n, d) and (batch * kv, n, d)
-    if n != 1:  # a chunk attends, then is appended
-        heads = attend_with_cache(store, q, k, v)
     m = min(n, min(store.budgets))  # a segment no cache overflows
-    for cache, k_new, v_new in zip(store.caches, k[:, :m], v[:, :m]):
+    for cache, k_new, v_new in zip(store.caches, k[:, :m], v[:, :m, :d]):
         append_and_evict(cache, k_new, v_new)
     if n > m:  # then one token at a time, cache by cache
-        for cache, k_new, v_new in zip(store.caches, k[:, m:, None], v[:, m:, None]):
+        for cache, k_new, v_new in zip(store.caches, k[:, m:, None], v[:, m:, None, :d]):
             for k_row, v_row in zip(k_new, v_new):
                 append_and_evict(cache, k_row, v_row)
-    if n == 1:  # one token is appended, then attends
-        heads = attend_with_cache(store, q)
+    heads = attend_with_cache(store, q) if n == 1 else banded_attention(q, k, v, store.budgets, store.sinks)
     return heads.reshape(batch, cfg.num_q_heads, n, d)
 
 
@@ -245,7 +242,7 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
     """Run new tokens through the model under budgeted caches.
 
     K/V projections of the new tokens are appended to the caches (evicting
-    as the budgets require) and every query attends over exactly what
+    as the budgets require), then every query attends over exactly what
     token-by-token generation retains, layer by layer (forward_layer); a
     chunk into caches that hold tokens steps through each layer token by
     token. Logits agree with generation up to float32 rounding.

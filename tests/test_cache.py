@@ -15,6 +15,7 @@ from bklv import (
     ShapeError,
     append_and_evict,
     attend_with_cache,
+    banded_attention,
     build_cache_set,
     chunked_perplexity,
     evaluate_plans,
@@ -280,20 +281,31 @@ class TestOneRowAppend:
 
 
 def _attend_one(store, q):
-    """One group's (t_q, head_dim) queries through its one-group store."""
+    """One group's (1, head_dim) query through its one-group store."""
     return attend_with_cache(store, q[None, None])[0, 0]
+
+
+def _ones_column(v):
+    """v with a ones column appended, as banded_attention takes its values: a new array."""
+    return np.concatenate([v, np.ones((*v.shape[:-1], 1), np.float32)], -1)
+
+
+def _chunk_attention(budgets, sinks, q, k, v, cap=cache_module.SCORE_CAP):
+    """A chunk's several queries over its own rows under score cap `cap`.
+    k and v are left as they are: the pass works a copy of k, and of v
+    with its ones column."""
+    with mock.patch.object(cache_module, "SCORE_CAP", cap):
+        return banded_attention(q, k.copy(), _ones_column(v), budgets, sinks)
 
 
 class TestAttendWithCache:
     def test_no_eviction_equals_full_attention(self, rng):
-        # a chunk's queries over an empty store, with their own rows as the new keys
-        store = LayerStore([32], 0, HEAD_DIM)
+        # a chunk's queries over their own rows, under a budget that holds them all
         k = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
         q = rng.normal(size=(10, HEAD_DIM)).astype(np.float32)
-        got = attend_with_cache(store, q[None, None], k[None], v[None])[0, 0]
+        got = _chunk_attention([32], 0, q[None, None], k[None], v[None])[0, 0]
         np.testing.assert_allclose(got, scaled_dot_attention(q, k, v), atol=1e-6)
-        assert store.lengths == [0]  # attention appends nothing
 
     def test_after_eviction_matches_retained_subset_oracle(self, rng):
         store = LayerStore([6], 2, HEAD_DIM)
@@ -322,11 +334,10 @@ class TestAttendWithCache:
             _attend_one(LayerStore([4], 0, HEAD_DIM), rng.normal(size=(1, HEAD_DIM)).astype(np.float32))
 
     def test_multi_row_causal_masking(self, rng):
-        store = LayerStore([32], 0, HEAD_DIM)
         k = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
         v = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
         q = rng.normal(size=(6, HEAD_DIM)).astype(np.float32)
-        got = attend_with_cache(store, q[None, None], k[None], v[None])[0, 0]
+        got = _chunk_attention([32], 0, q[None, None], k[None], v[None])[0, 0]
         expected = brute_attention(q, k, v, causal=True)
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
@@ -334,18 +345,17 @@ class TestAttendWithCache:
     @pytest.mark.parametrize("t_q", [1, 3, 7])
     def test_grouped_heads_bit_identical_to_per_head_calls(self, rng, heads, t_q):
         # one query, its token appended, over a store that has evicted, or several
-        # with their new rows, which start the stream of an empty store
+        # over their own rows, which start the stream
         store = LayerStore([9], 2, HEAD_DIM)
-        if t_q == 1:
-            _append_each(store.caches[0], 14, rng)
-        new = [rng.normal(size=(1, t_q, HEAD_DIM)).astype(np.float32) for _ in range(2)] if t_q > 1 else []
+        _append_each(store.caches[0], 14, rng)
+        k, v = rng.normal(size=(2, 1, t_q, HEAD_DIM)).astype(np.float32)
         # (t_q, heads, d) rows viewed as (heads, t_q, d), as forward_chunk passes them
         rows = rng.normal(size=(t_q, heads, HEAD_DIM)).astype(np.float32)
         q = rows.transpose(1, 0, 2)
-        got = attend_with_cache(store, q[None], *new)
+        got = _attend(store, q[None], k, v)
         assert got.shape == (1, heads, t_q, HEAD_DIM)
         for h in range(heads):
-            assert np.array_equal(got[0, h], attend_with_cache(store, q[None, h : h + 1], *new)[0, 0])
+            assert np.array_equal(got[0, h], _attend(store, q[None, h : h + 1], k, v)[0, 0])
 
     def test_randomized_eviction_equivalence(self):
         # Randomized sequences of appends; attention over the store must equal
@@ -389,19 +399,27 @@ def _position_masked_attention(store, q):
     return (scores @ store.values[:, :width]).reshape(q.shape)
 
 
+def _attend(store, q, k, v):
+    """A layer step's attention after its appends: one query over the store
+    (attend_with_cache), or a chunk's several, which start the stream, over
+    k and v's first rows under the store's budgets (banded_attention)."""
+    t_q = q.shape[2]
+    if t_q == 1:
+        return attend_with_cache(store, q)
+    return banded_attention(q, k[:, :t_q].copy(), _ones_column(v[:, :t_q]), store.budgets, store.sinks)
+
+
 def _check_attention(store, q, k, v, cap=cache_module.SCORE_CAP):
-    """attend_with_cache over a layer store under score cap `cap`. One query
-    is for the newest token, already appended, and must equal
-    _position_masked_attention at tolerance 0. Several start the stream of
-    an empty store, positions 0.., with k and v's rows there as the new
-    rows. Each query at position t must equal brute force over the
-    positions that token-by-token generation holds at t (the literal
-    eviction trace) within 1e-6 (k[g, p] and v[g, p] are group g's rows
-    for position p). Returns the result."""
+    """_attend under score cap `cap`. One query is for the newest token,
+    already appended, and must equal _position_masked_attention at
+    tolerance 0. Several start the stream, positions 0.., with k and v's
+    rows there as theirs. Each query at position t must equal brute force
+    over the positions that token-by-token generation holds at t (the
+    literal eviction trace) within 1e-6 (k[g, p] and v[g, p] are group g's
+    rows for position p). Returns the result."""
     views, t_q = store.caches, q.shape[2]
-    new = [k[:, :t_q], v[:, :t_q]] if t_q > 1 else []
     with mock.patch.object(cache_module, "SCORE_CAP", cap):
-        got = attend_with_cache(store, q, *new)
+        got = _attend(store, q, k, v)
     assert got.shape == q.shape
     if t_q == 1:
         assert np.array_equal(got, _position_masked_attention(store, q))
@@ -420,11 +438,11 @@ def _append(views, k, v, a, e):
 
 
 class TestLayerStoreAttention:
-    """One call over a layer store, single and several queries, against the
-    position mask, brute force and per-group standalone caches. A first
-    segment of several tokens starts the stream: it attends, then is
-    appended. Every later segment is one token, appended, then attending,
-    as forward_layer runs them."""
+    """One call per layer step, single and several queries, against the
+    position mask, brute force and per-group standalone caches. Every
+    segment is appended, then attends, as forward_layer runs them: a first
+    one of several tokens starts the stream and attends over its own rows,
+    and every later one is one token, attending over the store."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -436,7 +454,7 @@ class TestLayerStoreAttention:
         cap=st.sampled_from([1, 7, cache_module.SCORE_CAP]),
         seed=st.integers(0, 2**16),
     )
-    # the first segment overflows group 0 while it attends
+    # the first segment overflows group 0
     @example(extra=[2, 5], sinks=0, first=8, steps=2, heads=2, cap=7, seed=0)
     # no eviction in the first segment; the groups are padded to width 6
     @example(extra=[1, 4, 2], sinks=2, first=3, steps=6, heads=1, cap=1, seed=1)
@@ -462,15 +480,11 @@ class TestLayerStoreAttention:
 
         seen = 0
         for rows in segments:
-            if rows == 1:
-                append(seen, seen + 1)
+            append(seen, seen + rows)
             q = rng.normal(size=(groups, heads, rows, HEAD_DIM)).astype(np.float32)
             got = _check_attention(store, q, k, v, cap)
             for g, one in enumerate(alone):
-                new = [x[g : g + 1, seen : seen + rows] for x in (k, v)] if rows > 1 else []
-                np.testing.assert_allclose(got[g], attend_with_cache(one, q[g : g + 1], *new)[0], atol=1e-6)
-            if rows > 1:
-                append(seen, seen + rows)
+                np.testing.assert_allclose(got[g], _attend(one, q[g : g + 1], k[g : g + 1], v[g : g + 1])[0], atol=1e-6)
             seen += rows
             for g in range(groups):
                 _assert_holds(views[g], sink_window_trace(budgets[g], sinks, seen), k[g], v[g])
@@ -483,32 +497,25 @@ class TestLayerStoreAttention:
         _append(store.caches, k, v, 0, 6)
         assert store.lengths == ([4, 6] if evicted == 0 else [6, 4])
         q = rng.normal(size=(2, 2, 4, HEAD_DIM)).astype(np.float32)
-        for t_q in (2, 3, 4):
-            # without their new rows, several queries raise
-            with pytest.raises(InputError, match="without new rows"):
+        for t_q in (2, 3, 4):  # several queries attend over their own rows, never a store
+            with pytest.raises(InputError, match="one query"):
                 attend_with_cache(store, q[:, :, :t_q])
-            # with them too: new rows start a stream, and these groups hold one
-            with pytest.raises(InputError, match=r"start a stream.*\[6, 6\]"):
-                attend_with_cache(store, q[:, :, :t_q], k[:, 6 : 6 + t_q], v[:, 6 : 6 + t_q])
         assert store.seen == [6, 6]  # attention appends nothing
 
     @pytest.mark.parametrize("short", [0, 1])
     def test_several_queries_need_a_token_each_in_every_group(self, rng, short):
-        # each query brings its own token, a new row in every group, and every
-        # group must be empty, as the rows start its stream
+        # each query brings its own token, a row in every group
         store = LayerStore([8, 8], 0, HEAD_DIM)
         k, v = rng.normal(size=(2, 2, 9, HEAD_DIM)).astype(np.float32)
         q = rng.normal(size=(2, 3, 4, HEAD_DIM)).astype(np.float32)
         _check_attention(store, q, k, v, 1)
         for k_new, v_new in ((k[:, :3], v[:, :3]), (k[short : short + 1, :4], v[short : short + 1, :4])):
-            with pytest.raises(ShapeError, match="new rows"):
-                attend_with_cache(store, q, k_new, v_new)  # a token short, or a group without its rows
+            with pytest.raises(ShapeError, match="for 2 budgets"):  # a token short, or a group without its rows
+                banded_attention(q, k_new.copy(), _ones_column(v_new), store.budgets, store.sinks)
         for g, view in enumerate(store.caches):
             n = 2 if g == short else 5
             append_and_evict(view, k[g, :n], v[g, :n])
         _check_attention(store, q[:, :, :1], k, v, 1)  # one query is each group's newest token
-        with pytest.raises(InputError, match=r"start a stream.*\[\d, \d\]"):
-            attend_with_cache(store, q, k[:, 5:], v[:, 5:])
 
     def test_query_groups_must_match_the_store(self, rng):
         store = LayerStore([4, 4], 0, HEAD_DIM)
@@ -522,31 +529,17 @@ class TestLayerStoreAttention:
                 attend_with_cache(store, bad)
         with pytest.raises(InputError, match="one retained token"):
             attend_with_cache(store, np.stack([q[None]] * 2))  # group 0 is empty
-        chunk, rows = rng.normal(size=(2, 1, 3, HEAD_DIM)).astype(np.float32), np.ones((2, 3, HEAD_DIM))
-        with pytest.raises(InputError, match=r"start a stream.*\[0, 1\]"):
-            attend_with_cache(store, chunk, rows, rows)  # group 1 is not empty
         append_and_evict(views[0], row, row)
         assert np.array_equal(attend_with_cache(store, np.stack([q[None]] * 2)), [[row], [row]])
-        # several queries without their new rows, or with rows of another shape
-        with pytest.raises(InputError, match="without new rows"):
-            attend_with_cache(store, chunk)
-        for k_bad, v_bad in ((rows[:, :2], rows[:, :2]), (rows, rows[:1]), (rows[..., :4], rows[..., :4])):
-            with pytest.raises(ShapeError, match="new rows"):
-                attend_with_cache(store, chunk, k_bad, v_bad)
-        with pytest.raises(ShapeError, match="new rows"):
-            attend_with_cache(store, chunk[:, :, :0], rows[:, :0], rows[:, :0])  # no queries
-        # rows given as float64 lists, into an empty store, are taken as float32 arrays
-        store = LayerStore([4, 4], 0, HEAD_DIM)
-        listed = attend_with_cache(store, chunk, rows.tolist(), rows.tolist())
-        assert listed.dtype == np.float32
-        assert np.array_equal(listed, attend_with_cache(store, chunk, rows.astype(np.float32), rows))
+        with pytest.raises(InputError, match="one query"):  # several queries
+            attend_with_cache(store, rng.normal(size=(2, 1, 3, HEAD_DIM)).astype(np.float32))
 
 
 class TestBandedAttention:
-    """A chunk's queries, which start the stream of an empty store and
-    attend before their rows are appended, against brute force over what
-    token-by-token generation holds at each position, under every block
-    size and score cap, on both softmax paths (SCORE_BOUND 0 shifts every group)."""
+    """A chunk's queries, which start the stream and attend over their own
+    rows, against brute force over what token-by-token generation holds at
+    each position, under every block size and score cap, on both softmax
+    paths (SCORE_BOUND 0 shifts every group)."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -571,6 +564,23 @@ class TestBandedAttention:
         q = rng.normal(size=(len(budgets), heads, n, HEAD_DIM)).astype(np.float32)
         with mock.patch.object(cache_module, "BLOCK", block), mock.patch.object(cache_module, "SCORE_BOUND", bound):
             _check_attention(store, q, k, v, cap)
+
+    def test_rows_must_match_the_queries_and_the_budgets_their_floor(self, rng):
+        chunk = rng.normal(size=(2, 1, 3, HEAD_DIM)).astype(np.float32)
+        k, v = np.ones((2, 3, HEAD_DIM), np.float32), np.ones((2, 3, HEAD_DIM + 1), np.float32)
+        # rows of another shape, values without their ones column, or budgets for another group count
+        for k_bad, v_bad in ((k[:, :2], v[:, :2]), (k, v[:1]), (k[..., :4], v[..., :5]), (k, v[..., :HEAD_DIM])):
+            with pytest.raises(ShapeError, match="for 2 budgets"):
+                banded_attention(chunk, k_bad, v_bad, [4, 4], 0)
+        for q_bad, n in ((chunk[0], 2), (chunk[:, :, :0], 2), (chunk[:, :0], 2), (chunk, 1)):  # 3-D, no queries, no heads, a budget short
+            with pytest.raises(ShapeError, match=f"for {n} budgets"):
+                banded_attention(q_bad, k, v, [4, 4][:n], 0)
+        with pytest.raises(AllocationError, match="budget 2 below floor 3 at layer 0 group 1"):
+            banded_attention(chunk, k, v, [4, 2], 2)
+        # rows given as float64 lists are taken as float32 arrays
+        listed = banded_attention(chunk, k.tolist(), v.astype(np.float64).tolist(), [4, 4], 0)
+        assert listed.dtype == np.float32
+        assert np.array_equal(listed, banded_attention(chunk, k, v, [4, 4], 0))
 
 
 class TestSingleQuery:
@@ -602,12 +612,6 @@ class TestSingleQuery:
                 append_and_evict(views[g], k[g, a:b], v[g, a:b])
             q = rng.normal(size=(groups, heads, 1, HEAD_DIM)).astype(np.float32)
             assert _check_attention(store, q, k, v) is not None
-
-
-def _chunk_attention(budgets, sinks, q, k, v, cap=cache_module.SCORE_CAP):
-    """A chunk's several queries into a fresh store, under score cap `cap`."""
-    with mock.patch.object(cache_module, "SCORE_CAP", cap):
-        return attend_with_cache(LayerStore(budgets, sinks, HEAD_DIM), q, k, v)
 
 
 def _scaled_normal(rng, shape, scales):

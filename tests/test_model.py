@@ -390,20 +390,25 @@ class TestBudgetedStepping:
     def _step_calls(model, monkeypatch, prefix, tokens) -> tuple[list, list]:
         """The append and attention calls of forward_chunk of `tokens` after
         `prefix`, and a decode step's schedule for each token in each layer:
-        one row's append per cache in cache order, then one attention
-        without new rows."""
-        calls, attend = [], cache_module.attend_with_cache
+        one row's append per cache in cache order, then one attention over
+        the store, and no banded pass."""
+        calls, attend, banded = [], cache_module.attend_with_cache, cache_module.banded_attention
 
         def appending(cache, k_new, v_new):
             calls.append(("append", cache, k_new.shape))
             append_and_evict(cache, k_new, v_new)
 
-        def attending(store, q, k_new=None, v_new=None):
-            calls.append(("attend", store, k_new is None and v_new is None))
-            return attend(store, q, k_new, v_new)
+        def attending(store, q):
+            calls.append(("attend", store))
+            return attend(store, q)
+
+        def banding(q, k, v, budgets, sinks):
+            calls.append(("banded", budgets))
+            return banded(q, k, v, budgets, sinks)
 
         monkeypatch.setattr(model_module, "append_and_evict", appending)
         monkeypatch.setattr(model_module, "attend_with_cache", attending)
+        monkeypatch.setattr(model_module, "banded_attention", banding)
         plan = AllocationPlan(0.0, 1, np.array([[4, 6], [10, 12]]), "custom", PlanParams())
         caches = build_cache_set(plan, SMALL)
         forward_chunk(model, prefix, caches)
@@ -413,7 +418,7 @@ class TestBudgetedStepping:
         for store in caches.stores:
             for _ in tokens:
                 expected += [("append", cache, (1, SMALL.head_dim)) for cache in store.caches]
-                expected.append(("attend", store, True))
+                expected.append(("attend", store))
         return calls, expected
 
     def test_one_token_appends_a_row_per_cache_then_attends_once_per_layer(self, small_model, monkeypatch):
@@ -438,6 +443,39 @@ class TestBudgetedStepping:
         assert out.tobytes() == np.concatenate([o for o, _ in steps], 1).tobytes()
         assert heads.tobytes() == np.concatenate([h for _, h in steps], 2).tobytes()
         assert (chunked.keys.tobytes(), chunked.values.tobytes()) == (stepped.keys.tobytes(), stepped.values.tobytes())
+
+    def test_a_chunk_appends_every_row_before_its_banded_pass_moves_the_sinks(self, small_model, monkeypatch, rng):
+        """The banded pass works the layer step's keys and values in place, so
+        the step appends every row first and no moved row reaches a store:
+        each store holds what token-by-token appends of the rows leave.
+        Budgets [31, 12] with 4 sinks, 100 tokens in 4 blocks: from the second
+        block on, the sinks move next to the widest band, first to columns 2..5,
+        over two of their own. Each cache takes a segment of 12 rows, then 88
+        single-token appends."""
+        budgets, sinks, n, d = [31, 12], 4, 100, SMALL.head_dim
+        calls, banded = [], cache_module.banded_attention
+
+        def appending(cache, k_new, v_new):
+            calls.append(("append", len(k_new)))
+            append_and_evict(cache, k_new, v_new)
+
+        def banding(q, k, v, budgets, sinks):
+            calls.append(("banded", k.copy(), v.copy()))  # the rows as the pass receives them
+            return banded(q, k, v, budgets, sinks)
+
+        monkeypatch.setattr(model_module, "append_and_evict", appending)
+        monkeypatch.setattr(model_module, "banded_attention", banding)
+        store = LayerStore(budgets, sinks, d)
+        forward_layer(small_model, 0, rng.normal(size=(1, n, SMALL.d_model)).astype(np.float32), store)
+        assert calls[:-1] == [("append", 12)] * 2 + [("append", 1)] * 2 * (n - 12)
+        name, k, v = calls[-1]
+        assert name == "banded" and np.all(v[..., d] == 1)
+        stepped = LayerStore(budgets, sinks, d)
+        for g, cache in enumerate(stepped.caches):
+            for t in range(n):
+                append_and_evict(cache, k[g, t : t + 1], v[g, t : t + 1, :d])
+        assert (store.keys.tobytes(), store.values.tobytes()) == (stepped.keys.tobytes(), stepped.values.tobytes())
+        assert (store.lengths, store.seen) == (stepped.lengths, stepped.seen)
 
 
 class TestServedTraffic:
