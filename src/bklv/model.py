@@ -10,7 +10,8 @@ weights): a single numpy default_rng(seed) stream draws every projection
 matrix and the embedding as normal(mean 0, std 0.02) float64 values in
 C order, cast to float32. Draw order: embedding, then per layer
 attn_q, attn_k, attn_v, attn_out, mlp_in, mlp_out. Normalization gains
-are ones and are not drawn from the stream.
+are ones and are not drawn from the stream. In memory, attn_q, attn_k
+and attn_v are column views of one packed matrix per layer (LayerWeights).
 
 Rotary convention: head vectors are split in halves (x1, x2); position p
 rotates pair j by angle p * theta**(-2j/head_dim). Rotation is applied to
@@ -21,6 +22,7 @@ Q and K before caching; evicted stores keep original absolute positions
 import hashlib
 import math
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -36,6 +38,8 @@ WEIGHT_FORMAT_VERSION = "bklv1"
 
 @dataclass
 class LayerWeights:
+    """attn_q, attn_k and attn_v become column views of qkv, packed [q | k | v] on
+    construction (dataclasses.replace too); qkv is not a field: files hold the three."""
     attn_q: np.ndarray  # (d_model, num_q_heads * head_dim)
     attn_k: np.ndarray  # (d_model, num_kv_heads * head_dim)
     attn_v: np.ndarray  # (d_model, num_kv_heads * head_dim)
@@ -44,6 +48,11 @@ class LayerWeights:
     mlp_out: np.ndarray  # (d_ff, d_model)
     norm1: np.ndarray  # (d_model,)
     norm2: np.ndarray  # (d_model,)
+
+    def __post_init__(self):
+        q, k, v = self.attn_q, self.attn_k, self.attn_v
+        self.qkv = np.concatenate([q, k, v], axis=1, dtype=np.float32)
+        self.attn_q, self.attn_k, self.attn_v = np.split(self.qkv, [q.shape[1], -v.shape[1]], axis=1)
 
 
 @dataclass
@@ -61,11 +70,11 @@ def _canonical_shapes(cfg: ModelConfig) -> list[tuple[int, ...]]:
     return [(cfg.vocab_size, cfg.d_model), *cfg.layer_shapes() * cfg.num_layers, (cfg.d_model,)]
 
 
-def _assemble(cfg: ModelConfig, tensors: list[np.ndarray]) -> Model:
-    """The model whose canonical tensors (_canonical_tensors) are `tensors`."""
-    blocks, n = tensors[1:-1], len(fields(LayerWeights))
-    layers = [LayerWeights(*blocks[i : i + n]) for i in range(0, len(blocks), n)]
-    return Model(cfg, tensors[0], layers, tensors[-1])
+def _assemble(cfg: ModelConfig, tensors) -> Model:
+    """The model of the canonical tensors (_canonical_tensors) that `tensors` yields, one layer at a time."""
+    tensors, n = iter(tensors), len(fields(LayerWeights))
+    embedding, layers = next(tensors), [LayerWeights(*islice(tensors, n)) for _ in range(cfg.num_layers)]
+    return Model(cfg, embedding, layers, next(tensors))
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -74,11 +83,11 @@ def init_model(config: ModelConfig) -> Model:
     order, and the gains (1-D) are ones."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    return _assemble(config, [
+    return _assemble(config, (
         rng.normal(0.0, WEIGHT_STD, size=shape).astype(np.float32)
         if len(shape) == 2 else np.ones(shape, dtype=np.float32)
         for shape in _canonical_shapes(config)
-    ])
+    ))
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -130,8 +139,8 @@ def rope_rotate(
 ) -> np.ndarray:
     """Rotate per-head vectors by their absolute positions, into `out` if given.
 
-    x: (tokens, heads, head_dim), the tokens at positions start, start + 1,
-    ... (start >= 0). Angles are computed in float64 and the rotation
+    x: (tokens, heads, head_dim), or (1, ..., head_dim) for one token, the
+    tokens at positions start, start + 1, ... (start >= 0). Angles are computed in float64 and the rotation
     applied in float32, as x * [cos, cos] + [x2, x1] * [-sin, sin] for
     halves (x1, x2): bit for bit (x1 cos - x2 sin, x1 sin + x2 cos), as
     negation is exact and + commutes.
@@ -146,14 +155,16 @@ def rope_rotate(
 
 
 def check_tokens(tokens, vocab_size: int) -> np.ndarray:
-    """Token ids as a non-empty 1-D int64 array, each in [0, vocab_size)."""
-    tokens = np.asarray(tokens, dtype=np.int64)
+    """Integer ids, none coerced from float, bool or str, as a non-empty 1-D int64 array in [0, vocab_size)."""
+    tokens = np.asarray(tokens)
     if tokens.ndim != 1 or tokens.size == 0:
         raise InputError("tokens must be a non-empty 1-D sequence")
+    if tokens.dtype.kind not in "iu":
+        raise InputError(f"token ids must be integers within int64, got {tokens.dtype} ids")
     low, high = int(tokens.min()), int(tokens.max())
     if low < 0 or high >= vocab_size:
         raise InputError(f"token id out of range [0, {vocab_size}): {low if low < 0 else high}")
-    return tokens
+    return tokens.astype(np.int64, copy=False)
 
 
 def check_context(start: int, n: int, config: ModelConfig) -> None:
@@ -177,14 +188,13 @@ def forward_layer(
 
     `store` is the layer's: store.caches[b * kv_groups + g] is sequence b's
     group g (batch-major), all at the same stream position (CacheSet.total_seen
-    checks it). Every call appends, then attends (_heads). A chunk into
-    stores that hold tokens runs as one call per token, so its out and
-    heads are decode's bit for bit. The dense ops run one sequence at a
-    time, so their temporaries stay the size of one sequence; each
+    checks it). Every call projects, appends, then attends (_heads). A
+    chunk into stores that hold tokens runs as one call per token, so its
+    out and heads are decode's bit for bit. The dense ops run one sequence
+    at a time, so their temporaries stay the size of one sequence; each
     sequence's result depends on its x and caches only.
     """
-    cfg = model.config
-    layer = model.layers[li]
+    cfg, layer = model.config, model.layers[li]
     batch, n, _ = x.shape
     caches, kv = store.caches, cfg.num_kv_heads
     if len(caches) != batch * kv:
@@ -193,9 +203,12 @@ def forward_layer(
         outs, heads = zip(*(forward_layer(model, li, xi, store) for xi in np.split(x, n, 1)))
         return np.concatenate(outs, 1), np.concatenate(heads, 2)
     heads = _heads(cfg, layer, x, store)
-    out = np.empty(x.shape, np.float32)
-    for b in range(batch):
-        np.add(x[b], heads[b].transpose(1, 0, 2).reshape(n, -1) @ layer.attn_out, out=out[b])
+    if n == 1:  # one one-row product per sequence (stacked), so each keeps its own bits
+        out = x + heads.reshape(batch, 1, -1) @ layer.attn_out
+    else:
+        out = np.empty(x.shape, np.float32)
+        for b in range(batch):
+            np.add(x[b], heads[b].transpose(1, 0, 2).reshape(n, -1) @ layer.attn_out, out=out[b])
     with np.errstate(over="ignore"):  # _silu's exp overflows; one context for the batch
         for xb in out:
             xb += _silu(rms_norm(xb, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
@@ -204,38 +217,45 @@ def forward_layer(
 
 def _heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
     """The heads (batch, q_heads, n, head_dim) of x (batch, n, d_model) at
-    stream positions store.seen[0] onwards. Queries, keys and values are
-    written once, where the appends and attention read them: qk[i] holds
-    cache i's query heads then its key, v[i] its values then a ones column.
-    The key and value rows go to the caches first, on the schedule of
-    token-by-token generation: one token as one row per cache, in cache
-    order; a chunk, which starts the stream of empty stores, as a segment
-    of as many tokens as every cache of this layer holds without evicting,
-    then single tokens, cache by cache. Then one token attends over the
-    store, which holds exactly what it sees (its ring slot is its
-    evictee's), and a chunk over its own rows, worked in place."""
+    stream positions store.seen[0] onwards, each sequence projected by one
+    matmul with layer.qkv. One token rotates the product's q and k columns
+    in place and appends one row per cache from views of it, in cache
+    order, then attends over the store, which holds exactly what it sees
+    (its ring slot is its evictee's). A chunk, which starts the stream of
+    empty stores, scatters the product into qk[i], cache i's query heads
+    then its key, and v[i], its values then a ones column, rotates qk and
+    appends a segment of as many tokens as every cache holds without
+    evicting, then single tokens, cache by cache: token-by-token
+    generation's schedule. Then it attends over its own rows, in place."""
     batch, n, _ = x.shape
     kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
-    qk = np.empty((batch * kv, g + 1, n, d), np.float32)
-    v = np.empty((batch * kv, n, d + 1), np.float32)
-    v[..., d] = 1  # with np.empty, 0.3 µs cheaper per decode layer call than np.ones
+    k_col, v_col = cfg.num_q_heads * d, (cfg.num_q_heads + kv) * d  # where k and v start in qkv
+    if n == 1:  # one-row products stacked per sequence, (1, batch, columns); q, k and v are views
+        p = (rms_norm(x[:, 0], layer.norm1)[:, None] @ layer.qkv).reshape(1, batch, -1)
+        qk = p[..., :v_col].reshape(1, batch, -1, d)
+        rope_rotate(qk, store.seen[0], cfg.rope_theta, out=qk)
+        k, v = (p[0, :, c : c + kv * d].reshape(-1, 1, d) for c in (k_col, v_col))
+        for cache, k_new, v_new in zip(store.caches, k, v):
+            append_and_evict(cache, k_new, v_new)
+        return attend_with_cache(store, p[0, :, :k_col].reshape(-1, g, 1, d)).reshape(batch, -1, 1, d)
+    qk, v = np.empty((batch * kv, g + 1, n, d), np.float32), np.empty((batch * kv, n, d + 1), np.float32)
+    v[..., d] = 1
     for b in range(batch):
-        h, caches = rms_norm(x[b], layer.norm1), slice(b * kv, (b + 1) * kv)
-        qk[caches, :g] = (h @ layer.attn_q).reshape(n, kv, g, d).transpose(1, 2, 0, 3)
-        qk[caches, g] = (h @ layer.attn_k).reshape(n, kv, d).transpose(1, 0, 2)
-        v[caches, :, :d] = (h @ layer.attn_v).reshape(n, kv, d).transpose(1, 0, 2)
+        p, caches = rms_norm(x[b], layer.norm1) @ layer.qkv, slice(b * kv, (b + 1) * kv)
+        qk[caches, :g] = p[:, :k_col].reshape(n, kv, g, d).transpose(1, 2, 0, 3)
+        qk[caches, g] = p[:, k_col:v_col].reshape(n, kv, d).transpose(1, 0, 2)
+        v[caches, :, :d] = p[:, v_col:].reshape(n, kv, d).transpose(1, 0, 2)
         qk_b = qk[caches].reshape(-1, n, d).transpose(1, 0, 2)  # (n, kv * (g + 1), d), rotated in place
         rope_rotate(qk_b, store.seen[0], cfg.rope_theta, out=qk_b)
+        del p  # one product alive at a time, and none through the appends and attention
     q, k = qk[:, :g], qk[:, g]  # (batch * kv, g, n, d) and (batch * kv, n, d)
     m = min(n, min(store.budgets))  # a segment no cache overflows
     for cache, k_new, v_new in zip(store.caches, k[:, :m], v[:, :m, :d]):
         append_and_evict(cache, k_new, v_new)
-    if n > m:  # then one token at a time, cache by cache
-        for cache, k_new, v_new in zip(store.caches, k[:, m:, None], v[:, m:, None, :d]):
-            for k_row, v_row in zip(k_new, v_new):
-                append_and_evict(cache, k_row, v_row)
-    heads = attend_with_cache(store, q) if n == 1 else banded_attention(q, k, v, store.budgets, store.sinks)
-    return heads.reshape(batch, cfg.num_q_heads, n, d)
+    for cache, k_new, v_new in zip(store.caches, k[:, m:, None], v[:, m:, None, :d]):
+        for k_row, v_row in zip(k_new, v_new):  # then single tokens, cache by cache
+            append_and_evict(cache, k_row, v_row)
+    return banded_attention(q, k, v, store.budgets, store.sinks).reshape(batch, cfg.num_q_heads, n, d)
 
 
 def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, None]:
@@ -254,9 +274,7 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
     if caches.config != cfg:
         raise ConfigError("cache set was built for a different model configuration")
     if len(caches.stores) != cfg.num_layers:
-        raise ConfigError(
-            f"cache layer count {len(caches.stores)} != num_layers {cfg.num_layers}"
-        )
+        raise ConfigError(f"cache layer count {len(caches.stores)} != num_layers {cfg.num_layers}")
     check_context(caches.total_seen, tokens.size, cfg)
     x = model.embedding[tokens[None]].astype(np.float32, copy=False)  # the gather copies
     for li, store in enumerate(caches.stores):
@@ -272,7 +290,7 @@ def greedy_generate(model: Model, prompt, steps: int, caches: CacheSet) -> list[
     """
     if steps < 0:
         raise InputError(f"steps must be >= 0, got {steps}")
-    prompt = np.asarray(prompt, dtype=np.int64)
+    prompt = check_tokens(prompt, model.config.vocab_size)
     check_context(caches.total_seen, prompt.size + steps, model.config)
     logits, _ = forward_chunk(model, prompt, caches)
     out: list[int] = []
@@ -354,7 +372,7 @@ def deserialize_model(data: bytes) -> Model:
         raise FormatError("weight payload contains non-finite values")
     shapes = _canonical_shapes(cfg)
     pieces = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
-    return _assemble(cfg, [piece.reshape(shape).copy() for piece, shape in zip(pieces, shapes)])
+    return _assemble(cfg, (piece.reshape(shape).copy() for piece, shape in zip(pieces, shapes)))
 
 
 def model_checksum(model: Model) -> str:

@@ -86,7 +86,7 @@ def group_kv_importance(head_sims: np.ndarray, g: int) -> np.ndarray:
 
 
 def _prompt_id(tokens: np.ndarray) -> str:
-    digest = hashlib.sha256(np.asarray(tokens, dtype=np.int64).tobytes()).hexdigest()
+    digest = hashlib.sha256(tokens.tobytes()).hexdigest()  # check_tokens' int64 ids
     return f"{tokens.size}:{digest[:12]}"
 
 
@@ -109,13 +109,11 @@ def profile_model(
     cfg = model.config
     arrays = []
     for p in prompts:
-        arr = np.asarray(p, dtype=np.int64)
+        arr = check_tokens(p, cfg.vocab_size)
         if arr.size < MIN_PROMPT_LEN:
-            raise InputError(
-                f"profiling prompt of {arr.size} tokens is below the minimum {MIN_PROMPT_LEN}"
-            )
+            raise InputError(f"profiling prompt of {arr.size} tokens is below the minimum {MIN_PROMPT_LEN}")
         check_context(0, arr.size, cfg)
-        arrays.append(check_tokens(arr, cfg.vocab_size))
+        arrays.append(arr)
 
     layers, kv, g, d = cfg.num_layers, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
     per_prompt_head = []

@@ -49,7 +49,7 @@ def _mean_nll(logits: np.ndarray, tokens: np.ndarray) -> float:
 def chunk_nll(model: Model, tokens, caches: CacheSet) -> float:
     """Mean negative log-likelihood of tokens[1:] given what precedes them,
     teacher-forced through the budgeted caches."""
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = check_tokens(tokens, model.config.vocab_size)
     if tokens.size < 2:
         raise InputError(f"need at least 2 tokens for a loss, got {tokens.size}")
     logits, _ = forward_chunk(model, tokens, caches)
@@ -77,7 +77,7 @@ def evaluate_plans(
     context_len (clamp_budgets). A matrix's loss equals its one-matrix
     evaluation bit for bit. Every matrix must fit (require_fit), checked first.
     """
-    corpus_tokens = np.asarray(corpus_tokens, dtype=np.int64)
+    corpus_tokens = np.asarray(corpus_tokens)  # its ids are checked below (check_tokens)
     cfg = model.config
     for matrix in budgets:
         require_fit(matrix, sinks, cfg)
@@ -155,7 +155,6 @@ def parameter_search(
     """
     if not grid:
         raise InputError("parameter grid is empty")
-    corpus_tokens = np.asarray(corpus_tokens, dtype=np.int64)
     cfg = model.config
     params = [PlanParams(t=t, r=r, layer_t=layer_t, layer_r=layer_r) for t, r in grid]
     for p in params:

@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
+from bklv.cache import append_and_evict, attend_with_cache
 from bklv.errors import ShapeError
+from bklv.model import _silu, rms_norm, rope_rotate
 from bklv.profiling import token_cosine_similarities
 
 RMS_EPS = 1e-5
@@ -189,6 +191,37 @@ def reference_budgeted_logits(model, tokens, budgets, sinks: int):
             probes["layer_output"][li, pos] = x[0]
         logits[pos] = (_ref_rms(x, model.final_norm) @ model.embedding.T)[0]
     return logits, probes
+
+
+def three_projection_step(model, li: int, x, store):
+    """forward_layer of one token, x (batch, 1, d_model), as it ran before
+    the packed projection: three matmuls with attn_q, attn_k and attn_v,
+    their columns scattered into fresh qk and v buffers, qk rotated there,
+    one row appended per cache and the token attended over the store.
+    Returns (out, heads) as forward_layer does. It shares forward_layer's
+    norm, rotary, append and attention, so it checks the packed product
+    and its views bit for bit, not those."""
+    cfg, layer = model.config, model.layers[li]
+    batch, kv, g, d = x.shape[0], cfg.num_kv_heads, cfg.group_size, cfg.head_dim
+    qk = np.empty((batch * kv, g + 1, 1, d), np.float32)
+    v = np.empty((batch * kv, 1, d), np.float32)
+    for b in range(batch):
+        h, caches = rms_norm(x[b], layer.norm1), slice(b * kv, (b + 1) * kv)
+        qk[caches, :g] = (h @ layer.attn_q).reshape(1, kv, g, d).transpose(1, 2, 0, 3)
+        qk[caches, g] = (h @ layer.attn_k).reshape(1, kv, d).transpose(1, 0, 2)
+        v[caches] = (h @ layer.attn_v).reshape(1, kv, d).transpose(1, 0, 2)
+        qk_b = qk[caches].reshape(-1, 1, d).transpose(1, 0, 2)
+        rope_rotate(qk_b, store.seen[0], cfg.rope_theta, out=qk_b)
+    for cache, k_new, v_new in zip(store.caches, qk[:, g], v):
+        append_and_evict(cache, k_new, v_new)
+    heads = attend_with_cache(store, qk[:, :g]).reshape(batch, cfg.num_q_heads, 1, d)
+    out = np.empty(x.shape, np.float32)
+    for b in range(batch):
+        np.add(x[b], heads[b].transpose(1, 0, 2).reshape(1, -1) @ layer.attn_out, out=out[b])
+    with np.errstate(over="ignore"):
+        for xb in out:
+            xb += _silu(rms_norm(xb, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
+    return out, heads
 
 
 def reference_generate(model, prompt, steps: int) -> list[int]:

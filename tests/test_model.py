@@ -38,6 +38,7 @@ from bklv import search as search_module
 from bklv.allocation import AllocationPlan, PlanParams
 from bklv.cache import LayerStore, softmax
 from bklv.model import (
+    LayerWeights,
     check_tokens,
     deserialize_model,
     forward_layer,
@@ -53,6 +54,7 @@ from .reference import (
     reference_generate,
     reference_logits,
     scaled_dot_attention,
+    three_projection_step,
 )
 
 
@@ -692,6 +694,132 @@ class TestExactRewrites:
             inplace = scores.copy()
             assert softmax(inplace, out=inplace) is inplace
         np.testing.assert_array_equal(inplace, expected)
+
+
+class TestPackedProjection:
+    """Each layer's attn_q, attn_k and attn_v are column views of one packed
+    qkv matrix, and its product is the three products bit for bit."""
+
+    def test_q_k_and_v_are_views_of_the_pack(self, small_model, toy_model):
+        for model in (small_model, toy_model):
+            cfg = model.config
+            q, kv = cfg.num_q_heads * cfg.head_dim, cfg.num_kv_heads * cfg.head_dim
+            for layer in model.layers:
+                assert layer.qkv.shape == (cfg.d_model, q + 2 * kv) and layer.qkv.flags.c_contiguous
+                for name, cols in (("attn_q", slice(0, q)), ("attn_k", slice(q, q + kv)), ("attn_v", slice(q + kv, None))):
+                    view = getattr(layer, name)
+                    assert view.base is layer.qkv and np.shares_memory(view, layer.qkv), name
+                    assert not view.flags.owndata and np.array_equal(view, layer.qkv[:, cols]), name
+        assert "qkv" not in [f.name for f in fields(LayerWeights)]  # so no file or draw sees it
+
+    def test_replace_rebuilds_the_pack_and_the_forward_reads_it(self, small_model, rng):
+        layer = small_model.layers[1]
+        keys = rng.normal(0.0, 0.5, size=layer.attn_k.shape).astype(np.float32)
+        before = layer.qkv.copy()
+        new = replace(layer, attn_k=keys)
+        assert new.qkv is not layer.qkv and np.array_equal(layer.qkv, before)  # the old layer untouched
+        assert np.array_equal(new.attn_k, keys) and new.attn_k.base is new.qkv
+        assert np.array_equal(new.attn_q, layer.attn_q) and np.array_equal(new.attn_v, layer.attn_v)
+        model = replace(small_model, layers=[small_model.layers[0], new])
+        x = rng.normal(size=(1, 12, SMALL.d_model)).astype(np.float32)
+        stores = [LayerStore([5, 7], 1, SMALL.head_dim) for _ in range(3)]
+        for t in range(12):  # one token at a time, past eviction
+            got = forward_layer(model, 1, x[:, t : t + 1], stores[0])
+            want = three_projection_step(model, 1, x[:, t : t + 1], stores[1])
+            old = forward_layer(small_model, 1, x[:, t : t + 1], stores[2])
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert t == 0 or not np.array_equal(got[1], old[1])  # the new keys move the weights
+        assert not np.array_equal(stores[0].keys, stores[2].keys)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 256])
+    def test_column_blocks_of_the_packed_product_are_the_separate_products(self, small_model, toy_model, rows):
+        rng = np.random.default_rng(rows)
+        for model in (small_model, toy_model):
+            for layer in model.layers:
+                h = rng.normal(size=(rows, model.config.d_model)).astype(np.float32)
+                blocks = np.split(h @ layer.qkv, [layer.attn_q.shape[1], -layer.attn_v.shape[1]], 1)
+                for block, weights in zip(blocks, (layer.attn_q, layer.attn_k, layer.attn_v)):
+                    # a matrix of its own, as the weights were held before, and the view
+                    assert block.tobytes() == (h @ np.ascontiguousarray(weights)).tobytes()
+                    assert block.tobytes() == (h @ weights).tobytes()
+
+
+@st.composite
+def _decode_steps(draw):
+    """One layer of SMALL or the seed-7 model: unequal budgets, random sinks,
+    a batch, a prefix chunk, then single tokens past every budget."""
+    model = draw(st.sampled_from(["small_model", "toy_model"]))
+    kv = (SMALL if model == "small_model" else ModelConfig()).num_kv_heads
+    sinks = draw(st.integers(0, 4))
+    budgets = [draw(st.integers(sinks + 1, 16)) for _ in range(kv)]
+    prefix = draw(st.integers(0, 10))
+    steps = max(budgets) - prefix + draw(st.integers(1, 8))
+    return model, budgets, sinks, draw(st.integers(1, 3)), prefix, steps, draw(st.integers(0, 3)), draw(st.integers(0, 2**16))
+
+
+class TestOneTokenStep:
+    """forward_layer's one-token step, which reads q, k and v as views of one
+    packed product, against the three-projection step it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_decode_steps())
+    @example(("toy_model", [6, 3, 9, 4], 2, 1, 0, 20, 3, 0))  # unequal budgets, from an empty store
+    @example(("small_model", [2, 5], 1, 3, 4, 9, 1, 1))  # a batch of 3 after a prefix chunk
+    def test_heads_and_outputs_equal_the_three_projection_step(self, request, case):
+        name, budgets, sinks, batch, prefix, steps, li, seed = case
+        model = request.getfixturevalue(name)
+        cfg = model.config
+        li = li % cfg.num_layers
+        x = np.random.default_rng(seed).normal(size=(batch, prefix + steps, cfg.d_model)).astype(np.float32)
+        fast, slow = (LayerStore(budgets * batch, sinks, cfg.head_dim) for _ in range(2))
+        if prefix:
+            forward_layer(model, li, x[:, :prefix], fast)
+            forward_layer(model, li, x[:, :prefix], slow)
+        for t in range(prefix, prefix + steps):
+            out, heads = forward_layer(model, li, x[:, t : t + 1], fast)
+            want_out, want_heads = three_projection_step(model, li, x[:, t : t + 1], slow)
+            assert heads.tobytes() == want_heads.tobytes() and out.tobytes() == want_out.tobytes()
+        assert fast.seen == slow.seen == [prefix + steps] * len(fast.seen)
+        assert fast.lengths == slow.lengths
+        assert fast.keys.tobytes() == slow.keys.tobytes() and fast.values.tobytes() == slow.values.tobytes()
+
+
+class TestTokenRule:
+    """check_tokens is the one token rule: ids that are not integers raise
+    InputError, and no caller coerces them first."""
+
+    @pytest.mark.parametrize("tokens", [
+        [1.5], np.array([1.0, 2.0]), ["7"], [True, False], np.array([1, 2], dtype=object),
+        [2**64], [2**63, -1],
+    ], ids=["float", "float array", "str", "bool", "object array", "past uint64", "int64 and uint64"])
+    def test_ids_that_are_not_integers_are_rejected(self, tokens):
+        with pytest.raises(InputError, match="^token ids must be integers within int64, got"):
+            check_tokens(tokens, 257)
+
+    def test_an_id_past_int64_is_out_of_range_not_an_overflow(self):
+        with pytest.raises(InputError, match=r"token id out of range \[0, 257\): 9223372036854775808$"):
+            check_tokens([2**63], 257)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, np.int64])
+    def test_integer_arrays_become_int64(self, dtype):
+        got = check_tokens(np.array([0, 7, 255], dtype=dtype), 257)
+        assert got.dtype == np.int64 and got.tolist() == [0, 7, 255]
+
+    def test_every_caller_applies_it(self, small_model):
+        cfg = small_model.config
+        floats = np.arange(40.0)
+        plan = uniform_plan(cfg, 0.5)
+        profile = profile_model(small_model, [np.arange(40)])
+        calls = {
+            "greedy_generate": lambda: greedy_generate(small_model, floats[:4], 2, _fresh_caches(small_model)),
+            "chunk_nll": lambda: search_module.chunk_nll(small_model, floats[:4], _fresh_caches(small_model)),
+            "evaluate_plans": lambda: search_module.evaluate_plans(small_model, floats, 32, [plan.budgets], plan.sinks),
+            "parameter_search": lambda: parameter_search(small_model, floats, 32, 0.5, [(0.5, 0.5)], profile),
+            "profile_model": lambda: profile_model(small_model, [floats]),
+        }
+        for name, call in calls.items():
+            with pytest.raises(InputError, match="^token ids must be integers within int64, got float64"):
+                call()
 
 
 class TestGreedyGenerate:
