@@ -10,8 +10,8 @@ weights): a single numpy default_rng(seed) stream draws every projection
 matrix and the embedding as normal(mean 0, std 0.02) float64 values in
 C order, cast to float32. Draw order: embedding, then per layer
 attn_q, attn_k, attn_v, attn_out, mlp_in, mlp_out. Normalization gains
-are ones and are not drawn from the stream. In memory, attn_q, attn_k
-and attn_v are column views of one packed matrix per layer (LayerWeights).
+are ones and are not drawn from the stream. In memory, attn_q, attn_k and
+attn_v are column views of one packed [q | k | v] array, LayerWeights.qkv.
 
 Rotary convention: head vectors are split in halves (x1, x2); position p
 rotates pair j by angle p * theta**(-2j/head_dim). Rotation is applied to
@@ -38,8 +38,6 @@ WEIGHT_FORMAT_VERSION = "bklv1"
 
 @dataclass
 class LayerWeights:
-    """attn_q, attn_k and attn_v become column views of qkv, packed [q | k | v] on
-    construction (dataclasses.replace too); qkv is not a field: files hold the three."""
     attn_q: np.ndarray  # (d_model, num_q_heads * head_dim)
     attn_k: np.ndarray  # (d_model, num_kv_heads * head_dim)
     attn_v: np.ndarray  # (d_model, num_kv_heads * head_dim)
@@ -51,7 +49,7 @@ class LayerWeights:
 
     def __post_init__(self):
         q, k, v = self.attn_q, self.attn_k, self.attn_v
-        self.qkv = np.concatenate([q, k, v], axis=1, dtype=np.float32)
+        self.qkv = np.concatenate([q, k, v], axis=1, dtype=np.float32)  # no field: fields() are the file's tensors
         self.attn_q, self.attn_k, self.attn_v = np.split(self.qkv, [q.shape[1], -v.shape[1]], axis=1)
 
 
@@ -93,10 +91,10 @@ def init_model(config: ModelConfig) -> Model:
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """x * gain / sqrt(mean(x**2) + RMS_EPS) over the last axis, in float32;
     the mean is np.mean's own sum reduction, then division by the count.
-    One row (1, width), as in every decode step, takes the same float32
-    steps on a np.float32 scalar rather than on (1, 1) arrays."""
-    if x.shape[:-1] == (1,):
-        total = np.add.reduce(np.square(x), -1)[0]
+    One row, (1, width) or (1, 1, width) as in every decode step, takes
+    the same float32 steps on a np.float32 scalar rather than on arrays."""
+    if x.size == x.shape[-1]:
+        total = np.add.reduce(np.square(x), None)
     else:
         total = np.add.reduce(np.square(x), -1, keepdims=True)
     return x * (1.0 / np.sqrt(total / np.float32(x.shape[-1]) + _EPS32)) * gain
@@ -190,11 +188,12 @@ def forward_layer(
     group g (batch-major), all at the same stream position (CacheSet.total_seen
     checks it). Every call projects, appends, then attends (_heads). A
     chunk into stores that hold tokens runs as one call per token, so its
-    out and heads are decode's bit for bit. The dense ops run one sequence
-    at a time, so their temporaries stay the size of one sequence; each
-    sequence's result depends on its x and caches only.
+    out and heads are decode's bit for bit. The dense ops run one product
+    per sequence, so each sequence's result depends on its x and caches
+    only, and a chunk's temporaries stay the size of one sequence.
     """
-    cfg, layer = model.config, model.layers[li]
+    cfg = model.config
+    layer = model.layers[li]
     batch, n, _ = x.shape
     caches, kv = store.caches, cfg.num_kv_heads
     if len(caches) != batch * kv:
@@ -203,12 +202,9 @@ def forward_layer(
         outs, heads = zip(*(forward_layer(model, li, xi, store) for xi in np.split(x, n, 1)))
         return np.concatenate(outs, 1), np.concatenate(heads, 2)
     heads = _heads(cfg, layer, x, store)
-    if n == 1:  # one one-row product per sequence (stacked), so each keeps its own bits
-        out = x + heads.reshape(batch, 1, -1) @ layer.attn_out
-    else:
-        out = np.empty(x.shape, np.float32)
-        for b in range(batch):
-            np.add(x[b], heads[b].transpose(1, 0, 2).reshape(n, -1) @ layer.attn_out, out=out[b])
+    out = np.empty(x.shape, np.float32)
+    for b in range(batch):
+        np.add(x[b], heads[b].transpose(1, 0, 2).reshape(n, -1) @ layer.attn_out, out=out[b])
     with np.errstate(over="ignore"):  # _silu's exp overflows; one context for the batch
         for xb in out:
             xb += _silu(rms_norm(xb, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
@@ -217,29 +213,29 @@ def forward_layer(
 
 def _heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
     """The heads (batch, q_heads, n, head_dim) of x (batch, n, d_model) at
-    stream positions store.seen[0] onwards, each sequence projected by one
-    matmul with layer.qkv. One token rotates the product's q and k columns
-    in place and appends one row per cache from views of it, in cache
-    order, then attends over the store, which holds exactly what it sees
-    (its ring slot is its evictee's). A chunk, which starts the stream of
-    empty stores, scatters the product into qk[i], cache i's query heads
-    then its key, and v[i], its values then a ones column, rotates qk and
-    appends a segment of as many tokens as every cache holds without
-    evicting, then single tokens, cache by cache: token-by-token
-    generation's schedule. Then it attends over its own rows, in place."""
+    stream positions store.seen[0] onwards; each sequence is projected by
+    one matmul with layer.qkv. One token rotates the product's q and k
+    columns in place, appends one row per cache, in cache order, and attends
+    over the store, which holds exactly what it sees (its ring slot is its
+    evictee's); one sequence's rows and queries are views of the product. A
+    chunk, which starts the stream of empty stores, scatters it into qk[i]
+    (cache i's query heads, then key) and v[i] (values, then ones), rotates
+    qk, appends a segment no cache evicts in, then single tokens, cache by
+    cache (generation's schedule), and attends over its own rows, in place."""
     batch, n, _ = x.shape
     kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
     k_col, v_col = cfg.num_q_heads * d, (cfg.num_q_heads + kv) * d  # where k and v start in qkv
-    if n == 1:  # one-row products stacked per sequence, (1, batch, columns); q, k and v are views
-        p = (rms_norm(x[:, 0], layer.norm1)[:, None] @ layer.qkv).reshape(1, batch, -1)
-        qk = p[..., :v_col].reshape(1, batch, -1, d)
+    if n == 1:  # p is (batch, 1, columns): one one-row product per sequence
+        p = rms_norm(x, layer.norm1) @ layer.qkv
+        qk = p[..., :v_col].reshape(1, batch, -1, d)  # a view, rotated in place
         rope_rotate(qk, store.seen[0], cfg.rope_theta, out=qk)
-        k, v = (p[0, :, c : c + kv * d].reshape(-1, 1, d) for c in (k_col, v_col))
+        k, v = (p[..., c : c + kv * d].reshape(-1, 1, d) for c in (k_col, v_col))
         for cache, k_new, v_new in zip(store.caches, k, v):
             append_and_evict(cache, k_new, v_new)
-        return attend_with_cache(store, p[0, :, :k_col].reshape(-1, g, 1, d)).reshape(batch, -1, 1, d)
-    qk, v = np.empty((batch * kv, g + 1, n, d), np.float32), np.empty((batch * kv, n, d + 1), np.float32)
-    v[..., d] = 1
+        return attend_with_cache(store, p[..., :k_col].reshape(-1, g, 1, d)).reshape(batch, -1, 1, d)
+    qk = np.empty((batch * kv, g + 1, n, d), np.float32)
+    v = np.empty((batch * kv, n, d + 1), np.float32)
+    v[..., d] = 1  # the ones column banded_attention reads
     for b in range(batch):
         p, caches = rms_norm(x[b], layer.norm1) @ layer.qkv, slice(b * kv, (b + 1) * kv)
         qk[caches, :g] = p[:, :k_col].reshape(n, kv, g, d).transpose(1, 2, 0, 3)
@@ -274,7 +270,9 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
     if caches.config != cfg:
         raise ConfigError("cache set was built for a different model configuration")
     if len(caches.stores) != cfg.num_layers:
-        raise ConfigError(f"cache layer count {len(caches.stores)} != num_layers {cfg.num_layers}")
+        raise ConfigError(
+            f"cache layer count {len(caches.stores)} != num_layers {cfg.num_layers}"
+        )
     check_context(caches.total_seen, tokens.size, cfg)
     x = model.embedding[tokens[None]].astype(np.float32, copy=False)  # the gather copies
     for li, store in enumerate(caches.stores):

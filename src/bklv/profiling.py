@@ -111,7 +111,9 @@ def profile_model(
     for p in prompts:
         arr = check_tokens(p, cfg.vocab_size)
         if arr.size < MIN_PROMPT_LEN:
-            raise InputError(f"profiling prompt of {arr.size} tokens is below the minimum {MIN_PROMPT_LEN}")
+            raise InputError(
+                f"profiling prompt of {arr.size} tokens is below the minimum {MIN_PROMPT_LEN}"
+            )
         check_context(0, arr.size, cfg)
         arrays.append(arr)
 

@@ -173,7 +173,7 @@ def parameter_search(
         "best": {"t": best["t"], "r": best["r"]},
         "best_loss": best["loss"],
         "uniform_loss": uniform_loss,
-        "chunks_evaluated": corpus_tokens.size // context_len,
+        "chunks_evaluated": len(corpus_tokens) // context_len,
         "tokens_per_chunk": context_len,
         "sinks": sinks,
         "layer_t": layer_t,

@@ -821,6 +821,17 @@ class TestTokenRule:
             with pytest.raises(InputError, match="^token ids must be integers within int64, got float64"):
                 call()
 
+    def test_search_and_sweep_take_a_list_of_ints_as_they_take_an_array(self, small_model):
+        ids = np.random.default_rng(3).integers(0, 256, 80).tolist()
+        profile = profile_model(small_model, [np.arange(40)])
+        reports = [
+            (parameter_search(small_model, corpus, 32, 0.5, [(0.5, 0.5)], profile),
+             layer_sweep(small_model, corpus, 32, 1, 0.5))
+            for corpus in (ids, np.array(ids))
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0][0]["chunks_evaluated"] == 2
+
 
 class TestGreedyGenerate:
     def test_zero_steps(self, small_model):
