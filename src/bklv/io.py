@@ -16,7 +16,7 @@ import numpy as np
 from .allocation import AllocationPlan, PlanParams, require_valid
 from .config import ModelConfig
 from .errors import FormatError, InputError
-from .model import Model, deserialize_model, serialize_model
+from .model import Model, canonical_chunks, deserialize_model
 from .profiling import ImportanceProfile
 
 BOS_ID = 256
@@ -80,10 +80,10 @@ def sha256_file(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_bytes(path: str, data) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        fh.writelines([data] if isinstance(data, bytes) else data)  # bytes, or bytes-like chunks
     os.replace(tmp, path)
 
 
@@ -154,7 +154,7 @@ def _as_written(doc: dict, written: dict, path: str, what: str) -> None:
 # weight file
 
 def write_model_file(model: Model, path: str) -> None:
-    atomic_write_bytes(path, serialize_model(model))
+    atomic_write_bytes(path, canonical_chunks(model))  # serialize_model's bytes, never joined
 
 
 def read_model_file(path: str) -> Model:

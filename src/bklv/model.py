@@ -192,6 +192,12 @@ def forward_layer(
     per sequence, so each sequence's result depends on its x and caches
     only, and a chunk's temporaries stay the size of one sequence.
     """
+    with np.errstate(over="ignore"):  # _silu's exp overflows
+        return _layer_step(model, li, x, store)
+
+
+def _layer_step(model: Model, li: int, x: np.ndarray, store: LayerStore) -> tuple[np.ndarray, np.ndarray]:
+    """forward_layer, under the caller's np.errstate(over="ignore")."""
     cfg = model.config
     layer = model.layers[li]
     batch, n, _ = x.shape
@@ -199,15 +205,14 @@ def forward_layer(
     if len(caches) != batch * kv:
         raise ShapeError(f"{len(caches)} caches for a batch of {batch} with {kv} KV groups")
     if n > 1 and store.seen[0]:  # a chunk that continues a stream steps token by token
-        outs, heads = zip(*(forward_layer(model, li, xi, store) for xi in np.split(x, n, 1)))
+        outs, heads = zip(*(_layer_step(model, li, xi, store) for xi in np.split(x, n, 1)))
         return np.concatenate(outs, 1), np.concatenate(heads, 2)
     heads = _heads(cfg, layer, x, store)
     out = np.empty(x.shape, np.float32)
     for b in range(batch):
         np.add(x[b], heads[b].transpose(1, 0, 2).reshape(n, -1) @ layer.attn_out, out=out[b])
-    with np.errstate(over="ignore"):  # _silu's exp overflows; one context for the batch
-        for xb in out:
-            xb += _silu(rms_norm(xb, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
+    for xb in out:
+        xb += _silu(rms_norm(xb, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
     return out, heads
 
 
@@ -275,8 +280,9 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
         )
     check_context(caches.total_seen, tokens.size, cfg)
     x = model.embedding[tokens[None]].astype(np.float32, copy=False)  # the gather copies
-    for li, store in enumerate(caches.stores):
-        x, _ = forward_layer(model, li, x, store)
+    with np.errstate(over="ignore"):  # _silu's exp overflows: one context for every layer
+        for li, store in enumerate(caches.stores):
+            x, _ = _layer_step(model, li, x, store)
     return output_logits(model, x[0]), None
 
 
@@ -310,11 +316,15 @@ def _header(cfg: ModelConfig) -> str:
     return " ".join([WEIGHT_FORMAT_VERSION] + [f"{k}={v}" for k, v in pairs]) + "\n"
 
 
-def serialize_model(model: Model) -> bytes:
-    chunks = [_header(model.config).encode("ascii")]
+def canonical_chunks(model: Model):
+    """The weight file in bytes-like chunks: the header line, then each _canonical_tensors tensor as row-major <f4."""
+    yield _header(model.config).encode("ascii")
     for tensor in _canonical_tensors(model):
-        chunks.append(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-    return b"".join(chunks)
+        yield np.ascontiguousarray(tensor, dtype="<f4")
+
+
+def serialize_model(model: Model) -> bytes:
+    return b"".join(canonical_chunks(model))
 
 
 def _canonical_tensors(model: Model):
@@ -374,5 +384,8 @@ def deserialize_model(data: bytes) -> Model:
 
 
 def model_checksum(model: Model) -> str:
-    """sha256 of the canonical weight-file bytes."""
-    return hashlib.sha256(serialize_model(model)).hexdigest()
+    """sha256 of the canonical weight-file bytes, fed chunk by chunk (canonical_chunks), never joined."""
+    digest = hashlib.sha256()
+    for chunk in canonical_chunks(model):
+        digest.update(chunk)
+    return digest.hexdigest()

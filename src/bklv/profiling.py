@@ -5,7 +5,8 @@ input, cosine-wise) is considered unimportant; importance is the
 complement of the normalized mean token similarity. KV-group importance
 averages the similarities of the query heads sharing the group before
 taking the complement. Layer importance applies the same pipeline to the
-hidden states entering and leaving each layer.
+hidden states entering and leaving each layer. Each layer is reduced to
+its cosines as it runs, so profiling holds one layer's arrays, not the model's.
 """
 
 import hashlib
@@ -90,13 +91,22 @@ def _prompt_id(tokens: np.ndarray) -> str:
     return f"{tokens.size}:{digest[:12]}"
 
 
+def _reduce_layer(model: Model, li: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Run x (1, tokens, d_model) through layer li over a store that holds it all. Returns the output, the
+    (q_heads, tokens) cosines of each group's V rows and its heads' outputs, and the layer similarity."""
+    cfg, t = model.config, x.shape[1]
+    store = LayerStore([t] * cfg.num_kv_heads, 0, cfg.head_dim)
+    out, heads = forward_layer(model, li, x, store)
+    sims = token_cosine_similarities(store.values[:, None], heads.reshape(cfg.num_kv_heads, cfg.group_size, t, -1))
+    return out, sims.reshape(-1, t), _unit_mean(token_cosine_similarities(x[0], out[0]))
+
+
 def profile_model(
     model: Model,
     prompts: list,
     keep_per_token: bool = False,
 ) -> ImportanceProfile:
-    """Run each prompt layer by layer over stores that hold all of it
-    (slot j holds token j's V) and reduce.
+    """Run each prompt layer by layer (_reduce_layer), each layer reduced as it runs.
 
     Per-head similarities are the unweighted mean over prompts; KV-group
     importances are group means of the reduced similarities, complemented;
@@ -117,28 +127,15 @@ def profile_model(
         check_context(0, arr.size, cfg)
         arrays.append(arr)
 
-    layers, kv, g, d = cfg.num_layers, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
-    per_prompt_head = []
-    per_prompt_layer = []
+    layers, per_prompt_head, per_prompt_layer = cfg.num_layers, [], []
     per_token = [] if keep_per_token else None
-    for arr in arrays:
-        t = arr.size
+    for arr in arrays:  # one layer's arrays alive at a time
         x = model.embedding[arr[None]].astype(np.float32, copy=False)  # the gather copies
-        v_in, heads, xs = [], [], [x[0]]
+        token_sims, layer_sims = np.empty((layers, cfg.num_q_heads, arr.size)), np.empty(layers)
         for li in range(layers):
-            store = LayerStore([t] * kv, 0, d)
-            x, h = forward_layer(model, li, x, store)
-            v_in.append(store.values)
-            heads.append(h[0])
-            xs.append(x[0])
-        # (layers, q_heads, tokens): every head's token cosines in one pass,
-        # each group's V broadcast over its query heads
-        out = np.reshape(heads, (layers, kv, g, t, d))
-        token_sims = token_cosine_similarities(np.stack(v_in)[:, :, None], out)
-        token_sims = token_sims.reshape(layers, kv * g, t)
+            x, token_sims[li], layer_sims[li] = _reduce_layer(model, li, x)
         per_prompt_head.append(_unit_mean(token_sims))
-        xs = np.stack(xs)  # each layer's input, then the last layer's output
-        per_prompt_layer.append(_unit_mean(token_cosine_similarities(xs[:-1], xs[1:])))
+        per_prompt_layer.append(layer_sims)
         if keep_per_token:
             per_token.append(token_sims.transpose(0, 2, 1))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,21 @@ def layer_probes(model, tokens) -> dict:
         probes["head_output"].append(heads[0])
         probes["layer_output"].append(x[0])
     return {name: np.stack(arrays) for name, arrays in probes.items()}
+
+
+def warm_peak_bytes(call) -> int:
+    """The traced peak of a second call's short-lived arrays, above what was
+    live at its start; the first call fills any memo (the rotary tables).
+    Unlike page-fault counts, which follow the allocator's state, the peak
+    is deterministic."""
+    call()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -7,14 +7,21 @@ checked against a separately written path, not against itself.
 
 import dataclasses
 import functools
+import hashlib
+import itertools
 import math
 
 import numpy as np
 
-from bklv.cache import append_and_evict, attend_with_cache
+from bklv.cache import LayerStore, append_and_evict, attend_with_cache
 from bklv.errors import ShapeError
-from bklv.model import _silu, rms_norm, rope_rotate
-from bklv.profiling import token_cosine_similarities
+from bklv.model import _silu, forward_layer, rms_norm, rope_rotate, serialize_model
+from bklv.profiling import (
+    ImportanceProfile,
+    group_kv_importance,
+    rank_correlation,
+    token_cosine_similarities,
+)
 
 RMS_EPS = 1e-5
 
@@ -268,6 +275,49 @@ def head_importance(similarity: float) -> float:
 def layer_similarity(layer_in, layer_out) -> float:
     """head_similarity applied to the hidden states entering and leaving a layer."""
     return head_similarity(layer_in, layer_out)
+
+
+def reference_profile(model, prompts, keep_per_token: bool = False) -> ImportanceProfile:
+    """profile_model as an all-layer reduction: every layer's V rows, heads
+    and hidden states of a prompt are kept, stacked, and reduced together
+    in one float64 pass each, and the model_id hashes the joined weight
+    file. Prompts are taken as valid (no checks)."""
+    cfg = model.config
+    layers, kv, g, d = cfg.num_layers, cfg.num_kv_heads, cfg.group_size, cfg.head_dim
+    ids, per_prompt_head, per_prompt_layer, per_token = [], [], [], []
+    for p in prompts:
+        arr = np.asarray(p, dtype=np.int64)
+        ids.append(f"{arr.size}:{hashlib.sha256(arr.tobytes()).hexdigest()[:12]}")
+        t = arr.size
+        x = model.embedding[arr[None]].astype(np.float32)
+        v_in, heads, xs = [], [], [x[0]]
+        for li in range(layers):
+            store = LayerStore([t] * kv, 0, d)
+            x, h = forward_layer(model, li, x, store)
+            v_in.append(store.values)
+            heads.append(h[0])
+            xs.append(x[0])
+        out = np.reshape(heads, (layers, kv, g, t, d))
+        token_sims = token_cosine_similarities(np.stack(v_in)[:, :, None], out).reshape(layers, kv * g, t)
+        per_prompt_head.append((np.mean(token_sims, axis=-1) + 1.0) / 2.0)
+        xs = np.stack(xs)
+        per_prompt_layer.append((np.mean(token_cosine_similarities(xs[:-1], xs[1:]), axis=-1) + 1.0) / 2.0)
+        per_token.append(token_sims.transpose(0, 2, 1))
+    head_sims = np.mean(per_prompt_head, axis=0)
+    pairs = [
+        {"a": a, "b": b, "per_layer_spearman": rank_correlation(sims_a, sims_b).tolist()}
+        for (a, sims_a), (b, sims_b) in itertools.combinations(zip(ids, per_prompt_head), 2)
+    ]
+    return ImportanceProfile(
+        model_id=hashlib.sha256(serialize_model(model)).hexdigest(),
+        prompt_ids=ids,
+        head_similarity=head_sims,
+        kv_importance=group_kv_importance(head_sims, g),
+        layer_importance=1.0 - np.mean(per_prompt_layer, axis=0),
+        config=cfg,
+        per_token_similarity=per_token if keep_per_token else None,
+        prompt_consistency=pairs or None,
+    )
 
 
 def sink_window_trace(budget: int, sinks: int, n_tokens: int, chunk_sizes=None):

@@ -1,9 +1,10 @@
 import argparse
+import hashlib
 import json
 import math
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from bklv import io
 from bklv.allocation import STRATEGIES
 from bklv.cli import build_parser, main
 from bklv import cli as cli_module
-from bklv.model import check_tokens
+from bklv.model import check_tokens, serialize_model
 from bklv.search import heuristic_vs_empirical, layer_sweep, parameter_search
 
 from .conftest import SMALL
@@ -88,6 +89,22 @@ class TestRoundTrips:
         io.write_model_file(small_model, path)
         again = io.read_model_file(path)
         assert model_checksum(again) == model_checksum(small_model)
+
+    @pytest.mark.parametrize(
+        "model_name, edit", [("small_model", False), ("toy_model", False), ("small_model", True)],
+        ids=["small", "seed-7", "replaced"],
+    )
+    def test_checksum_and_file_are_the_serialized_bytes(self, request, model_name, edit, tmp_path):
+        # streamed chunk by chunk, both equal the one joined serialize_model copy
+        model = request.getfixturevalue(model_name)
+        if edit:  # tensors that are not row-major <f4 arrays: Fortran order, float64, a reversed view
+            layer = replace(model.layers[1], mlp_in=model.layers[1].mlp_in.astype(np.float64) * 3)
+            model = replace(model, embedding=np.asfortranarray(model.embedding), layers=[model.layers[0], layer],
+                            final_norm=np.linspace(0.5, 2, model.config.d_model, dtype=np.float32)[::-1])
+        data = serialize_model(model)
+        assert model_checksum(model) == hashlib.sha256(data).hexdigest()
+        io.write_model_file(model, str(tmp_path / "m.bklv"))
+        assert (tmp_path / "m.bklv").read_bytes() == data
 
     def test_profile(self, profile, tmp_path):
         path = str(tmp_path / "p.json")

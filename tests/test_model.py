@@ -33,7 +33,6 @@ from bklv import (
 from bklv import cache as cache_module
 from bklv import config as config_module
 from bklv import model as model_module
-from bklv import profiling as profiling_module
 from bklv import search as search_module
 from bklv.allocation import AllocationPlan, PlanParams
 from bklv.cache import LayerStore, softmax
@@ -46,7 +45,7 @@ from bklv.model import (
     serialize_model,
 )
 
-from .conftest import SMALL
+from .conftest import SMALL, warm_peak_bytes
 from .reference import (
     brute_attention,
     naive_row_softmax,
@@ -485,14 +484,13 @@ class TestServedTraffic:
     tokens that the pipeline sends through a layer starts its stream."""
 
     def test_no_chunk_continues_a_stream(self, small_model, monkeypatch, rng):
-        calls = []
+        calls, layer_step = [], model_module._layer_step
 
-        def recording(model, li, x, store):
+        def recording(model, li, x, store):  # forward_layer and forward_chunk run every layer through it
             calls.append((x.shape[1] > 1, any(store.seen)))
-            return forward_layer(model, li, x, store)
+            return layer_step(model, li, x, store)
 
-        for module in (model_module, search_module, profiling_module):
-            monkeypatch.setattr(module, "forward_layer", recording)
+        monkeypatch.setattr(model_module, "_layer_step", recording)
         corpus = rng.integers(0, SMALL.vocab_size, size=140)
         plan = uniform_plan(SMALL, 0.5)
         chunked_perplexity(small_model, corpus, 64, plan)
@@ -910,6 +908,11 @@ _HEADER_VALUES = [
 
 
 class TestWeightFile:
+    def test_a_warm_seed_7_checksum_peaks_under_0_25_mib_of_transient_arrays(self, toy_model):
+        # at most one tensor's <f4 copy alive at a time, never the whole file
+        peak = warm_peak_bytes(lambda: model_checksum(toy_model))
+        assert peak <= 0.25 * 2**20, f"{peak / 2**20:.2f} MiB"
+
     def test_roundtrip_bytes_identical(self, small_model):
         data = serialize_model(small_model)
         again = serialize_model(deserialize_model(data))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,9 +22,9 @@ from bklv import (
 )
 from bklv import io
 from bklv import profiling as profiling_module
-from bklv.profiling import spearman
+from bklv.profiling import ImportanceProfile, spearman
 
-from .conftest import layer_probes
+from .conftest import layer_probes, warm_peak_bytes
 from .reference import (
     head_importance,
     head_similarity,
@@ -32,6 +33,7 @@ from .reference import (
     readme_text,
     reference_budgeted_logits,
     reference_logits,
+    reference_profile,
     spearman_average_ranks,
     spearman_textbook,
 )
@@ -276,6 +278,40 @@ class TestProfileModel:
         assert len(profile.per_token_similarity) == 1
         assert profile.per_token_similarity[0].shape == (cfg.num_layers, 40, cfg.num_q_heads)
         assert np.all(np.abs(profile.per_token_similarity[0]) <= 1.0)
+
+
+def _as_bytes(value):
+    """A profile field in a form equal only for bit-identical values: arrays
+    by dtype, shape and bytes, floats (inside lists and dicts) by repr."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, list):
+        return [_as_bytes(v) for v in value]
+    return repr(value)
+
+
+class TestLayerAtATime:
+    """profile_model reduces each layer as it runs; the all-layer reduction
+    it replaced (reference_profile) gives every field the same bytes."""
+
+    @pytest.mark.parametrize("keep_per_token", [False, True])
+    @pytest.mark.parametrize("lengths", [(45,), (40, 64, 33)], ids=["one-prompt", "three-prompts"])
+    @pytest.mark.parametrize("model_name", ["small_model", "toy_model"])
+    def test_every_field_equals_the_all_layer_reduction(self, request, model_name, lengths, keep_per_token):
+        model = request.getfixturevalue(model_name)
+        rng = np.random.default_rng(len(lengths))
+        prompts = [_random_prompt(rng, n) for n in lengths]
+        got = profile_model(model, prompts, keep_per_token=keep_per_token)
+        expected = reference_profile(model, prompts, keep_per_token=keep_per_token)
+        for field in dataclasses.fields(ImportanceProfile):
+            assert _as_bytes(getattr(got, field.name)) == _as_bytes(getattr(expected, field.name)), field.name
+        assert (got.prompt_consistency is None) == (len(lengths) == 1)
+
+    def test_a_warm_readme_profile_peaks_under_2_mib_of_transient_arrays(self, toy_model):
+        # the README prompts: one layer's V rows, heads and float64 cosines at a time
+        prompts = [io.encode_bytes(readme_text(260, 1)), io.encode_bytes(readme_text(200, 2))]
+        peak = warm_peak_bytes(lambda: profile_model(toy_model, prompts))
+        assert peak <= 2 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 LOCAL, GLOBAL = slice(0, 2), slice(2, 4)
