@@ -8,12 +8,13 @@ A layer's caches are one preallocated LayerStore, padded to the layer's
 largest budget, which makes a BudgetedCache view of each group's slots
 (store.caches). Position p lives in slot p if p < sinks, else in ring slot
 sinks + (p - sinks) % (budget - sinks), so an eviction is one overwrite.
-Keys and values are the store's only arrays: which position a slot
-holds follows from the group's counts (BudgetedCache.positions), so an
-append writes keys and values only. Keys are stored transposed. The query
-at position t sees p iff p <= t and either p < sinks or p > t - budget +
-sinks, what token-by-token generation holds at t. A layer step appends,
-then attends with all its KV groups and query heads at once: a single
+Keys and values are the store's only arrays, and a group's one count is
+seen, the tokens it was given: with its budget, that fixes the slots it
+fills, min(seen, budget), and the position each holds (BudgetedCache.positions),
+so an append writes keys, values and seen only. Keys are stored transposed.
+The query at position t sees p iff p <= t and either p < sinks or p > t -
+budget + sinks, what token-by-token generation holds at t. A layer step
+appends, then attends with all its KV groups and query heads at once: a single
 query over the store (attend_with_cache), and a chunk, which starts a
 stream, over its own rows (banded_attention, given only budgets and sinks).
 """
@@ -40,10 +41,10 @@ class LayerStore:
 
     keys are (groups, head_dim, width) float32, transposed, and values
     (groups, width, head_dim) float32, with width the layer's largest
-    budget; they are the only arrays. Group g fills slots 0..lengths[g]-1
-    (see BudgetedCache); its other slots are zero, unused and hidden from
-    attention by lengths[g] alone. seen[g] counts the tokens ever appended
-    to group g, and equals lengths[g] until the group first evicts.
+    budget; they are the only arrays. seen[g] counts the tokens ever
+    appended to group g, its only count: the group fills slots
+    0..min(seen[g], budgets[g])-1 (see BudgetedCache), and its other slots
+    are zero, unused and hidden from attention by that length alone.
     caches[g] is group g's view, the only way a BudgetedCache is made.
     Raises AllocationError below the budget floor (require_fit), as a plan would.
     """
@@ -55,20 +56,18 @@ class LayerStore:
         groups, width = len(self.budgets), max(self.budgets)
         self.keys = np.zeros((groups, head_dim, width), dtype=np.float32)
         self.values = np.zeros((groups, width, head_dim), dtype=np.float32)
-        self.lengths = [0] * groups
         self.seen = [0] * groups
         self.caches = [BudgetedCache(self, g) for g in range(groups)]
 
     @property
     def retained(self) -> int:
         """The live width: the most rows any group holds."""
-        return max(self.lengths)
+        return max(map(min, self.seen, self.budgets))
 
     def clear(self) -> None:
         self.keys.fill(0)
         self.values.fill(0)
-        self.lengths[:] = [0] * len(self.lengths)  # in place: the views share both lists
-        self.seen[:] = [0] * len(self.seen)
+        self.seen[:] = [0] * len(self.seen)  # in place: the views share the list
 
 
 class BudgetedCache:
@@ -76,23 +75,24 @@ class BudgetedCache:
 
     Sink positions p < sinks are permanent, in slots 0..sinks-1; the rest
     is a sliding window over the most recent tokens, p in ring slot
-    sinks + (p - sinks) % (budget - sinks). `keys` and `values` are
-    (retained, ...) views of the filled slots, in slot order, and
-    `positions` is derived from the group's counts. Made by its store
-    only, it reads its budget, sinks and head_dim, count lists and slot
-    arrays from the store but keeps no reference to it: a store and its
-    views would form a cycle, freed only when the cycle collector runs.
+    sinks + (p - sinks) % (budget - sinks). It retains min(seen, budget)
+    tokens; `keys` and `values` are (retained, ...) views of the filled
+    slots, in slot order, and `positions` is derived from seen and budget.
+    Made by its store only, it reads its budget, sinks and head_dim, seen
+    list and slot arrays from the store but keeps no reference to it: a
+    store and its views would form a cycle, freed only when the cycle
+    collector runs.
     """
 
     def __init__(self, store: LayerStore, group: int):
         self.budget, self.sinks, self.group = store.budgets[group], store.sinks, group
         self.head_dim = store.keys.shape[1]
-        self.lengths, self.seen = store.lengths, store.seen  # shared, mutated in place
+        self.seen = store.seen  # shared, mutated in place
         self.slots = (store.keys[group].T, store.values[group])  # full width, (width, head_dim) views
 
     @property
     def retained(self) -> int:
-        return self.lengths[self.group]
+        return min(self.seen[self.group], self.budget)
 
     @property
     def total_seen(self) -> int:
@@ -108,7 +108,7 @@ class BudgetedCache:
 
     @property
     def positions(self) -> np.ndarray:
-        """(retained,) int64, read-only, from the group's counts: slot j holds
+        """(retained,) int64, read-only, from seen and the budget: slot j holds
         j if j < sinks, else base + (j - base) % (budget - sinks), with base
         the oldest retained position past the sinks."""
         n, sinks = self.retained, self.sinks
@@ -157,7 +157,6 @@ def append_and_evict(cache: BudgetedCache, k_new: np.ndarray, v_new: np.ndarray)
                 dest = slice(slot, slot + e - a)
                 keys[dest] = k_new[a - seen : e - seen]
                 values[dest] = v_new[a - seen : e - seen]
-    cache.lengths[g] = total if total < budget else budget  # not min(): cheaper, once per token
     cache.seen[g] = total
 
 
@@ -170,14 +169,15 @@ def attend_with_cache(store: LayerStore, q: np.ndarray) -> np.ndarray:
     groups, d, _ = store.keys.shape
     if q.ndim != 4 or q.shape[0] != groups or q.shape[-1] != d:
         raise ShapeError(f"q shape {q.shape} incompatible with {groups} groups of head_dim {d}")
-    lengths, width = store.lengths, max(store.lengths)
-    if q.shape[2] != 1 or min(lengths) == 0:
+    held = list(map(min, store.seen, store.budgets))  # each group's retained slots
+    width = max(held)
+    if q.shape[2] != 1 or min(held) == 0:
         raise InputError("attention over a store takes one query and one retained token")
     scores = q.reshape(groups, -1, d) @ store.keys[:, :, :width]  # (groups, heads, width)
     scores /= np.float32(math.sqrt(d))
-    for g, length in enumerate(lengths):
-        if length < width:
-            scores[g, :, length:] = -np.inf
+    for g, n in enumerate(held):
+        if n < width:
+            scores[g, :, n:] = -np.inf
     softmax(scores, out=scores)
     return (scores @ store.values[:, :width]).reshape(q.shape)
 

@@ -9,6 +9,7 @@ with `--out`, `main` writes `<out>.manifest` from the command's flags.
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields
 
@@ -55,6 +56,10 @@ def _grid_values(text: str, name: str) -> list[float]:
         return [float(v) for v in text.split(",")] if text.strip() else []
     except ValueError as exc:
         raise BklvError(f"bad {name} grid {text!r}: {exc}") from exc
+
+
+def _context_len(args, model) -> int:
+    return model.config.max_context if args.context_len is None else args.context_len
 
 
 _INIT_FIELDS = [f for f in fields(ModelConfig) if f.name != "d_model"]  # init-model's flags
@@ -105,12 +110,10 @@ def cmd_search(args) -> int:
     model = io.read_model_file(args.model)
     profile = _read_profile_for(model, args.profile)
     corpus = io.load_corpus(args.corpus)
-    context_len = model.config.max_context if args.context_len is None else args.context_len
-    t_grid = _grid_values(args.t_grid, "t") if args.t_grid is not None else list(DEFAULT_T_GRID)
-    r_grid = _grid_values(args.r_grid, "r") if args.r_grid is not None else list(DEFAULT_R_GRID)
+    t_grid, r_grid = _grid_values(args.t_grid, "t"), _grid_values(args.r_grid, "r")
     grid = [(t, r) for t in t_grid for r in r_grid]
     report = parameter_search(
-        model, corpus, context_len, args.compression, grid, profile,
+        model, corpus, _context_len(args, model), args.compression, grid, profile,
         sinks=args.sinks, layer_t=args.layer_t, layer_r=args.layer_r,
     )
     io.write_json(args.out, {"format_version": io.SEARCH_VERSION, **report})
@@ -128,9 +131,8 @@ def cmd_eval(args) -> int:
     model = io.read_model_file(args.model)
     plan = io.read_plan(args.plan, model.config)
     corpus = io.load_corpus(args.corpus)
-    context_len = model.config.max_context if args.context_len is None else args.context_len
     memory = memory_report(plan, model.config, args.bytes_per_element)
-    loss = chunked_perplexity(model, corpus, context_len, plan)
+    loss = chunked_perplexity(model, corpus, _context_len(args, model), plan)
     print(f"perplexity: {math.exp(loss):.6f}")
     print(f"loss: {loss:.6f}")
     print(f"total_bytes: {memory['total_bytes']}")
@@ -148,8 +150,7 @@ def cmd_sweep(args) -> int:
     model = io.read_model_file(args.model)
     profile = _read_profile_for(model, args.profile) if args.profile else None
     corpus = io.load_corpus(args.corpus)
-    context_len = model.config.max_context if args.context_len is None else args.context_len
-    report = layer_sweep(model, corpus, context_len, args.window, args.compression, args.sinks)
+    report = layer_sweep(model, corpus, _context_len(args, model), args.window, args.compression, args.sinks)
     if profile is not None:
         report["correlation"] = heuristic_vs_empirical(profile, report)
     io.write_json(args.out, {"format_version": io.SWEEP_VERSION, **report})
@@ -165,7 +166,7 @@ def cmd_generate(args) -> int:
     model = io.read_model_file(args.model)
     plan = io.read_plan(args.plan, model.config)
     if args.text is not None:
-        prompt = io.encode_bytes(args.text.encode("utf-8"))
+        prompt = io.encode_bytes(os.fsencode(args.text))  # argv's own bytes: fsencode undoes its decoding
     else:
         prompt = io.read_document(args.prompt)
     memory = memory_report(plan, model.config, args.bytes_per_element)
@@ -227,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[model, corpus, compression, layer, sinks],
                        help="grid-search (t, r) by chunked perplexity")
     p.add_argument("--profile", required=True)
-    p.add_argument("--t-grid", default=None, help="comma-separated similarity thresholds")
-    p.add_argument("--r-grid", default=None, help="comma-separated reduction fractions")
+    p.add_argument("--t-grid", default=",".join(map(str, DEFAULT_T_GRID)), help="comma-separated similarity thresholds")
+    p.add_argument("--r-grid", default=",".join(map(str, DEFAULT_R_GRID)), help="comma-separated reduction fractions")
     p.add_argument("--heatmap", action="store_true", help="print a text loss grid")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)

@@ -32,6 +32,7 @@ from .errors import ConfigError, FormatError, InputError, ShapeError
 
 RMS_EPS = 1e-5
 _EPS32 = np.float32(RMS_EPS)
+_EXP_MAX = np.float32(88.72283)  # the largest float32 whose exp is finite
 WEIGHT_STD = 0.02
 WEIGHT_FORMAT_VERSION = "bklv1"
 
@@ -101,9 +102,11 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    """x / (1 + exp(-x)), in one temporary: -0.0 below about -88.7, where
-    exp(-x) overflows to inf. Callers ignore that overflow (np.errstate), so
-    it warns nothing."""
+    """x / (1 + exp(-x)), in one temporary, after clamping x, a temporary of
+    the caller's, in place from below at -_EXP_MAX, so exp(-x) stays finite
+    and warns nothing: a value below that (-inf too) gives -2.6e-37, NaN
+    stays NaN, and every other value is the unclamped formula's bit for bit."""
+    np.maximum(x, -_EXP_MAX, out=x)
     t = np.negative(x)
     np.exp(t, out=t)
     t += 1.0
@@ -190,14 +193,9 @@ def forward_layer(
     chunk into stores that hold tokens runs as one call per token, so its
     out and heads are decode's bit for bit. The dense ops run one product
     per sequence, so each sequence's result depends on its x and caches
-    only, and a chunk's temporaries stay the size of one sequence.
+    only, and a chunk's temporaries stay the size of one sequence. The MLP's
+    SiLU bounds its own exp (_silu), so its overflow needs no silencing.
     """
-    with np.errstate(over="ignore"):  # _silu's exp overflows
-        return _layer_step(model, li, x, store)
-
-
-def _layer_step(model: Model, li: int, x: np.ndarray, store: LayerStore) -> tuple[np.ndarray, np.ndarray]:
-    """forward_layer, under the caller's np.errstate(over="ignore")."""
     cfg = model.config
     layer = model.layers[li]
     batch, n, _ = x.shape
@@ -205,7 +203,7 @@ def _layer_step(model: Model, li: int, x: np.ndarray, store: LayerStore) -> tupl
     if len(caches) != batch * kv:
         raise ShapeError(f"{len(caches)} caches for a batch of {batch} with {kv} KV groups")
     if n > 1 and store.seen[0]:  # a chunk that continues a stream steps token by token
-        outs, heads = zip(*(_layer_step(model, li, xi, store) for xi in np.split(x, n, 1)))
+        outs, heads = zip(*(forward_layer(model, li, xi, store) for xi in np.split(x, n, 1)))
         return np.concatenate(outs, 1), np.concatenate(heads, 2)
     heads = _heads(cfg, layer, x, store)
     out = np.empty(x.shape, np.float32)
@@ -280,9 +278,8 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
         )
     check_context(caches.total_seen, tokens.size, cfg)
     x = model.embedding[tokens[None]].astype(np.float32, copy=False)  # the gather copies
-    with np.errstate(over="ignore"):  # _silu's exp overflows: one context for every layer
-        for li, store in enumerate(caches.stores):
-            x, _ = _layer_step(model, li, x, store)
+    for li, store in enumerate(caches.stores):
+        x, _ = forward_layer(model, li, x, store)
     return output_logits(model, x[0]), None
 
 

@@ -239,7 +239,7 @@ def heuristic_vs_empirical(profile: ImportanceProfile, sweep: dict) -> dict:
     "correlation" object: "full" and "full_degenerate" over all layers,
     and "trimmed" and "trimmed_degenerate" without the "trim" =
     window//2 layers at each end, where window overlap at the boundaries
-    biases scores. Unequal lengths raise spearman's ShapeError.
+    biases scores. Unequal layer counts raise spearman's ShapeError.
     """
     imp = np.asarray(profile.layer_importance, dtype=np.float64)
     scores = np.asarray(sweep["scores"], dtype=np.float64)

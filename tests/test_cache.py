@@ -111,7 +111,7 @@ class TestAppendAndEvict:
             for view, full in zip((cache.keys, cache.values), arrays):
                 assert view.base is full
             # the store's counts are the cache's, and group 1's view holds nothing
-            assert (store.lengths, store.seen) == ([min(n, 6), 0], [n, 0])
+            assert ([c.retained for c in store.caches], store.seen) == ([min(n, 6), 0], [n, 0])
             assert store.caches[1].positions.tolist() == []
 
         for pos in range(6):
@@ -260,8 +260,9 @@ class TestOneRowAppend:
                 append_and_evict(single[g], k[j : j + 1], v[j : j + 1])
             append_and_evict(batched[g], k, v)
             one, many = stores
-            for name in ("keys", "values", "lengths", "seen"):
+            for name in ("keys", "values", "seen"):
                 assert np.array_equal(getattr(one, name), getattr(many, name)), name
+            assert [c.retained for c in single] == [c.retained for c in batched]
             for a, b in zip(single, batched):
                 assert np.array_equal(a.positions, b.positions)
 
@@ -277,7 +278,7 @@ class TestOneRowAppend:
                     append_and_evict(lists.caches[0], k.tolist(), v.tolist())
                     assert arrays.keys.tobytes() == lists.keys.tobytes()
                     assert arrays.values.tobytes() == lists.values.tobytes()
-                    assert (arrays.lengths, arrays.seen) == (lists.lengths, lists.seen)
+                    assert (arrays.retained, arrays.seen) == (lists.retained, lists.seen)
 
 
 def _attend_one(store, q):
@@ -495,7 +496,7 @@ class TestLayerStoreAttention:
         store = LayerStore(budgets, 1, HEAD_DIM)
         k, v = rng.normal(size=(2, 2, 10, HEAD_DIM)).astype(np.float32)
         _append(store.caches, k, v, 0, 6)
-        assert store.lengths == ([4, 6] if evicted == 0 else [6, 4])
+        assert [c.retained for c in store.caches] == ([4, 6] if evicted == 0 else [6, 4])
         q = rng.normal(size=(2, 2, 4, HEAD_DIM)).astype(np.float32)
         for t_q in (2, 3, 4):  # several queries attend over their own rows, never a store
             with pytest.raises(InputError, match="one query"):
@@ -867,6 +868,14 @@ class TestCacheSet:
             forward_chunk(small_model, [4], caches)
         with pytest.raises(InputError, match=message):
             greedy_generate(small_model, [4], 2, caches)
+
+    def test_a_stray_row_stops_forward_chunk_before_it_writes(self, small_model, rng):
+        caches = build_cache_set(uniform_plan(SMALL, 1.0), SMALL)
+        _append_each(caches.stores[1].caches[1], 1, rng)  # one row past every other cache
+        before = [(s.keys.tobytes(), s.values.tobytes(), list(s.seen)) for s in caches.stores]
+        with pytest.raises(InputError, match="cache at layer 1 group 1 is at stream position 1, not 0"):
+            forward_chunk(small_model, [1, 2, 3], caches)
+        assert [(s.keys.tobytes(), s.values.tobytes(), s.seen) for s in caches.stores] == before
 
     def test_reset_idempotent(self):
         caches = build_cache_set(uniform_plan(SMALL, 1.0), SMALL)

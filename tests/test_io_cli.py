@@ -648,24 +648,25 @@ class TestCli:
         prof, plan_path = str(d / "prof.json"), str(d / "plan.json")
         main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof])
         main(["plan", "--profile", prof, "--strategy", "uniform", "--compression", "0.5", "--out", plan_path])
-        text = "caché holds ünïcode"
-        prompt = tmp_path / "prompt.txt"
-        prompt.write_bytes(text.encode("utf-8"))
         # this model's output does not show a lost BOS, so record the prompt ids too
         prompts, generate = [], cli_module.greedy_generate
         monkeypatch.setattr(
             cli_module, "greedy_generate",
             lambda model, ids, *rest: prompts.append(list(ids)) or generate(model, ids, *rest),
         )
-        outs = []
-        for source in (["--text", text], ["--prompt", str(prompt)]):
-            capsys.readouterr()
-            assert main(["generate", "--model", cli_env["model"], "--plan", plan_path, *source,
-                         "--steps", "12"]) == 0
-            outs.append(capsys.readouterr())
-        assert outs[0] == outs[1]
-        assert "generated_tokens: 12" in outs[1].out and outs[1].err == ""
-        assert prompts == [[io.BOS_ID, *text.encode("utf-8")]] * 2
+        # valid UTF-8, and bytes that are not, which argv holds as surrogate escapes
+        for data in ("caché holds ünïcode".encode("utf-8"), b"caf\xff"):
+            prompt = tmp_path / "prompt.txt"
+            prompt.write_bytes(data)
+            outs, prompts[:] = [], []
+            for source in (["--text", os.fsdecode(data)], ["--prompt", str(prompt)]):
+                capsys.readouterr()
+                assert main(["generate", "--model", cli_env["model"], "--plan", plan_path, *source,
+                             "--steps", "12"]) == 0
+                outs.append(capsys.readouterr())
+            assert outs[0] == outs[1]
+            assert "generated_tokens: 12" in outs[1].out and outs[1].err == ""
+            assert prompts == [[io.BOS_ID, *data]] * 2
 
     def test_generate_prompt_directory_is_an_io_error(self, cli_env, tmp_path, capsys):
         d = cli_env["dir"]

@@ -33,6 +33,7 @@ from bklv import (
 from bklv import cache as cache_module
 from bklv import config as config_module
 from bklv import model as model_module
+from bklv import profiling as profiling_module
 from bklv import search as search_module
 from bklv.allocation import AllocationPlan, PlanParams
 from bklv.cache import LayerStore, softmax
@@ -236,7 +237,7 @@ class TestForwardChunk:
         x = small_model.embedding[np.arange(n)[None]].astype(np.float32)
         for li, store in enumerate(caches.stores):
             x, heads = forward_layer(small_model, li, x, store)
-            assert max(store.lengths) < n
+            assert store.retained < n
             assert heads.shape[2] == n and x.shape[1] == n
 
     def test_token_out_of_range(self, small_model):
@@ -476,7 +477,8 @@ class TestBudgetedStepping:
             for t in range(n):
                 append_and_evict(cache, k[g, t : t + 1], v[g, t : t + 1, :d])
         assert (store.keys.tobytes(), store.values.tobytes()) == (stepped.keys.tobytes(), stepped.values.tobytes())
-        assert (store.lengths, store.seen) == (stepped.lengths, stepped.seen)
+        retained = [[c.retained for c in s.caches] for s in (store, stepped)]
+        assert (retained[0], store.seen) == (retained[1], stepped.seen)
 
 
 class TestServedTraffic:
@@ -484,13 +486,14 @@ class TestServedTraffic:
     tokens that the pipeline sends through a layer starts its stream."""
 
     def test_no_chunk_continues_a_stream(self, small_model, monkeypatch, rng):
-        calls, layer_step = [], model_module._layer_step
+        calls = []
 
-        def recording(model, li, x, store):  # forward_layer and forward_chunk run every layer through it
+        def recording(model, li, x, store):  # every layer call, in each module that makes one
             calls.append((x.shape[1] > 1, any(store.seen)))
-            return layer_step(model, li, x, store)
+            return forward_layer(model, li, x, store)
 
-        monkeypatch.setattr(model_module, "_layer_step", recording)
+        for module in (model_module, search_module, profiling_module):
+            monkeypatch.setattr(module, "forward_layer", recording)
         corpus = rng.integers(0, SMALL.vocab_size, size=140)
         plan = uniform_plan(SMALL, 0.5)
         chunked_perplexity(small_model, corpus, 64, plan)
@@ -630,6 +633,12 @@ def _row_among_rows(draw):
     return rows, i, draw(hnp.arrays(np.float32, rows.shape[-1:], elements=_FLOAT32))
 
 
+def _silu_floor() -> np.float32:
+    """The old SiLU formula's value at -_EXP_MAX, where _silu clamps."""
+    x = -model_module._EXP_MAX
+    return x / (np.float32(1) + np.exp(-x))
+
+
 class TestExactRewrites:
     """rms_norm, softmax and the MLP's SiLU against the np.mean / np.max /
     np.sum and per-call errstate formulas they replaced, with tolerance 0."""
@@ -654,9 +663,10 @@ class TestExactRewrites:
         assert one.tobytes() == many[i : i + 1].tobytes()
 
     def test_silu_overflow_is_silent_and_gives_the_old_formula(self, small_model, rng):
-        """Pre-activations far below -88.7 overflow SiLU's exp(-x): forward_layer
-        warns nothing, and its output is bit for bit the old per-call
-        errstate formula's, whose SiLU is -0.0 wherever exp overflows."""
+        """Pre-activations far below -88.7 would overflow SiLU's exp(-x):
+        forward_layer warns nothing, and its output is bit for bit the old
+        formula's wherever x >= -_EXP_MAX, where exp(-x) is finite, and below
+        that the formula's value at -_EXP_MAX (-2.6e-37, not -0.0)."""
         layer = replace(small_model.layers[0], mlp_in=small_model.layers[0].mlp_in * np.float32(2000))
         model = replace(small_model, layers=[layer, *small_model.layers[1:]])
         tokens = rng.integers(0, SMALL.vocab_size, size=12)
@@ -671,11 +681,34 @@ class TestExactRewrites:
         with np.errstate(over="ignore"):
             overflow = np.isinf(np.exp(-act))
             old = act / (1.0 + np.exp(-act))
-            silu = model_module._silu(act)
-        assert overflow.any() and silu.tobytes() == old.tobytes()
-        assert np.all(silu[overflow] == 0) and np.all(np.signbit(silu[overflow]))
-        expected = np.add(xb, old @ layer.mlp_out)
+        silu = model_module._silu(act.copy())
+        assert overflow.any() and np.array_equal(overflow, act < -model_module._EXP_MAX)
+        assert silu[~overflow].tobytes() == old[~overflow].tobytes()
+        assert np.all(silu[overflow] == _silu_floor())
+        expected = np.add(xb, silu @ layer.mlp_out)
         assert out[0].tobytes() == expected.tobytes()
+
+    def test_silu_is_the_old_formula_down_to_the_clamp_and_warns_nothing(self, rng):
+        exp_max = model_module._EXP_MAX
+        special = [-exp_max, np.nextafter(-exp_max, np.float32(-np.inf)), -1e30, -3e38,
+                   np.inf, -np.inf, 0.0, -0.0, np.nan]
+        x = np.concatenate([rng.normal(0, 60, size=256), special]).astype(np.float32).reshape(5, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = x / (1.0 + np.exp(-x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            silu = model_module._silu(x.copy())
+        kept, below = x >= -exp_max, x < -exp_max
+        assert below.sum() >= 4 and np.isnan(old[x == -np.inf]).all()  # the old formula's -inf / inf
+        assert silu[kept].tobytes() == old[kept].tobytes()
+        assert np.all(silu[below] == _silu_floor()) and math.isclose(_silu_floor(), -2.6e-37, rel_tol=0.01)
+        assert np.array_equal(np.isnan(silu), np.isnan(x)) and np.isnan(x).any()
+
+    def test_exp_max_is_the_largest_float32_with_a_finite_exp(self):
+        exp_max = model_module._EXP_MAX
+        assert exp_max.dtype == np.float32 and np.isfinite(np.exp(exp_max))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(np.nextafter(exp_max, np.float32(np.inf))))
 
     @settings(max_examples=200, deadline=None)
     @given(_masked_scores())
@@ -778,7 +811,7 @@ class TestOneTokenStep:
             want_out, want_heads = three_projection_step(model, li, x[:, t : t + 1], slow)
             assert heads.tobytes() == want_heads.tobytes() and out.tobytes() == want_out.tobytes()
         assert fast.seen == slow.seen == [prefix + steps] * len(fast.seen)
-        assert fast.lengths == slow.lengths
+        assert [c.retained for c in fast.caches] == [c.retained for c in slow.caches]
         assert fast.keys.tobytes() == slow.keys.tobytes() and fast.values.tobytes() == slow.values.tobytes()
 
 

@@ -17,7 +17,7 @@ from bklv import cache as cache_module
 from bklv.allocation import AllocationPlan, PlanParams
 from bklv.cli import main
 
-from .reference import readme_text
+from .reference import readme_text, reference_budgeted_logits
 
 UNIFORM_BUDGETS = [[154, 154, 154, 153], [154, 154, 154, 153], [154, 154, 153, 153], [154, 154, 153, 153]]
 # t=0.7, r=0.6 moves 92 tokens from group 1 to group 0 of layer 0 only
@@ -154,3 +154,22 @@ def test_readme_chunks_take_the_bounded_softmax_and_decode_steps_never_ask():
     # per plan, one batched call per layer for the 4 chunks (4 x 4 groups), then the prefill's
     assert [d.shape for d in decisions] == ([(16,)] * 4 + [(4,)] * 4) * 2
     assert all(d.all() for d in decisions)
+
+
+def test_the_readme_model_decodes_the_budgeted_oracles_logits():
+    """The walkthrough model decodes the same byte on every step, so
+    generate's stdout cannot show a decode fault; its logits can. At model
+    seed 7 under the README baklava plan (budgets 62 to 246, 4 sinks), a
+    160-token prefill of prompt_a.txt, then 40 greedy steps: every logit is
+    within 1e-5 of the stepping oracle's. By the 200th token every cache
+    but the budget-246 one has evicted."""
+    model = init_model(ModelConfig(seed=7))
+    plan = AllocationPlan(0.3, 4, np.array(BAKLAVA_BUDGETS), "custom", PlanParams())
+    caches = build_cache_set(plan, model.config)
+    tokens = io.encode_bytes(readme_text(260, 1))[:160]
+    logits = [forward_chunk(model, tokens, caches)[0]]
+    for _ in range(40):
+        tokens.append(int(np.argmax(logits[-1][-1])))
+        logits.append(forward_chunk(model, tokens[-1:], caches)[0])
+    expected, _ = reference_budgeted_logits(model, tokens, BAKLAVA_BUDGETS, 4)
+    np.testing.assert_allclose(np.concatenate(logits), expected, rtol=0, atol=1e-5)
