@@ -1,8 +1,8 @@
 """Command-line surface tying the pipeline together:
 init-model -> profile -> plan -> search -> eval -> sweep -> generate.
 
-Validation failures exit nonzero with a machine-readable JSON error on
-stderr; successful runs write nothing to stderr. After a command succeeds
+Validation failures, and overflow or invalid arithmetic, exit nonzero with a JSON
+error on stderr; successful runs write nothing to stderr. After a command succeeds
 with `--out`, `main` writes `<out>.manifest` from the command's flags.
 """
 
@@ -12,6 +12,8 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields
+
+import numpy as np
 
 from . import io
 from .allocation import DEFAULT_SINKS, STRATEGIES, PlanParams, build_plan
@@ -268,7 +270,8 @@ def main(argv=None) -> int:
     try:
         # hashed before the command runs, so an --out that overwrites an input is not read back
         inputs = io.file_entries(paths) if out else {}
-        code = args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow is by design
+            code = args.func(args)
         if code == 0 and out:
             outputs = io.file_entries({_OUTPUT_ROLES.get(args.command, "report"): out})
             io.write_manifest(out + ".manifest", argv, {**inputs, **outputs})
@@ -279,6 +282,8 @@ def main(argv=None) -> int:
         return _fail(f"i/o error: {exc}")
     except MemoryError as exc:
         return _fail(f"out of memory: {exc}")
+    except FloatingPointError as exc:
+        return _fail(f"non-finite arithmetic: {exc}")
 
 
 if __name__ == "__main__":

@@ -146,8 +146,11 @@ def rope_rotate(
     halves (x1, x2): bit for bit (x1 cos - x2 sin, x1 sin + x2 cos), as
     negation is exact and + commutes.
     """
+    return _rotate(x, *_rope_rows(theta, x.shape[-1], start, len(x)), out)
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     half = x.shape[-1] // 2
-    cos, sin = _rope_rows(theta, x.shape[-1], start, len(x))
     swapped = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
     out = np.multiply(x, cos, out=out)
     swapped *= sin
@@ -189,22 +192,24 @@ def forward_layer(
 
     `store` is the layer's: store.caches[b * kv_groups + g] is sequence b's
     group g (batch-major), all at the same stream position (CacheSet.total_seen
-    checks it). Every call projects, appends, then attends (_heads). A
-    chunk into stores that hold tokens runs as one call per token, so its
-    out and heads are decode's bit for bit. The dense ops run one product
-    per sequence, so each sequence's result depends on its x and caches
-    only, and a chunk's temporaries stay the size of one sequence. The MLP's
-    SiLU bounds its own exp (_silu), so its overflow needs no silencing.
+    checks it). A chunk into empty stores is one pass (_heads); one token, or a
+    chunk that continues a stream, steps token by token as decode does: every
+    sequence's _token_qkv, one attend_with_cache, every sequence's _token_out.
+    The dense ops run one product per sequence, so each sequence's result
+    depends on its x and caches only, and a chunk's temporaries stay the size
+    of one sequence.
     """
-    cfg = model.config
-    layer = model.layers[li]
-    batch, n, _ = x.shape
-    caches, kv = store.caches, cfg.num_kv_heads
-    if len(caches) != batch * kv:
-        raise ShapeError(f"{len(caches)} caches for a batch of {batch} with {kv} KV groups")
-    if n > 1 and store.seen[0]:  # a chunk that continues a stream steps token by token
-        outs, heads = zip(*(forward_layer(model, li, xi, store) for xi in np.split(x, n, 1)))
-        return np.concatenate(outs, 1), np.concatenate(heads, 2)
+    cfg, layer, kv, (batch, n, _) = model.config, model.layers[li], model.config.num_kv_heads, x.shape
+    _check_caches(store, batch, kv)  # again under forward_chunk; search and profiling call this directly
+    if n == 1 or store.seen[0]:
+        out, heads = np.empty(x.shape, np.float32), np.empty((batch, cfg.num_q_heads, n, cfg.head_dim), np.float32)
+        for t in range(n):
+            rope = _rope_rows(cfg.rope_theta, cfg.head_dim, store.seen[0], 1)
+            attended = attend_with_cache(store, np.concatenate(
+                [_token_qkv(cfg, layer, x[b, t], store.caches[b * kv : (b + 1) * kv], rope) for b in range(batch)]))
+            heads[:, :, t] = attended.reshape(batch, -1, cfg.head_dim)
+            out[:, t] = [_token_out(layer, x[b, t], attended[b * kv : (b + 1) * kv]) for b in range(batch)]
+        return out, heads
     heads = _heads(cfg, layer, x, store)
     out = np.empty(x.shape, np.float32)
     for b in range(batch):
@@ -214,28 +219,37 @@ def forward_layer(
     return out, heads
 
 
+def _check_caches(store: LayerStore, batch: int, kv: int) -> None:
+    if len(store.caches) != batch * kv:
+        raise ShapeError(f"{len(store.caches)} caches for a batch of {batch} with {kv} KV groups")
+
+
+def _token_qkv(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, caches, rope) -> np.ndarray:
+    """One sequence's token, hidden row x: its product with layer.qkv, q and k rotated in place by `rope`
+    (_rope_rows), one row appended to each of its `caches`. Returns the query heads (kv, g, 1, d), a view."""
+    kv, d, k_col = cfg.num_kv_heads, cfg.head_dim, cfg.num_q_heads * cfg.head_dim  # where k starts in qkv
+    p = rms_norm(x, layer.norm1) @ layer.qkv
+    qk = p[: -kv * d].reshape(1, -1, d)
+    _rotate(qk, *rope, out=qk)
+    for cache, k_new, v_new in zip(caches, *p[k_col:].reshape(2, kv, 1, d)):
+        append_and_evict(cache, k_new, v_new)
+    return p[:k_col].reshape(kv, -1, 1, d)
+
+
+def _token_out(layer: LayerWeights, x: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The layer's output for hidden row x and its heads' attention output: the residual, then the MLP."""
+    x = x + heads.reshape(-1) @ layer.attn_out
+    x += _silu(rms_norm(x, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
+    return x
+
+
 def _heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
-    """The heads (batch, q_heads, n, head_dim) of x (batch, n, d_model) at
-    stream positions store.seen[0] onwards; each sequence is projected by
-    one matmul with layer.qkv. One token rotates the product's q and k
-    columns in place, appends one row per cache, in cache order, and attends
-    over the store, which holds exactly what it sees (its ring slot is its
-    evictee's); one sequence's rows and queries are views of the product. A
-    chunk, which starts the stream of empty stores, scatters it into qk[i]
-    (cache i's query heads, then key) and v[i] (values, then ones), rotates
-    qk, appends a segment no cache evicts in, then single tokens, cache by
-    cache (generation's schedule), and attends over its own rows, in place."""
+    """The heads (batch, q_heads, n, head_dim) of a chunk x (batch, n > 1, d_model) into empty stores: the qkv
+    product scattered into qk[i] (cache i's query heads, key) and v[i] (values, ones), qk rotated, a segment no
+    cache evicts in appended, then single tokens cache by cache, and attention over its own rows, in place."""
     batch, n, _ = x.shape
     kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
     k_col, v_col = cfg.num_q_heads * d, (cfg.num_q_heads + kv) * d  # where k and v start in qkv
-    if n == 1:  # p is (batch, 1, columns): one one-row product per sequence
-        p = rms_norm(x, layer.norm1) @ layer.qkv
-        qk = p[..., :v_col].reshape(1, batch, -1, d)  # a view, rotated in place
-        rope_rotate(qk, store.seen[0], cfg.rope_theta, out=qk)
-        k, v = (p[..., c : c + kv * d].reshape(-1, 1, d) for c in (k_col, v_col))
-        for cache, k_new, v_new in zip(store.caches, k, v):
-            append_and_evict(cache, k_new, v_new)
-        return attend_with_cache(store, p[..., :k_col].reshape(-1, g, 1, d)).reshape(batch, -1, 1, d)
     qk = np.empty((batch * kv, g + 1, n, d), np.float32)
     v = np.empty((batch * kv, n, d + 1), np.float32)
     v[..., d] = 1  # the ones column banded_attention reads
@@ -262,9 +276,11 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
 
     K/V projections of the new tokens are appended to the caches (evicting
     as the budgets require), then every query attends over exactly what
-    token-by-token generation retains, layer by layer (forward_layer); a
-    chunk into caches that hold tokens steps through each layer token by
-    token. Logits agree with generation up to float32 rounding.
+    token-by-token generation retains: a chunk into empty caches layer by
+    layer (forward_layer), else token by token, each token through every
+    layer as decode's step with its rotary rows looked up once. Logits, from
+    one output_logits over the final rows, agree with generation up to
+    float32 rounding.
 
     Returns (logits, None), with logits (len(tokens), vocab_size).
     """
@@ -276,10 +292,19 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
         raise ConfigError(
             f"cache layer count {len(caches.stores)} != num_layers {cfg.num_layers}"
         )
-    check_context(caches.total_seen, tokens.size, cfg)
+    check_context(start := caches.total_seen, tokens.size, cfg)
+    for store in caches.stores:  # every layer's check, before any append
+        _check_caches(store, 1, cfg.num_kv_heads)
     x = model.embedding[tokens[None]].astype(np.float32, copy=False)  # the gather copies
-    for li, store in enumerate(caches.stores):
-        x, _ = forward_layer(model, li, x, store)
+    if tokens.size > 1 and not start:
+        for li, store in enumerate(caches.stores):
+            x, _ = forward_layer(model, li, x, store)
+    else:  # each token's row through every layer, written back once
+        for position, row in enumerate(x[0], start):
+            h, rope = row, _rope_rows(cfg.rope_theta, cfg.head_dim, position, 1)
+            for layer, store in zip(model.layers, caches.stores):
+                h = _token_out(layer, h, attend_with_cache(store, _token_qkv(cfg, layer, h, store.caches, rope)))
+            row[:] = h
     return output_logits(model, x[0]), None
 
 

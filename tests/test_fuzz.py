@@ -45,6 +45,8 @@ MODEL = init_model(SMALL)
 PROFILE = profile_model(MODEL, [[256, *range(40)], [256, *range(60, 95)]])
 PROFILE_DOC = io.profile_to_dict(PROFILE)
 PLAN_DOC = io.plan_to_dict(build_plan(PROFILE, SMALL, "baklava", 0.5, PlanParams(t=0.7, r=0.3)), SMALL)
+# every weight finite, so the reader accepts it, but each embedding entry's square overflows float32
+SCALED = replace(MODEL, embedding=MODEL.embedding * np.float32(1e25))
 
 JUNK = st.one_of(
     st.text(max_size=4),
@@ -255,14 +257,14 @@ def _command_lines(draw):
     return argv
 
 
-def _run(argv: list[str], plan: dict, profile: dict) -> tuple[int, str]:
+def _run(argv: list[str], plan: dict, profile: dict, model=MODEL) -> tuple[int, str]:
     """Exit code and stderr of one in-process CLI run in a fresh working
     directory, where an edited command line may also write."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         names = ("model", "corpus", "plan", "profile", "out", "missing")
         files = {name: str(Path(tmp) / name) for name in names}
-        io.write_model_file(MODEL, files["model"])
+        io.write_model_file(model, files["model"])
         Path(files["corpus"]).write_bytes(bytes(range(40, 240)))
         io.write_json(files["plan"], plan)
         io.write_json(files["profile"], profile)
@@ -299,6 +301,23 @@ class TestCliContract:
             assert err == ""
         else:
             _one_json_error(err)
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(_command_lines())
+    @example(COMMANDS[4])
+    @example(COMMANDS[6])
+    def test_scaled_weights_exit_code_and_stderr(self, argv):
+        """The model file holds SCALED: a command that runs it fails with the
+        JSON error (the intact eval and generate lines at least), and no
+        command warns on stderr."""
+        code, err = _run(argv, PLAN_DOC, PROFILE_DOC, SCALED)
+        if code == 0:
+            assert err == ""
+        else:
+            _one_json_error(err)
+        if argv in (COMMANDS[4], COMMANDS[6]):
+            assert code == 1 and "non-finite arithmetic: overflow" in err, err
 
 
 @st.composite

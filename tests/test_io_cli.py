@@ -1247,6 +1247,51 @@ class TestCli:
         }
 
 
+@pytest.fixture(scope="module")
+def scaled_files(tmp_path_factory, toy_model):
+    """The seed-7 model with its embedding times 1e20, and inputs made for it.
+    Every weight is finite, so the reader accepts the file, but a hidden
+    state's sum of squares overflows float32 in the first RMS norm."""
+    d = tmp_path_factory.mktemp("scaled")
+    scaled = replace(toy_model, embedding=toy_model.embedding * np.float32(1e20))
+    io.write_model_file(scaled, str(d / "model.bklv"))
+    profile = profile_model(toy_model, [io.encode_bytes(b"the cache holds keys and values")])
+    io.write_profile(replace(profile, model_id=model_checksum(scaled)), str(d / "profile.json"))
+    io.write_plan(uniform_plan(toy_model.config, 0.3), toy_model.config, str(d / "plan.json"))
+    _write_text(d / "corpus.txt", 200, seed=2)
+    return d
+
+
+# the flags after --model of each command that reads a model; {d} is scaled_files
+_SCALED_ARGS = {
+    "profile": ["--prompt", "{d}/corpus.txt", "--out", "{out}"],
+    "search": ["--profile", "{d}/profile.json", "--corpus", "{d}/corpus.txt", "--compression", "0.3",
+               "--context-len", "64", "--t-grid", "0.7", "--r-grid", "0.3", "--out", "{out}"],
+    "eval": ["--plan", "{d}/plan.json", "--corpus", "{d}/corpus.txt", "--context-len", "64", "--out", "{out}"],
+    "sweep": ["--corpus", "{d}/corpus.txt", "--window", "1", "--compression", "0.3", "--context-len", "64",
+              "--profile", "{d}/profile.json", "--out", "{out}"],
+    "generate": ["--plan", "{d}/plan.json", "--text", "the cache", "--steps", "3"],
+}
+
+
+class TestNonFiniteArithmetic:
+    """Overflow or invalid arithmetic in a command is a JSON error, not a
+    report of zeros with a RuntimeWarning on stderr."""
+
+    @pytest.mark.parametrize("command", list(_SCALED_ARGS))
+    def test_overflow_exits_1_with_one_json_error_and_writes_nothing(self, scaled_files, command, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        flags = [arg.format(d=scaled_files, out=out) for arg in _SCALED_ARGS[command]]
+        assert main([command, "--model", str(scaled_files / "model.bklv"), *flags]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        error = json.loads(lines[0])
+        assert error["error"].startswith("non-finite arithmetic: overflow encountered") and error["violations"] == []
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # no --out file and no manifest
+
+
 def _subparsers():
     return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 

@@ -42,6 +42,7 @@ from bklv.model import (
     check_tokens,
     deserialize_model,
     forward_layer,
+    output_logits,
     rope_rotate,
     serialize_model,
 )
@@ -430,8 +431,12 @@ class TestBudgetedStepping:
 
     def test_a_chunk_after_a_prefix_takes_the_decode_step_per_token(self, small_model, monkeypatch, rng):
         # the prefix overflows layer 0's group 0 (budget 4) only, the chunk its group 1 (budget 6) too
-        calls, expected = self._step_calls(small_model, monkeypatch, list(range(5)), [7, 8, 9, 200])
-        assert calls == expected
+        tokens = [7, 8, 9, 200]
+        calls, layer_major = self._step_calls(small_model, monkeypatch, list(range(5)), tokens)
+        # token-major: one token's appends and attention in layers 0 to L-1 come before the next token's
+        size, n = SMALL.num_kv_heads + 1, len(tokens)
+        steps = [layer_major[i : i + size] for i in range(0, len(layer_major), size)]  # layer l, token t at l * n + t
+        assert calls == [call for t in range(n) for step in steps[t::n] for call in step]
         monkeypatch.undo()
         # out and heads are the one-token calls', bit for bit: a batch of 2, sinks 2,
         # and a prefix of 6 past group 0's budget (4) but not group 1's (9)
@@ -492,8 +497,20 @@ class TestServedTraffic:
             calls.append((x.shape[1] > 1, any(store.seen)))
             return forward_layer(model, li, x, store)
 
+        def chunk(model, tokens, caches):  # every forward_chunk call, which steps a continuing chunk itself
+            calls.append((np.size(tokens) > 1, caches.total_seen > 0))
+            return forward_chunk(model, tokens, caches)
+
+        def token_step(cfg, layer, x, caches, rope):  # forward_chunk's one-token step, one row
+            calls.append((False, any(cache.total_seen for cache in caches)))
+            return token_qkv(cfg, layer, x, caches, rope)
+
         for module in (model_module, search_module, profiling_module):
             monkeypatch.setattr(module, "forward_layer", recording)
+        for module in (model_module, search_module):
+            monkeypatch.setattr(module, "forward_chunk", chunk)
+        token_qkv = model_module._token_qkv
+        monkeypatch.setattr(model_module, "_token_qkv", token_step)
         corpus = rng.integers(0, SMALL.vocab_size, size=140)
         plan = uniform_plan(SMALL, 0.5)
         chunked_perplexity(small_model, corpus, 64, plan)
@@ -502,6 +519,50 @@ class TestServedTraffic:
         layer_sweep(small_model, corpus, 48, 1, 0.5)
         greedy_generate(small_model, corpus[:20], 30, build_cache_set(plan, SMALL))
         assert set(calls) == {(True, False), (False, True)}  # chunks into empty stores, then single tokens
+
+
+class TestTokenMajorStep:
+    """forward_chunk's token step, each token through every layer, against
+    one-token forward_layer calls made layer by layer."""
+
+    def test_logits_and_stores_equal_one_token_layer_calls(self, small_model, rng):
+        # unequal budgets, 2 sinks: the prefix of 6 overflows budget 5 only, the
+        # single tokens overflow 9 and 10 too, the continuing chunk of 20 all four
+        plan = AllocationPlan(0.0, 2, np.array([[5, 9], [12, 10]]), "custom", PlanParams())
+        stepped, layered = build_cache_set(plan, SMALL), build_cache_set(plan, SMALL)
+        tokens = rng.integers(0, SMALL.vocab_size, size=32)
+        for caches in (stepped, layered):
+            forward_chunk(small_model, tokens[:6], caches)
+        for a, b in [(t, t + 1) for t in range(6, 12)] + [(12, 32)]:
+            rows = []
+            for token in tokens[a:b]:
+                x = small_model.embedding[[[token]]]
+                for li, store in enumerate(layered.stores):
+                    x, _ = forward_layer(small_model, li, x, store)
+                rows.append(x[0, 0])
+            logits, _ = forward_chunk(small_model, tokens[a:b], stepped)
+            assert logits.tobytes() == output_logits(small_model, np.stack(rows)).tobytes()
+        for mine, theirs in zip(stepped.stores, layered.stores):
+            assert mine.keys.tobytes() == theirs.keys.tobytes()
+            assert mine.values.tobytes() == theirs.values.tobytes()
+            assert mine.seen == theirs.seen == [32] * SMALL.num_kv_heads
+
+    @pytest.mark.parametrize("prefix, tokens", [([], [4, 5, 6]), ([1, 2, 3], [4]), ([1, 2, 3], [4, 5, 6])])
+    def test_a_cache_count_off_in_a_later_layer_raises_before_any_append(self, small_model, prefix, tokens):
+        plan = uniform_plan(SMALL, 0.5)
+        caches = build_cache_set(plan, SMALL)
+        wrong = LayerStore([16] * (SMALL.num_kv_heads + 1), plan.sinks, SMALL.head_dim)
+        if prefix:
+            forward_chunk(small_model, prefix, caches)
+            rows = np.ones((len(prefix), SMALL.head_dim), np.float32)
+            for cache in wrong.caches:  # at the stream position of the others
+                append_and_evict(cache, rows, rows)
+        caches.stores[-1] = wrong
+        before = [(s.keys.copy(), s.values.copy(), list(s.seen)) for s in caches.stores]
+        with pytest.raises(ShapeError, match="3 caches for a batch of 1 with 2 KV groups"):
+            forward_chunk(small_model, tokens, caches)
+        for store, (keys, values, seen) in zip(caches.stores, before):
+            assert np.array_equal(store.keys, keys) and np.array_equal(store.values, values) and store.seen == seen
 
 
 @st.composite
