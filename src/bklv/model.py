@@ -185,31 +185,22 @@ def output_logits(model: Model, x: np.ndarray) -> np.ndarray:
 def forward_layer(
     model: Model, li: int, x: np.ndarray, store: LayerStore
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run hidden states x (batch, tokens, d_model) through layer li.
+    """Run a chunk of hidden states x (batch, tokens >= 2, d_model) through layer li's empty stores, in one pass.
 
     Returns (out, heads): the new hidden states, shaped like x, and the
     attention output of every query head, (batch, q_heads, tokens, head_dim).
 
     `store` is the layer's: store.caches[b * kv_groups + g] is sequence b's
-    group g (batch-major), all at the same stream position (CacheSet.total_seen
-    checks it). A chunk into empty stores is one pass (_heads); one token, or a
-    chunk that continues a stream, steps token by token as decode does: every
-    sequence's _token_qkv, one attend_with_cache, every sequence's _token_out.
-    The dense ops run one product per sequence, so each sequence's result
-    depends on its x and caches only, and a chunk's temporaries stay the size
-    of one sequence.
+    group g (batch-major), and every one must hold no token. One token, or a
+    chunk into stores that hold tokens, raises InputError before any append:
+    forward_chunk steps those token by token. The dense ops run one product
+    per sequence, so each sequence's result depends on its x only, and a
+    chunk's temporaries stay the size of one sequence.
     """
-    cfg, layer, kv, (batch, n, _) = model.config, model.layers[li], model.config.num_kv_heads, x.shape
-    _check_caches(store, batch, kv)  # again under forward_chunk; search and profiling call this directly
-    if n == 1 or store.seen[0]:
-        out, heads = np.empty(x.shape, np.float32), np.empty((batch, cfg.num_q_heads, n, cfg.head_dim), np.float32)
-        for t in range(n):
-            rope = _rope_rows(cfg.rope_theta, cfg.head_dim, store.seen[0], 1)
-            attended = attend_with_cache(store, np.concatenate(
-                [_token_qkv(cfg, layer, x[b, t], store.caches[b * kv : (b + 1) * kv], rope) for b in range(batch)]))
-            heads[:, :, t] = attended.reshape(batch, -1, cfg.head_dim)
-            out[:, t] = [_token_out(layer, x[b, t], attended[b * kv : (b + 1) * kv]) for b in range(batch)]
-        return out, heads
+    cfg, layer, (batch, n, _) = model.config, model.layers[li], x.shape
+    _check_caches(store, batch, cfg.num_kv_heads)  # again under forward_chunk; search and profiling call this directly
+    if n < 2 or any(store.seen):
+        raise InputError(f"forward_layer takes 2+ tokens into empty stores, got {n} at position {max(store.seen)}")
     heads = _heads(cfg, layer, x, store)
     out = np.empty(x.shape, np.float32)
     for b in range(batch):
@@ -225,8 +216,8 @@ def _check_caches(store: LayerStore, batch: int, kv: int) -> None:
 
 
 def _token_qkv(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, caches, rope) -> np.ndarray:
-    """One sequence's token, hidden row x: its product with layer.qkv, q and k rotated in place by `rope`
-    (_rope_rows), one row appended to each of its `caches`. Returns the query heads (kv, g, 1, d), a view."""
+    """forward_chunk's token step in one layer, hidden row x: its product with layer.qkv, q and k rotated in place
+    by `rope` (_rope_rows), one row appended to each of `caches`. Returns the query heads (kv, g, 1, d), a view."""
     kv, d, k_col = cfg.num_kv_heads, cfg.head_dim, cfg.num_q_heads * cfg.head_dim  # where k starts in qkv
     p = rms_norm(x, layer.norm1) @ layer.qkv
     qk = p[: -kv * d].reshape(1, -1, d)
@@ -244,9 +235,9 @@ def _token_out(layer: LayerWeights, x: np.ndarray, heads: np.ndarray) -> np.ndar
 
 
 def _heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
-    """The heads (batch, q_heads, n, head_dim) of a chunk x (batch, n > 1, d_model) into empty stores: the qkv
-    product scattered into qk[i] (cache i's query heads, key) and v[i] (values, ones), qk rotated, a segment no
-    cache evicts in appended, then single tokens cache by cache, and attention over its own rows, in place."""
+    """The heads (batch, q_heads, n, head_dim) of forward_layer's chunk x (batch, n > 1, d_model), positions 0..n-1:
+    the qkv product scattered into qk[i] (cache i's query heads, key) and v[i] (values, ones), qk rotated, a segment
+    no cache evicts in appended, then single tokens cache by cache, and attention over its own rows, in place."""
     batch, n, _ = x.shape
     kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
     k_col, v_col = cfg.num_q_heads * d, (cfg.num_q_heads + kv) * d  # where k and v start in qkv
@@ -259,7 +250,7 @@ def _heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerSto
         qk[caches, g] = p[:, k_col:v_col].reshape(n, kv, d).transpose(1, 0, 2)
         v[caches, :, :d] = p[:, v_col:].reshape(n, kv, d).transpose(1, 0, 2)
         qk_b = qk[caches].reshape(-1, n, d).transpose(1, 0, 2)  # (n, kv * (g + 1), d), rotated in place
-        rope_rotate(qk_b, store.seen[0], cfg.rope_theta, out=qk_b)
+        rope_rotate(qk_b, 0, cfg.rope_theta, out=qk_b)
         del p  # one product alive at a time, and none through the appends and attention
     q, k = qk[:, :g], qk[:, g]  # (batch * kv, g, n, d) and (batch * kv, n, d)
     m = min(n, min(store.budgets))  # a segment no cache overflows
@@ -278,9 +269,9 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
     as the budgets require), then every query attends over exactly what
     token-by-token generation retains: a chunk into empty caches layer by
     layer (forward_layer), else token by token, each token through every
-    layer as decode's step with its rotary rows looked up once. Logits, from
-    one output_logits over the final rows, agree with generation up to
-    float32 rounding.
+    layer with its rotary rows looked up once, the only caller of _token_qkv,
+    attend_with_cache and _token_out. Logits, from one output_logits over
+    the final rows, agree with generation up to float32 rounding.
 
     Returns (logits, None), with logits (len(tokens), vocab_size).
     """

@@ -6,6 +6,8 @@ import pytest
 from bklv import LayerStore, ModelConfig, init_model
 from bklv.model import forward_layer
 
+from .reference import layer_steps
+
 SMALL = ModelConfig(
     num_layers=2,
     num_q_heads=4,
@@ -38,15 +40,17 @@ def rng():
 
 def layer_probes(model, tokens) -> dict:
     """What profiling compares, for `tokens` run layer by layer through
-    forward_layer over stores that hold them all (slot j holds token j):
-    reference_budgeted_logits' probes, with the same keys and shapes."""
+    forward_layer, or one token through layer_steps, over stores that hold
+    them all (slot j holds token j): reference_budgeted_logits' probes, with
+    the same keys and shapes."""
     cfg = model.config
     x = model.embedding[np.asarray(tokens)[None]].astype(np.float32)
+    step = forward_layer if x.shape[1] > 1 else layer_steps
     probes = {"head_input_v": [], "head_output": [], "layer_input": [], "layer_output": []}
     for li in range(cfg.num_layers):
         store = LayerStore([x.shape[1]] * cfg.num_kv_heads, 0, cfg.head_dim)
         probes["layer_input"].append(x[0])
-        x, heads = forward_layer(model, li, x, store)
+        x, heads = step(model, li, x, store)
         probes["head_input_v"].append(store.values)
         probes["head_output"].append(heads[0])
         probes["layer_output"].append(x[0])

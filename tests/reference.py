@@ -15,7 +15,7 @@ import numpy as np
 
 from bklv.cache import LayerStore, append_and_evict, attend_with_cache
 from bklv.errors import ShapeError
-from bklv.model import _silu, forward_layer, rms_norm, rope_rotate, serialize_model
+from bklv.model import _rope_rows, _rotate, _token_out, _token_qkv, forward_layer, rms_norm, serialize_model
 from bklv.profiling import (
     ImportanceProfile,
     group_kv_importance,
@@ -200,35 +200,37 @@ def reference_budgeted_logits(model, tokens, budgets, sinks: int):
     return logits, probes
 
 
-def three_projection_step(model, li: int, x, store):
-    """forward_layer of one token, x (batch, 1, d_model), as it ran before
-    the packed projection: three matmuls with attn_q, attn_k and attn_v,
-    their columns scattered into fresh qk and v buffers, qk rotated there,
-    one row appended per cache and the token attended over the store.
-    Returns (out, heads) as forward_layer does. It shares forward_layer's
-    norm, rotary, append and attention, so it checks the packed product
-    and its views bit for bit, not those."""
+def layer_steps(model, li: int, x, store, qkv=_token_qkv):
+    """Layer li over a stream's tokens x (1, n, d_model), one token at a
+    time: qkv (_token_qkv, or three_projection_step), one attend_with_cache
+    over the store, _token_out. Returns (out, heads) as forward_layer does.
+    These are the parts forward_chunk's token loop runs, here layer-major,
+    so comparing the two checks that loop's schedule and rotary rows bit for
+    bit, not the parts; forward_layer itself takes only a chunk into empty
+    stores."""
     cfg, layer = model.config, model.layers[li]
-    batch, kv, g, d = x.shape[0], cfg.num_kv_heads, cfg.group_size, cfg.head_dim
-    qk = np.empty((batch * kv, g + 1, 1, d), np.float32)
-    v = np.empty((batch * kv, 1, d), np.float32)
-    for b in range(batch):
-        h, caches = rms_norm(x[b], layer.norm1), slice(b * kv, (b + 1) * kv)
-        qk[caches, :g] = (h @ layer.attn_q).reshape(1, kv, g, d).transpose(1, 2, 0, 3)
-        qk[caches, g] = (h @ layer.attn_k).reshape(1, kv, d).transpose(1, 0, 2)
-        v[caches] = (h @ layer.attn_v).reshape(1, kv, d).transpose(1, 0, 2)
-        qk_b = qk[caches].reshape(-1, 1, d).transpose(1, 0, 2)
-        rope_rotate(qk_b, store.seen[0], cfg.rope_theta, out=qk_b)
-    for cache, k_new, v_new in zip(store.caches, qk[:, g], v):
-        append_and_evict(cache, k_new, v_new)
-    heads = attend_with_cache(store, qk[:, :g]).reshape(batch, cfg.num_q_heads, 1, d)
-    out = np.empty(x.shape, np.float32)
-    for b in range(batch):
-        np.add(x[b], heads[b].transpose(1, 0, 2).reshape(1, -1) @ layer.attn_out, out=out[b])
-    with np.errstate(over="ignore"):
-        for xb in out:
-            xb += _silu(rms_norm(xb, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
+    out, heads = np.empty(x.shape, np.float32), np.empty((1, cfg.num_q_heads, x.shape[1], cfg.head_dim), np.float32)
+    for t, row in enumerate(x[0]):
+        rope = _rope_rows(cfg.rope_theta, cfg.head_dim, store.seen[0], 1)
+        attended = attend_with_cache(store, qkv(cfg, layer, row, store.caches, rope))
+        heads[0, :, t] = attended.reshape(-1, cfg.head_dim)
+        out[0, t] = _token_out(layer, row, attended)
     return out, heads
+
+
+def three_projection_step(cfg, layer, x, caches, rope):
+    """_token_qkv as it ran before the packed projection: hidden row x's
+    three products with attn_q, attn_k and attn_v, q and k rotated by `rope`
+    into fresh arrays, one row appended to each of `caches`. Returns the
+    query heads (kv, g, 1, head_dim). It shares _token_qkv's norm, rotation
+    and append, so it checks the packed product and its views bit for bit,
+    not those."""
+    kv, d = cfg.num_kv_heads, cfg.head_dim
+    h = rms_norm(x, layer.norm1)
+    q, k = (_rotate((h @ w).reshape(1, -1, d), *rope) for w in (layer.attn_q, layer.attn_k))
+    for cache, k_new, v_new in zip(caches, k.reshape(kv, 1, d), (h @ layer.attn_v).reshape(kv, 1, d)):
+        append_and_evict(cache, k_new, v_new)
+    return q.reshape(kv, -1, 1, d)
 
 
 def reference_generate(model, prompt, steps: int) -> list[int]:

@@ -50,6 +50,7 @@ from bklv.model import (
 from .conftest import SMALL, warm_peak_bytes
 from .reference import (
     brute_attention,
+    layer_steps,
     naive_row_softmax,
     reference_budgeted_logits,
     reference_generate,
@@ -306,10 +307,11 @@ def _budgeted_runs(draw):
 
 
 def _run_calls(model, budgets, sinks, tokens, cuts):
-    """Drive forward_layer over a cache set's stores, one call per layer for
-    each cut of tokens. Returns the logits, each layer's input, heads and
-    output for every token, the cache set, and forward_chunk's logits over
-    another cache set with the same cuts."""
+    """Drive a cache set's stores layer by layer for each cut of tokens, one
+    forward_layer call per layer for a first cut of 2 or more, else
+    layer_steps. Returns the logits, each layer's input, heads and output
+    for every token, the cache set, and forward_chunk's logits over another
+    cache set with the same cuts."""
     plan = AllocationPlan(0.0, sinks, np.array(budgets, dtype=np.int64), "custom", PlanParams())
     caches, chunked = build_cache_set(plan, model.config), build_cache_set(plan, model.config)
     bounds = [0, *cuts, len(tokens)]
@@ -317,11 +319,12 @@ def _run_calls(model, budgets, sinks, tokens, cuts):
     probes = {"head_output": [], "layer_input": [], "layer_output": []}
     for a, b in zip(bounds[:-1], bounds[1:]):
         x = model.embedding[np.asarray(tokens[a:b])[None]].astype(np.float32)
+        step = forward_layer if a == 0 and b - a > 1 else layer_steps
         for name in probes:
             probes[name].append([])
         for li, store in enumerate(caches.stores):
             probes["layer_input"][-1].append(x[0])
-            x, heads = forward_layer(model, li, x, store)
+            x, heads = step(model, li, x, store)
             probes["head_output"][-1].append(heads[0])
             probes["layer_output"][-1].append(x[0])
         logits.append(model_module.output_logits(model, x[0]))
@@ -438,18 +441,20 @@ class TestBudgetedStepping:
         steps = [layer_major[i : i + size] for i in range(0, len(layer_major), size)]  # layer l, token t at l * n + t
         assert calls == [call for t in range(n) for step in steps[t::n] for call in step]
         monkeypatch.undo()
-        # out and heads are the one-token calls', bit for bit: a batch of 2, sinks 2,
-        # and a prefix of 6 past group 0's budget (4) but not group 1's (9)
-        budgets, sinks, prefix, n = [4, 9], 2, 6, 7
-        x = rng.normal(size=(2, prefix + n, SMALL.d_model)).astype(np.float32)
-        chunked, stepped = (LayerStore(budgets * 2, sinks, SMALL.head_dim) for _ in range(2))
-        for store in (chunked, stepped):
-            forward_layer(small_model, 1, x[:, :prefix], store)
-        out, heads = forward_layer(small_model, 1, x[:, prefix:], chunked)
-        steps = [forward_layer(small_model, 1, x[:, t : t + 1], stepped) for t in range(prefix, prefix + n)]
-        assert out.tobytes() == np.concatenate([o for o, _ in steps], 1).tobytes()
-        assert heads.tobytes() == np.concatenate([h for _, h in steps], 2).tobytes()
-        assert (chunked.keys.tobytes(), chunked.values.tobytes()) == (stepped.keys.tobytes(), stepped.values.tobytes())
+        # the stores are the one-token calls', bit for bit, and the logits theirs up to the
+        # rounding of one output product per row: sinks 2, and a prefix of 6 past group 0's
+        # budget (4) but not group 1's (9)
+        plan = AllocationPlan(0.0, 2, np.array([[4, 9]] * SMALL.num_layers), "custom", PlanParams())
+        chunked, stepped = build_cache_set(plan, SMALL), build_cache_set(plan, SMALL)
+        tokens = rng.integers(0, SMALL.vocab_size, size=13)
+        for caches in (chunked, stepped):
+            forward_chunk(small_model, tokens[:6], caches)
+        logits, _ = forward_chunk(small_model, tokens[6:], chunked)
+        steps = np.concatenate([forward_chunk(small_model, [token], stepped)[0] for token in tokens[6:]])
+        np.testing.assert_allclose(logits, steps, rtol=0, atol=1e-5)
+        for mine, theirs in zip(chunked.stores, stepped.stores):
+            assert (mine.keys.tobytes(), mine.values.tobytes()) == (theirs.keys.tobytes(), theirs.values.tobytes())
+            assert mine.seen == theirs.seen == [13] * SMALL.num_kv_heads
 
     def test_a_chunk_appends_every_row_before_its_banded_pass_moves_the_sinks(self, small_model, monkeypatch, rng):
         """The banded pass works the layer step's keys and values in place, so
@@ -523,7 +528,7 @@ class TestServedTraffic:
 
 class TestTokenMajorStep:
     """forward_chunk's token step, each token through every layer, against
-    one-token forward_layer calls made layer by layer."""
+    one-token layer_steps calls made layer by layer."""
 
     def test_logits_and_stores_equal_one_token_layer_calls(self, small_model, rng):
         # unequal budgets, 2 sinks: the prefix of 6 overflows budget 5 only, the
@@ -538,7 +543,7 @@ class TestTokenMajorStep:
             for token in tokens[a:b]:
                 x = small_model.embedding[[[token]]]
                 for li, store in enumerate(layered.stores):
-                    x, _ = forward_layer(small_model, li, x, store)
+                    x, _ = layer_steps(small_model, li, x, store)
                 rows.append(x[0, 0])
             logits, _ = forward_chunk(small_model, tokens[a:b], stepped)
             assert logits.tobytes() == output_logits(small_model, np.stack(rows)).tobytes()
@@ -568,16 +573,15 @@ class TestTokenMajorStep:
 @st.composite
 def _layer_batches(draw):
     """One layer of SMALL: unequal budgets, random sinks, a batch of
-    hidden-state sequences, a shared prefix already in the caches (none,
-    or enough to fill some), and a score cap that forces tiling or not."""
+    hidden-state chunks into empty stores, and a score cap that forces
+    tiling or not."""
     sinks = draw(st.integers(0, 4))
     budgets = [draw(st.integers(sinks + 1, 20)) for _ in range(SMALL.num_kv_heads)]
     batch = draw(st.integers(1, 4))
-    prefix = draw(st.integers(0, 24))
-    n = draw(st.integers(1, 24))
+    n = draw(st.integers(2, 24))
     cap = draw(st.sampled_from([cache_module.SCORE_CAP, 1, 50]))
     li = draw(st.integers(0, SMALL.num_layers - 1))
-    return budgets, sinks, batch, prefix, n, cap, li, draw(st.integers(0, 2**16))
+    return budgets, sinks, batch, n, cap, li, draw(st.integers(0, 2**16))
 
 
 class TestBatchedLayer:
@@ -585,29 +589,24 @@ class TestBatchedLayer:
 
     @settings(max_examples=40, deadline=None)
     @given(_layer_batches())
-    # the prefix fills group 0 and leaves group 1 partly free
-    @example(([3, 9], 2, 3, 5, 12, cache_module.SCORE_CAP, 1, 0))
     # one group per score tile; the first segment has 9 rows
-    @example(([9, 10], 0, 4, 0, 16, 1, 0, 1))
-    # one token after a prefix past every budget: the decode step at batch 3, ring wrapped
-    @example(([5, 7], 2, 3, 20, 1, 1, 0, 3))
+    @example(([9, 10], 0, 4, 16, 1, 0, 1))
+    # the chunk overflows group 0 and leaves group 1 partly free
+    @example(([3, 9], 2, 3, 7, cache_module.SCORE_CAP, 1, 0))
     def test_batch_equals_one_sequence_calls(self, small_model, case):
-        budgets, sinks, batch, prefix, n, cap, li, seed = case
+        budgets, sinks, batch, n, cap, li, seed = case
         cfg = SMALL
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(batch, prefix + n, cfg.d_model)).astype(np.float32)
+        x = np.random.default_rng(seed).normal(size=(batch, n, cfg.d_model)).astype(np.float32)
         together = LayerStore(budgets * batch, sinks, cfg.head_dim)
         alone = [LayerStore(budgets, sinks, cfg.head_dim) for _ in range(batch)]
-        bounds = [0, prefix, prefix + n] if prefix else [0, n]
         with mock.patch.object(cache_module, "SCORE_CAP", cap):
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                got, heads = forward_layer(small_model, li, x[:, a:b], together)
-                assert got.shape == (batch, b - a, cfg.d_model)
-                assert heads.shape == (batch, cfg.num_q_heads, b - a, cfg.head_dim)
-                for seq in range(batch):
-                    one, one_heads = forward_layer(small_model, li, x[seq : seq + 1, a:b], alone[seq])
-                    assert np.array_equal(got[seq], one[0])
-                    assert np.array_equal(heads[seq], one_heads[0])
+            got, heads = forward_layer(small_model, li, x, together)
+            assert got.shape == (batch, n, cfg.d_model)
+            assert heads.shape == (batch, cfg.num_q_heads, n, cfg.head_dim)
+            for seq in range(batch):
+                one, one_heads = forward_layer(small_model, li, x[seq : seq + 1], alone[seq])
+                assert np.array_equal(got[seq], one[0])
+                assert np.array_equal(heads[seq], one_heads[0])
         for seq, store in enumerate(alone):
             for grp, cache in enumerate(store.caches):
                 mine = together.caches[seq * cfg.num_kv_heads + grp]
@@ -620,6 +619,35 @@ class TestBatchedLayer:
         x = np.zeros((2, 3, SMALL.d_model), np.float32)
         with pytest.raises(ShapeError):
             forward_layer(small_model, 0, x, store)
+
+
+class TestChunkOnlyLayer:
+    """forward_layer takes only a chunk of 2 or more tokens into empty
+    stores; forward_chunk steps everything else. Any other call raises
+    InputError and leaves the store as it was."""
+
+    @pytest.mark.parametrize("batch, prefix, n", [(1, 0, 1), (3, 0, 1), (1, 6, 1), (1, 6, 5), (2, 20, 3)])
+    def test_one_token_or_a_chunk_into_a_store_holding_tokens_raises(self, small_model, rng, batch, prefix, n):
+        store = LayerStore([4, 9] * batch, 2, SMALL.head_dim)
+        x = rng.normal(size=(batch, prefix + n, SMALL.d_model)).astype(np.float32)
+        if prefix:
+            forward_layer(small_model, 1, x[:, :prefix], store)
+        before = store.keys.copy(), store.values.copy(), list(store.seen)
+        message = rf"^forward_layer takes 2\+ tokens into empty stores, got {n} at position {prefix}$"
+        with pytest.raises(InputError, match=message):
+            forward_layer(small_model, 1, x[:, prefix:], store)
+        assert np.array_equal(store.keys, before[0]) and np.array_equal(store.values, before[1])
+        assert store.seen == before[2]
+
+    def test_a_chunk_into_a_store_where_one_group_holds_tokens_raises(self, small_model, rng):
+        store = LayerStore([4, 9], 2, SMALL.head_dim)
+        rows = np.ones((3, SMALL.head_dim), np.float32)
+        append_and_evict(store.caches[1], rows, rows)
+        before = store.keys.copy(), store.values.copy()
+        with pytest.raises(InputError, match="got 5 at position 3$"):
+            forward_layer(small_model, 0, rng.normal(size=(1, 5, SMALL.d_model)).astype(np.float32), store)
+        assert np.array_equal(store.keys, before[0]) and np.array_equal(store.values, before[1])
+        assert store.seen == [0, 3]
 
 
 def _pairwise_rope(x, positions, theta):
@@ -813,15 +841,17 @@ class TestPackedProjection:
         assert np.array_equal(new.attn_k, keys) and new.attn_k.base is new.qkv
         assert np.array_equal(new.attn_q, layer.attn_q) and np.array_equal(new.attn_v, layer.attn_v)
         model = replace(small_model, layers=[small_model.layers[0], new])
-        x = rng.normal(size=(1, 12, SMALL.d_model)).astype(np.float32)
-        stores = [LayerStore([5, 7], 1, SMALL.head_dim) for _ in range(3)]
-        for t in range(12):  # one token at a time, past eviction
-            got = forward_layer(model, 1, x[:, t : t + 1], stores[0])
-            want = three_projection_step(model, 1, x[:, t : t + 1], stores[1])
-            old = forward_layer(small_model, 1, x[:, t : t + 1], stores[2])
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            assert t == 0 or not np.array_equal(got[1], old[1])  # the new keys move the weights
-        assert not np.array_equal(stores[0].keys, stores[2].keys)
+        plan = AllocationPlan(0.0, 1, np.array([[5, 7]] * SMALL.num_layers), "custom", PlanParams())
+        sets = [build_cache_set(plan, SMALL) for _ in range(3)]
+        for t, token in enumerate(rng.integers(0, SMALL.vocab_size, size=12)):  # one at a time, past eviction
+            got, _ = forward_chunk(model, [token], sets[0])
+            x = model.embedding[[[token]]]
+            for li, store in enumerate(sets[1].stores):
+                x, _ = layer_steps(model, li, x, store, qkv=three_projection_step)
+            old, _ = forward_chunk(small_model, [token], sets[2])
+            assert got.tobytes() == output_logits(model, x[0]).tobytes()
+            assert t == 0 or not np.array_equal(got, old)  # the new keys move the weights
+        assert not np.array_equal(sets[0].stores[1].keys, sets[2].stores[1].keys)
 
     @pytest.mark.parametrize("rows", [1, 2, 7, 256])
     def test_column_blocks_of_the_packed_product_are_the_separate_products(self, small_model, toy_model, rows):
@@ -838,42 +868,44 @@ class TestPackedProjection:
 
 @st.composite
 def _decode_steps(draw):
-    """One layer of SMALL or the seed-7 model: unequal budgets, random sinks,
-    a batch, a prefix chunk, then single tokens past every budget."""
+    """SMALL or the seed-7 model: unequal budgets, the same in every layer,
+    random sinks, a prefix chunk, then single tokens past every budget."""
     model = draw(st.sampled_from(["small_model", "toy_model"]))
     kv = (SMALL if model == "small_model" else ModelConfig()).num_kv_heads
     sinks = draw(st.integers(0, 4))
     budgets = [draw(st.integers(sinks + 1, 16)) for _ in range(kv)]
     prefix = draw(st.integers(0, 10))
     steps = max(budgets) - prefix + draw(st.integers(1, 8))
-    return model, budgets, sinks, draw(st.integers(1, 3)), prefix, steps, draw(st.integers(0, 3)), draw(st.integers(0, 2**16))
+    return model, budgets, sinks, prefix, steps, draw(st.integers(0, 2**16))
 
 
 class TestOneTokenStep:
-    """forward_layer's one-token step, which reads q, k and v as views of one
+    """forward_chunk's one-token step, which reads q, k and v as views of one
     packed product, against the three-projection step it replaced."""
 
     @settings(max_examples=40, deadline=None)
     @given(_decode_steps())
-    @example(("toy_model", [6, 3, 9, 4], 2, 1, 0, 20, 3, 0))  # unequal budgets, from an empty store
-    @example(("small_model", [2, 5], 1, 3, 4, 9, 1, 1))  # a batch of 3 after a prefix chunk
-    def test_heads_and_outputs_equal_the_three_projection_step(self, request, case):
-        name, budgets, sinks, batch, prefix, steps, li, seed = case
+    @example(("toy_model", [6, 3, 9, 4], 2, 0, 20, 0))  # unequal budgets, from empty stores
+    @example(("small_model", [2, 5], 1, 4, 9, 1))  # after a prefix chunk
+    def test_logits_and_stores_equal_the_three_projection_step(self, request, case):
+        name, budgets, sinks, prefix, steps, seed = case
         model = request.getfixturevalue(name)
         cfg = model.config
-        li = li % cfg.num_layers
-        x = np.random.default_rng(seed).normal(size=(batch, prefix + steps, cfg.d_model)).astype(np.float32)
-        fast, slow = (LayerStore(budgets * batch, sinks, cfg.head_dim) for _ in range(2))
+        plan = AllocationPlan(0.0, sinks, np.array([budgets] * cfg.num_layers), "custom", PlanParams())
+        fast, slow = build_cache_set(plan, cfg), build_cache_set(plan, cfg)
+        tokens = np.random.default_rng(seed).integers(0, cfg.vocab_size, size=prefix + steps)
         if prefix:
-            forward_layer(model, li, x[:, :prefix], fast)
-            forward_layer(model, li, x[:, :prefix], slow)
-        for t in range(prefix, prefix + steps):
-            out, heads = forward_layer(model, li, x[:, t : t + 1], fast)
-            want_out, want_heads = three_projection_step(model, li, x[:, t : t + 1], slow)
-            assert heads.tobytes() == want_heads.tobytes() and out.tobytes() == want_out.tobytes()
-        assert fast.seen == slow.seen == [prefix + steps] * len(fast.seen)
-        assert [c.retained for c in fast.caches] == [c.retained for c in slow.caches]
-        assert fast.keys.tobytes() == slow.keys.tobytes() and fast.values.tobytes() == slow.values.tobytes()
+            forward_chunk(model, tokens[:prefix], fast)
+            forward_chunk(model, tokens[:prefix], slow)
+        for token in tokens[prefix:]:
+            logits, _ = forward_chunk(model, [token], fast)
+            x = model.embedding[[[token]]]
+            for li, store in enumerate(slow.stores):
+                x, _ = layer_steps(model, li, x, store, qkv=three_projection_step)
+            assert logits.tobytes() == output_logits(model, x[0]).tobytes()
+        for mine, theirs in zip(fast.stores, slow.stores):
+            assert mine.seen == theirs.seen == [prefix + steps] * cfg.num_kv_heads
+            assert mine.keys.tobytes() == theirs.keys.tobytes() and mine.values.tobytes() == theirs.values.tobytes()
 
 
 class TestTokenRule:
