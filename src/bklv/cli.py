@@ -64,6 +64,12 @@ def _context_len(args, model) -> int:
     return model.config.max_context if args.context_len is None else args.context_len
 
 
+def _window(args, model) -> int:
+    """--window, or the widest odd window of at most DEFAULT_WINDOW layers that fits the model."""
+    layers = model.config.num_layers
+    return min(DEFAULT_WINDOW, layers - (layers + 1) % 2) if args.window is None else args.window
+
+
 _INIT_FIELDS = [f for f in fields(ModelConfig) if f.name != "d_model"]  # init-model's flags
 
 
@@ -152,7 +158,7 @@ def cmd_sweep(args) -> int:
     model = io.read_model_file(args.model)
     profile = _read_profile_for(model, args.profile) if args.profile else None
     corpus = io.load_corpus(args.corpus)
-    report = layer_sweep(model, corpus, _context_len(args, model), args.window, args.compression, args.sinks)
+    report = layer_sweep(model, corpus, _context_len(args, model), _window(args, model), args.compression, args.sinks)
     if profile is not None:
         report["correlation"] = heuristic_vs_empirical(profile, report)
     io.write_json(args.out, {"format_version": io.SWEEP_VERSION, **report})
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[model, corpus, compression, sinks],
                        help="compress a sliding layer window and score each center")
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--window", type=int, default=None, help=f"odd; default: the widest that fits, at most {DEFAULT_WINDOW}")
     p.add_argument("--profile", default=None, help="adds heuristic correlation")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

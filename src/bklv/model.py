@@ -135,21 +135,17 @@ def _rope_rows(
     return tables[0][start : start + n], tables[1][start : start + n]
 
 
-def rope_rotate(
-    x: np.ndarray, start: int, theta: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def rope_rotate(x: np.ndarray, start: int, theta: float, out: np.ndarray | None = None) -> np.ndarray:
     """Rotate per-head vectors by their absolute positions, into `out` if given.
 
     x: (tokens, heads, head_dim), or (1, ..., head_dim) for one token, the
-    tokens at positions start, start + 1, ... (start >= 0). Angles are computed in float64 and the rotation
-    applied in float32, as x * [cos, cos] + [x2, x1] * [-sin, sin] for
-    halves (x1, x2): bit for bit (x1 cos - x2 sin, x1 sin + x2 cos), as
-    negation is exact and + commutes.
+    tokens at positions start, start + 1, ... (start >= 0); both steps rotate
+    here. Angles are computed in float64 and the rotation applied in float32,
+    as x * [cos, cos] + [x2, x1] * [-sin, sin] for halves (x1, x2): bit for
+    bit (x1 cos - x2 sin, x1 sin + x2 cos), as negation is exact and +
+    commutes.
     """
-    return _rotate(x, *_rope_rows(theta, x.shape[-1], start, len(x)), out)
-
-
-def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    cos, sin = _rope_rows(theta, x.shape[-1], start, len(x))
     half = x.shape[-1] // 2
     swapped = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
     out = np.multiply(x, cos, out=out)
@@ -182,10 +178,9 @@ def output_logits(model: Model, x: np.ndarray) -> np.ndarray:
     return rms_norm(x, model.final_norm) @ model.embedding.T
 
 
-def forward_layer(
-    model: Model, li: int, x: np.ndarray, store: LayerStore
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run a chunk of hidden states x (batch, tokens >= 2, d_model) through layer li's empty stores, in one pass.
+def forward_layer(model: Model, li: int, x: np.ndarray, store: LayerStore) -> tuple[np.ndarray, np.ndarray]:
+    """Run a chunk of hidden states x (batch, tokens >= 2, d_model), stream positions 0.., through layer li's empty
+    stores, in one pass.
 
     Returns (out, heads): the new hidden states, shaped like x, and the
     attention output of every query head, (batch, q_heads, tokens, head_dim).
@@ -193,52 +188,17 @@ def forward_layer(
     `store` is the layer's: store.caches[b * kv_groups + g] is sequence b's
     group g (batch-major), and every one must hold no token. One token, or a
     chunk into stores that hold tokens, raises InputError before any append:
-    forward_chunk steps those token by token. The dense ops run one product
-    per sequence, so each sequence's result depends on its x only, and a
-    chunk's temporaries stay the size of one sequence.
+    forward_chunk steps those token by token. Each sequence's qkv product is
+    scattered into qk[i] (cache i's query heads, key) and v[i] (values, ones),
+    qk rotated; a segment no cache evicts is appended, then single tokens cache
+    by cache, and attention runs over the chunk's own rows, in place. Then
+    _layer_out. The dense ops run one product per sequence, so each sequence's
+    result depends on its x only, and temporaries stay one sequence's size.
     """
     cfg, layer, (batch, n, _) = model.config, model.layers[li], x.shape
     _check_caches(store, batch, cfg.num_kv_heads)  # again under forward_chunk; search and profiling call this directly
     if n < 2 or any(store.seen):
         raise InputError(f"forward_layer takes 2+ tokens into empty stores, got {n} at position {max(store.seen)}")
-    heads = _heads(cfg, layer, x, store)
-    out = np.empty(x.shape, np.float32)
-    for b in range(batch):
-        np.add(x[b], heads[b].transpose(1, 0, 2).reshape(n, -1) @ layer.attn_out, out=out[b])
-    for xb in out:
-        xb += _silu(rms_norm(xb, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
-    return out, heads
-
-
-def _check_caches(store: LayerStore, batch: int, kv: int) -> None:
-    if len(store.caches) != batch * kv:
-        raise ShapeError(f"{len(store.caches)} caches for a batch of {batch} with {kv} KV groups")
-
-
-def _token_qkv(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, caches, rope) -> np.ndarray:
-    """forward_chunk's token step in one layer, hidden row x: its product with layer.qkv, q and k rotated in place
-    by `rope` (_rope_rows), one row appended to each of `caches`. Returns the query heads (kv, g, 1, d), a view."""
-    kv, d, k_col = cfg.num_kv_heads, cfg.head_dim, cfg.num_q_heads * cfg.head_dim  # where k starts in qkv
-    p = rms_norm(x, layer.norm1) @ layer.qkv
-    qk = p[: -kv * d].reshape(1, -1, d)
-    _rotate(qk, *rope, out=qk)
-    for cache, k_new, v_new in zip(caches, *p[k_col:].reshape(2, kv, 1, d)):
-        append_and_evict(cache, k_new, v_new)
-    return p[:k_col].reshape(kv, -1, 1, d)
-
-
-def _token_out(layer: LayerWeights, x: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """The layer's output for hidden row x and its heads' attention output: the residual, then the MLP."""
-    x = x + heads.reshape(-1) @ layer.attn_out
-    x += _silu(rms_norm(x, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
-    return x
-
-
-def _heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerStore) -> np.ndarray:
-    """The heads (batch, q_heads, n, head_dim) of forward_layer's chunk x (batch, n > 1, d_model), positions 0..n-1:
-    the qkv product scattered into qk[i] (cache i's query heads, key) and v[i] (values, ones), qk rotated, a segment
-    no cache evicts in appended, then single tokens cache by cache, and attention over its own rows, in place."""
-    batch, n, _ = x.shape
     kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
     k_col, v_col = cfg.num_q_heads * d, (cfg.num_q_heads + kv) * d  # where k and v start in qkv
     qk = np.empty((batch * kv, g + 1, n, d), np.float32)
@@ -259,7 +219,37 @@ def _heads(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, store: LayerSto
     for cache, k_new, v_new in zip(store.caches, k[:, m:, None], v[:, m:, None, :d]):
         for k_row, v_row in zip(k_new, v_new):  # then single tokens, cache by cache
             append_and_evict(cache, k_row, v_row)
-    return banded_attention(q, k, v, store.budgets, store.sinks).reshape(batch, cfg.num_q_heads, n, d)
+    heads = banded_attention(q, k, v, store.budgets, store.sinks).reshape(batch, cfg.num_q_heads, n, d)
+    qk = q = k = v = k_new = v_new = k_row = v_row = None  # no view of the projections alive through the MLP
+    out = np.empty(x.shape, np.float32)
+    for b in range(batch):
+        _layer_out(layer, x[b], heads[b].transpose(1, 0, 2).reshape(n, -1), out[b])
+    return out, heads
+
+
+def _check_caches(store: LayerStore, batch: int, kv: int) -> None:
+    if len(store.caches) != batch * kv:
+        raise ShapeError(f"{len(store.caches)} caches for a batch of {batch} with {kv} KV groups")
+
+
+def _token_qkv(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, caches, position: int) -> np.ndarray:
+    """forward_chunk's token step in one layer, hidden row x at stream `position`: its product with layer.qkv, q and
+    k rotated in place (rope_rotate), one row appended to each of `caches`. Returns the query heads (kv, g, 1, d)."""
+    kv, d, k_col = cfg.num_kv_heads, cfg.head_dim, cfg.num_q_heads * cfg.head_dim  # where k starts in qkv
+    p = rms_norm(x, layer.norm1) @ layer.qkv
+    qk = p[: -kv * d].reshape(1, -1, d)
+    rope_rotate(qk, position, cfg.rope_theta, out=qk)
+    for cache, k_new, v_new in zip(caches, *p[k_col:].reshape(2, kv, 1, d)):
+        append_and_evict(cache, k_new, v_new)
+    return p[:k_col].reshape(kv, -1, 1, d)
+
+
+def _layer_out(layer: LayerWeights, x: np.ndarray, heads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The layer's output for hidden rows x and their heads' attention output as flat rows, x's shape but
+    q_heads * head_dim wide, into `out` if given: the residual, then the MLP."""
+    out = np.add(x, heads @ layer.attn_out, out=out)
+    out += _silu(rms_norm(out, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
+    return out
 
 
 def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, None]:
@@ -269,8 +259,8 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
     as the budgets require), then every query attends over exactly what
     token-by-token generation retains: a chunk into empty caches layer by
     layer (forward_layer), else token by token, each token through every
-    layer with its rotary rows looked up once, the only caller of _token_qkv,
-    attend_with_cache and _token_out. Logits, from one output_logits over
+    layer (_token_qkv, attend_with_cache, _layer_out), the only caller of
+    _token_qkv and attend_with_cache. Logits, from one output_logits over
     the final rows, agree with generation up to float32 rounding.
 
     Returns (logits, None), with logits (len(tokens), vocab_size).
@@ -291,11 +281,11 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
         for li, store in enumerate(caches.stores):
             x, _ = forward_layer(model, li, x, store)
     else:  # each token's row through every layer, written back once
-        for position, row in enumerate(x[0], start):
-            h, rope = row, _rope_rows(cfg.rope_theta, cfg.head_dim, position, 1)
+        for position, h in enumerate(x[0], start):
             for layer, store in zip(model.layers, caches.stores):
-                h = _token_out(layer, h, attend_with_cache(store, _token_qkv(cfg, layer, h, store.caches, rope)))
-            row[:] = h
+                heads = attend_with_cache(store, _token_qkv(cfg, layer, h, store.caches, position))
+                h = _layer_out(layer, h, heads.reshape(-1))
+            x[0, position - start] = h
     return output_logits(model, x[0]), None
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from bklv.cache import LayerStore, append_and_evict, attend_with_cache
 from bklv.errors import ShapeError
-from bklv.model import _rope_rows, _rotate, _token_out, _token_qkv, forward_layer, rms_norm, serialize_model
+from bklv.model import _layer_out, _token_qkv, forward_layer, rms_norm, rope_rotate, serialize_model
 from bklv.profiling import (
     ImportanceProfile,
     group_kv_importance,
@@ -203,7 +203,7 @@ def reference_budgeted_logits(model, tokens, budgets, sinks: int):
 def layer_steps(model, li: int, x, store, qkv=_token_qkv):
     """Layer li over a stream's tokens x (1, n, d_model), one token at a
     time: qkv (_token_qkv, or three_projection_step), one attend_with_cache
-    over the store, _token_out. Returns (out, heads) as forward_layer does.
+    over the store, _layer_out. Returns (out, heads) as forward_layer does.
     These are the parts forward_chunk's token loop runs, here layer-major,
     so comparing the two checks that loop's schedule and rotary rows bit for
     bit, not the parts; forward_layer itself takes only a chunk into empty
@@ -211,23 +211,22 @@ def layer_steps(model, li: int, x, store, qkv=_token_qkv):
     cfg, layer = model.config, model.layers[li]
     out, heads = np.empty(x.shape, np.float32), np.empty((1, cfg.num_q_heads, x.shape[1], cfg.head_dim), np.float32)
     for t, row in enumerate(x[0]):
-        rope = _rope_rows(cfg.rope_theta, cfg.head_dim, store.seen[0], 1)
-        attended = attend_with_cache(store, qkv(cfg, layer, row, store.caches, rope))
+        attended = attend_with_cache(store, qkv(cfg, layer, row, store.caches, store.seen[0]))
         heads[0, :, t] = attended.reshape(-1, cfg.head_dim)
-        out[0, t] = _token_out(layer, row, attended)
+        out[0, t] = _layer_out(layer, row, attended.reshape(-1))
     return out, heads
 
 
-def three_projection_step(cfg, layer, x, caches, rope):
+def three_projection_step(cfg, layer, x, caches, position):
     """_token_qkv as it ran before the packed projection: hidden row x's
-    three products with attn_q, attn_k and attn_v, q and k rotated by `rope`
-    into fresh arrays, one row appended to each of `caches`. Returns the
-    query heads (kv, g, 1, head_dim). It shares _token_qkv's norm, rotation
-    and append, so it checks the packed product and its views bit for bit,
-    not those."""
+    three products with attn_q, attn_k and attn_v, q and k rotated to stream
+    `position` into fresh arrays, one row appended to each of `caches`.
+    Returns the query heads (kv, g, 1, head_dim). It shares _token_qkv's
+    norm, rotation and append, so it checks the packed product and its views
+    bit for bit, not those."""
     kv, d = cfg.num_kv_heads, cfg.head_dim
     h = rms_norm(x, layer.norm1)
-    q, k = (_rotate((h @ w).reshape(1, -1, d), *rope) for w in (layer.attn_q, layer.attn_k))
+    q, k = (rope_rotate((h @ w).reshape(1, -1, d), position, cfg.rope_theta) for w in (layer.attn_q, layer.attn_k))
     for cache, k_new, v_new in zip(caches, k.reshape(kv, 1, d), (h @ layer.attn_v).reshape(kv, 1, d)):
         append_and_evict(cache, k_new, v_new)
     return q.reshape(kv, -1, 1, d)
@@ -450,3 +449,51 @@ def planted_model(model, local_groups, q_gain: float = 40.0, out_gain: float = 1
             dataclasses.replace(layer, attn_q=q, attn_k=k, attn_out=layer.attn_out * out_gain)
         )
     return dataclasses.replace(model, layers=layers)
+
+
+def offset_model(model, deltas, spread: float = 3.0, q_gain: float = 60.0, out_gain: float = 10.0):
+    """A copy of `model` in which layer 0's KV group g attends to the token
+    deltas[g] back and every later layer is the identity, so the least
+    budgets that lose nothing are known: sinks + deltas[g] + 1 for layer 0's
+    group g (the sinks, then a window reaching t - deltas[g]), and the floor
+    for every other cache.
+
+    Every embedding row e gets its coordinate 0, the shared direction u,
+    set to spread x |e|; the rest is its content. In layer 0, W_q and W_k
+    read only u. k0 puts weight w_j = (1, 1, 1, 1, 0.5) on the five fastest
+    rotary pairs j, of frequency f_j, and each query head of group g reads
+    q_gain x R(-deltas[g]) k0. A query at t then scores a key at t - o in
+    proportion to sum_j w_j**2 cos(f_j (o - deltas[g])): highest at
+    o = deltas[g], and at every other offset up to 511 lower by at least
+    0.121 of that peak, with head_dim 16 and rope_theta 1e4.
+
+    W_v ignores u, and attn_out is scaled by out_gain. Every later layer has
+    attn_out = mlp_out = 0.
+
+    Measured with deltas (1, 8, 40, 120), the seed-7 default config and the
+    first 256 tokens of the README corpus (readme_text(1100, 3)): layer 0's
+    score bound, max |q| * max |k| / sqrt(head_dim), is 7,351, so it runs
+    banded_attention's shifted softmax, far past SCORE_BOUND; and every
+    layer-0 head puts all of its attention, 1.0 in float32, on t - deltas[g]
+    at every t >= deltas[g].
+    """
+    cfg = model.config
+    d, half, g = cfg.head_dim, cfg.head_dim // 2, cfg.group_size
+    embedding = model.embedding.copy()
+    embedding[:, 0] = spread * np.linalg.norm(model.embedding, axis=1)
+    freqs = cfg.rope_theta ** (-2.0 * np.arange(5) / d)  # the five fastest pairs
+    weights = np.array([1.0, 1.0, 1.0, 1.0, 0.5])
+    k0 = np.zeros(d)
+    k0[:5] = weights
+    first, *rest = model.layers
+    q, k, v = np.zeros_like(first.attn_q), np.zeros_like(first.attn_k), first.attn_v.copy()
+    for group, delta in enumerate(deltas):
+        q0 = np.zeros(d)  # R(-delta) k0: pair j turned by -delta * freqs[j]
+        q0[:5], q0[half : half + 5] = weights * np.cos(delta * freqs), -weights * np.sin(delta * freqs)
+        q[0, group * g * d : (group + 1) * g * d] = np.tile(q_gain * q0, g)
+        k[0, group * d : (group + 1) * d] = k0
+    v[0] = 0.0
+    layers = [dataclasses.replace(first, attn_q=q, attn_k=k, attn_v=v, attn_out=first.attn_out * out_gain)]
+    for layer in rest:
+        layers.append(dataclasses.replace(layer, attn_out=layer.attn_out * 0, mlp_out=layer.mlp_out * 0))
+    return dataclasses.replace(model, embedding=embedding, layers=layers)

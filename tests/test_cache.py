@@ -708,6 +708,10 @@ class TestBoundedSoftmax:
     normalized softmax. Each against the other, per group, and on the
     README's traffic (tests/test_readme.py)."""
 
+    def test_e_to_the_minus_score_bound_is_a_normal_float32(self):
+        # SCORE_BOUND's stated reason: every exp of a bounded score, e**-SCORE_BOUND the least, keeps full precision
+        assert np.exp(np.float32(-cache_module.SCORE_BOUND)) >= np.finfo(np.float32).smallest_normal
+
     @settings(max_examples=200, deadline=None)
     @given(
         extra=st.lists(st.integers(1, 12), min_size=1, max_size=4),

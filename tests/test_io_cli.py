@@ -956,6 +956,18 @@ class TestCli:
         assert capsys.readouterr().err == json.dumps({"error": violations[0], "violations": violations}) + "\n"
         assert not os.path.exists(out) and not os.path.exists(out + ".manifest")
 
+    def test_sweep_without_a_window_takes_the_widest_that_fits(self, cli_env, capsys):
+        # the default 4-layer model fits no window of 5, the widest default; 3 is the widest odd one that fits
+        model = str(cli_env["dir"] / "default.bklv")
+        assert main(["init-model", "--out", model, "--seed", "7"]) == 0
+        reports = [str(cli_env["dir"] / name) for name in ("bare.json", "three.json")]
+        for out, window in zip(reports, ([], ["--window", "3"])):
+            assert main(["sweep", "--model", model, "--corpus", cli_env["corpus"], "--context-len", "48",
+                         "--compression", "0.2", "--out", out, *window]) == 0
+        assert capsys.readouterr().err == ""
+        assert _load(reports[0])["window"] == 3
+        assert open(reports[0], "rb").read() == open(reports[1], "rb").read()
+
     def test_success_is_silent_on_stderr(self, cli_env, capsys):
         prof = str(cli_env["dir"] / "quiet.json")
         assert main(["profile", "--model", cli_env["model"], "--prompt", cli_env["prompt"], "--out", prof]) == 0

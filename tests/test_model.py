@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from bklv import (
     BklvError,
+    CacheSet,
     ConfigError,
     FormatError,
     InputError,
@@ -32,6 +33,7 @@ from bklv import (
 )
 from bklv import cache as cache_module
 from bklv import config as config_module
+from bklv import io
 from bklv import model as model_module
 from bklv import profiling as profiling_module
 from bklv import search as search_module
@@ -43,6 +45,7 @@ from bklv.model import (
     deserialize_model,
     forward_layer,
     output_logits,
+    rms_norm,
     rope_rotate,
     serialize_model,
 )
@@ -52,6 +55,8 @@ from .reference import (
     brute_attention,
     layer_steps,
     naive_row_softmax,
+    offset_model,
+    readme_text,
     reference_budgeted_logits,
     reference_generate,
     reference_logits,
@@ -506,9 +511,9 @@ class TestServedTraffic:
             calls.append((np.size(tokens) > 1, caches.total_seen > 0))
             return forward_chunk(model, tokens, caches)
 
-        def token_step(cfg, layer, x, caches, rope):  # forward_chunk's one-token step, one row
+        def token_step(cfg, layer, x, caches, position):  # forward_chunk's one-token step, one row
             calls.append((False, any(cache.total_seen for cache in caches)))
-            return token_qkv(cfg, layer, x, caches, rope)
+            return token_qkv(cfg, layer, x, caches, position)
 
         for module in (model_module, search_module, profiling_module):
             monkeypatch.setattr(module, "forward_layer", recording)
@@ -1145,3 +1150,63 @@ class TestWeightFile:
         cfg.validate()
         assert math.isfinite(cfg.rope_theta) and cfg.rope_theta > 0
         assert np.all(np.isfinite(np.frombuffer(bytes(body), dtype="<f4")))
+
+
+class TestOffsetModel:
+    """reference.offset_model, a model whose answer is known: layer 0's group g
+    reads only the token DELTAS[g] back, and later layers are the identity,
+    so the least lossless plan keeps sinks + DELTAS[g] + 1 tokens in layer 0's
+    group g and the floor elsewhere. Layer 0's score bound is about 7,400
+    against SCORE_BOUND 80, so this drives banded_attention's shifted softmax
+    through a whole forward pass. Pinned as measured, on the seed-7 default
+    config and the first 256 tokens of the README corpus."""
+
+    DELTAS = (1, 8, 40, 120)
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        model = offset_model(init_model(ModelConfig(seed=7)), self.DELTAS)
+        return model, np.asarray(io.encode_bytes(readme_text(1100, 3))[:256])
+
+    @staticmethod
+    def _logits(model, tokens, budgets):
+        stores = [LayerStore(row, 4, model.config.head_dim) for row in budgets]
+        return forward_chunk(model, tokens, CacheSet(stores, model.config))[0]
+
+    @staticmethod
+    def _kl(p, q):
+        """Mean KL(p || q) over rows of logits, from float64 log-softmaxes."""
+        logp, logq = (x - np.logaddexp.reduce(x, axis=1, keepdims=True) for x in (np.float64(p), np.float64(q)))
+        return float(np.mean(np.sum(np.exp(logp) * (logp - logq), axis=1)))
+
+    def test_layer_0_heads_attend_only_to_their_offset_past_the_score_bound(self, case):
+        model, tokens = case
+        cfg, layer = model.config, model.layers[0]
+        h = rms_norm(model.embedding[tokens], layer.norm1)
+        q, k = (np.linalg.norm((h @ w).reshape(-1, cfg.head_dim), axis=-1).max() for w in (layer.attn_q, layer.attn_k))
+        assert q * k / math.sqrt(cfg.head_dim) == pytest.approx(7351, rel=1e-3)  # SCORE_BOUND is 80
+        attention = []
+        reference_logits(model, tokens, attention)
+        for head, probs in enumerate(attention[: cfg.num_q_heads]):  # layer 0's
+            delta = self.DELTAS[head // cfg.group_size]
+            t = np.arange(delta, len(tokens))
+            assert probs[t, t - delta].min() == 1.0, head
+
+    def test_the_known_plan_is_lossless_and_least(self, case):
+        model, tokens = case
+        full = self._logits(model, tokens, [[512] * 4] * 4)
+        np.testing.assert_allclose(full, reference_logits(model, tokens), rtol=0, atol=1e-5)
+        known = [[4 + delta + 1 for delta in self.DELTAS]] + [[5] * 4] * 3
+        assert sum(map(sum, known)) == 249  # compression 249 / 8192 = 0.030
+        assert self._kl(full, self._logits(model, tokens, known)) == 0.0
+        for group in range(4):  # one token less in any layer-0 group loses
+            cut = [known[0][:group] + [known[0][group] - 1] + known[0][group + 1 :]] + known[1:]
+            assert self._kl(full, self._logits(model, tokens, cut)) > 1e-3, group
+
+    def test_uniform_at_compression_0_05_loses(self, case):
+        model, tokens = case
+        plan = uniform_plan(model.config, 0.05)
+        assert plan.budgets[0].tolist() == [26, 26, 26, 25]
+        full = self._logits(model, tokens, [[512] * 4] * 4)
+        uniform = self._logits(model, tokens, plan.budgets.tolist())
+        assert self._kl(full, uniform) == pytest.approx(1.669e-2, rel=1e-3)
