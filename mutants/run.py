@@ -42,11 +42,17 @@ MUTANTS = [
         "attend_with_cache(store, _token_qkv(",
         "attend_with_cache(__import__('copy').deepcopy(store), _token_qkv(",
     ),
-    (  # the token's heads reach attn_out group-major
+    (  # both steps' heads reach attn_out leading axis reversed: KV groups for a token, query heads for a chunk
         "heads-in-the-wrong-order",
         "src/bklv/model.py",
-        "h = _layer_out(layer, h, heads.reshape(-1))",
-        "h = _layer_out(layer, h, heads.swapaxes(0, 1).reshape(-1))",
+        "heads.swapaxes(-3, -2)",
+        "heads[::-1].swapaxes(-3, -2)",
+    ),
+    (  # the token step writes each layer's output into a copy of its row, so every layer's output is lost
+        "token-row-not-updated",
+        "src/bklv/model.py",
+        "store.caches, position)), h)",
+        "store.caches, position)), h.copy())",
     ),
     (  # forward_layer runs one token, or a chunk into stores that hold tokens
         "layer-guard-deleted",

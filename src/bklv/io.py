@@ -76,8 +76,11 @@ def load_corpus(paths: list[str]) -> np.ndarray:
 # low-level helpers
 
 def sha256_file(path: str) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for block in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB blocks: no input is held whole
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def atomic_write_bytes(path: str, data) -> None:

@@ -92,8 +92,8 @@ def init_model(config: ModelConfig) -> Model:
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """x * gain / sqrt(mean(x**2) + RMS_EPS) over the last axis, in float32;
     the mean is np.mean's own sum reduction, then division by the count.
-    One row, (1, width) or (1, 1, width) as in every decode step, takes
-    the same float32 steps on a np.float32 scalar rather than on arrays."""
+    One row, (width,) as the token step passes or (1, width) as output_logits
+    passes one token's, takes the same float32 steps on a np.float32 scalar."""
     if x.size == x.shape[-1]:
         total = np.add.reduce(np.square(x), None)
     else:
@@ -223,7 +223,7 @@ def forward_layer(model: Model, li: int, x: np.ndarray, store: LayerStore) -> tu
     qk = q = k = v = k_new = v_new = k_row = v_row = None  # no view of the projections alive through the MLP
     out = np.empty(x.shape, np.float32)
     for b in range(batch):
-        _layer_out(layer, x[b], heads[b].transpose(1, 0, 2).reshape(n, -1), out[b])
+        _layer_out(layer, x[b], heads[b], out[b])
     return out, heads
 
 
@@ -244,12 +244,11 @@ def _token_qkv(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, caches, pos
     return p[:k_col].reshape(kv, -1, 1, d)
 
 
-def _layer_out(layer: LayerWeights, x: np.ndarray, heads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The layer's output for hidden rows x and their heads' attention output as flat rows, x's shape but
-    q_heads * head_dim wide, into `out` if given: the residual, then the MLP."""
-    out = np.add(x, heads @ layer.attn_out, out=out)
+def _layer_out(layer: LayerWeights, x: np.ndarray, heads: np.ndarray, out: np.ndarray) -> None:
+    """Rows x through the residual and the MLP, into `out` of x's shape (the token step's row is both). heads are as
+    the kernels return them, (q_heads, rows, head_dim) or (kv, g, 1, head_dim), flat only inside attn_out's product."""
+    np.add(x, heads.swapaxes(-3, -2).reshape(*x.shape[:-1], -1) @ layer.attn_out, out=out)
     out += _silu(rms_norm(out, layer.norm2) @ layer.mlp_in) @ layer.mlp_out
-    return out
 
 
 def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, None]:
@@ -280,12 +279,10 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
     if tokens.size > 1 and not start:
         for li, store in enumerate(caches.stores):
             x, _ = forward_layer(model, li, x, store)
-    else:  # each token's row through every layer, written back once
+    else:  # each token's row h, a view of x, through every layer, updated in place
         for position, h in enumerate(x[0], start):
             for layer, store in zip(model.layers, caches.stores):
-                heads = attend_with_cache(store, _token_qkv(cfg, layer, h, store.caches, position))
-                h = _layer_out(layer, h, heads.reshape(-1))
-            x[0, position - start] = h
+                _layer_out(layer, h, attend_with_cache(store, _token_qkv(cfg, layer, h, store.caches, position)), h)
     return output_logits(model, x[0]), None
 
 
@@ -373,7 +370,7 @@ def deserialize_model(data: bytes) -> Model:
     if header != _header(cfg):
         raise FormatError(f"header is not the canonical line {_header(cfg)!r}")
 
-    body = data[newline + 1 :]
+    body = memoryview(data)[newline + 1 :]  # a view: the tensors below are the only copies
     expected = 4 * cfg.weight_count()
     if len(body) != expected:
         raise FormatError(f"weight payload is {len(body)} bytes, expected {expected}")

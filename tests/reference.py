@@ -213,7 +213,7 @@ def layer_steps(model, li: int, x, store, qkv=_token_qkv):
     for t, row in enumerate(x[0]):
         attended = attend_with_cache(store, qkv(cfg, layer, row, store.caches, store.seen[0]))
         heads[0, :, t] = attended.reshape(-1, cfg.head_dim)
-        out[0, t] = _layer_out(layer, row, attended.reshape(-1))
+        _layer_out(layer, row, attended, out[0, t])
     return out, heads
 
 

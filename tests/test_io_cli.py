@@ -90,6 +90,12 @@ class TestRoundTrips:
         again = io.read_model_file(path)
         assert model_checksum(again) == model_checksum(small_model)
 
+    def test_sha256_file_hashes_a_file_longer_than_one_block(self, tmp_path):
+        data = np.random.default_rng(0).bytes(3 << 19)  # 1.5 MiB: one whole 1 MiB block, then half of one
+        path = tmp_path / "big.bin"
+        path.write_bytes(data)
+        assert io.sha256_file(str(path)) == hashlib.sha256(data).hexdigest()
+
     @pytest.mark.parametrize(
         "model_name, edit", [("small_model", False), ("toy_model", False), ("small_model", True)],
         ids=["small", "seed-7", "replaced"],

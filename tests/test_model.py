@@ -1210,3 +1210,17 @@ class TestOffsetModel:
         full = self._logits(model, tokens, [[512] * 4] * 4)
         uniform = self._logits(model, tokens, plan.budgets.tolist())
         assert self._kl(full, uniform) == pytest.approx(1.669e-2, rel=1e-3)
+
+    def test_the_cosine_profile_does_not_see_how_far_back_a_group_reads(self, case):
+        """Profiled on the README prompts, as measured: the identity layers 1-3 read layer_importance 0, yet their
+        groups' kv_importance reads 0.21-0.32, and layer 0's groups do not follow the tokens each needs,
+        sinks + delta + 1 (Spearman -0.2)."""
+        model = case[0]
+        profile = profile_model(model, [io.encode_bytes(readme_text(260, 1)), io.encode_bytes(readme_text(200, 2))])
+        assert profile.layer_importance[0] == pytest.approx(0.3183, abs=1e-4)
+        assert profile.layer_importance[1:].tolist() == [0.0, 0.0, 0.0]
+        kv = profile.kv_importance
+        np.testing.assert_allclose(kv[0], [0.4930, 0.4100, 0.4623, 0.4670], rtol=0, atol=2e-4)
+        assert 0.2 < kv[1:].min() and kv[1:].max() < 0.32
+        rho, degenerate = profiling_module.spearman(kv[0], [4 + delta + 1 for delta in self.DELTAS])
+        assert not degenerate and rho == pytest.approx(-0.2, abs=1e-9)
