@@ -60,6 +60,12 @@ MUTANTS = [
         "    if n < 2 or any(store.seen):\n        raise InputError(",
         "    if False:\n        raise InputError(",
     ),
+    (  # the check before any append compares only the cache count, so a narrow store fails after earlier layers append
+        "cache-check-without-head-width",
+        "src/bklv/model.py",
+        " or store.keys.shape[1] != cfg.head_dim:",
+        ":",
+    ),
     (  # both steps' MLP reads the layer's input, not the residual stream after attention
         "mlp-skips-the-residual",
         "src/bklv/model.py",

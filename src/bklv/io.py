@@ -5,7 +5,6 @@ written atomically (temp file then rename), so identical inputs produce
 byte-identical files. Each document carries a format_version field.
 """
 
-import hashlib
 import json
 import os
 import time
@@ -16,7 +15,7 @@ import numpy as np
 from .allocation import AllocationPlan, PlanParams, require_valid
 from .config import ModelConfig
 from .errors import FormatError, InputError
-from .model import Model, canonical_chunks, deserialize_model
+from .model import Model, canonical_chunks, deserialize_model, sha256_hex
 from .profiling import ImportanceProfile
 
 BOS_ID = 256
@@ -76,11 +75,8 @@ def load_corpus(paths: list[str]) -> np.ndarray:
 # low-level helpers
 
 def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):  # 1 MiB blocks: no input is held whole
-            digest.update(block)
-    return digest.hexdigest()
+        return sha256_hex(iter(lambda: fh.read(1 << 20), b""))  # 1 MiB blocks: no input is held whole
 
 
 def atomic_write_bytes(path: str, data) -> None:

@@ -19,7 +19,6 @@ Q and K before caching; evicted stores keep original absolute positions
 (no re-rotation).
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
 from itertools import islice
@@ -196,7 +195,7 @@ def forward_layer(model: Model, li: int, x: np.ndarray, store: LayerStore) -> tu
     result depends on its x only, and temporaries stay one sequence's size.
     """
     cfg, layer, (batch, n, _) = model.config, model.layers[li], x.shape
-    _check_caches(store, batch, cfg.num_kv_heads)  # again under forward_chunk; search and profiling call this directly
+    _check_caches(store, batch, cfg)  # again under forward_chunk; search and profiling call this directly
     if n < 2 or any(store.seen):
         raise InputError(f"forward_layer takes 2+ tokens into empty stores, got {n} at position {max(store.seen)}")
     kv, g, d = cfg.num_kv_heads, cfg.group_size, cfg.head_dim
@@ -227,9 +226,10 @@ def forward_layer(model: Model, li: int, x: np.ndarray, store: LayerStore) -> tu
     return out, heads
 
 
-def _check_caches(store: LayerStore, batch: int, kv: int) -> None:
-    if len(store.caches) != batch * kv:
-        raise ShapeError(f"{len(store.caches)} caches for a batch of {batch} with {kv} KV groups")
+def _check_caches(store: LayerStore, batch: int, cfg: ModelConfig) -> None:
+    if len(store.caches) != batch * cfg.num_kv_heads or store.keys.shape[1] != cfg.head_dim:
+        raise ShapeError(f"{len(store.caches)} caches for a batch of {batch} with {cfg.num_kv_heads} KV groups; "
+                         f"store head_dim {store.keys.shape[1]}, model head_dim {cfg.head_dim}")
 
 
 def _token_qkv(cfg: ModelConfig, layer: LayerWeights, x: np.ndarray, caches, position: int) -> np.ndarray:
@@ -274,7 +274,7 @@ def forward_chunk(model: Model, tokens, caches: CacheSet) -> tuple[np.ndarray, N
         )
     check_context(start := caches.total_seen, tokens.size, cfg)
     for store in caches.stores:  # every layer's check, before any append
-        _check_caches(store, 1, cfg.num_kv_heads)
+        _check_caches(store, 1, cfg)
     x = model.embedding[tokens[None]].astype(np.float32, copy=False)  # the gather copies
     if tokens.size > 1 and not start:
         for li, store in enumerate(caches.stores):
@@ -383,9 +383,16 @@ def deserialize_model(data: bytes) -> Model:
     return _assemble(cfg, (piece.reshape(shape).copy() for piece, shape in zip(pieces, shapes)))
 
 
-def model_checksum(model: Model) -> str:
-    """sha256 of the canonical weight-file bytes, fed chunk by chunk (canonical_chunks), never joined."""
+def sha256_hex(chunks) -> str:
+    """The hex sha256 of bytes-like chunks, fed to one digest in order: bklv's one hash (model, prompt and file ids)."""
+    import hashlib  # here, not at the top: a command that never hashes never starts OpenSSL
+
     digest = hashlib.sha256()
-    for chunk in canonical_chunks(model):
+    for chunk in chunks:
         digest.update(chunk)
     return digest.hexdigest()
+
+
+def model_checksum(model: Model) -> str:
+    """sha256 of the canonical weight-file bytes, fed chunk by chunk (canonical_chunks), never joined."""
+    return sha256_hex(canonical_chunks(model))

@@ -9,7 +9,6 @@ hidden states entering and leaving each layer. Each layer is reduced to
 its cosines as it runs, so profiling holds one layer's arrays, not the model's.
 """
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 from .cache import LayerStore
 from .config import ModelConfig
 from .errors import InputError, ShapeError
-from .model import Model, check_context, check_tokens, forward_layer, model_checksum
+from .model import Model, check_context, check_tokens, forward_layer, model_checksum, sha256_hex
 
 MIN_PROMPT_LEN = 32
 ZERO_NORM_EPS = 1e-12
@@ -87,8 +86,7 @@ def group_kv_importance(head_sims: np.ndarray, g: int) -> np.ndarray:
 
 
 def _prompt_id(tokens: np.ndarray) -> str:
-    digest = hashlib.sha256(tokens.tobytes()).hexdigest()  # check_tokens' int64 ids
-    return f"{tokens.size}:{digest[:12]}"
+    return f"{tokens.size}:{sha256_hex([tokens.tobytes()])[:12]}"  # check_tokens' int64 ids
 
 
 def _reduce_layer(model: Model, li: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -87,6 +87,11 @@ class TestApportion:
     def test_tie_breaks_to_lower_index(self):
         assert apportion_largest_remainder([1.5, 1.5, 1.5, 1.5], 7) == [2, 2, 2, 1]
 
+    @pytest.mark.parametrize("shares, total", [([1.5, 2.5], 2), ([1.5, 2.5], 6)])
+    def test_shares_more_than_one_unit_per_entry_from_the_total_are_rejected(self, shares, total):
+        with pytest.raises(AllocationError, match=f"^shares sum 4.000000 inconsistent with total {total}$"):
+            apportion_largest_remainder(shares, total)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=12))
     def test_conserves_total_and_stays_within_one(self, shares):
@@ -161,6 +166,15 @@ class TestReallocateCaches:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             reallocate_caches([1, 2], [0.5], 0.5, 0.1)
+
+    def test_no_caches(self):
+        with pytest.raises(ShapeError, match="^need at least one cache$"):
+            reallocate_caches([], [], 0.5, 0.1)
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5, float("nan")])
+    def test_t_out_of_range(self, t):
+        with pytest.raises(AllocationError, match=rf"^t_importance must be in \[0, 1\], got {t}$"):
+            reallocate_caches([1, 2], [0.5, 0.6], t, 0.1)
 
     def test_r_out_of_range(self):
         with pytest.raises(AllocationError):
@@ -358,6 +372,16 @@ class TestBuildPlan:
     def test_profile_required_for_baklava(self):
         with pytest.raises(AllocationError):
             build_plan(None, SMALL, "baklava", 0.5)
+
+    @pytest.mark.parametrize("strategy", ["baklava", "layerwise"])
+    def test_a_profile_of_another_shape_is_rejected(self, strategy):
+        kv = np.full((SMALL.num_layers, SMALL.num_kv_heads), 0.5)
+        wide = _profile(SMALL, np.full((SMALL.num_layers, SMALL.num_kv_heads + 1), 0.5), [0.5] * SMALL.num_layers)
+        with pytest.raises(ShapeError, match=r"^profile kv_importance shape \(2, 3\) does not match config \(2, 2\)$"):
+            build_plan(wide, SMALL, strategy, 0.5)
+        short = _profile(SMALL, kv, [0.5] * (SMALL.num_layers - 1))
+        with pytest.raises(ShapeError, match="^profile layer_importance length does not match config$"):
+            build_plan(short, SMALL, strategy, 0.5)
 
 
 class TestValidatePlan:

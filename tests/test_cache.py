@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -93,6 +94,20 @@ class TestAppendAndEvict:
             append_and_evict(step, k[i : i + 1], v[i : i + 1])
         assert one.positions.tolist() == step.positions.tolist()
         assert np.array_equal(one.keys, step.keys)
+
+    @pytest.mark.parametrize("k_shape, v_shape", [((3, HEAD_DIM), (2, HEAD_DIM)), ((2, 1, HEAD_DIM),) * 2])
+    def test_rows_of_unequal_or_not_2_d_shapes_are_rejected(self, k_shape, v_shape):
+        cache = _cache(budget=6)
+        message = f"k_new {k_shape} and v_new {v_shape} must be equal 2-D shapes"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            append_and_evict(cache, np.zeros(k_shape), np.zeros(v_shape))
+        assert cache.total_seen == 0
+
+    def test_rows_not_head_dim_wide_are_rejected(self):
+        cache, rows = _cache(budget=6), np.zeros((3, HEAD_DIM + 2), np.float32)
+        with pytest.raises(ShapeError, match=f"^row width {HEAD_DIM + 2} != head_dim {HEAD_DIM}$"):
+            append_and_evict(cache, rows, rows)
+        assert cache.total_seen == 0
 
     def test_full_store_append_and_reset_write_the_layer_store_in_place(self, rng):
         # group 0 of layer 0 has budget 6 in a store padded to width 9

@@ -37,7 +37,7 @@ from bklv import io
 from bklv import model as model_module
 from bklv import profiling as profiling_module
 from bklv import search as search_module
-from bklv.allocation import AllocationPlan, PlanParams
+from bklv.allocation import AllocationPlan, PlanParams, build_plan
 from bklv.cache import LayerStore, softmax
 from bklv.model import (
     LayerWeights,
@@ -78,6 +78,11 @@ class TestConfig:
     def test_d_model_mismatch(self):
         with pytest.raises(ConfigError, match="d_model"):
             ModelConfig(d_model=100).validate()
+
+    def test_odd_head_dim(self):
+        cfg = ModelConfig(head_dim=15, d_model=ModelConfig().num_q_heads * 15)
+        with pytest.raises(ConfigError, match="^head_dim must be even for rotary positions, got 15$"):
+            cfg.validate()
 
     @pytest.mark.parametrize("field,value", [("num_layers", 0), ("max_context", 4)])
     def test_count_floors(self, field, value):
@@ -259,6 +264,13 @@ class TestForwardChunk:
     def test_cache_layer_mismatch(self, small_model, toy_model):
         with pytest.raises(ConfigError):
             forward_chunk(small_model, [1, 2], _fresh_caches(toy_model))
+
+    def test_a_cache_set_missing_a_layer_is_rejected_before_any_append(self, small_model):
+        caches = _fresh_caches(small_model)
+        del caches.stores[-1]
+        with pytest.raises(ConfigError, match="^cache layer count 1 != num_layers 2$"):
+            forward_chunk(small_model, [1, 2], caches)
+        assert caches.stores[0].seen == [0] * SMALL.num_kv_heads
 
     def test_context_limit(self, small_model):
         toks = list(range(small_model.config.max_context + 1))
@@ -573,6 +585,16 @@ class TestTokenMajorStep:
             forward_chunk(small_model, tokens, caches)
         for store, (keys, values, seen) in zip(caches.stores, before):
             assert np.array_equal(store.keys, keys) and np.array_equal(store.values, values) and store.seen == seen
+
+    @pytest.mark.parametrize("tokens", [range(10), [4]])
+    def test_a_head_width_off_in_a_later_layer_raises_before_any_append(self, toy_model, tokens):
+        cfg = toy_model.config
+        caches = build_cache_set(uniform_plan(cfg, 0.3), cfg)
+        narrow = caches.stores[3]
+        caches.stores[3] = LayerStore(narrow.budgets, narrow.sinks, cfg.head_dim // 2)
+        with pytest.raises(ShapeError, match=f"; store head_dim {cfg.head_dim // 2}, model head_dim {cfg.head_dim}$"):
+            forward_chunk(toy_model, tokens, caches)
+        assert [store.seen for store in caches.stores] == [[0] * cfg.num_kv_heads] * cfg.num_layers
 
 
 @st.composite
@@ -1078,6 +1100,16 @@ class TestWeightFile:
         with pytest.raises(FormatError, match=r"invalid config: the model has \d+ weights, above MAX_WEIGHTS"):
             deserialize_model(broken)
 
+    def test_no_header_newline(self, small_model):
+        with pytest.raises(FormatError, match="^missing header line$"):
+            deserialize_model(serialize_model(small_model).split(b"\n", 1)[0])  # the header line alone, unterminated
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_weight_is_rejected(self, small_model, value):
+        data = serialize_model(small_model)
+        with pytest.raises(FormatError, match="^weight payload contains non-finite values$"):
+            deserialize_model(data[:-4] + np.array([value], "<f4").tobytes())
+
     def test_truncated_payload(self, small_model):
         data = serialize_model(small_model)
         with pytest.raises(FormatError, match="bytes"):
@@ -1168,6 +1200,10 @@ class TestOffsetModel:
         model = offset_model(init_model(ModelConfig(seed=7)), self.DELTAS)
         return model, np.asarray(io.encode_bytes(readme_text(1100, 3))[:256])
 
+    @pytest.fixture(scope="class")
+    def profile(self, case):
+        return profile_model(case[0], [io.encode_bytes(readme_text(260, 1)), io.encode_bytes(readme_text(200, 2))])
+
     @staticmethod
     def _logits(model, tokens, budgets):
         stores = [LayerStore(row, 4, model.config.head_dim) for row in budgets]
@@ -1211,12 +1247,44 @@ class TestOffsetModel:
         uniform = self._logits(model, tokens, plan.budgets.tolist())
         assert self._kl(full, uniform) == pytest.approx(1.669e-2, rel=1e-3)
 
-    def test_the_cosine_profile_does_not_see_how_far_back_a_group_reads(self, case):
+    def test_the_layer_move_reaches_kl_0_and_the_head_move_adds_nothing(self, case, profile):
+        """KL to the full cache, as README's offset-model table gives it, of uniform and of the best plan of three
+        grids: the layer move (layerwise, layer_t x layer_r), the head move alone (baklava, t x r, as README's search
+        runs it) and both (baklava, t x r x layer_t x layer_r). On README's 0.01 grid of compressions, the layer move
+        first reaches KL 0 at 0.07 and uniform at 0.25; the head move alone never differs from uniform."""
+        model, tokens = case
+        cfg = model.config
+        full, kls = self._logits(model, tokens, [[512] * 4] * 4), {}
+
+        def kl(plan):  # one forward per distinct budget matrix
+            key = plan.budgets.tobytes()
+            if key not in kls:
+                kls[key] = self._kl(full, self._logits(model, tokens, plan.budgets.tolist()))
+            return kls[key]
+
+        layer = [PlanParams(layer_t=t, layer_r=r) for t in (0.5, 0.7, 0.9) for r in (0.3, 0.6, 0.9)]
+        head = [PlanParams(t=t, r=r) for t in (0.5, 0.55, 0.6, 0.7) for r in (0.3, 0.6, 0.9)]
+        grids = [
+            [("layerwise", p) for p in layer],
+            [("baklava", p) for p in head],
+            [("baklava", replace(h, layer_t=p.layer_t, layer_r=p.layer_r)) for h in head for p in layer],
+        ]
+        pinned = {  # uniform, layer move, head move, both
+            0.05: [1.6689e-2, 5.5268e-3, 1.6689e-2, 5.5268e-3],
+            0.06: [1.6689e-2, 4.4843e-3, 1.6689e-2, 4.4843e-3],
+            0.07: [1.6689e-2, 0.0, 1.6689e-2, 0.0],
+            0.1: [6.6457e-3, 0.0, 6.6457e-3, 0.0],
+            0.24: [3.9237e-3, 0.0, 3.9237e-3, 0.0],
+            0.25: [0.0, 0.0, 0.0, 0.0],
+        }
+        for c, row in pinned.items():
+            best = [min(kl(build_plan(profile, cfg, strategy, c, p)) for strategy, p in grid) for grid in grids]
+            np.testing.assert_allclose([kl(uniform_plan(cfg, c)), *best], row, rtol=1e-4, atol=0, err_msg=str(c))
+
+    def test_the_cosine_profile_does_not_see_how_far_back_a_group_reads(self, case, profile):
         """Profiled on the README prompts, as measured: the identity layers 1-3 read layer_importance 0, yet their
         groups' kv_importance reads 0.21-0.32, and layer 0's groups do not follow the tokens each needs,
         sinks + delta + 1 (Spearman -0.2)."""
-        model = case[0]
-        profile = profile_model(model, [io.encode_bytes(readme_text(260, 1)), io.encode_bytes(readme_text(200, 2))])
         assert profile.layer_importance[0] == pytest.approx(0.3183, abs=1e-4)
         assert profile.layer_importance[1:].tolist() == [0.0, 0.0, 0.0]
         kv = profile.kv_importance

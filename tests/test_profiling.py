@@ -72,6 +72,10 @@ class TestTokenCosine:
         with pytest.raises(ShapeError):
             token_cosine_similarities(np.zeros((2, 3)), np.zeros((3, 2)))
 
+    def test_one_d_rows_are_rejected(self):
+        with pytest.raises(ShapeError, match=r"^inputs must be at least 2-D, got \(3,\) vs \(2, 3\)$"):
+            token_cosine_similarities(np.zeros(3), np.zeros((2, 3)))
+
     def test_range(self, rng):
         a = rng.normal(size=(50, 7)) * 100
         b = rng.normal(size=(50, 7)) * 0.01
@@ -126,6 +130,10 @@ class TestGroupKvImportance:
     def test_constant_similarity(self):
         sims = np.full((2, 4), 0.4)
         np.testing.assert_allclose(group_kv_importance(sims, 2), 0.6, atol=1e-12)
+
+    def test_not_2_d(self):
+        with pytest.raises(ShapeError, match=r"^head_sims must be \(layers, q_heads\)$"):
+            group_kv_importance(np.zeros(4), 2)
 
     def test_indivisible(self):
         with pytest.raises(ShapeError):
@@ -436,12 +444,25 @@ class TestRankCorrelation:
             rank_correlation(a.head_similarity, b.head_similarity)
 
 
-@pytest.mark.parametrize("top", ["scipy", "concurrent"])
-def test_import_does_not_load(top):
+def _run_python(code: str) -> str:
+    """What `code` prints in a fresh interpreter that imports this checkout's bklv."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["bklv"].__file__)))
-    code = f"import sys, bklv; print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("top", ["scipy", "concurrent"])
+def test_import_does_not_load(top):
+    code = f"import sys, bklv; print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))"
+    assert _run_python(code) == "[]"
+
+
+def test_the_cli_loads_a_hash_library_only_when_it_hashes():
+    # OpenSSL's _hashlib: numpy, json or argparse may load it themselves, but importing bklv.cli adds nothing
+    loaded = "'_hashlib' in sys.modules"
+    code = f"import sys, numpy, json, argparse; a = {loaded}; import bklv.cli; print(a, {loaded})"
+    before, after = _run_python(code).split()
+    assert after == before
